@@ -575,8 +575,9 @@ fn sharded_check(config: &SystemConfig, case: &FuzzCase) -> Vec<Failure> {
 /// policy drives a gym-style episode *fed from observations* (masked to
 /// its declared snapshot view) on each engine, and the episode's
 /// cumulative metrics must match `run_replication` bit-for-bit — the
-/// rendezvous relay consults the policy at exactly the same epochs with
-/// views that differ only in fields the contract says it never reads, so
+/// paused engine surfaces exactly the epochs it would consult the policy
+/// at, with views that differ only in fields the contract says it never
+/// reads, so
 /// any divergence (in metrics, and therefore in markings or RNG draws)
 /// is a bug in the environment layer. The recorded actions are then
 /// replayed: the observation digest, reward stream, and terminal

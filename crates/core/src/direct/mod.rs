@@ -369,13 +369,22 @@ impl DirectSim {
             .collect()
     }
 
-    /// Advances the simulation by one clock tick.
+    /// Advances the simulation by one clock tick: [`DirectSim::begin_tick`]
+    /// then [`DirectSim::finish_tick`].
     ///
     /// # Errors
     ///
     /// [`CoreError::PolicyViolation`] if the policy produces an invalid
     /// decision; any error returned by an attached [`TickObserver`].
     pub fn tick(&mut self) -> Result<(), CoreError> {
+        self.begin_tick();
+        self.finish_tick()
+    }
+
+    /// Starts the next tick and runs it up to its decision point: phases
+    /// 1–3. The views then are exactly the ones the policy receives in
+    /// phase 4.
+    pub fn begin_tick(&mut self) {
         self.tick += 1;
 
         // Phase 1: process workload on BUSY VCPUs, in global index order
@@ -442,7 +451,16 @@ impl DirectSim {
                 }
             }
         }
+    }
 
+    /// Finishes the tick [`DirectSim::begin_tick`] started: the policy
+    /// call, its validation and application (phase 4), phase 5, the
+    /// metrics and the observer.
+    ///
+    /// # Errors
+    ///
+    /// As [`DirectSim::tick`].
+    pub fn finish_tick(&mut self) -> Result<(), CoreError> {
         // Phase 4: run the pluggable scheduling algorithm.
         let vcpu_views = self.vcpu_views();
         let pcpu_views = self.pcpu_views();

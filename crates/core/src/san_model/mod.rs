@@ -26,7 +26,7 @@ pub use invariants::{expected_invariants, InvariantKind, ModelInvariant};
 pub use layout::{DynVmPlaces, Layout, VcpuPlaces, VmPlaces};
 pub use symmetry::{vm_rotations, MarkingRotation};
 
-use vsched_san::{RewardId, ShardMode, Simulator};
+use vsched_san::{ActivityId, RewardId, ShardMode, Simulator};
 
 use crate::config::SystemConfig;
 use crate::error::CoreError;
@@ -143,6 +143,8 @@ pub struct SanSystem {
     config: SystemConfig,
     layout: Layout,
     error: ErrorCell,
+    /// The `Scheduling_Func` activity: the policy's decision point.
+    sched_func: ActivityId,
     avail: Vec<RewardId>,
     util: Vec<RewardId>,
     spin: Vec<RewardId>,
@@ -203,6 +205,9 @@ impl SanSystem {
         dynamic: bool,
     ) -> Result<Self, CoreError> {
         let (model, layout, error, _policy) = build::build_model(&config, policy, dynamic)?;
+        let sched_func = model
+            .activity_by_name("Scheduling_Func")
+            .expect("the composed model has a Scheduling_Func activity");
         let mut sim = Simulator::new(model, seed);
         let mut avail = Vec::with_capacity(config.total_vcpus());
         let mut util = Vec::with_capacity(config.total_vcpus());
@@ -241,6 +246,7 @@ impl SanSystem {
             config,
             layout,
             error,
+            sched_func,
             avail,
             util,
             spin,
@@ -339,6 +345,24 @@ impl SanSystem {
             if let Some(obs) = self.observer.as_mut() {
                 obs.on_tick(tick, &vcpu_views, &pcpu_views)?;
             }
+        }
+        Ok(())
+    }
+
+    /// Runs into the next tick and stops just before its `Scheduling_Func`
+    /// completion, where the policy would be called: the views then are
+    /// exactly the ones the policy receives. A following `run(1)` fires it
+    /// and finishes the tick, bit-identically to an uninterrupted
+    /// `run(1)`. On a halted model the tick ends without a decision point.
+    ///
+    /// # Errors
+    ///
+    /// As [`SanSystem::run`].
+    pub fn run_to_decision(&mut self) -> Result<(), CoreError> {
+        self.sim
+            .run_until_break(self.horizon + 1.0, self.sched_func)?;
+        if let Some(e) = self.error.lock().expect("error cell").take() {
+            return Err(e);
         }
         Ok(())
     }

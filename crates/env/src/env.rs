@@ -3,27 +3,26 @@
 //! # How decision epochs are surfaced
 //!
 //! Both engines *pull*: they call [`SchedulingPolicy::schedule`] once per
-//! tick, from inside `tick()` (direct engine) or the SAN `Scheduling_Func`
-//! output gate. A gym-style interface needs the opposite — the caller
-//! *pushes* an action and receives the next observation. The inversion is
-//! a rendezvous: the engine runs on its own thread behind a
-//! `RelayPolicy`, an ordinary `SchedulingPolicy` whose `schedule()`
-//! ships the views over a channel and blocks until the environment sends
-//! the action back. Every decision epoch the agent sees is therefore
-//! *exactly* a point where the in-process policy would have been
-//! consulted, with exactly the views it would have received (masked to the
-//! declared fields — see [`crate::obs`]).
+//! tick, in phase 4 of the direct engine's tick or from the SAN
+//! `Scheduling_Func` output gate. A gym-style interface needs the
+//! opposite — the caller *pushes* an action and receives the next
+//! observation. The inversion is a pause: [`Env`] owns the engine and, on
+//! the caller's thread, runs it up to the point where the policy would be
+//! called — [`DirectSim::begin_tick`] (phases 1–3), or
+//! [`SanSystem::run_to_decision`], which stops with `Scheduling_Func` at
+//! the head of the event queue. The observation is read off the paused
+//! engine, so every decision epoch the agent sees is *exactly* a point
+//! where the in-process policy would have been consulted, with exactly the
+//! views it would have received (masked to the declared fields — see
+//! [`crate::obs`]). `step` then places the action in a one-slot policy and
+//! lets the engine finish the tick, consulting that policy as it would any
+//! other.
 //!
-//! The engine thread holds no locks while blocked and the environment
-//! reads shared metrics only while the engine is blocked, so the
-//! rendezvous is race-free by construction. Episodes are bit-identically
-//! replayable: same scenario, same seed, same action sequence — same
-//! observation, reward, and fingerprint streams, on either engine.
+//! Episodes are bit-identically replayable: same scenario, same seed, same
+//! action sequence — same observation, reward, and fingerprint streams, on
+//! either engine.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex};
 
 use vsched_core::direct::DirectSim;
 use vsched_core::san_model::SanSystem;
@@ -84,10 +83,11 @@ impl Scenario {
         self
     }
 
-    /// Total decision epochs per episode (one per tick).
+    /// Total decision epochs per episode (one per tick), or `None` when
+    /// `warmup + horizon` overflows `u64`.
     #[must_use]
-    pub fn epochs(&self) -> u64 {
-        self.warmup + self.horizon
+    pub fn epochs(&self) -> Option<u64> {
+        self.warmup.checked_add(self.horizon)
     }
 }
 
@@ -100,10 +100,10 @@ pub enum EnvError {
     Engine(CoreError),
     /// `step` was called with no live episode (`reset` first).
     NoEpisode,
-    /// The engine thread panicked — a bug, not an agent fault.
-    EngineThreadPanicked,
     /// The scenario is degenerate (zero total ticks).
     EmptyScenario,
+    /// The scenario's `warmup + horizon` overflows `u64`.
+    TickOverflow,
 }
 
 impl std::fmt::Display for EnvError {
@@ -111,8 +111,8 @@ impl std::fmt::Display for EnvError {
         match self {
             EnvError::Engine(e) => write!(f, "engine error: {e}"),
             EnvError::NoEpisode => write!(f, "no live episode: call reset() before step()"),
-            EnvError::EngineThreadPanicked => write!(f, "engine thread panicked"),
             EnvError::EmptyScenario => write!(f, "scenario has zero ticks (warmup + horizon)"),
+            EnvError::TickOverflow => write!(f, "scenario warmup + horizon overflows u64"),
         }
     }
 }
@@ -147,79 +147,25 @@ pub struct EpisodeEnd {
     /// Cumulative post-warm-up metrics, as `vsched run` would report for
     /// one replication.
     pub metrics: SampleMetrics,
-    /// Ticks executed (always `warmup + horizon` unless halted early).
+    /// Ticks executed (always `warmup + horizon`).
     pub ticks: u64,
 }
 
-/// What the environment sends back into the blocked engine thread.
-enum ToSim {
-    /// The agent's decision for the pending epoch.
-    Act(ScheduleDecision),
-    /// Stop cooperating: drain the episode with empty decisions.
-    Halt,
-}
-
-/// One decision epoch, shipped out of the engine thread.
-struct Epoch {
-    vcpus: Vec<VcpuView>,
-    pcpus: Vec<PcpuView>,
-    timestamp: u64,
-    default_timeslice: u64,
-}
-
-/// Metrics snapshot shared between the engine thread and the environment.
-/// `generation` increments at the warm-up boundary so the reward baseline
-/// resets exactly once.
-#[derive(Default)]
-struct MetricsCell {
-    metrics: Option<SampleMetrics>,
-    generation: u64,
-}
-
-/// A [`SchedulingPolicy`] that rendezvouses with the environment: each
-/// `schedule()` call publishes the epoch and blocks for the action. After
-/// a halt or disconnect it *drains* — returns empty decisions so the
-/// engine can finish its tick loop and the thread can exit cleanly.
-struct RelayPolicy {
+/// The policy both engines consult at the decision point: it returns the
+/// action `step` placed in the slot just before finishing the tick.
+struct SlotPolicy {
     name: String,
     fields: ViewFields,
-    epoch_tx: Sender<Epoch>,
-    act_rx: Receiver<ToSim>,
-    draining: bool,
+    slot: Arc<Mutex<ScheduleDecision>>,
 }
 
-impl SchedulingPolicy for RelayPolicy {
+impl SchedulingPolicy for SlotPolicy {
     fn name(&self) -> &str {
         &self.name
     }
 
-    fn schedule(
-        &mut self,
-        vcpus: &[VcpuView],
-        pcpus: &[PcpuView],
-        timestamp: u64,
-        default_timeslice: u64,
-    ) -> ScheduleDecision {
-        if self.draining {
-            return ScheduleDecision::none();
-        }
-        let sent = self.epoch_tx.send(Epoch {
-            vcpus: vcpus.to_vec(),
-            pcpus: pcpus.to_vec(),
-            timestamp,
-            default_timeslice,
-        });
-        if sent.is_err() {
-            self.draining = true;
-            return ScheduleDecision::none();
-        }
-        match self.act_rx.recv() {
-            Ok(ToSim::Act(decision)) => decision,
-            Ok(ToSim::Halt) | Err(_) => {
-                self.draining = true;
-                ScheduleDecision::none()
-            }
-        }
+    fn schedule(&mut self, _: &[VcpuView], _: &[PcpuView], _: u64, _: u64) -> ScheduleDecision {
+        std::mem::take(&mut *self.slot.lock().expect("action slot"))
     }
 
     fn snapshot_view(&self) -> ViewFields {
@@ -227,9 +173,10 @@ impl SchedulingPolicy for RelayPolicy {
     }
 }
 
-/// Either engine behind the uniform per-tick interface the episode loop
-/// needs. `SanSystem::run` is resumable with integer event times, so a
-/// `run(1)` loop is bit-identical to one `run(n)` call.
+/// Either engine behind the uniform paused-tick interface the episode
+/// needs. `SanSystem::run` is resumable with integer event times, so
+/// pausing inside a tick and finishing it with `run(1)` is bit-identical
+/// to one `run(n)` call.
 enum Sim {
     Direct(Box<DirectSim>),
     San(Box<SanSystem>),
@@ -255,9 +202,21 @@ impl Sim {
         })
     }
 
-    fn tick(&mut self) -> Result<(), CoreError> {
+    /// Runs into the next tick up to its decision point.
+    fn run_to_decision(&mut self) -> Result<(), CoreError> {
         match self {
-            Sim::Direct(s) => s.tick(),
+            Sim::Direct(s) => {
+                s.begin_tick();
+                Ok(())
+            }
+            Sim::San(s) => s.run_to_decision(),
+        }
+    }
+
+    /// Finishes the paused tick: the policy call and everything after it.
+    fn finish_tick(&mut self) -> Result<(), CoreError> {
+        match self {
+            Sim::Direct(s) => s.finish_tick(),
             Sim::San(s) => s.run(1),
         }
     }
@@ -291,106 +250,86 @@ impl Sim {
     }
 }
 
-/// The engine-thread body: run warm-up, reset metrics, run the horizon,
-/// publishing cumulative metrics after every measured tick.
-fn run_episode(
-    scenario: Scenario,
-    seed: u64,
-    policy: Box<dyn SchedulingPolicy>,
-    shared: Arc<Mutex<MetricsCell>>,
-    halt: Arc<AtomicBool>,
-) -> Result<EpisodeEnd, CoreError> {
-    let mut sim = Sim::build(&scenario, policy, seed)?;
-    let mut ticks = 0u64;
-    'run: {
-        for _ in 0..scenario.warmup {
-            if halt.load(Ordering::Relaxed) {
-                break 'run;
-            }
-            sim.tick()?;
-            ticks += 1;
-        }
-        sim.reset_metrics();
-        {
-            let mut cell = shared.lock().expect("metrics cell");
-            cell.metrics = None;
-            cell.generation += 1;
-        }
-        for _ in 0..scenario.horizon {
-            if halt.load(Ordering::Relaxed) {
-                break 'run;
-            }
-            sim.tick()?;
-            ticks += 1;
-            shared.lock().expect("metrics cell").metrics = Some(sim.metrics());
-        }
-    }
-    let (vcpus, pcpus) = sim.views();
-    let mut h = Fnv::new();
-    h.push(sim.time());
-    for v in &vcpus {
-        h.push(v.id.global as u64);
-        h.push(v.status.to_token() as u64);
-        h.push(v.remaining_load);
-        h.push(u64::from(v.sync_point));
-        h.push_opt(v.assigned_pcpu.map(|p| p as u64));
-        h.push(v.timeslice_remaining);
-        h.push_opt(v.last_scheduled_in);
-        h.push(u64::from(v.vm_weight));
-    }
-    for p in &pcpus {
-        h.push(p.id as u64);
-        h.push_opt(p.assigned.map(|id| id.global as u64));
-    }
-    Ok(EpisodeEnd {
-        fingerprint: h.finish(),
-        metrics: sim.metrics(),
-        ticks,
-    })
-}
-
-/// A live episode: the engine thread plus its channels and reward state.
+/// A live episode: the engine paused at a decision point, the action
+/// slot its policy reads, and the reward state.
 struct LiveEpisode {
-    act_tx: Sender<ToSim>,
-    epoch_rx: Receiver<Epoch>,
-    shared: Arc<Mutex<MetricsCell>>,
-    halt: Arc<AtomicBool>,
-    handle: JoinHandle<Result<EpisodeEnd, CoreError>>,
+    sim: Sim,
+    slot: Arc<Mutex<ScheduleDecision>>,
+    /// Ticks finished so far.
+    ticks: u64,
+    /// `warmup + horizon`.
+    total: u64,
     prev_scalar: f64,
-    generation_seen: u64,
-    last_views: (Vec<VcpuView>, Vec<PcpuView>),
+    /// The true views at the pending decision point.
+    views: (Vec<VcpuView>, Vec<PcpuView>),
 }
 
 impl LiveEpisode {
-    /// Differences the weighted metric scalar against the previous step,
-    /// resetting the baseline when the warm-up boundary passed.
-    fn settle_reward(&mut self, weights: RewardWeights) -> (f64, StepInfo) {
-        let cell = self.shared.lock().expect("metrics cell");
-        if cell.generation != self.generation_seen {
-            self.generation_seen = cell.generation;
-            self.prev_scalar = 0.0;
-        }
-        let info = StepInfo::from_metrics(cell.metrics.as_ref());
-        let scalar = cell.metrics.as_ref().map_or(0.0, |m| weights.scalar(m));
-        let reward = scalar - self.prev_scalar;
-        self.prev_scalar = scalar;
-        (reward, info)
+    /// Runs the engine to its next decision point and observes it.
+    fn observe_next(
+        &mut self,
+        fields: ViewFields,
+        default_timeslice: u64,
+    ) -> Result<Observation, CoreError> {
+        self.sim.run_to_decision()?;
+        self.views = self.sim.views();
+        Ok(Observation::masked(
+            &self.views.0,
+            &self.views.1,
+            self.sim.time(),
+            default_timeslice,
+            fields,
+        ))
     }
 
-    /// Unblocks and terminates the engine thread, discarding the episode.
-    fn abort(self) {
-        self.halt.store(true, Ordering::Relaxed);
-        let _ = self.act_tx.send(ToSim::Halt);
-        // Drain so the relay is never blocked on an unbounded send (it
-        // can't be — the channel is unbounded — but dropping the receiver
-        // first keeps the shutdown order obvious).
-        while self.epoch_rx.try_recv().is_ok() {}
-        let _ = self.handle.join();
+    /// Differences the weighted metric scalar against the previous step
+    /// (`None` during warm-up, where the scalar is zero).
+    fn settle_reward(
+        &mut self,
+        weights: RewardWeights,
+        metrics: Option<&SampleMetrics>,
+    ) -> (f64, StepInfo) {
+        let scalar = metrics.map_or(0.0, |m| weights.scalar(m));
+        let reward = scalar - self.prev_scalar;
+        self.prev_scalar = scalar;
+        (reward, StepInfo::from_metrics(metrics))
+    }
+
+    /// The terminal summary, fingerprinting the final true views and tick.
+    fn end(&self) -> EpisodeEnd {
+        let (vcpus, pcpus) = self.sim.views();
+        let mut h = Fnv::new();
+        h.push(self.sim.time());
+        for v in &vcpus {
+            h.push(v.id.global as u64);
+            h.push(v.status.to_token() as u64);
+            h.push(v.remaining_load);
+            h.push(u64::from(v.sync_point));
+            h.push_opt(v.assigned_pcpu.map(|p| p as u64));
+            h.push(v.timeslice_remaining);
+            h.push_opt(v.last_scheduled_in);
+            h.push(u64::from(v.vm_weight));
+        }
+        for p in &pcpus {
+            h.push(p.id as u64);
+            h.push_opt(p.assigned.map(|id| id.global as u64));
+        }
+        EpisodeEnd {
+            fingerprint: h.finish(),
+            metrics: self.sim.metrics(),
+            ticks: self.ticks,
+        }
     }
 }
 
 /// The gym-style environment: `reset(seed) → Observation`,
 /// `step(action) → (Observation, reward, done, info)`.
+///
+/// `Env` owns its engine and runs it on the caller's thread, paused
+/// between calls at the next decision point. It is not `Send`, because an
+/// engine can carry a [`vsched_core::TickObserver`], which is not `Send`;
+/// vectorised rollouts build one `Env` per worker thread from a shared
+/// [`Scenario`], which is.
 ///
 /// ```
 /// use vsched_core::{ScheduleDecision, SystemConfig, Engine};
@@ -487,60 +426,41 @@ impl Env {
         self.last_end.as_ref()
     }
 
-    /// Starts a fresh episode and returns the first observation.
+    /// Starts a fresh episode, discarding any live one, and returns the
+    /// first observation.
     ///
     /// # Errors
     ///
     /// [`EnvError::EmptyScenario`] for a zero-tick scenario;
+    /// [`EnvError::TickOverflow`] when `warmup + horizon` overflows;
     /// [`EnvError::Engine`] if the engine rejects the configuration.
     pub fn reset(&mut self, seed: u64) -> Result<Observation, EnvError> {
-        if let Some(old) = self.episode.take() {
-            old.abort();
-        }
-        if self.scenario.epochs() == 0 {
+        self.episode = None;
+        let total = self.scenario.epochs().ok_or(EnvError::TickOverflow)?;
+        if total == 0 {
             return Err(EnvError::EmptyScenario);
         }
-        let (epoch_tx, epoch_rx) = mpsc::channel();
-        let (act_tx, act_rx) = mpsc::channel();
-        let shared = Arc::new(Mutex::new(MetricsCell::default()));
-        let halt = Arc::new(AtomicBool::new(false));
-        let relay = Box::new(RelayPolicy {
+        let slot = Arc::new(Mutex::new(ScheduleDecision::none()));
+        let policy = Box::new(SlotPolicy {
             name: self.agent_name.clone(),
             fields: self.fields,
-            epoch_tx,
-            act_rx,
-            draining: false,
+            slot: Arc::clone(&slot),
         });
-        let scenario = self.scenario.clone();
-        let thread_shared = Arc::clone(&shared);
-        let thread_halt = Arc::clone(&halt);
-        let handle = std::thread::Builder::new()
-            .name("vsched-env-engine".to_string())
-            .spawn(move || run_episode(scenario, seed, relay, thread_shared, thread_halt))
-            .expect("spawn engine thread");
-        let mut episode = LiveEpisode {
-            act_tx,
-            epoch_rx,
-            shared,
-            halt,
-            handle,
-            prev_scalar: 0.0,
-            generation_seen: 0,
-            last_views: (Vec::new(), Vec::new()),
-        };
-        match episode.epoch_rx.recv() {
-            Ok(epoch) => {
-                let obs = self.observe(&mut episode, epoch);
-                self.episode = Some(episode);
-                Ok(obs)
-            }
-            // The engine died before the first epoch: surface its error.
-            Err(_) => match episode.handle.join() {
-                Ok(Ok(_)) => Err(EnvError::EmptyScenario),
-                Ok(Err(e)) => Err(EnvError::Engine(e)),
-                Err(_) => Err(EnvError::EngineThreadPanicked),
-            },
+        let mut sim = Sim::build(&self.scenario, policy, seed)?;
+        if self.scenario.warmup == 0 {
+            sim.reset_metrics();
         }
+        let mut episode = LiveEpisode {
+            sim,
+            slot,
+            ticks: 0,
+            total,
+            prev_scalar: 0.0,
+            views: (Vec::new(), Vec::new()),
+        };
+        let obs = episode.observe_next(self.fields, self.scenario.config.timeslice())?;
+        self.episode = Some(episode);
+        Ok(obs)
     }
 
     /// Applies the agent's decision at the pending epoch and advances to
@@ -554,66 +474,39 @@ impl Env {
     /// `validate_decision`, which ends the episode as an agent fault.
     pub fn step(&mut self, action: &ScheduleDecision) -> Result<Step, EnvError> {
         let mut episode = self.episode.take().ok_or(EnvError::NoEpisode)?;
-        // A send failure means the engine already exited; the recv below
-        // observes why.
-        let _ = episode.act_tx.send(ToSim::Act(action.clone()));
-        match episode.epoch_rx.recv() {
-            Ok(epoch) => {
-                let (reward, info) = episode.settle_reward(self.weights);
-                let obs = self.observe(&mut episode, epoch);
-                self.episode = Some(episode);
-                Ok(Step {
-                    obs,
-                    reward,
-                    done: false,
-                    info,
-                })
-            }
-            Err(_) => match episode.handle.join() {
-                Ok(Ok(end)) => {
-                    let scalar = self.weights.scalar(&end.metrics);
-                    let reward = scalar - episode.prev_scalar;
-                    let info = StepInfo::from_metrics(Some(&end.metrics));
-                    let (vcpus, pcpus) = &episode.last_views;
-                    let obs = Observation::masked(
-                        vcpus,
-                        pcpus,
-                        self.scenario.epochs(),
-                        self.scenario.config.timeslice(),
-                        self.fields,
-                    );
-                    self.last_end = Some(end);
-                    Ok(Step {
-                        obs,
-                        reward,
-                        done: true,
-                        info,
-                    })
-                }
-                Ok(Err(e)) => Err(EnvError::Engine(e)),
-                Err(_) => Err(EnvError::EngineThreadPanicked),
-            },
+        episode.slot.lock().expect("action slot").clone_from(action);
+        episode.sim.finish_tick()?;
+        episode.ticks += 1;
+        let warmup = self.scenario.warmup;
+        if episode.ticks == warmup {
+            episode.sim.reset_metrics();
         }
-    }
-
-    fn observe(&self, episode: &mut LiveEpisode, epoch: Epoch) -> Observation {
-        let obs = Observation::masked(
-            &epoch.vcpus,
-            &epoch.pcpus,
-            epoch.timestamp,
-            epoch.default_timeslice,
-            self.fields,
-        );
-        episode.last_views = (epoch.vcpus, epoch.pcpus);
-        obs
-    }
-}
-
-impl Drop for Env {
-    fn drop(&mut self) {
-        if let Some(episode) = self.episode.take() {
-            episode.abort();
+        let timeslice = self.scenario.config.timeslice();
+        if episode.ticks == episode.total {
+            let end = episode.end();
+            let (reward, info) = episode.settle_reward(self.weights, Some(&end.metrics));
+            // The terminal observation re-shows the last epoch's views at
+            // the end-of-episode tick.
+            let (vcpus, pcpus) = &episode.views;
+            let obs = Observation::masked(vcpus, pcpus, episode.total, timeslice, self.fields);
+            self.last_end = Some(end);
+            return Ok(Step {
+                obs,
+                reward,
+                done: true,
+                info,
+            });
         }
+        let metrics = (episode.ticks > warmup).then(|| episode.sim.metrics());
+        let (reward, info) = episode.settle_reward(self.weights, metrics.as_ref());
+        let obs = episode.observe_next(self.fields, timeslice)?;
+        self.episode = Some(episode);
+        Ok(Step {
+            obs,
+            reward,
+            done: false,
+            info,
+        })
     }
 }
 

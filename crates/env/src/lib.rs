@@ -10,9 +10,10 @@
 //!
 //! Three layers:
 //!
-//! * [`Env`] ([`mod@env`]): the environment core. The engine runs on a
-//!   dedicated thread behind a rendezvous relay policy; observations are
-//!   masked to the agent's declared [`vsched_core::sched::ViewFields`];
+//! * [`Env`] ([`mod@env`]): the environment core. The engine runs on the
+//!   caller's thread, paused between calls where the policy would be
+//!   consulted; observations are masked to the agent's declared
+//!   [`vsched_core::sched::ViewFields`];
 //!   rewards are the paper's three metrics as a differenced weighted
 //!   scalar ([`RewardWeights`]); episodes are bit-identically replayable
 //!   ([`replay_actions`]) and fingerprinted ([`EpisodeEnd`]).

@@ -475,19 +475,8 @@ impl Simulator {
     /// every subsequent draw) matches a run whose mutation happened after
     /// startup.
     pub fn apply_external(&mut self, f: impl FnOnce(&mut Marking)) {
-        if !self.started {
-            self.started = true;
-            for idx in 0..self.model.activities.len() {
-                self.reevaluate_one(idx);
-            }
-        }
-        let now = self.time.as_f64();
-        if now > self.reward_clock {
-            for r in &mut self.rate_rewards {
-                r.acc.update(now, r.current);
-            }
-            self.reward_clock = now;
-        }
+        self.ensure_started();
+        self.advance_to(self.time);
         self.marking.clear_dirty();
         f(&mut self.marking);
         self.recompute_rewards();
@@ -507,19 +496,74 @@ impl Simulator {
     /// configured limit of activities without time advancing.
     pub fn run_until(&mut self, t_end: f64) -> Result<RunStats, SanError> {
         let t_end = SimTime::new(t_end);
-        if !self.started {
-            self.started = true;
-            // The first evaluation considers everything in both modes.
-            for idx in 0..self.model.activities.len() {
-                self.reevaluate_one(idx);
-            }
-        }
+        self.ensure_started();
         let mut run = RunStats::default();
         match self.resolve_shard_lanes() {
             Some(lanes) => self.run_events_sharded(t_end, &mut run, lanes)?,
             None => self.run_events(t_end, &mut run)?,
         }
-        // Advance the clock and the reward windows to the horizon.
+        self.advance_to(t_end);
+        self.stats.completions += run.completions;
+        run.aborts = self.stats.aborts;
+        Ok(run)
+    }
+
+    /// [`Simulator::run_until`] with a breakpoint: returns `Ok(true)`,
+    /// without firing it, as soon as the event at the queue head is a
+    /// completion of `stop`. The clock and the reward windows then stay
+    /// where the last fired event put them, so a later `run_until`
+    /// resumes exactly where one uninterrupted run would have been. When
+    /// no completion of `stop` falls within `t_end` this is exactly
+    /// `run_until(t_end)` and returns `Ok(false)`.
+    ///
+    /// The sequential engine always runs, whatever the shard mode: sharded
+    /// runs are bit-identical to it. [`Simulator::resolved_shards`] keeps
+    /// reporting the last `run_until`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Simulator::run_until`].
+    pub fn run_until_break(&mut self, t_end: f64, stop: ActivityId) -> Result<bool, SanError> {
+        let t_end = SimTime::new(t_end);
+        self.ensure_started();
+        let mut last_time = self.time;
+        let mut zero_advance: u64 = 0;
+        let mut completions = 0;
+        let mut stopped = false;
+        while let Some((next, _, &act)) = self.queue.peek() {
+            if next > t_end {
+                break;
+            }
+            if act == stop {
+                stopped = true;
+                break;
+            }
+            self.queue.pop();
+            self.note_advance(&mut last_time, &mut zero_advance, next)?;
+            self.time = next;
+            self.fire(act);
+            completions += 1;
+        }
+        if !stopped {
+            self.advance_to(t_end);
+        }
+        self.stats.completions += completions;
+        Ok(stopped)
+    }
+
+    /// The first evaluation considers every activity, in both
+    /// reevaluation modes.
+    fn ensure_started(&mut self) {
+        if !self.started {
+            self.started = true;
+            for idx in 0..self.model.activities.len() {
+                self.reevaluate_one(idx);
+            }
+        }
+    }
+
+    /// Advances the clock and every rate-reward window to `t_end`.
+    fn advance_to(&mut self, t_end: SimTime) {
         self.time = self.time.max(t_end);
         let now = self.time.as_f64();
         if now > self.reward_clock {
@@ -528,9 +572,6 @@ impl Simulator {
             }
             self.reward_clock = now;
         }
-        self.stats.completions += run.completions;
-        run.aborts = self.stats.aborts;
-        Ok(run)
     }
 
     /// Resolves the shard mode against the plan and the host: `Some(n)`

@@ -191,6 +191,8 @@ proptest! {
     /// multipliers, dynamic case weights — the incremental mode's run is
     /// **bit-identical** to the full-rescan reference mode: same final
     /// marking, same completion/abort counts, same reward bit patterns.
+    /// So is a run paused at a breakpoint on a drawn activity
+    /// (`run_until_break`) and then resumed to the horizon.
     #[test]
     fn incremental_is_bit_identical_to_full_rescan(
         n in 2usize..5,
@@ -200,6 +202,7 @@ proptest! {
         declare in proptest::collection::vec(any::<bool>(), 8),
         seed in 0u64..200,
         horizon in 5.0f64..80.0,
+        stop in 0usize..8,
     ) {
         let build = || {
             let mut mb = ModelBuilder::new();
@@ -249,7 +252,7 @@ proptest! {
             }
             mb.build().unwrap()
         };
-        let run = |full: bool| {
+        let run = |full: bool, stop: Option<usize>| {
             let model = build();
             let ps: Vec<PlaceId> = (0..n)
                 .map(|i| model.place_by_name(&format!("p{i}")).unwrap())
@@ -269,6 +272,12 @@ proptest! {
                 })
                 .collect();
             sim.set_full_rescan(full);
+            if let Some(k) = stop {
+                let act = sim.model().activity_by_name(&format!("a{k}")).unwrap();
+                if sim.run_until_break(horizon, act).unwrap() {
+                    assert!(sim.time().as_f64() <= horizon, "paused inside the window");
+                }
+            }
             sim.run_until(horizon).unwrap();
             let rewards: Vec<u64> = rids
                 .iter()
@@ -276,7 +285,9 @@ proptest! {
                 .collect();
             (sim.marking().as_slice().to_vec(), sim.stats(), rewards)
         };
-        prop_assert_eq!(run(false), run(true));
+        let reference = run(false, None);
+        prop_assert_eq!(&reference, &run(true, None));
+        prop_assert_eq!(&reference, &run(false, Some(stop)));
     }
 
     /// Satellite of the sharding tentpole: on random gated models (see
