@@ -75,12 +75,11 @@ pub fn stale_read_set_model() -> Model {
     mb.build().expect("valid model")
 }
 
-/// A planted shard-overlap: `honest` and `liar` both bump `acc_a`, but
-/// `liar` declares its write-set as `{acc_b}`. Shard derivation — which
-/// can only trust declarations — puts them in *different* shards, so the
-/// overlap must be caught downstream: by this analyzer as
-/// `stale-write-set` (observed column escapes the declaration), and by
-/// the sharded engine at run time as a `ShardViolation`.
+/// A planted write-set lie: `honest` and `liar` both bump `acc_a`, but
+/// `liar` declares its write-set as `{acc_b}`. Nothing at build or run
+/// time checks what a declaration claims, so the lie must be caught by
+/// this analyzer as `stale-write-set` (observed column escapes the
+/// declaration).
 #[must_use]
 pub fn stale_write_set_model() -> Model {
     let mut mb = ModelBuilder::new();
@@ -164,13 +163,6 @@ mod tests {
         let model = stale_read_set_model();
         assert_eq!(model.num_places(), 2);
         assert_eq!(model.num_activities(), 1);
-    }
-
-    #[test]
-    fn write_fixture_derives_two_shards_from_the_lie() {
-        let model = stale_write_set_model();
-        let plan = vsched_san::ShardPlan::derive(&model);
-        assert_eq!(plan.num_shards(), 2, "the lie hides the overlap");
     }
 
     #[test]

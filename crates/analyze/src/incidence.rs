@@ -219,8 +219,7 @@ pub fn explore(model: &mut Model, expected: &[ModelInvariant], opts: &AnalyzeOpt
                     .collect();
                 // Write-set cross-check: an observed marking change outside
                 // the activity's declared write footprint is a stale
-                // declaration (once per activity) — the shard plan built
-                // from it would be unsound.
+                // declaration (once per activity).
                 if !write_flagged[idx] {
                     if let Some(writes) = spec.declared_writes() {
                         let escaped = delta

@@ -291,55 +291,6 @@ mod tests {
         assert!(report.denied(false));
     }
 
-    /// The paper model's shard plan is consistent with its *observed*
-    /// incidence matrix: every place a shard's activities were seen to
-    /// touch is owned by that shard, which makes the per-shard footprints
-    /// pairwise disjoint — the property the parallel batch protocol rests
-    /// on.
-    #[test]
-    fn paper_model_shards_are_disjoint_in_the_incidence_matrix() {
-        let am = build_analysis_model(&paper_config(), PolicyKind::RoundRobin.create())
-            .expect("paper model builds");
-        let mut model = am.model;
-        let plan = vsched_san::ShardPlan::derive(&model);
-        assert!(plan.num_shards() >= 2, "paper model shards per VM");
-        let exp = incidence::explore(&mut model, &[], &AnalyzeOpts::default());
-        let mut touched: Vec<std::collections::BTreeSet<usize>> =
-            vec![std::collections::BTreeSet::new(); plan.num_shards()];
-        for col in &exp.columns {
-            let Some(shard) = plan.activity_shard(col.activity) else {
-                continue;
-            };
-            for (p, &d) in col.delta.iter().enumerate() {
-                if d != 0 {
-                    touched[shard].insert(p);
-                }
-            }
-        }
-        for (shard, places) in touched.iter().enumerate() {
-            assert!(
-                !places.is_empty(),
-                "shard {shard} was never observed firing"
-            );
-            for &p in places {
-                assert_eq!(
-                    plan.place_shard(vsched_san::PlaceId::from_index(p)),
-                    Some(shard),
-                    "place {p} touched by shard {shard} but owned elsewhere"
-                );
-            }
-        }
-        for i in 0..touched.len() {
-            for j in i + 1..touched.len() {
-                assert!(
-                    touched[i].is_disjoint(&touched[j]),
-                    "shards {i} and {j} overlap: {:?}",
-                    touched[i].intersection(&touched[j]).collect::<Vec<_>>()
-                );
-            }
-        }
-    }
-
     /// With the probe budget zeroed, the stale declaration goes unseen —
     /// pins that the check is what finds it (and what `quick()` pays for).
     #[test]

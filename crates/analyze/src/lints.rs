@@ -128,9 +128,7 @@ pub const STALE_WRITE_SET: LintDef = LintDef {
     name: "stale-write-set",
     severity: Severity::Error,
     rationale: "an observed incidence column touches a place outside the gate's declared \
-                write-set — shard derivation would place the activity in a shard that \
-                does not own the place, and a parallel batch could fire it concurrently \
-                with the place's true owner",
+                write-set — the declaration no longer describes what the gate writes",
 };
 /// `stale-bound`: exhaustive verification contradicts a structural or
 /// bounded-walk claim.
@@ -140,7 +138,7 @@ pub const STALE_BOUND: LintDef = LintDef {
     rationale: "exhaustive reachability contradicts a structural or bounded-walk claim — \
                 a semiflow place bound below an exactly reached token count, or a \
                 never-enabled verdict on an activity the exact search enabled — so any \
-                conclusion built on the stale claim (dead-activity, shard sizing) is \
+                conclusion built on the stale claim (such as dead-activity) is \
                 unsound",
 };
 /// `inert-policy`: the policy never assigns.

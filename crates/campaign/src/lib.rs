@@ -53,7 +53,7 @@ pub use plan::{plan, Plan, PlannedCell, PlannedExperiment};
 pub use render::{render, RenderedFigure};
 pub use spec::{
     AxisSpec, CellConfig, CreditParams, DistSpec, EngineSpec, ExperimentSpec, PointSpec,
-    PolicySpec, RcsParams, ReplicationSpec, ShardsSpec, SweepSpec, SyncMechanismSpec,
+    PolicySpec, RcsParams, ReplicationSpec, SweepSpec, SyncMechanismSpec,
 };
 pub use store::{ResultStore, StoredCell};
 pub use sweep::{run_sweep, SweepOptions, SweepOutcome};

@@ -321,5 +321,15 @@ mod tests {
                 "axes": [ { "name": "ts", "points": [] } ] } ] }"#,
         );
         assert!(plan(&bad).is_err());
+        // A field the cell format no longer has is an unknown field like
+        // any other.
+        let bad = spec(
+            r#"{ "experiments": [ {
+                "name": "legacy",
+                "base": { "pcpus": 4, "vms": [2], "shards": 4 } } ] }"#,
+        );
+        let err = plan(&bad).unwrap_err().to_string();
+        assert!(err.contains("experiment `legacy`"), "{err}");
+        assert!(err.contains("unknown field `shards`"), "{err}");
     }
 }

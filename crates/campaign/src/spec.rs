@@ -19,8 +19,8 @@
 
 use serde::{Deserialize, Serialize};
 use vsched_core::{
-    CoreError, Engine, ExperimentBuilder, MetricsReport, PolicyKind, ShardMode, SystemConfig,
-    VmSpec, WorkloadSpec,
+    CoreError, Engine, ExperimentBuilder, MetricsReport, PolicyKind, SystemConfig, VmSpec,
+    WorkloadSpec,
 };
 use vsched_stats::StoppingRule;
 
@@ -276,57 +276,6 @@ impl ReplicationSpec {
     }
 }
 
-/// Intra-replication sharding of the SAN engine in a config file: an
-/// explicit shard count (`"shards": 4`; `0` and `1` mean sequential) or
-/// the word `"auto"`, which lets the engine choose sequential vs. sharded
-/// per model size and available parallelism.
-///
-/// Sharded execution is bit-identical to sequential by contract (enforced
-/// by the proptest and fuzz stack), so this is a pure wall-clock knob: it
-/// is **excluded from the canonical cell JSON**, and cells differing only
-/// in `shards` share one store key and one cached result.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(untagged)]
-pub enum ShardsSpec {
-    /// Explicit shard count; `0` (the default) and `1` run sequentially.
-    Count(usize),
-    /// The word `"auto"` (anything else is rejected at validation).
-    Word(String),
-}
-
-impl Default for ShardsSpec {
-    fn default() -> Self {
-        ShardsSpec::Count(0)
-    }
-}
-
-impl ShardsSpec {
-    /// Rejects spellings other than a count or the word `"auto"`.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvalidConfig`] naming the bad value.
-    pub fn validate(&self) -> Result<(), CoreError> {
-        match self {
-            ShardsSpec::Count(_) => Ok(()),
-            ShardsSpec::Word(w) if w == "auto" => Ok(()),
-            ShardsSpec::Word(w) => Err(CoreError::InvalidConfig {
-                reason: format!("shards must be a count or \"auto\", got \"{w}\""),
-            }),
-        }
-    }
-
-    /// The engine-level mode this spelling resolves to.
-    #[must_use]
-    pub fn to_shard_mode(&self) -> ShardMode {
-        match self {
-            ShardsSpec::Count(0 | 1) => ShardMode::Off,
-            ShardsSpec::Count(n) => ShardMode::Fixed(*n),
-            ShardsSpec::Word(_) => ShardMode::Auto,
-        }
-    }
-}
-
 fn default_sync_ratio() -> (u32, u32) {
     (1, 5)
 }
@@ -472,13 +421,6 @@ pub struct CellConfig {
     /// Base RNG seed (default `0x5eed`).
     #[serde(default = "default_seed")]
     pub seed: u64,
-    /// Intra-replication sharding of the SAN engine: a count or `"auto"`
-    /// (default: sequential). A pure wall-clock knob — sharded runs are
-    /// bit-identical to sequential, so this field is excluded from the
-    /// canonical form and never changes a store key. Ignored by the
-    /// `direct` engine.
-    #[serde(default, skip_serializing_if = "never")]
-    pub shards: ShardsSpec,
 }
 
 impl CellConfig {
@@ -495,7 +437,6 @@ impl CellConfig {
         if self.timeslice == 0 {
             return invalid("timeslice must be at least 1 tick".into());
         }
-        self.shards.validate()?;
         if let Some(trace) = &self.trace {
             // The trace defines the topology; conflicting static fields
             // are rejected rather than silently ignored.
@@ -670,7 +611,6 @@ impl CellConfig {
             .warmup(self.warmup)
             .horizon(self.horizon)
             .seed(self.seed)
-            .shard_mode(self.shards.to_shard_mode())
             .parallel(false);
         b = match self.replications {
             ReplicationSpec::Exact(n) => b.replications_exact(n),
@@ -714,7 +654,6 @@ impl CellConfig {
             .warmup(self.warmup)
             .horizon(self.horizon)
             .seed(self.seed)
-            .shard_mode(self.shards.to_shard_mode())
             .replications(replications)
             .parallel(false)
             .run()?;
@@ -759,13 +698,6 @@ impl CellConfig {
 #[allow(clippy::trivially_copy_pass_by_ref)]
 fn is_zero(n: &usize) -> bool {
     *n == 0
-}
-
-/// `skip_serializing_if` gate for `shards`: always true. Sharding cannot
-/// change results (bit-identity contract), so it never enters the
-/// canonical form or the store key — see [`ShardsSpec`].
-fn never(_: &ShardsSpec) -> bool {
-    true
 }
 
 fn default_version() -> u32 {
@@ -968,61 +900,6 @@ mod tests {
         assert!(ReplicationSpec::Rule { min: 9, max: 5 }.validate().is_err());
         assert!(ReplicationSpec::Exact(1).validate().is_ok());
         assert!(ReplicationSpec::Rule { min: 5, max: 5 }.validate().is_ok());
-    }
-
-    #[test]
-    fn shards_spec_forms_and_modes() {
-        let auto: ShardsSpec = serde_json::from_str(r#""auto""#).unwrap();
-        assert_eq!(auto, ShardsSpec::Word("auto".into()));
-        assert_eq!(auto.to_shard_mode(), ShardMode::Auto);
-        let four: ShardsSpec = serde_json::from_str("4").unwrap();
-        assert_eq!(four.to_shard_mode(), ShardMode::Fixed(4));
-        assert_eq!(ShardsSpec::Count(0).to_shard_mode(), ShardMode::Off);
-        assert_eq!(ShardsSpec::Count(1).to_shard_mode(), ShardMode::Off);
-
-        let cell: CellConfig =
-            serde_json::from_str(r#"{ "pcpus": 2, "vms": [2], "shards": "fast" }"#).unwrap();
-        let err = cell.validate().unwrap_err();
-        assert!(err.to_string().contains("auto"), "{err}");
-    }
-
-    #[test]
-    fn shards_never_enter_the_canonical_form() {
-        // Sharding is bit-identical by contract, so cells that differ only
-        // in `shards` must share one store key (and one cached result).
-        let plain: CellConfig = serde_json::from_str(r#"{ "pcpus": 4, "vms": [2, 4] }"#).unwrap();
-        for spelling in [r#""auto""#, "4", "1"] {
-            let sharded: CellConfig = serde_json::from_str(&format!(
-                r#"{{ "pcpus": 4, "vms": [2, 4], "shards": {spelling} }}"#
-            ))
-            .unwrap();
-            assert_eq!(
-                crate::key::canonical_json(&plain),
-                crate::key::canonical_json(&sharded)
-            );
-            assert_eq!(crate::key::cell_key(&plain), crate::key::cell_key(&sharded));
-        }
-    }
-
-    #[test]
-    fn sharded_cell_report_matches_sequential() {
-        let run = |shards: &str| -> MetricsReport {
-            let cell: CellConfig = serde_json::from_str(&format!(
-                r#"{{ "pcpus": 2, "vms": [2, 1], "warmup": 100, "horizon": 800,
-                     "replications": 2, "shards": {shards} }}"#
-            ))
-            .unwrap();
-            cell.run_report().unwrap()
-        };
-        let sequential = run("0");
-        for spelling in [r#""auto""#, "2", "4"] {
-            let sharded = run(spelling);
-            assert_eq!(
-                sequential.vcpu_availability_means(),
-                sharded.vcpu_availability_means(),
-                "shards = {spelling} must be bit-identical"
-            );
-        }
     }
 
     #[test]

@@ -72,12 +72,10 @@ pub struct FuzzReport {
     pub metamorphic_mismatches: usize,
     /// SAN incremental-vs-full-rescan divergences.
     pub incremental_divergences: usize,
-    /// SAN sequential-vs-sharded divergences.
-    pub sharded_divergences: usize,
     /// Env episode-vs-monolithic or episode-vs-replay divergences.
     pub env_divergences: usize,
     /// Traced-replay divergences (invariants under churn, engine
-    /// disagreement on traced metrics, jobs/shard fingerprint drift).
+    /// disagreement on traced metrics, jobs fingerprint drift).
     pub trace_divergences: usize,
     /// Outright run errors.
     pub errors: usize,
@@ -98,15 +96,14 @@ impl FuzzReport {
         format!(
             "fuzz: {} cases, {} lint findings, {} invariant violations, \
              {} differential mismatches, {} metamorphic mismatches, \
-             {} incremental divergences, {} sharded divergences, \
-             {} env divergences, {} trace divergences, {} errors",
+             {} incremental divergences, {} env divergences, \
+             {} trace divergences, {} errors",
             self.cases,
             self.lint_findings,
             self.invariant_violations,
             self.differential_mismatches,
             self.metamorphic_mismatches,
             self.incremental_divergences,
-            self.sharded_divergences,
             self.env_divergences,
             self.trace_divergences,
             self.errors
@@ -138,7 +135,6 @@ pub fn run_fuzz(opts: &FuzzOpts) -> Result<FuzzReport, CheckError> {
         differential_mismatches: 0,
         metamorphic_mismatches: 0,
         incremental_divergences: 0,
-        sharded_divergences: 0,
         env_divergences: 0,
         trace_divergences: 0,
         errors: 0,
@@ -156,7 +152,6 @@ pub fn run_fuzz(opts: &FuzzOpts) -> Result<FuzzReport, CheckError> {
                 FailureKind::Differential => report.differential_mismatches += 1,
                 FailureKind::Metamorphic => report.metamorphic_mismatches += 1,
                 FailureKind::Incremental => report.incremental_divergences += 1,
-                FailureKind::Sharded => report.sharded_divergences += 1,
                 FailureKind::Env => report.env_divergences += 1,
                 FailureKind::Trace => report.trace_divergences += 1,
                 FailureKind::Error => report.errors += 1,

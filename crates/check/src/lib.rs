@@ -21,8 +21,7 @@
 //!    the generated cases carry a bounded churn scenario
 //!    ([`case::TraceEventCase`]); the `trace` verdict replays it through
 //!    `vsched-trace` on both engines with invariants attached and
-//!    requires fingerprint bit-identity across `--jobs` and SAN shard
-//!    counts.
+//!    requires fingerprint bit-identity across `--jobs`.
 //! 3. [`fuzz`] — the `vsched fuzz` driver: runs cases on the shared
 //!    `vsched-exec` pool, shrinks failures by greedy component removal
 //!    ([`shrink`]) and writes replayable JSON reproducers ([`case`]).

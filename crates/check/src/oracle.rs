@@ -1,7 +1,7 @@
 //! The differential and metamorphic oracle: decides whether one fuzz
 //! case passes.
 //!
-//! Nine independent verdicts feed [`run_case`]:
+//! Eight independent verdicts feed [`run_case`]:
 //!
 //! 0. **Lint** — the static analyzer (`vsched-analyze`, quick budget)
 //!    examines the case's built SAN model and policy before anything is
@@ -32,23 +32,18 @@
 //!    reevaluation core must be bit-identical to the full-rescan
 //!    reference mode on the same seed (final marking, run statistics,
 //!    and every metric's bit pattern).
-//! 6. **Sharded** — the SAN engine's intra-replication sharding (derived
-//!    conflict-free per-VM shards fired in parallel) must be
-//!    bit-identical to the sequential engine on the same seed, by the
-//!    same three comparisons as the incremental verdict.
-//! 7. **Env** — a `vsched-env` episode driven by the case's policy *fed
+//! 6. **Env** — a `vsched-env` episode driven by the case's policy *fed
 //!    from observations* must be bit-identical to the monolithic
 //!    `run_replication` on both engines (same cumulative metrics — any
 //!    divergence in RNG draws or markings would change them), and a
 //!    replay of the recorded actions must reproduce the episode's
 //!    observation, reward, and fingerprint streams exactly.
-//! 8. **Trace** — cases that carry a churn scenario
+//! 7. **Trace** — cases that carry a churn scenario
 //!    ([`FuzzCase::trace`]) replay it through `vsched-trace` on both
 //!    engines: one invariant-checked segmented run per engine (the §11
 //!    catalogue must hold across retire/re-admit boundaries), the
 //!    Direct-vs-SAN differential on the bridged reports (same tolerance
-//!    and confirm pass as verdict 2), `jobs = 1` vs `jobs = 3`
-//!    fingerprint bit-identity, and sequential-vs-sharded SAN
+//!    and confirm pass as verdict 2), and `jobs = 1` vs `jobs = 3`
 //!    fingerprint bit-identity — determinism under churn is the trace
 //!    frontend's headline claim.
 //!
@@ -60,9 +55,7 @@ use std::rc::Rc;
 
 use vsched_core::direct::DirectSim;
 use vsched_core::san_model::SanSystem;
-use vsched_core::{
-    CoreError, Engine, ExperimentBuilder, MetricsReport, PolicyKind, ShardMode, SystemConfig,
-};
+use vsched_core::{CoreError, Engine, ExperimentBuilder, MetricsReport, PolicyKind, SystemConfig};
 use vsched_trace::{TraceAction, TraceExperiment, TraceReport, TraceSchedule, FULL_LEVEL};
 
 use crate::case::{FuzzCase, LoadSpec};
@@ -84,15 +77,12 @@ pub enum FailureKind {
     /// The SAN engine's incremental reevaluation core diverged from the
     /// full-rescan reference mode on the same seed.
     Incremental,
-    /// The SAN engine's sharded (parallel intra-replication) mode
-    /// diverged from the sequential engine on the same seed.
-    Sharded,
     /// A `vsched-env` episode diverged from the monolithic run, or a
     /// replay of its recorded actions diverged from the episode.
     Env,
     /// A traced (churn) replay diverged: an invariant broke across a
     /// membership boundary, the engines disagreed on the traced metrics,
-    /// or a parallel/sharded trace run was not bit-identical.
+    /// or a parallel trace run was not bit-identical.
     Trace,
     /// A run errored outright (bad config, engine failure).
     Error,
@@ -106,7 +96,6 @@ impl std::fmt::Display for FailureKind {
             FailureKind::Differential => "differential",
             FailureKind::Metamorphic => "metamorphic",
             FailureKind::Incremental => "incremental",
-            FailureKind::Sharded => "sharded",
             FailureKind::Env => "env",
             FailureKind::Trace => "trace",
             FailureKind::Error => "error",
@@ -178,10 +167,6 @@ pub struct OracleOpts {
     /// final marking, run statistics, and every metric to be
     /// bit-identical — the incremental core's headline correctness claim.
     pub check_incremental: bool,
-    /// Run the SAN engine once sequentially (`shards = 1`) and once with
-    /// intra-replication sharding (`shards = 4`), and require bit-identical
-    /// results — the sharded engine's headline correctness claim.
-    pub check_sharded: bool,
     /// Drive a `vsched-env` episode with the case's policy on both
     /// engines, compare its metrics bit-for-bit with the monolithic run,
     /// and replay its recorded actions — the environment's episode-replay
@@ -190,7 +175,7 @@ pub struct OracleOpts {
     /// Replay the case's churn scenario (if any) through the trace
     /// frontend on both engines: invariant-checked segmented runs, the
     /// Direct-vs-SAN differential on the bridged reports, and
-    /// fingerprint bit-identity across `--jobs` and SAN shard counts.
+    /// fingerprint bit-identity across `--jobs`.
     pub check_trace: bool,
 }
 
@@ -206,7 +191,6 @@ impl Default for OracleOpts {
             check_parallel_determinism: true,
             check_metamorphic: true,
             check_incremental: true,
-            check_sharded: true,
             check_env: true,
             check_trace: true,
         }
@@ -324,10 +308,6 @@ pub fn run_case(case: &FuzzCase, opts: &OracleOpts) -> CaseOutcome {
 
     if opts.check_incremental {
         failures.extend(incremental_check(&config, case));
-    }
-
-    if opts.check_sharded {
-        failures.extend(sharded_check(&config, case));
     }
 
     if opts.check_env {
@@ -489,88 +469,6 @@ fn incremental_check(config: &SystemConfig, case: &FuzzCase) -> Vec<Failure> {
     }
 }
 
-/// Sequential-vs-sharded differential on the SAN engine: the same case
-/// and seed run with the sequential event loop, with `shards = 4`
-/// (conflict-free per-VM shards fired on real lanes with a deterministic
-/// merge — the parallelism override forces helper threads regardless of
-/// the host), and with forced auto mode (threshold lowered so auto
-/// actually engages lanes on plans wide enough to batch). Bit-identity is
-/// the sharded engine's contract — shard derivation is provably
-/// conflict-free and the merge replays sequential order — so *any*
-/// divergence in the final marking, the run statistics, or any metric's
-/// bit pattern is a bug in the shard plan, the lane/feed protocol, or a
-/// gate's declared footprint.
-fn sharded_check(config: &SystemConfig, case: &FuzzCase) -> Vec<Failure> {
-    let ticks = case.warmup + case.horizon;
-    let run = |mode: ShardMode, avail: usize| {
-        let mut sys = SanSystem::new(config.clone(), case.policy.create(), case.seed)?;
-        sys.set_shard_mode(mode);
-        sys.set_shard_available_override(Some(avail));
-        sys.set_auto_shard_threshold(2);
-        sys.run(ticks)?;
-        let m = sys.metrics();
-        let bits: Vec<u64> = m
-            .vcpu_availability
-            .iter()
-            .chain(&m.vcpu_utilization)
-            .chain(&m.pcpu_utilization)
-            .chain(&m.vcpu_spin)
-            .map(|v| v.to_bits())
-            .collect();
-        Ok::<_, CoreError>((
-            sys.simulator().marking().as_slice().to_vec(),
-            sys.simulator().stats(),
-            bits,
-        ))
-    };
-    match (
-        run(ShardMode::Off, 1),
-        run(ShardMode::Fixed(4), 4),
-        run(ShardMode::Auto, 4),
-    ) {
-        (Ok(seq), Ok(sharded), Ok(auto)) => {
-            let mut failures = Vec::new();
-            for (label, other) in [("sharded", &sharded), ("auto", &auto)] {
-                if seq.0 != other.0 {
-                    failures.push(Failure {
-                        kind: FailureKind::Sharded,
-                        detail: format!(
-                            "final marking differs between sequential and {label} modes"
-                        ),
-                    });
-                }
-                if seq.1 != other.1 {
-                    failures.push(Failure {
-                        kind: FailureKind::Sharded,
-                        detail: format!(
-                            "run statistics differ: sequential {:?} vs {label} {:?}",
-                            seq.1, other.1
-                        ),
-                    });
-                }
-                if seq.2 != other.2 {
-                    failures.push(Failure {
-                        kind: FailureKind::Sharded,
-                        detail: format!(
-                            "metric bit patterns differ between sequential and {label} modes"
-                        ),
-                    });
-                }
-            }
-            failures
-        }
-        (ra, rb, rc) => [("sequential", ra), ("sharded", rb), ("auto", rc)]
-            .into_iter()
-            .filter_map(|(name, r)| {
-                r.err().map(|e| Failure {
-                    kind: FailureKind::Error,
-                    detail: format!("{name} SAN run: {e}"),
-                })
-            })
-            .collect(),
-    }
-}
-
 /// Episode-vs-monolithic differential through `vsched-env`: the case's
 /// policy drives a gym-style episode *fed from observations* (masked to
 /// its declared snapshot view) on each engine, and the episode's
@@ -659,15 +557,14 @@ fn env_check(config: &SystemConfig, case: &FuzzCase) -> Vec<Failure> {
 }
 
 /// The trace verdict: replays the case's churn scenario through the
-/// trace frontend on both engines. Empty for purely static cases. Four
+/// trace frontend on both engines. Empty for purely static cases. Three
 /// claims are checked: the §11 invariant catalogue holds across
 /// retire/re-admit boundaries (one checked segmented run per engine),
 /// the engines agree on the traced metrics within the differential
 /// tolerance (with the same triple-replication confirm pass as the
-/// static differential — churn phases can be just as bimodal), parallel
-/// replication is bit-identical (`jobs = 1` vs `jobs = 3`
-/// fingerprints), and SAN sharding is bit-identical under dynamic
-/// membership (sequential vs 4-shard fingerprints).
+/// static differential — churn phases can be just as bimodal), and
+/// parallel replication is bit-identical (`jobs = 1` vs `jobs = 3`
+/// fingerprints).
 fn trace_check(case: &FuzzCase, opts: &OracleOpts) -> Vec<Failure> {
     if case.trace.is_empty() {
         return Vec::new();
@@ -683,7 +580,7 @@ fn trace_check(case: &FuzzCase, opts: &OracleOpts) -> Vec<Failure> {
     };
     let mut failures = traced_invariant_runs(case, &schedule);
 
-    let experiment = |engine: Engine, reps: usize, jobs: usize, shards: usize| {
+    let experiment = |engine: Engine, reps: usize, jobs: usize| {
         TraceExperiment::new(schedule.clone(), case.policy.clone())
             .engine(engine)
             .warmup(case.warmup)
@@ -691,7 +588,6 @@ fn trace_check(case: &FuzzCase, opts: &OracleOpts) -> Vec<Failure> {
             .seed(case.seed)
             .replications(reps)
             .jobs(jobs)
-            .shards(shards)
             .run()
     };
     let (vcpus, pcpus) = (schedule.config().total_vcpus(), schedule.config().pcpus());
@@ -705,11 +601,11 @@ fn trace_check(case: &FuzzCase, opts: &OracleOpts) -> Vec<Failure> {
         })
     };
 
-    let direct = experiment(Engine::Direct, case.replications, 1, 0);
-    let san = experiment(Engine::San, case.replications, 1, 0);
+    let direct = experiment(Engine::Direct, case.replications, 1);
+    let san = experiment(Engine::San, case.replications, 1);
     match (&direct, &san) {
         (Ok(d), Ok(s)) => {
-            match experiment(Engine::Direct, case.replications, 3, 0) {
+            match experiment(Engine::Direct, case.replications, 3) {
                 Ok(par) => {
                     if par.fingerprint != d.fingerprint {
                         failures.push(Failure {
@@ -725,30 +621,14 @@ fn trace_check(case: &FuzzCase, opts: &OracleOpts) -> Vec<Failure> {
                     detail: format!("trace jobs=3 run: {e}"),
                 }),
             }
-            match experiment(Engine::San, case.replications, 1, 4) {
-                Ok(sharded) => {
-                    if sharded.fingerprint != s.fingerprint {
-                        failures.push(Failure {
-                            kind: FailureKind::Trace,
-                            detail: "sequential and 4-shard SAN trace fingerprints differ \
-                                     under churn"
-                                .into(),
-                        });
-                    }
-                }
-                Err(e) => failures.push(Failure {
-                    kind: FailureKind::Error,
-                    detail: format!("trace sharded run: {e}"),
-                }),
-            }
             match (bridged(d), bridged(s)) {
                 (Ok(dr), Ok(sr)) => {
                     let diffs = compare_reports("trace direct-vs-san", &dr, &sr, opts);
                     if !diffs.is_empty() {
                         let reps = case.replications * 3;
                         let confirm = (
-                            experiment(Engine::Direct, reps, 1, 0),
-                            experiment(Engine::San, reps, 1, 0),
+                            experiment(Engine::Direct, reps, 1),
+                            experiment(Engine::San, reps, 1),
                         );
                         match confirm {
                             (Ok(d3), Ok(s3)) => {

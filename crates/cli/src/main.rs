@@ -38,7 +38,7 @@ USAGE:
     vsched trace run <trace> [--pcpus <N>] [--policy <label>]
                  [--engine <direct|san>] [--warmup <N>] [--horizon <N>]
                  [--seed <S>] [--replications <N>] [--jobs <N>]
-                 [--shards <N|auto>] [--out <results.json>]
+                 [--out <results.json>]
     vsched sweep <spec.json> [--store <dir>] [--out-dir <dir>] [--jobs <N>]
                  [--only <experiment>] [--max-cells <N>] [--dry-run] [--quiet]
     vsched fuzz [--cases <N>] [--seed <S>] [--jobs <N>]
@@ -52,8 +52,7 @@ USAGE:
                 [--seed <S>] [--fixture broken]
     vsched perf [--out <report.json>] [--ticks <N>] [--seed <S>]
                 [--baseline <report.json>] [--max-regression <X>]
-                [--max-vms <N>] [--shards <N,...,auto>] [--commit <hash>]
-                [--format <text|json|csv>]
+                [--max-vms <N>] [--commit <hash>] [--format <text|json>]
     vsched tournament [--configs <dir>] [--store <dir>] [--out <report.json>]
                       [--policies <l1,l2,...>] [--agent <cmd>]...
                       [--fuzz-scenarios <N>] [--fuzz-seed <S>]
@@ -80,7 +79,7 @@ COMMANDS:
               `head` prints the first events in standard form (CSV rows
               are converted); `run` replays the trace under one policy
               and prints the metrics plus an order-independent run
-              fingerprint — bit-identical for every --jobs/--shards, so
+              fingerprint — bit-identical for every --jobs, so
               two runs can be diffed to prove determinism.
     sweep     Run a declarative campaign: expand the spec's experiment
               grids into cells, simulate whatever the content-addressed
@@ -135,8 +134,7 @@ COMMANDS:
               its full-rescan reference mode across a model-size scaling
               axis (1 to 16 VMs), verify both modes end bit-identical,
               and report events/sec and speedup per size; then time the
-              large-model scale axis (64/256/1024 VMs), sequential vs
-              the sharded engine, verify bit-identity, and report each
+              large-model scale axis (64/256/1024 VMs) and report each
               run's real-time factor (simulated seconds per wall second
               at 30 ms per tick). With a baseline report, exit non-zero
               on a large throughput regression.
@@ -164,9 +162,6 @@ OPTIONS (trace):
     --replications <N> (run) Replications (default 3).
     --jobs <N>         (run) Replication worker threads (default: one per
                        core). Results are bit-identical for every N.
-    --shards <N|auto>  (run) SAN engine shard count, or `auto` to let
-                       the engine pick per model size (ignored by
-                       direct). Results are bit-identical either way.
     --out <path>       (run) Also write the report as JSON.
 
 OPTIONS (sweep):
@@ -239,18 +234,11 @@ OPTIONS (perf):
     --max-vms <N>          Cap the large-model scale axis (64/256/1024
                            VMs) at N VMs; below 64 the axis is skipped
                            entirely (default 1024).
-    --shards <N,...,auto>  Shard worker counts to time on the scale
-                           axis, each >= 2, plus optionally the word
-                           `auto` for the auto-tuned mode (default
-                           `4,auto`). The sequential engine always runs
-                           as the reference; an explicit list without
-                           `auto` skips the auto column.
     --commit <hash>        Commit hash recorded in the report's host
                            block, next to the logical core count and
                            engine version.
-    --format <f>           Print the report as `text` (default), `json`,
-                           or `csv` (one timed run per row — the
-                           machine-readable crossover matrix).
+    --format <f>           Print the report as `text` (default) or
+                           `json`.
 
 OPTIONS (tournament):
     --configs <dir>        Directory of run-config scenarios (default
@@ -459,21 +447,6 @@ fn trace_cmd(args: &[String]) -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--shards" => match it.next().map(String::as_str) {
-                Some("auto") => opts.shards = vsched_core::ShardMode::Auto,
-                Some(n) => match n.parse::<usize>() {
-                    Ok(n) if n >= 2 => opts.shards = vsched_core::ShardMode::Fixed(n),
-                    Ok(_) => opts.shards = vsched_core::ShardMode::Off,
-                    Err(_) => {
-                        eprintln!("error: --shards requires a number or `auto`");
-                        return ExitCode::FAILURE;
-                    }
-                },
-                None => {
-                    eprintln!("error: --shards requires a number or `auto`");
-                    return ExitCode::FAILURE;
-                }
-            },
             "--out" => match it.next() {
                 Some(p) => opts.out = Some(PathBuf::from(p)),
                 None => {
@@ -512,7 +485,6 @@ struct TraceOpts {
     seed: u64,
     replications: usize,
     jobs: Option<usize>,
-    shards: vsched_core::ShardMode,
     out: Option<PathBuf>,
 }
 
@@ -528,7 +500,6 @@ impl Default for TraceOpts {
             seed: 0x5eed,
             replications: 3,
             jobs: None,
-            shards: vsched_core::ShardMode::Off,
             out: None,
         }
     }
@@ -681,8 +652,7 @@ fn run_trace_experiment(path: &Path, opts: &TraceOpts) -> Result<(), Box<dyn std
         .warmup(opts.warmup)
         .horizon(horizon)
         .seed(opts.seed)
-        .replications(opts.replications)
-        .shard_mode(opts.shards);
+        .replications(opts.replications);
     if let Some(jobs) = opts.jobs {
         exp = exp.jobs(jobs);
     }
@@ -1259,38 +1229,6 @@ fn perf(args: &[String]) -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--shards" => {
-                // A comma-separated list of counts >= 2; the word `auto`
-                // may appear to (re-)enable the auto-mode column. Passing
-                // an explicit list without `auto` disables it.
-                let mut counts = Vec::new();
-                let mut auto = false;
-                let ok = match it.next() {
-                    Some(list) => list.split(',').all(|tok| match tok.trim() {
-                        "auto" => {
-                            auto = true;
-                            true
-                        }
-                        n => match n.parse::<usize>() {
-                            Ok(s) if s >= 2 => {
-                                counts.push(s);
-                                true
-                            }
-                            _ => false,
-                        },
-                    }),
-                    None => false,
-                };
-                if !ok || (counts.is_empty() && !auto) {
-                    eprintln!(
-                        "error: --shards requires a comma-separated list of \
-                         counts >= 2 and/or `auto`"
-                    );
-                    return ExitCode::FAILURE;
-                }
-                opts.shards = counts;
-                opts.auto = auto;
-            }
             "--commit" => match it.next() {
                 Some(hash) => opts.commit = Some(hash.clone()),
                 None => {
@@ -1299,9 +1237,9 @@ fn perf(args: &[String]) -> ExitCode {
                 }
             },
             "--format" => match it.next().map(String::as_str) {
-                Some(f @ ("text" | "json" | "csv")) => format = f.to_string(),
+                Some(f @ ("text" | "json")) => format = f.to_string(),
                 _ => {
-                    eprintln!("error: --format requires text, json or csv");
+                    eprintln!("error: --format requires text or json");
                     return ExitCode::FAILURE;
                 }
             },
@@ -1321,7 +1259,6 @@ fn perf(args: &[String]) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         },
-        "csv" => print!("{}", report.render_csv()),
         _ => print!("{}", report.render_text()),
     }
     if let Some(out) = &out_path {
@@ -1342,19 +1279,13 @@ fn perf(args: &[String]) -> ExitCode {
         eprintln!("error: engine modes diverged (see `identical` column)");
         return ExitCode::FAILURE;
     }
-    for loss in report.auto_losses() {
-        eprintln!("warning: auto mode lost: {loss}");
-    }
     if let Some(base) = &baseline {
         match vsched_cli::perf::check_against_baseline(&report, base, max_regression) {
-            Ok(check) => {
-                for w in &check.warnings {
-                    eprintln!("warning: {w}");
-                }
-                if check.regressions.is_empty() {
+            Ok(regressions) => {
+                if regressions.is_empty() {
                     println!("baseline: no regression beyond {max_regression:.1}x");
                 } else {
-                    for r in &check.regressions {
+                    for r in &regressions {
                         eprintln!("regression: {r}");
                     }
                     return ExitCode::FAILURE;

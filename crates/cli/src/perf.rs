@@ -20,41 +20,26 @@
 //! the configurations being timed.
 //!
 //! A second, *large-model* scale axis (64/256/1024 VMs, capped by
-//! `--max-vms`) is the shards×size **crossover matrix**: it times the
-//! sequential engine against the intra-replication sharded engine at
-//! each `--shards` worker count *and* in `auto` mode, verifies every
-//! run ends bit-identical to sequential, and reports each run's
-//! real-time factor: one clock period models a 30 ms timeslice, so
-//! `rtf = ticks × 0.03 / wall_seconds`, and `rtf > 1` means the cell
+//! `--max-vms`) times the incremental engine alone and reports each
+//! run's real-time factor: one clock period models a 30 ms timeslice,
+//! so `rtf = ticks × 0.03 / wall_seconds`, and `rtf > 1` means the cell
 //! simulates faster than the virtualized hardware it models would run.
 //! Full rescan is skipped on this axis — it is O(activities) per event
 //! and exists as a reference mode, not a contender at 1024 VMs.
 //!
-//! The matrix distills into a **calibration table** (one best-mode row
-//! per model size plus the measured crossover size) persisted in the
-//! JSON report, and a **host block** (logical cores, optional commit
-//! hash, engine version) that makes the numbers interpretable across
-//! machines: shard counts above the host's core count cannot win, so a
-//! baseline is only meaningful against its own core count —
-//! [`check_against_baseline`] gates sharded overhead only when the core
-//! counts match, and warns instead when they differ. Auto mode's wager
-//! is checked directly: on every scale cell its throughput must stay
-//! within tolerance of the better of sequential and the best fixed
-//! shard count ([`PerfReport::auto_losses`]).
+//! The JSON report carries a **host block** (logical cores, optional
+//! commit hash, engine version) that makes absolute numbers
+//! interpretable across machines.
 
 use std::path::Path;
 use std::time::Instant;
 
 use serde_json::{json, Value};
 use vsched_core::san_model::SanSystem;
-use vsched_core::{PolicyKind, ShardMode, SystemConfig};
+use vsched_core::{PolicyKind, SystemConfig};
 
 /// Simulated seconds per clock period: the paper's 30 ms timeslice.
 pub const TICK_SECONDS: f64 = 0.03;
-
-/// Auto mode may lose this fraction of the best mode's throughput per
-/// scale cell before [`PerfReport::auto_losses`] reports it.
-pub const AUTO_TOLERANCE: f64 = 0.05;
 
 /// Knobs of one perf run.
 #[derive(Debug, Clone)]
@@ -69,11 +54,6 @@ pub struct PerfOpts {
     /// Largest VM count on the large-model scale axis (64/256/1024 VMs,
     /// cells above this cap are dropped; below 64 the axis is empty).
     pub max_vms: usize,
-    /// Shard worker counts to time on the scale axis; the sequential
-    /// engine always runs as the reference.
-    pub shards: Vec<usize>,
-    /// Whether to also time `--shards auto` on every scale cell.
-    pub auto: bool,
     /// Commit hash recorded in the report's host block (`--commit`).
     pub commit: Option<String>,
 }
@@ -85,18 +65,15 @@ impl Default for PerfOpts {
             seed: 42,
             repeats: 5,
             max_vms: 1024,
-            shards: vec![4],
-            auto: true,
             commit: None,
         }
     }
 }
 
-/// Host facts that make crossover numbers interpretable across machines.
+/// Host facts that make absolute numbers interpretable across machines.
 #[derive(Debug, Clone)]
 pub struct HostInfo {
-    /// Logical cores available to this process — the hard ceiling on how
-    /// many shard lanes can actually run concurrently.
+    /// Logical cores available to this process.
     pub logical_cores: usize,
     /// Commit hash the caller passed via `--commit`, if any.
     pub commit: Option<String>,
@@ -149,36 +126,6 @@ pub struct PerfCase {
     pub identical: bool,
 }
 
-/// One sharded timing on a scale-axis cell.
-#[derive(Debug, Clone)]
-pub struct ShardSample {
-    /// Worker count passed to the engine.
-    pub shards: usize,
-    /// Lane count the engine actually resolved to (capped by plan width
-    /// and available parallelism); `None` means it fell back to the
-    /// sequential engine.
-    pub resolved: Option<usize>,
-    /// The sharded run's numbers.
-    pub sample: ModeSample,
-    /// Real-time factor: simulated seconds per wall-clock second.
-    pub rtf: f64,
-    /// Whether the sharded run ended bit-identical to sequential.
-    pub identical: bool,
-}
-
-/// The `--shards auto` timing on a scale-axis cell.
-#[derive(Debug, Clone)]
-pub struct AutoSample {
-    /// Lane count auto resolved to; `None` = it chose sequential.
-    pub resolved: Option<usize>,
-    /// The auto run's numbers.
-    pub sample: ModeSample,
-    /// Real-time factor.
-    pub rtf: f64,
-    /// Whether the auto run ended bit-identical to sequential.
-    pub identical: bool,
-}
-
 /// One (model size) cell of the large-model scale axis.
 #[derive(Debug, Clone)]
 pub struct ScaleCase {
@@ -193,83 +140,10 @@ pub struct ScaleCase {
     /// Ticks per timed run on this cell (scaled down for big models so
     /// the event count per cell stays roughly constant along the axis).
     pub ticks: u64,
-    /// The sequential engine's numbers (the bit-identity reference).
+    /// The sequential engine's numbers.
     pub sequential: ModeSample,
     /// The sequential run's real-time factor.
     pub sequential_rtf: f64,
-    /// One entry per `--shards` worker count.
-    pub sharded: Vec<ShardSample>,
-    /// The `--shards auto` timing, when enabled.
-    pub auto: Option<AutoSample>,
-}
-
-impl ScaleCase {
-    /// The best real-time factor any mode achieved on this cell.
-    #[must_use]
-    pub fn best_rtf(&self) -> f64 {
-        self.sharded
-            .iter()
-            .map(|s| s.rtf)
-            .chain(self.auto.iter().map(|a| a.rtf))
-            .fold(self.sequential_rtf, f64::max)
-    }
-
-    /// The better of sequential and the best *fixed* shard count —
-    /// auto mode's yardstick (auto itself is excluded).
-    #[must_use]
-    pub fn best_non_auto_events_per_sec(&self) -> f64 {
-        self.sharded
-            .iter()
-            .map(|s| s.sample.events_per_sec)
-            .fold(self.sequential.events_per_sec, f64::max)
-    }
-
-    /// Label of the fastest *fixed* mode on this cell (`"sequential"` or
-    /// `"shards=4"`) — the calibration table's verdict. Auto is excluded:
-    /// it is a chooser between these modes, not a mode of its own, so its
-    /// (noise-bearing) re-measurement must not decide the table.
-    #[must_use]
-    pub fn best_mode(&self) -> String {
-        let mut best = ("sequential".to_string(), self.sequential.events_per_sec);
-        for s in &self.sharded {
-            if s.sample.events_per_sec > best.1 {
-                best = (format!("shards={}", s.shards), s.sample.events_per_sec);
-            }
-        }
-        best.0
-    }
-
-    /// Label of the mode auto resolved to (`"sequential"` or
-    /// `"shards=N"`), or `None` when auto was not timed on this cell.
-    #[must_use]
-    pub fn auto_resolution_label(&self) -> Option<String> {
-        let auto = self.auto.as_ref()?;
-        Some(auto.resolved.map_or_else(
-            || "sequential".to_string(),
-            |lanes| format!("shards={lanes}"),
-        ))
-    }
-
-    /// Throughput of the mode auto resolved to, read from that mode's
-    /// *canonical* sample — the sequential cell when auto chose
-    /// sequential, the matching fixed-shards cell when it chose lanes —
-    /// falling back to auto's own timing only when no matching cell was
-    /// measured. Judging auto's decision on the canonical sample keeps
-    /// run-to-run noise (two timings of the *same* engine configuration)
-    /// out of the loss report.
-    #[must_use]
-    pub fn auto_resolved_events_per_sec(&self) -> Option<f64> {
-        let auto = self.auto.as_ref()?;
-        let eps = match auto.resolved {
-            None => self.sequential.events_per_sec,
-            Some(lanes) => self
-                .sharded
-                .iter()
-                .find(|s| s.resolved == Some(lanes))
-                .map_or(auto.sample.events_per_sec, |s| s.sample.events_per_sec),
-        };
-        Some(eps)
-    }
 }
 
 /// The whole harness result.
@@ -289,82 +163,24 @@ pub struct PerfReport {
 }
 
 impl PerfReport {
-    /// Whether every cell's modes ended bit-identical — incremental vs
-    /// full rescan on the small axis, sharded and auto vs sequential on
-    /// the scale axis.
+    /// Whether every small-axis cell's modes ended bit-identical
+    /// (incremental vs full rescan).
     #[must_use]
     pub fn all_identical(&self) -> bool {
         self.cases.iter().all(|c| c.identical)
-            && self.scale_cases.iter().all(|c| {
-                c.sharded.iter().all(|s| s.identical) && c.auto.as_ref().is_none_or(|a| a.identical)
-            })
     }
 
-    /// The best real-time factor on the largest scale-axis cell, or
-    /// `None` when the scale axis is empty.
+    /// The real-time factor on the largest scale-axis cell, or `None`
+    /// when the scale axis is empty.
     #[must_use]
     pub fn rtf_at_largest(&self) -> Option<f64> {
-        self.scale_cases.last().map(ScaleCase::best_rtf)
+        self.scale_cases.last().map(|c| c.sequential_rtf)
     }
 
     /// Speedup of the largest model on the axis.
     #[must_use]
     pub fn speedup_at_largest(&self) -> f64 {
         self.cases.last().map_or(1.0, |c| c.speedup)
-    }
-
-    /// The smallest scale-axis model size at which some fixed sharded
-    /// run beat the sequential engine by more than [`AUTO_TOLERANCE`] —
-    /// the measured crossover point. The margin keeps run-to-run noise
-    /// (the checked one-lane engine is within a few percent of
-    /// sequential by design) from minting a phantom crossover. `None`
-    /// means sequential effectively won everywhere (the expected verdict
-    /// on a single-core host).
-    #[must_use]
-    pub fn crossover_vms(&self) -> Option<usize> {
-        self.scale_cases
-            .iter()
-            .find(|c| {
-                let sharded_best = c
-                    .sharded
-                    .iter()
-                    .map(|s| s.sample.events_per_sec)
-                    .fold(0.0, f64::max);
-                sharded_best > c.sequential.events_per_sec * (1.0 + AUTO_TOLERANCE)
-            })
-            .map(|c| c.vms)
-    }
-
-    /// Scale cells where the mode auto *resolved to* measured more than
-    /// [`AUTO_TOLERANCE`] below the better of sequential and the best
-    /// fixed shard count — i.e. cells where auto picked the wrong mode.
-    /// The comparison uses the canonical per-mode samples (see
-    /// [`ScaleCase::auto_resolved_events_per_sec`]), so a loss means a
-    /// genuine mis-calibration, not two noisy timings of the same
-    /// configuration disagreeing. Empty = auto never chose badly.
-    #[must_use]
-    pub fn auto_losses(&self) -> Vec<String> {
-        self.scale_cases
-            .iter()
-            .filter_map(|c| {
-                let chosen = c.auto_resolved_events_per_sec()?;
-                let best = c.best_non_auto_events_per_sec();
-                if chosen < best * (1.0 - AUTO_TOLERANCE) {
-                    Some(format!(
-                        "{}: auto resolved to {} ({:.0} ev/s), {:.1}% below {} ({:.0} ev/s)",
-                        c.name,
-                        c.auto_resolution_label()
-                            .unwrap_or_else(|| "sequential".to_string()),
-                        chosen,
-                        (1.0 - chosen / best) * 100.0,
-                        c.best_mode(),
-                        best,
-                    ))
-                } else {
-                    None
-                }
-            })
-            .collect()
     }
 
     /// The report as a JSON value with stable field order.
@@ -376,10 +192,6 @@ impl PerfReport {
                 "seconds": s.seconds,
                 "events_per_sec": s.events_per_sec,
             })
-        };
-        let resolved = |r: Option<usize>| match r {
-            Some(n) => json!(n),
-            None => Value::Null,
         };
         json!({
             "harness": "vsched perf",
@@ -424,56 +236,11 @@ impl PerfReport {
                             "ticks": c.ticks,
                             "sequential": sample(&c.sequential),
                             "sequential_rtf": c.sequential_rtf,
-                            "sharded": Value::Seq(
-                                c.sharded
-                                    .iter()
-                                    .map(|s| {
-                                        json!({
-                                            "shards": s.shards,
-                                            "resolved": resolved(s.resolved),
-                                            "sample": sample(&s.sample),
-                                            "rtf": s.rtf,
-                                            "identical": s.identical,
-                                        })
-                                    })
-                                    .collect()
-                            ),
-                            "auto": match &c.auto {
-                                Some(a) => json!({
-                                    "resolved": resolved(a.resolved),
-                                    "sample": sample(&a.sample),
-                                    "rtf": a.rtf,
-                                    "identical": a.identical,
-                                }),
-                                None => Value::Null,
-                            },
                         })
                     })
                     .collect()
             ),
             "rtf_at_largest": self.rtf_at_largest(),
-            "calibration": json!({
-                "crossover_vms": match self.crossover_vms() {
-                    Some(v) => json!(v),
-                    None => Value::Null,
-                },
-                "auto_tolerance": AUTO_TOLERANCE,
-                "auto_losses": Value::Seq(
-                    self.auto_losses().into_iter().map(Value::Str).collect()
-                ),
-                "cells": Value::Seq(
-                    self.scale_cases
-                        .iter()
-                        .map(|c| {
-                            json!({
-                                "vms": c.vms,
-                                "best_mode": c.best_mode(),
-                                "best_rtf": c.best_rtf(),
-                            })
-                        })
-                        .collect()
-                ),
-            }),
         })
     }
 
@@ -503,8 +270,8 @@ impl PerfReport {
         if !self.scale_cases.is_empty() {
             let _ = writeln!(
                 out,
-                "scale: sequential vs sharded engine, rtf = simulated seconds \
-                 per wall second (tick = {} ms)",
+                "scale: sequential engine, rtf = simulated seconds per wall \
+                 second (tick = {} ms)",
                 TICK_SECONDS * 1000.0
             );
             for c in &self.scale_cases {
@@ -512,143 +279,6 @@ impl PerfReport {
                     out,
                     "  {:>6}: {:>5} ticks, {:>10.0} ev/s sequential (rtf {:.2})",
                     c.name, c.ticks, c.sequential.events_per_sec, c.sequential_rtf,
-                );
-                for s in &c.sharded {
-                    let _ = writeln!(
-                        out,
-                        "          shards={}{}: {:>10.0} ev/s (rtf {:.2}), identical: {}",
-                        s.shards,
-                        match s.resolved {
-                            Some(n) if n != s.shards => format!(" (resolved {n})"),
-                            Some(_) => String::new(),
-                            None => " (resolved sequential)".into(),
-                        },
-                        s.sample.events_per_sec,
-                        s.rtf,
-                        if s.identical { "yes" } else { "NO" },
-                    );
-                }
-                if let Some(a) = &c.auto {
-                    let _ = writeln!(
-                        out,
-                        "          auto ({}): {:>10.0} ev/s (rtf {:.2}), identical: {}",
-                        match a.resolved {
-                            Some(n) => format!("{n} lanes"),
-                            None => "sequential".into(),
-                        },
-                        a.sample.events_per_sec,
-                        a.rtf,
-                        if a.identical { "yes" } else { "NO" },
-                    );
-                }
-            }
-            let _ = writeln!(
-                out,
-                "calibration: crossover at {}, auto losses: {}",
-                self.crossover_vms().map_or_else(
-                    || "none (sequential wins everywhere)".into(),
-                    |v| format!("{v} VMs")
-                ),
-                match self.auto_losses().len() {
-                    0 => "none".into(),
-                    n => format!("{n} cell(s)"),
-                }
-            );
-        }
-        out
-    }
-
-    /// The crossover matrix as CSV, one timed run per row — the
-    /// machine-readable form plots and calibration tooling consume
-    /// without scraping the text table. Columns: `axis, case, vms,
-    /// vcpus, pcpus, mode, resolved, ticks, events, seconds,
-    /// events_per_sec, rtf, speedup, identical`. Reference modes
-    /// (full-rescan, sequential) leave `identical` empty; only the
-    /// incremental rows carry `speedup`; only scale rows carry `rtf`.
-    #[must_use]
-    pub fn render_csv(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from(
-            "axis,case,vms,vcpus,pcpus,mode,resolved,ticks,events,seconds,\
-             events_per_sec,rtf,speedup,identical\n",
-        );
-        let yesno = |b: bool| if b { "yes" } else { "no" };
-        for c in &self.cases {
-            let _ = writeln!(
-                out,
-                "small,{},{},{},{},full_rescan,,{},{},{:.6},{:.1},,,",
-                c.name,
-                c.vms,
-                c.vcpus,
-                c.pcpus,
-                self.ticks,
-                c.full_rescan.events,
-                c.full_rescan.seconds,
-                c.full_rescan.events_per_sec,
-            );
-            let _ = writeln!(
-                out,
-                "small,{},{},{},{},incremental,,{},{},{:.6},{:.1},,{:.4},{}",
-                c.name,
-                c.vms,
-                c.vcpus,
-                c.pcpus,
-                self.ticks,
-                c.incremental.events,
-                c.incremental.seconds,
-                c.incremental.events_per_sec,
-                c.speedup,
-                yesno(c.identical),
-            );
-        }
-        for c in &self.scale_cases {
-            let _ = writeln!(
-                out,
-                "scale,{},{},{},{},sequential,,{},{},{:.6},{:.1},{:.4},,",
-                c.name,
-                c.vms,
-                c.vcpus,
-                c.pcpus,
-                c.ticks,
-                c.sequential.events,
-                c.sequential.seconds,
-                c.sequential.events_per_sec,
-                c.sequential_rtf,
-            );
-            let resolved = |r: Option<usize>| r.map_or_else(|| "seq".into(), |n| n.to_string());
-            for s in &c.sharded {
-                let _ = writeln!(
-                    out,
-                    "scale,{},{},{},{},shards={},{},{},{},{:.6},{:.1},{:.4},,{}",
-                    c.name,
-                    c.vms,
-                    c.vcpus,
-                    c.pcpus,
-                    s.shards,
-                    resolved(s.resolved),
-                    c.ticks,
-                    s.sample.events,
-                    s.sample.seconds,
-                    s.sample.events_per_sec,
-                    s.rtf,
-                    yesno(s.identical),
-                );
-            }
-            if let Some(a) = &c.auto {
-                let _ = writeln!(
-                    out,
-                    "scale,{},{},{},{},auto,{},{},{},{:.6},{:.1},{:.4},,{}",
-                    c.name,
-                    c.vms,
-                    c.vcpus,
-                    c.pcpus,
-                    resolved(a.resolved),
-                    c.ticks,
-                    a.sample.events,
-                    a.sample.seconds,
-                    a.sample.events_per_sec,
-                    a.rtf,
-                    yesno(a.identical),
                 );
             }
         }
@@ -702,23 +332,17 @@ fn scale_ticks(vms: usize, base: u64) -> u64 {
     (base * 16 / vms as u64).max(25)
 }
 
-/// One engine mode of one cell: `full` switches on full rescan, `mode`
-/// selects the shard engine (the two are never combined by the callers).
-/// Returns the timing, the lane count the engine resolved to, and the
-/// run's fingerprint.
+/// One engine mode of one cell: `full` switches on full rescan. Returns
+/// the timing and the run's fingerprint.
 fn timed_once(
     vms: usize,
     ticks: u64,
     full: bool,
-    mode: ShardMode,
     opts: &PerfOpts,
-) -> (ModeSample, Option<usize>, (Vec<i64>, Vec<u64>)) {
+) -> (ModeSample, (Vec<i64>, Vec<u64>)) {
     let mut sys = SanSystem::new(config(vms), PolicyKind::RoundRobin.create(), opts.seed)
         .expect("perf model builds");
     sys.set_full_rescan(full);
-    if mode != ShardMode::Off {
-        sys.set_shard_mode(mode);
-    }
     let start = Instant::now();
     sys.run(ticks).expect("perf run");
     let seconds = start.elapsed().as_secs_f64();
@@ -732,7 +356,7 @@ fn timed_once(
             f64::INFINITY
         },
     };
-    (sample, sys.resolved_shards(), fingerprint(&sys))
+    (sample, fingerprint(&sys))
 }
 
 /// Best of `opts.repeats` runs. Every repetition is the same deterministic
@@ -741,18 +365,17 @@ fn timed_run(
     vms: usize,
     ticks: u64,
     full: bool,
-    mode: ShardMode,
     opts: &PerfOpts,
-) -> (ModeSample, Option<usize>, (Vec<i64>, Vec<u64>)) {
-    let (mut best, resolved, fp) = timed_once(vms, ticks, full, mode, opts);
+) -> (ModeSample, (Vec<i64>, Vec<u64>)) {
+    let (mut best, fp) = timed_once(vms, ticks, full, opts);
     for _ in 1..opts.repeats.max(1) {
-        let (sample, _, fp_again) = timed_once(vms, ticks, full, mode, opts);
+        let (sample, fp_again) = timed_once(vms, ticks, full, opts);
         assert_eq!(fp, fp_again, "perf run is not deterministic");
         if sample.events_per_sec > best.events_per_sec {
             best = sample;
         }
     }
-    (best, resolved, fp)
+    (best, fp)
 }
 
 /// Real-time factor of a run covering `ticks` clock periods.
@@ -765,8 +388,7 @@ fn rtf(ticks: u64, sample: &ModeSample) -> f64 {
 }
 
 /// Runs the whole scaling axis, both modes per size, then the
-/// large-model scale axis: sequential, every `opts.shards` count, and
-/// (unless disabled) auto mode.
+/// large-model scale axis in incremental mode.
 #[must_use]
 pub fn run_perf(opts: &PerfOpts) -> PerfReport {
     let cases = scaling_axis()
@@ -775,8 +397,8 @@ pub fn run_perf(opts: &PerfOpts) -> PerfReport {
             // Full-rescan first, then incremental: if something is badly
             // wrong with the dependency index, the reference number is
             // already in hand when the comparison trips.
-            let (full, _, fp_full) = timed_run(vms, opts.ticks, true, ShardMode::Off, opts);
-            let (incremental, _, fp_inc) = timed_run(vms, opts.ticks, false, ShardMode::Off, opts);
+            let (full, fp_full) = timed_run(vms, opts.ticks, true, opts);
+            let (incremental, fp_inc) = timed_run(vms, opts.ticks, false, opts);
             PerfCase {
                 name,
                 vms,
@@ -793,32 +415,7 @@ pub fn run_perf(opts: &PerfOpts) -> PerfReport {
         .into_iter()
         .map(|(name, vms)| {
             let ticks = scale_ticks(vms, opts.ticks);
-            let (sequential, _, fp_seq) = timed_run(vms, ticks, false, ShardMode::Off, opts);
-            let sharded = opts
-                .shards
-                .iter()
-                .filter(|&&s| s >= 2)
-                .map(|&shards| {
-                    let (sample, resolved, fp) =
-                        timed_run(vms, ticks, false, ShardMode::Fixed(shards), opts);
-                    ShardSample {
-                        shards,
-                        resolved,
-                        rtf: rtf(ticks, &sample),
-                        identical: fp == fp_seq,
-                        sample,
-                    }
-                })
-                .collect();
-            let auto = opts.auto.then(|| {
-                let (sample, resolved, fp) = timed_run(vms, ticks, false, ShardMode::Auto, opts);
-                AutoSample {
-                    resolved,
-                    rtf: rtf(ticks, &sample),
-                    identical: fp == fp_seq,
-                    sample,
-                }
-            });
+            let (sequential, _) = timed_run(vms, ticks, false, opts);
             ScaleCase {
                 name,
                 vms,
@@ -827,8 +424,6 @@ pub fn run_perf(opts: &PerfOpts) -> PerfReport {
                 ticks,
                 sequential_rtf: rtf(ticks, &sequential),
                 sequential,
-                sharded,
-                auto,
             }
         })
         .collect();
@@ -841,33 +436,12 @@ pub fn run_perf(opts: &PerfOpts) -> PerfReport {
     }
 }
 
-/// What a baseline comparison found: hard regressions (fail the run) and
-/// warnings (report, but keep going — e.g. gates skipped because the
-/// baseline was recorded on a different core count).
-#[derive(Debug, Clone, Default)]
-pub struct BaselineCheck {
-    /// Offending cell descriptions; empty = pass.
-    pub regressions: Vec<String>,
-    /// Non-fatal notes about the comparison.
-    pub warnings: Vec<String>,
-}
-
 /// Compares a fresh report against a checked-in baseline JSON (the shape
-/// [`PerfReport::to_json`] writes).
-///
-/// Two gates, both same-run ratios so absolute machine speed cancels
-/// out of the comparison:
-///
-/// * **small axis** — for every case present in both, the incremental
-///   core's speedup over full rescan must not have dropped by more than
-///   `max_regression`×;
-/// * **scale axis** — for every (cell, shard count) present in both, the
-///   sharded engine's *overhead over sequential* (sequential ev/s ÷
-///   sharded ev/s) must not have grown by more than `max_regression`×.
-///   Unlike the speedup gate this ratio depends on how many lanes can
-///   actually run, so it is only applied when the baseline's recorded
-///   `host.logical_cores` matches this host's; on a mismatch (or a
-///   pre-host-block baseline) the gate is skipped with a warning.
+/// [`PerfReport::to_json`] writes) and returns one line per regression;
+/// empty = pass. For every case present in both, the incremental core's
+/// speedup over full rescan must not have dropped by more than
+/// `max_regression`×. The speedup is a same-run ratio, so absolute
+/// machine speed cancels out of the comparison.
 ///
 /// # Errors
 ///
@@ -877,7 +451,7 @@ pub fn check_against_baseline(
     report: &PerfReport,
     baseline_path: &Path,
     max_regression: f64,
-) -> Result<BaselineCheck, Box<dyn std::error::Error>> {
+) -> Result<Vec<String>, Box<dyn std::error::Error>> {
     let text = std::fs::read_to_string(baseline_path)
         .map_err(|e| format!("cannot read baseline {}: {e}", baseline_path.display()))?;
     let baseline: Value = serde_json::from_str(&text)?;
@@ -885,7 +459,7 @@ pub fn check_against_baseline(
         .get("cases")
         .and_then(Value::as_array)
         .ok_or("baseline has no `cases` array")?;
-    let mut check = BaselineCheck::default();
+    let mut regressions = Vec::new();
     for c in cases {
         let name = c.get("name").and_then(Value::as_str).unwrap_or("?");
         let Some(base_speedup) = c.get("speedup").and_then(Value::as_f64) else {
@@ -895,85 +469,14 @@ pub fn check_against_baseline(
             continue;
         };
         if now.speedup * max_regression < base_speedup {
-            check.regressions.push(format!(
+            regressions.push(format!(
                 "{name}: speedup {:.2}x now vs {base_speedup:.2}x baseline \
                  (>{max_regression:.1}x regression)",
                 now.speedup,
             ));
         }
     }
-    let base_cores = baseline
-        .get("host")
-        .and_then(|h| h.get("logical_cores"))
-        .and_then(Value::as_u64);
-    let scale = baseline
-        .get("scale_cases")
-        .and_then(Value::as_array)
-        .map_or(&[][..], Vec::as_slice);
-    let has_scale_overlap = scale.iter().any(|c| {
-        let name = c.get("name").and_then(Value::as_str).unwrap_or("?");
-        report.scale_cases.iter().any(|rc| rc.name == name)
-    });
-    if has_scale_overlap {
-        match base_cores {
-            None => check.warnings.push(
-                "baseline has no host block (pre-crossover format): \
-                 sharded overhead gates skipped — regenerate it with `vsched perf --out`"
-                    .into(),
-            ),
-            Some(cores) if cores as usize != report.host.logical_cores => {
-                check.warnings.push(format!(
-                    "baseline was recorded on {cores} logical cores, this host has {}: \
-                     sharded overhead gates skipped (shard timings are not comparable \
-                     across core counts)",
-                    report.host.logical_cores
-                ));
-            }
-            Some(_) => {
-                for c in scale {
-                    let name = c.get("name").and_then(Value::as_str).unwrap_or("?");
-                    let Some(now) = report.scale_cases.iter().find(|rc| rc.name == name) else {
-                        continue;
-                    };
-                    let base_seq = c
-                        .get("sequential")
-                        .and_then(|s| s.get("events_per_sec"))
-                        .and_then(Value::as_f64);
-                    let Some(base_seq) = base_seq else { continue };
-                    let entries = c
-                        .get("sharded")
-                        .and_then(Value::as_array)
-                        .map_or(&[][..], Vec::as_slice);
-                    for e in entries {
-                        let Some(shards) =
-                            e.get("shards").and_then(Value::as_u64).map(|s| s as usize)
-                        else {
-                            continue;
-                        };
-                        let base_rate = e
-                            .get("sample")
-                            .and_then(|s| s.get("events_per_sec"))
-                            .and_then(Value::as_f64);
-                        let Some(base_rate) = base_rate else { continue };
-                        let Some(now_s) = now.sharded.iter().find(|s| s.shards == shards) else {
-                            continue;
-                        };
-                        let base_overhead = base_seq / base_rate;
-                        let now_overhead =
-                            now.sequential.events_per_sec / now_s.sample.events_per_sec;
-                        if now_overhead > base_overhead * max_regression {
-                            check.regressions.push(format!(
-                                "{name} shards={shards}: sharded overhead {now_overhead:.2}x \
-                                 sequential now vs {base_overhead:.2}x baseline \
-                                 (>{max_regression:.1}x regression)",
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-    }
-    Ok(check)
+    Ok(regressions)
 }
 
 #[cfg(test)]
@@ -986,8 +489,6 @@ mod tests {
             seed: 42,
             repeats: 1,
             max_vms: 0,
-            shards: Vec::new(),
-            auto: false,
             commit: None,
         }
     }
@@ -1022,18 +523,16 @@ mod tests {
             host.get("engine").and_then(Value::as_str).unwrap(),
             vsched_campaign::ENGINE_VERSION
         );
-        assert!(v.get("calibration").is_some());
+        assert!(v.get("calibration").is_none());
     }
 
     #[test]
-    fn scale_axis_shards_are_bit_identical_and_report_rtf() {
+    fn scale_axis_reports_sequential_rtf() {
         let opts = PerfOpts {
             ticks: 100,
             seed: 42,
             repeats: 1,
             max_vms: 64,
-            shards: vec![2],
-            auto: true,
             commit: Some("deadbeef".into()),
         };
         let report = run_perf(&opts);
@@ -1046,16 +545,7 @@ mod tests {
         assert_eq!(c.ticks, scale_ticks(64, 100));
         assert!(c.sequential.events > 0);
         assert!(c.sequential_rtf > 0.0);
-        assert_eq!(c.sharded.len(), 1);
-        let s = &c.sharded[0];
-        assert_eq!(s.shards, 2);
-        assert!(s.identical, "{}", report.render_text());
-        assert_eq!(s.sample.events, c.sequential.events);
-        let a = c.auto.as_ref().expect("auto timed");
-        assert!(a.identical, "{}", report.render_text());
-        assert_eq!(a.sample.events, c.sequential.events);
-        assert!(report.all_identical());
-        assert_eq!(report.rtf_at_largest(), Some(c.best_rtf()));
+        assert_eq!(report.rtf_at_largest(), Some(c.sequential_rtf));
 
         let v = report.to_json();
         assert_eq!(
@@ -1066,119 +556,11 @@ mod tests {
         );
         let scale = v.get("scale_cases").and_then(Value::as_array).unwrap();
         assert_eq!(scale.len(), 1);
-        for key in [
-            "name",
-            "vms",
-            "ticks",
-            "sequential",
-            "sequential_rtf",
-            "sharded",
-            "auto",
-        ] {
+        for key in ["name", "vms", "ticks", "sequential", "sequential_rtf"] {
             assert!(scale[0].get(key).is_some(), "missing {key}");
         }
-        let sharded = scale[0].get("sharded").and_then(Value::as_array).unwrap();
-        assert!(sharded[0].get("rtf").and_then(Value::as_f64).unwrap() > 0.0);
-        assert!(sharded[0].get("resolved").is_some());
         assert!(v.get("rtf_at_largest").is_some());
-        let calib = v.get("calibration").unwrap();
-        let cells = calib.get("cells").and_then(Value::as_array).unwrap();
-        assert_eq!(cells.len(), 1);
-        assert!(cells[0].get("best_mode").and_then(Value::as_str).is_some());
-        assert!(report.render_text().contains("shards=2"));
-        assert!(report.render_text().contains("auto ("));
-        assert!(report.render_text().contains("calibration:"));
-    }
-
-    #[test]
-    fn auto_losses_judge_the_resolution_not_the_rerun() {
-        let sample = |eps: f64| ModeSample {
-            events: 1_000,
-            seconds: 1_000.0 / eps,
-            events_per_sec: eps,
-        };
-        let cell = |auto: Option<AutoSample>| ScaleCase {
-            name: "64vm".into(),
-            vms: 64,
-            vcpus: 128,
-            pcpus: 64,
-            ticks: 100,
-            sequential: sample(1_000.0),
-            sequential_rtf: 1.0,
-            sharded: vec![ShardSample {
-                shards: 4,
-                resolved: Some(4),
-                sample: sample(2_000.0),
-                rtf: 2.0,
-                identical: true,
-            }],
-            auto,
-        };
-        let report = |case: ScaleCase| PerfReport {
-            ticks: 100,
-            repeats: 1,
-            host: HostInfo::current(None),
-            cases: Vec::new(),
-            scale_cases: vec![case],
-        };
-
-        // Auto resolved to the winning fixed mode: no loss, even though
-        // its own re-measurement came in 20% low (pure timing noise).
-        let good = report(cell(Some(AutoSample {
-            resolved: Some(4),
-            sample: sample(1_600.0),
-            rtf: 1.6,
-            identical: true,
-        })));
-        assert_eq!(good.scale_cases[0].best_mode(), "shards=4");
-        assert_eq!(
-            good.scale_cases[0].auto_resolved_events_per_sec(),
-            Some(2_000.0)
-        );
-        assert!(good.auto_losses().is_empty(), "{:?}", good.auto_losses());
-
-        // Auto chose sequential while shards=4 measured 2x faster: a
-        // genuine mis-calibration, reported against the canonical
-        // sequential sample.
-        let bad = report(cell(Some(AutoSample {
-            resolved: None,
-            sample: sample(990.0),
-            rtf: 0.99,
-            identical: true,
-        })));
-        let losses = bad.auto_losses();
-        assert_eq!(losses.len(), 1, "{losses:?}");
-        assert!(losses[0].contains("resolved to sequential"), "{losses:?}");
-        assert!(losses[0].contains("shards=4"), "{losses:?}");
-
-        // No auto timing at all: nothing to judge.
-        assert!(report(cell(None)).auto_losses().is_empty());
-    }
-
-    #[test]
-    fn csv_has_one_row_per_timed_run() {
-        let opts = PerfOpts {
-            ticks: 60,
-            seed: 42,
-            repeats: 1,
-            max_vms: 64,
-            shards: vec![2],
-            auto: true,
-            commit: None,
-        };
-        let report = run_perf(&opts);
-        let csv = report.render_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        // Header + 2 rows per small cell + (sequential + 1 shard + auto)
-        // for the one scale cell.
-        assert_eq!(lines.len(), 1 + 2 * report.cases.len() + 3);
-        assert!(lines[0].starts_with("axis,case,vms"));
-        let fields = lines[0].split(',').count();
-        for l in &lines[1..] {
-            assert_eq!(l.split(',').count(), fields, "ragged row: {l}");
-        }
-        assert!(csv.contains("scale,64vm"));
-        assert!(csv.contains(",auto,"));
+        assert!(report.render_text().contains("64vm"));
     }
 
     #[test]
@@ -1205,9 +587,8 @@ mod tests {
 
         // A baseline written from the report itself never regresses.
         std::fs::write(&path, serde_json::to_string(&report.to_json()).unwrap()).unwrap();
-        let check = check_against_baseline(&report, &path, 2.0).unwrap();
-        assert!(check.regressions.is_empty());
-        assert!(check.warnings.is_empty());
+        let regressions = check_against_baseline(&report, &path, 2.0).unwrap();
+        assert!(regressions.is_empty());
 
         // An impossibly good baseline speedup trips every case.
         let mut doctored = report.clone();
@@ -1215,65 +596,8 @@ mod tests {
             c.speedup = 1e15;
         }
         std::fs::write(&path, serde_json::to_string(&doctored.to_json()).unwrap()).unwrap();
-        let check = check_against_baseline(&report, &path, 2.0).unwrap();
-        assert_eq!(check.regressions.len(), report.cases.len());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn baseline_gates_sharded_overhead_only_on_matching_cores() {
-        let opts = PerfOpts {
-            ticks: 60,
-            seed: 42,
-            repeats: 1,
-            max_vms: 64,
-            shards: vec![2],
-            auto: false,
-            commit: None,
-        };
-        let report = run_perf(&opts);
-        let dir = std::env::temp_dir().join(format!("vsched-perf-scale-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("baseline.json");
-
-        // Same host, doctored baseline claiming sharding used to be free:
-        // the overhead gate must trip on the scale cell.
-        let mut doctored = report.clone();
-        doctored.scale_cases[0].sharded[0].sample.events_per_sec =
-            doctored.scale_cases[0].sequential.events_per_sec * 1e6;
-        std::fs::write(&path, serde_json::to_string(&doctored.to_json()).unwrap()).unwrap();
-        let check = check_against_baseline(&report, &path, 2.0).unwrap();
-        assert_eq!(check.regressions.len(), 1, "{:?}", check.regressions);
-        assert!(check.regressions[0].contains("overhead"));
-
-        // A baseline from a host with a different core count skips the
-        // gate and warns instead — shard timings don't transfer.
-        let mut foreign = doctored.clone();
-        foreign.host.logical_cores = report.host.logical_cores + 7;
-        std::fs::write(&path, serde_json::to_string(&foreign.to_json()).unwrap()).unwrap();
-        let check = check_against_baseline(&report, &path, 2.0).unwrap();
-        assert!(check.regressions.is_empty());
-        assert_eq!(check.warnings.len(), 1);
-        assert!(
-            check.warnings[0].contains("logical cores"),
-            "{:?}",
-            check.warnings
-        );
-
-        // A pre-host-block baseline also warns rather than gating.
-        let legacy = match doctored.to_json() {
-            Value::Map(m) => Value::Map(m.into_iter().filter(|(k, _)| k != "host").collect()),
-            other => other,
-        };
-        std::fs::write(&path, serde_json::to_string(&legacy).unwrap()).unwrap();
-        let check = check_against_baseline(&report, &path, 2.0).unwrap();
-        assert!(check.regressions.is_empty());
-        assert_eq!(check.warnings.len(), 1);
-        assert!(
-            check.warnings[0].contains("host block"),
-            "{:?}",
-            check.warnings
-        );
+        let regressions = check_against_baseline(&report, &path, 2.0).unwrap();
+        assert_eq!(regressions.len(), report.cases.len());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -33,7 +33,7 @@ use vsched_campaign::orchestrator::ensure_cells;
 use vsched_campaign::spec::VmWorkloadSpec;
 use vsched_campaign::{
     cell_key, CellConfig, DistSpec, EngineSpec, PlannedCell, PolicySpec, ReplicationSpec,
-    ResultStore, ShardsSpec, SyncMechanismSpec,
+    ResultStore, SyncMechanismSpec,
 };
 use vsched_check::gen::CaseGen;
 use vsched_check::{case::LoadSpec, FuzzCase};
@@ -316,7 +316,6 @@ fn cell_from_config(
         horizon: opts.horizon,
         replications: ReplicationSpec::Exact(opts.replications),
         seed: opts.seed,
-        shards: ShardsSpec::default(),
     })
 }
 
@@ -388,7 +387,6 @@ fn cell_from_case(case: &FuzzCase, opts: &TournamentOpts) -> CellConfig {
         horizon: opts.horizon,
         replications: ReplicationSpec::Exact(opts.replications),
         seed: opts.seed,
-        shards: ShardsSpec::default(),
     }
 }
 

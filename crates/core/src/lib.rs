@@ -94,4 +94,3 @@ pub use runner::{Engine, ExperimentBuilder};
 pub use sched::{PolicyKind, ScheduleDecision, SchedulingPolicy};
 pub use spec::{DistSpec, SyncMechanismSpec};
 pub use types::{PcpuView, VcpuId, VcpuStatus, VcpuView};
-pub use vsched_san::ShardMode;

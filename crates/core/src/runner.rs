@@ -1,7 +1,6 @@
 //! The experiment runner: replicated simulations with Mobius-style
 //! confidence-interval termination, over either engine.
 
-use vsched_san::ShardMode;
 use vsched_stats::{ConfidenceInterval, StoppingRule};
 
 use crate::config::SystemConfig;
@@ -40,7 +39,6 @@ pub struct ExperimentBuilder {
     exact_replications: Option<usize>,
     parallel: bool,
     jobs: Option<usize>,
-    shard_mode: ShardMode,
 }
 
 impl ExperimentBuilder {
@@ -60,7 +58,6 @@ impl ExperimentBuilder {
             exact_replications: None,
             parallel: true,
             jobs: None,
-            shard_mode: ShardMode::Off,
         }
     }
 
@@ -115,17 +112,6 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Intra-replication sharding of the SAN engine (default
-    /// [`ShardMode::Off`]). A pure wall-clock knob: sharded execution is
-    /// bit-identical to sequential by contract, so any mode yields the
-    /// same statistics. Ignored by [`Engine::Direct`], which has no
-    /// sharded path.
-    #[must_use]
-    pub fn shard_mode(mut self, mode: ShardMode) -> Self {
-        self.shard_mode = mode;
-        self
-    }
-
     /// Caps the replication worker pool at `jobs` threads. `0` restores
     /// the default (one worker per available core). Any value yields
     /// bit-identical results; this knob only trades wall-clock time for
@@ -163,9 +149,6 @@ impl ExperimentBuilder {
             }
             Engine::San => {
                 let mut sys = SanSystem::new(self.config.clone(), self.policy.create(), seed)?;
-                if self.shard_mode != ShardMode::Off {
-                    sys.set_shard_mode(self.shard_mode);
-                }
                 sys.run(self.warmup)?;
                 sys.reset_metrics();
                 sys.run(self.horizon)?;
@@ -314,25 +297,6 @@ mod tests {
             .unwrap();
         assert_eq!(report.replications, 2);
         assert!(report.avg_pcpu_utilization() > 0.9);
-    }
-
-    #[test]
-    fn shard_mode_never_changes_statistics() {
-        let base = ExperimentBuilder::new(small_config(), PolicyKind::RoundRobin)
-            .engine(Engine::San)
-            .warmup(100)
-            .horizon(1_000)
-            .replications_exact(2)
-            .parallel(false);
-        let sequential = base.clone().run().unwrap();
-        for mode in [ShardMode::Fixed(2), ShardMode::Fixed(4), ShardMode::Auto] {
-            let sharded = base.clone().shard_mode(mode).run().unwrap();
-            assert_eq!(
-                sequential.vcpu_availability_means(),
-                sharded.vcpu_availability_means(),
-                "{mode:?} must be bit-identical to sequential"
-            );
-        }
     }
 
     #[test]

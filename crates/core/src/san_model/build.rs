@@ -424,10 +424,8 @@ pub(crate) fn build_model(
             let sync_p = spec.sync_probability;
             let sync_every = spec.sync_every;
             let sample_at_dispatch = spec.interarrival.is_some();
-            // Declared for analysis; `Scheduling` still takes the
-            // sequential path (its `ready_count` write can enable the
-            // higher-priority `WL_Generate`, so shard derivation demotes
-            // it).
+            // Declared for analysis: the `stale-write-set` lint checks
+            // these against observed firings.
             let dispatch_gate_reads: Vec<PlaceId> = [vm.generated, vm.wl_load, vm.wl_sync]
                 .into_iter()
                 .chain(members.iter().map(|v| v.status))

@@ -26,7 +26,7 @@ pub use invariants::{expected_invariants, InvariantKind, ModelInvariant};
 pub use layout::{DynVmPlaces, Layout, VcpuPlaces, VmPlaces};
 pub use symmetry::{vm_rotations, MarkingRotation};
 
-use vsched_san::{ActivityId, RewardId, ShardMode, Simulator};
+use vsched_san::{ActivityId, RewardId, Simulator};
 
 use crate::config::SystemConfig;
 use crate::error::CoreError;
@@ -256,43 +256,6 @@ impl SanSystem {
         })
     }
 
-    /// Sets the lane budget for intra-replication sharding (see
-    /// [`vsched_san::Simulator::set_shards`]): `0` or `1` is the
-    /// sequential engine, `>= 2` fires conflict-free per-VM shards in
-    /// parallel with bit-identical results.
-    pub fn set_shards(&mut self, shards: usize) {
-        self.sim.set_shards(shards);
-    }
-
-    /// Sets the engine selection policy (see
-    /// [`vsched_san::Simulator::set_shard_mode`]); [`ShardMode::Auto`]
-    /// engages the sharded engine only where measurement says it pays.
-    pub fn set_shard_mode(&mut self, mode: ShardMode) {
-        self.sim.set_shard_mode(mode);
-    }
-
-    /// Overrides the available parallelism the shard-mode resolution sees
-    /// (see [`vsched_san::Simulator::set_shard_available_override`]) —
-    /// tests and the perf harness force lane counts through this.
-    pub fn set_shard_available_override(&mut self, avail: Option<usize>) {
-        self.sim.set_shard_available_override(avail);
-    }
-
-    /// Sets the minimum shard-plan width at which [`ShardMode::Auto`]
-    /// engages lanes (see
-    /// [`vsched_san::Simulator::set_auto_shard_threshold`]).
-    pub fn set_auto_shard_threshold(&mut self, min_shards: usize) {
-        self.sim.set_auto_shard_threshold(min_shards);
-    }
-
-    /// Lane count the sharded engine used on the most recent run, or
-    /// `None` if the sequential engine ran (see
-    /// [`vsched_san::Simulator::resolved_shards`]).
-    #[must_use]
-    pub fn resolved_shards(&self) -> Option<usize> {
-        self.sim.resolved_shards()
-    }
-
     /// Attaches an end-of-tick observer (see [`crate::observe`]); replaces
     /// any previous one.
     ///
@@ -498,8 +461,7 @@ impl SanSystem {
     /// disables the VM's workload generator and removes its VCPUs from
     /// every policy's candidate set (`present = false`). The mutation goes
     /// through [`vsched_san::Simulator::apply_external`], which keeps the
-    /// reward accumulators exact and re-derives the shard plan on the next
-    /// sharded run.
+    /// reward accumulators exact.
     ///
     /// # Panics
     ///

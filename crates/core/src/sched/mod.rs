@@ -255,9 +255,9 @@ impl PolicyState {
 /// per-VCPU skew counters, credits) across invocations; the engine calls
 /// [`SchedulingPolicy::schedule`] exactly once per clock tick.
 ///
-/// `Send` is required because the built model (which owns the policy
-/// inside the `Scheduling_Func` gate closure) may be shared with shard
-/// worker threads.
+/// `Send` is required because the built model owns the policy inside the
+/// `Scheduling_Func` gate closure, and every model closure is
+/// `Send + Sync` (see [`vsched_san::gate::Predicate`]).
 pub trait SchedulingPolicy: Send {
     /// Human-readable name used in reports and error messages.
     fn name(&self) -> &str;

@@ -12,10 +12,9 @@
 //!   [`ReplicationController`] in ascending replication order, and re-check
 //!   the stopping rule between records.
 //!
-//! A third primitive lives in the [`lane`] module: a persistent pool of
-//! long-lived helper threads ([`lane::LaneHandle`]) for *intra*-replication
-//! sharded firing, where waves arrive far too often to pay a thread spawn
-//! per dispatch (see `DESIGN.md` §19).
+//! Parallelism lives only *across* replications: one replication always
+//! runs on one thread, since splitting a replication's event loop across
+//! threads measured slower than sequential (see `DESIGN.md` §19).
 //!
 //! # Determinism
 //!
@@ -44,10 +43,6 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::thread;
 
 use vsched_stats::{ReplicationController, StoppingRule};
-
-pub mod lane;
-
-pub use lane::LaneHandle;
 
 /// Resolves a jobs knob to a concrete worker count.
 ///

@@ -70,11 +70,11 @@ impl Timing {
 /// Marking-dependent case-weight function: fills `out` (cleared by the
 /// caller) with one weight per case. The buffer-filling shape lets the
 /// simulator reuse one scratch allocation across all completions.
-/// `Send + Sync` so models can be shared with shard workers.
+/// `Send + Sync` like every model closure (see [`crate::gate::Predicate`]).
 pub type WeightFn = Box<dyn Fn(&Marking, &mut Vec<f64>) + Send + Sync>;
 
-/// Marking-dependent rate-multiplier function (`Send + Sync` so models can
-/// be shared with shard workers).
+/// Marking-dependent rate-multiplier function (`Send + Sync` like every
+/// model closure).
 pub type RateFn = Box<dyn Fn(&Marking) -> f64 + Send + Sync>;
 
 /// Probability weights of an activity's cases.
@@ -270,8 +270,9 @@ impl ActivitySpec {
     /// output-arc places plus the declared write-sets of every gate
     /// function — sorted and deduplicated. `None` if any gate function
     /// (input-gate completion update or output gate) left its write-set
-    /// undeclared: the activity's write footprint is then unknown and it
-    /// cannot join a shard.
+    /// undeclared: the activity's write footprint is then unknown. The
+    /// `stale-write-set` lint checks declared footprints against observed
+    /// firings.
     #[must_use]
     pub fn declared_writes(&self) -> Option<Vec<PlaceId>> {
         let mut out: Vec<PlaceId> = self.input_arcs.iter().map(|&(p, _)| p).collect();

@@ -593,11 +593,10 @@ impl<'a> ActivityBuilder<'a> {
 
     /// Declares the places the **immediately preceding** gate function may
     /// write — an input gate's completion function or an output gate's
-    /// update. Purely a capability declaration for shard derivation (see
-    /// [`crate::shard::ShardPlan`]): an activity whose every gate declares
-    /// its write-set can fire in parallel with activities of other shards.
-    /// Writing outside the declared set is reported by the sharded engine
-    /// as [`SanError::ShardViolation`] when it crosses a shard boundary.
+    /// update. Purely documentation of the gate's write footprint (see
+    /// [`crate::activity::ActivitySpec::declared_writes`]): the simulator
+    /// never consults it, and the `vsched-analyze` `stale-write-set` lint
+    /// reports a gate observed writing outside its declared set.
     ///
     /// Calling `.writes` after anything that is not a gate *function* — a
     /// plain guard, a rate multiplier, a case-weight function, a non-gate

@@ -76,15 +76,6 @@ pub enum SanError {
         /// Activity being built when the misplaced declaration occurred.
         activity: String,
     },
-    /// A shard-parallel firing wrote a place outside its activity's shard —
-    /// a gate function's declared write-set was wrong. Caught by the
-    /// runtime validation of every parallel batch.
-    ShardViolation {
-        /// The activity whose completion wrote out of bounds.
-        activity: String,
-        /// The place written outside the activity's shard.
-        place: String,
-    },
 }
 
 impl fmt::Display for SanError {
@@ -130,11 +121,6 @@ impl fmt::Display for SanError {
                 f,
                 "activity `{activity}`: .writes(...) must immediately follow the gate function it \
                  describes (input gate with update, or output gate)"
-            ),
-            SanError::ShardViolation { activity, place } => write!(
-                f,
-                "activity `{activity}` wrote place `{place}` outside its shard: a gate function's \
-                 declared write-set is wrong"
             ),
         }
     }

@@ -12,11 +12,10 @@ use crate::marking::{Marking, PlaceId, ReadSet};
 
 /// Enabling predicate of an input gate.
 ///
-/// `Send + Sync` so a [`crate::Model`] can be shared by reference with the
-/// shard workers of the parallel simulator — every gate closure is immutable
-/// shared state; gates needing private mutable state (the user-defined
-/// scheduling function of the VCPU scheduler keeps its round-robin cursor
-/// this way) capture it behind `Arc<Mutex<..>>`.
+/// `Send + Sync` so a [`crate::Model`] can cross threads — every gate
+/// closure is immutable shared state; gates needing private mutable state
+/// (the user-defined scheduling function of the VCPU scheduler keeps its
+/// round-robin cursor this way) capture it behind `Arc<Mutex<..>>`.
 pub type Predicate = Box<dyn Fn(&Marking) -> bool + Send + Sync>;
 
 /// State-update function of a gate.
@@ -36,13 +35,11 @@ pub struct InputGate {
     /// Places the gate declares it reads — the predicate *and* the
     /// completion-time update function. Drives the simulator's dependency
     /// index (an undeclared read-set makes the activity's enablement
-    /// conservative, revisited after every firing) and, jointly with
-    /// `writes`, shard derivation.
+    /// conservative, revisited after every firing).
     pub(crate) reads: ReadSet,
     /// Places the completion-time update function declares it writes.
-    /// Consulted by shard derivation only: an undeclared write-set keeps
-    /// the activity out of every shard (it then always fires on the
-    /// sequential path, which needs no write footprint).
+    /// Documentation only: the simulator never consults it, and the
+    /// `stale-write-set` lint checks it against observed firings.
     pub(crate) writes: ReadSet,
 }
 
@@ -61,10 +58,10 @@ pub struct OutputGate {
     pub(crate) function: GateFn,
     /// Places the update function declares it reads. Does not enter the
     /// dependency index (output gates run at completion, not at enablement)
-    /// but shard derivation requires it.
+    /// but documents what the update function depends on.
     pub(crate) reads: ReadSet,
-    /// Places the update function declares it writes (shard derivation;
-    /// see [`InputGate`]).
+    /// Places the update function declares it writes (documentation; see
+    /// [`InputGate`]).
     pub(crate) writes: ReadSet,
 }
 

@@ -71,13 +71,11 @@ pub mod activity;
 pub mod builder;
 pub mod error;
 pub mod experiment;
-mod feed;
 pub mod gate;
 pub mod marking;
 pub mod numerical;
 pub mod record;
 pub mod reward;
-pub mod shard;
 pub mod sim;
 
 pub use activity::{ActivityId, Timing};
@@ -89,5 +87,4 @@ pub use marking::{Marking, PlaceId, ReadSet};
 pub use numerical::{solve_steady_state, solve_transient, CtmcOptions, CtmcSolution};
 pub use record::RecordRef;
 pub use reward::RewardId;
-pub use shard::ShardPlan;
-pub use sim::{RunStats, ShardMode, Simulator};
+pub use sim::{RunStats, Simulator};

@@ -197,17 +197,6 @@ impl Marking {
     pub fn as_slice(&self) -> &[i64] {
         &self.tokens
     }
-
-    /// Overwrites places with the absolute values in `patch`, bypassing
-    /// dirty tracking and the non-negativity assertion: the values come
-    /// from an authoritative marking that already enforced both, and the
-    /// sharded engine's replica sync must not pollute the dirty log its
-    /// patch extraction reads.
-    pub(crate) fn apply_patch(&mut self, patch: &[(u32, i64)]) {
-        for &(place, value) in patch {
-            self.tokens[place as usize] = value;
-        }
-    }
 }
 
 impl fmt::Debug for Marking {
@@ -285,15 +274,6 @@ mod tests {
         assert!(m.dirty().is_empty());
         m.set(PlaceId(2), 7);
         assert_eq!(m.dirty(), &[2], "tracking resumes after clear");
-    }
-
-    #[test]
-    fn apply_patch_sets_absolute_values_without_dirtying() {
-        let mut m = marking(&[1, 2, 3]);
-        m.enable_dirty_tracking();
-        m.apply_patch(&[(0, 9), (2, 0), (0, 4)]);
-        assert_eq!(m.as_slice(), &[4, 2, 0], "last write wins");
-        assert!(m.dirty().is_empty(), "replica sync must not dirty");
     }
 
     #[test]

@@ -1,48 +1,16 @@
 //! The SAN discrete-event simulator.
 
-use std::sync::{Arc, Mutex};
-
 use vsched_des::{CalEventId, CalendarQueue, RngStreams, SimTime, Xoshiro256StarStar};
 
-use crate::activity::{ActivityId, ActivitySpec, CaseWeights, Timing};
+use crate::activity::{ActivityId, CaseWeights, Timing};
 use crate::builder::Model;
 use crate::error::SanError;
-use crate::feed::{Feed, COMPACT_THRESHOLD};
 use crate::marking::{Marking, PlaceId, ReadSet};
 use crate::reward::{ImpulseReward, RateReward, RewardFn, RewardId};
-use crate::shard::ShardPlan;
 
 /// Priority offset that makes instantaneous activities preempt timed ones
 /// scheduled at the same instant.
 const INSTANTANEOUS_BASE: i32 = 1_000_000;
-
-/// Default plan width below which [`ShardMode::Auto`] stays sequential.
-/// Narrow plans cannot form batches often enough to amortize the lane
-/// handshake; the `vsched perf` crossover matrix is the measured basis.
-const DEFAULT_AUTO_SHARD_THRESHOLD: usize = 64;
-
-/// How [`Simulator::run_until`] chooses between the sequential and the
-/// sharded engine. Every choice is **bit-identical** in its results — the
-/// mode only trades wall-clock and the [`SanError::ShardViolation`]
-/// footprint check (which only the sharded engine performs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardMode {
-    /// Sequential engine, no shard bookkeeping (the default).
-    #[default]
-    Off,
-    /// Sharded engine with a lane budget of `n` (values below 2 behave
-    /// like [`ShardMode::Off`]). The lane count actually used is capped by
-    /// the shard plan's width and the host's available parallelism — on a
-    /// single-core host the engine runs its one-lane form, which keeps the
-    /// footprint validation at near-sequential speed instead of paying for
-    /// threads that cannot run concurrently.
-    Fixed(usize),
-    /// Pick per model and host: the sharded engine engages only when the
-    /// host has parallelism to spare **and** the plan is at least
-    /// [`Simulator::set_auto_shard_threshold`] shards wide; everything
-    /// else runs sequentially, so the default configuration never loses.
-    Auto,
-}
 
 /// Statistics from one [`Simulator::run_until`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -80,9 +48,7 @@ pub struct RunStats {
 ///
 /// See the crate-level documentation for an end-to-end example.
 pub struct Simulator {
-    /// Shared so shard workers can borrow the model concurrently with the
-    /// merge thread (every gate closure is `Fn + Send + Sync`).
-    model: Arc<Model>,
+    model: Model,
     marking: Marking,
     time: SimTime,
     queue: CalendarQueue<ActivityId>,
@@ -93,9 +59,9 @@ pub struct Simulator {
     activation_rate: Vec<f64>,
     delay_rngs: Vec<Xoshiro256StarStar>,
     case_rngs: Vec<Xoshiro256StarStar>,
-    /// Per-activity gate-function RNG streams. Independent streams (rather
-    /// than one shared stream) are what make parallel shard firing
-    /// possible: a batch's gate draws must not depend on firing order.
+    /// Per-activity gate-function RNG streams (`30_000 + i`): each
+    /// activity's gate draws come from its own stream. The layout is part
+    /// of every fingerprint.
     gate_rngs: Vec<Xoshiro256StarStar>,
     rate_rewards: Vec<RateReward>,
     /// Instant (as `f64`) up to which every rate-reward accumulator has
@@ -121,47 +87,7 @@ pub struct Simulator {
     reward_scratch: Vec<u32>,
     /// Scratch buffer for dynamic case weights (reused across completions).
     weight_scratch: Vec<f64>,
-    /// Engine selection policy for intra-replication sharding.
-    shard_mode: ShardMode,
-    /// Test/bench override of the host's available parallelism (forces a
-    /// lane count regardless of what the machine reports).
-    avail_override: Option<usize>,
-    /// Auto mode engages lanes only for plans at least this wide.
-    auto_min_shards: usize,
-    /// Lane count the sharded engine used on the most recent run
-    /// (`None` = the sequential engine ran).
-    resolved_shards: Option<usize>,
-    /// Lazily derived shard plan (only when sharding is requested).
-    shard_plan: Option<Arc<ShardPlan>>,
     stats: RunStats,
-}
-
-/// One parallel firing: the activity plus its private RNG streams, moved
-/// to the lane and returned (advanced) in [`FireResult`].
-struct FireItem {
-    idx: usize,
-    case_rng: Xoshiro256StarStar,
-    gate_rng: Xoshiro256StarStar,
-    /// Recycled patch buffer: the lane fills it and hands it back as
-    /// [`FireResult::patch`]; the merge returns it to the driver's pool,
-    /// so steady-state waves allocate nothing.
-    patch: Vec<(u32, i64)>,
-}
-
-/// What a lane hands back: the advanced RNG streams and the fired
-/// activity's marking writes as `(place, new value)` pairs in first-touch
-/// order — exactly the dirty set a sequential firing would have produced.
-struct FireResult {
-    case_rng: Xoshiro256StarStar,
-    gate_rng: Xoshiro256StarStar,
-    patch: Vec<(u32, i64)>,
-}
-
-/// Per-lane state of the sharded engine: a marking replica (kept in sync
-/// by replaying the delta feed at each wave) and a private scratch buffer.
-struct ShardWorker {
-    marking: Marking,
-    weight_scratch: Vec<f64>,
 }
 
 impl std::fmt::Debug for Simulator {
@@ -203,71 +129,9 @@ impl Simulator {
             eval_scratch: Vec::new(),
             reward_scratch: Vec::new(),
             weight_scratch: Vec::new(),
-            shard_mode: ShardMode::Off,
-            avail_override: None,
-            auto_min_shards: DEFAULT_AUTO_SHARD_THRESHOLD,
-            resolved_shards: None,
-            shard_plan: None,
             stats: RunStats::default(),
-            model: Arc::new(model),
+            model,
         }
-    }
-
-    /// Sets the lane budget for intra-replication sharding. `0` or `1`
-    /// selects the sequential engine; `>= 2` fires statically derived
-    /// conflict-free shards (see [`ShardPlan`]) in parallel, with a
-    /// deterministic sequential merge. Results are **bit-identical for any
-    /// value** — marking, statistics, rewards, event ordering and every
-    /// RNG draw match the sequential engine exactly.
-    ///
-    /// Shorthand for [`Simulator::set_shard_mode`] with
-    /// [`ShardMode::Fixed`] (or [`ShardMode::Off`] below 2).
-    pub fn set_shards(&mut self, shards: usize) {
-        self.shard_mode = if shards >= 2 {
-            ShardMode::Fixed(shards)
-        } else {
-            ShardMode::Off
-        };
-    }
-
-    /// Sets the engine selection policy; see [`ShardMode`].
-    pub fn set_shard_mode(&mut self, mode: ShardMode) {
-        self.shard_mode = mode;
-    }
-
-    /// The engine selection policy in force.
-    #[must_use]
-    pub fn shard_mode(&self) -> ShardMode {
-        self.shard_mode
-    }
-
-    /// Overrides what the engine treats as the host's available
-    /// parallelism (`None` restores the real value). Tests and sanitizer
-    /// runs use this to force real helper threads on any machine; the
-    /// perf harness uses it to measure the crossover matrix honestly.
-    pub fn set_shard_available_override(&mut self, avail: Option<usize>) {
-        self.avail_override = avail.map(|a| a.max(1));
-    }
-
-    /// Sets the minimum shard-plan width at which [`ShardMode::Auto`]
-    /// engages the sharded engine (default 64; clamped to at least 2).
-    pub fn set_auto_shard_threshold(&mut self, min_shards: usize) {
-        self.auto_min_shards = min_shards.max(2);
-    }
-
-    /// Lane count the sharded engine used on the most recent
-    /// [`Simulator::run_until`], or `None` if the sequential engine ran —
-    /// how a [`ShardMode::Auto`] (or capped [`ShardMode::Fixed`])
-    /// resolution is reported honestly.
-    #[must_use]
-    pub fn resolved_shards(&self) -> Option<usize> {
-        self.resolved_shards
-    }
-
-    /// The shard plan in force (derived on first sharded run).
-    #[must_use]
-    pub fn shard_plan(&self) -> Option<&ShardPlan> {
-        self.shard_plan.as_deref()
     }
 
     /// Switches between incremental reevaluation (default, `false`) and the
@@ -467,8 +331,6 @@ impl Simulator {
     /// activate, newly disabled ones abort, and rate-scaled activities
     /// whose multiplier changed resample) — so the event schedule and
     /// every RNG stream stay deterministic across membership changes.
-    /// The shard plan is invalidated and re-derived on the next sharded
-    /// run.
     ///
     /// Calling this before the first `run_until` performs the initial
     /// full activation pass first, so activation order (and therefore
@@ -481,7 +343,6 @@ impl Simulator {
         f(&mut self.marking);
         self.recompute_rewards();
         self.reevaluate(None);
-        self.shard_plan = None;
     }
 
     /// Runs the simulation until virtual time `t_end`.
@@ -495,17 +356,12 @@ impl Simulator {
     /// [`SanError::InstantaneousLoop`] if the model completes more than the
     /// configured limit of activities without time advancing.
     pub fn run_until(&mut self, t_end: f64) -> Result<RunStats, SanError> {
-        let t_end = SimTime::new(t_end);
-        self.ensure_started();
-        let mut run = RunStats::default();
-        match self.resolve_shard_lanes() {
-            Some(lanes) => self.run_events_sharded(t_end, &mut run, lanes)?,
-            None => self.run_events(t_end, &mut run)?,
-        }
-        self.advance_to(t_end);
-        self.stats.completions += run.completions;
-        run.aborts = self.stats.aborts;
-        Ok(run)
+        let before = self.stats;
+        self.run_events(SimTime::new(t_end), |_| false)?;
+        Ok(RunStats {
+            completions: self.stats.completions - before.completions,
+            aborts: self.stats.aborts - before.aborts,
+        })
     }
 
     /// [`Simulator::run_until`] with a breakpoint: returns `Ok(true)`,
@@ -516,39 +372,11 @@ impl Simulator {
     /// no completion of `stop` falls within `t_end` this is exactly
     /// `run_until(t_end)` and returns `Ok(false)`.
     ///
-    /// The sequential engine always runs, whatever the shard mode: sharded
-    /// runs are bit-identical to it. [`Simulator::resolved_shards`] keeps
-    /// reporting the last `run_until`.
-    ///
     /// # Errors
     ///
     /// As [`Simulator::run_until`].
     pub fn run_until_break(&mut self, t_end: f64, stop: ActivityId) -> Result<bool, SanError> {
-        let t_end = SimTime::new(t_end);
-        self.ensure_started();
-        let mut last_time = self.time;
-        let mut zero_advance: u64 = 0;
-        let mut completions = 0;
-        let mut stopped = false;
-        while let Some((next, _, &act)) = self.queue.peek() {
-            if next > t_end {
-                break;
-            }
-            if act == stop {
-                stopped = true;
-                break;
-            }
-            self.queue.pop();
-            self.note_advance(&mut last_time, &mut zero_advance, next)?;
-            self.time = next;
-            self.fire(act);
-            completions += 1;
-        }
-        if !stopped {
-            self.advance_to(t_end);
-        }
-        self.stats.completions += completions;
-        Ok(stopped)
+        self.run_events(SimTime::new(t_end), |act| act == stop)
     }
 
     /// The first evaluation considers every activity, in both
@@ -574,396 +402,62 @@ impl Simulator {
         }
     }
 
-    /// Resolves the shard mode against the plan and the host: `Some(n)`
-    /// selects the sharded engine with `n` lanes, `None` the sequential
-    /// engine. Derives the plan lazily, and records the outcome for
-    /// [`Simulator::resolved_shards`].
-    fn resolve_shard_lanes(&mut self) -> Option<usize> {
-        self.resolved_shards = None;
-        let budget = match self.shard_mode {
-            ShardMode::Off => return None,
-            ShardMode::Fixed(n) if n < 2 => return None,
-            ShardMode::Fixed(n) => Some(n),
-            ShardMode::Auto => None,
-        };
-        let plan_width = match &self.shard_plan {
-            Some(p) => p.num_shards(),
-            None => {
-                let p = Arc::new(ShardPlan::derive(&self.model));
-                let width = p.num_shards();
-                self.shard_plan = Some(p);
-                width
-            }
-        };
-        let avail = self.avail_override.unwrap_or_else(|| {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        });
-        let lanes = match budget {
-            // An explicit shard count keeps the sharded engine (and its
-            // footprint validation) even when capped to one lane; only
-            // plans too narrow to ever batch skip it entirely.
-            Some(n) => {
-                if plan_width < 2 {
-                    return None;
-                }
-                n.min(plan_width).min(avail).max(1)
-            }
-            // Auto engages lanes only where they can pay for themselves:
-            // real parallelism available and a plan wide enough to batch.
-            None => {
-                if avail < 2 || plan_width < self.auto_min_shards {
-                    return None;
-                }
-                avail.min(plan_width)
-            }
-        };
-        self.resolved_shards = Some(lanes);
-        Some(lanes)
-    }
-
-    /// The sequential event loop of [`Simulator::run_until`].
-    fn run_events(&mut self, t_end: SimTime, run: &mut RunStats) -> Result<(), SanError> {
+    /// The event loop: fires every event due by `t_end` in queue order,
+    /// then advances the clock and the reward windows to `t_end`. Returns
+    /// `Ok(true)` without firing it, and without advancing, as soon as
+    /// `stop` accepts the activity at the queue head. `run_until` passes a
+    /// constant `false`, which the compiler folds away.
+    fn run_events(
+        &mut self,
+        t_end: SimTime,
+        stop: impl Fn(ActivityId) -> bool,
+    ) -> Result<bool, SanError> {
+        self.ensure_started();
         let mut last_time = self.time;
         let mut zero_advance: u64 = 0;
-        while let Some(next) = self.queue.peek_time() {
-            if next > t_end {
+        let mut completions = 0;
+        let mut stopped = false;
+        while let Some((t, _, &act)) = self.queue.peek() {
+            if t > t_end {
                 break;
             }
-            let (t, _, act) = self.queue.pop().expect("peeked event must pop");
-            self.note_advance(&mut last_time, &mut zero_advance, t)?;
+            if stop(act) {
+                stopped = true;
+                break;
+            }
+            self.queue.pop();
+            if t > last_time {
+                last_time = t;
+                zero_advance = 0;
+            } else {
+                zero_advance += 1;
+                if zero_advance > self.max_zero_advance {
+                    return Err(SanError::InstantaneousLoop {
+                        at_time: t.as_f64(),
+                        limit: self.max_zero_advance,
+                    });
+                }
+            }
             self.time = t;
             self.fire(act);
-            run.completions += 1;
+            completions += 1;
         }
-        Ok(())
-    }
-
-    /// Zero-advance bookkeeping for one popped event (shared by the
-    /// sequential and sharded loops, which must count identically).
-    fn note_advance(
-        &self,
-        last_time: &mut SimTime,
-        zero_advance: &mut u64,
-        t: SimTime,
-    ) -> Result<(), SanError> {
-        if t > *last_time {
-            *last_time = t;
-            *zero_advance = 0;
-        } else {
-            *zero_advance += 1;
-            if *zero_advance > self.max_zero_advance {
-                return Err(SanError::InstantaneousLoop {
-                    at_time: t.as_f64(),
-                    limit: self.max_zero_advance,
-                });
-            }
+        if !stopped {
+            self.advance_to(t_end);
         }
-        Ok(())
-    }
-
-    /// The sharded event loop: pops of the same instant and queue
-    /// priority whose activities belong to pairwise-distinct shards form a
-    /// *batch*; the batch's marking updates run concurrently on lane
-    /// replicas (phase A), then the results merge sequentially in pop
-    /// order (phase B) — patch application, rewards, reevaluation and all
-    /// queue operations happen on the driving thread exactly as the
-    /// sequential engine would have done them. See `DESIGN.md` §14 for the
-    /// bit-identity argument and §19 for the lane/feed runtime.
-    ///
-    /// With one lane the replica machinery would be pure overhead, so the
-    /// engine switches to its direct-fire form
-    /// ([`Simulator::run_events_shard_checked`]), which preserves the
-    /// footprint validation at near-sequential cost.
-    fn run_events_sharded(
-        &mut self,
-        t_end: SimTime,
-        run: &mut RunStats,
-        lanes: usize,
-    ) -> Result<(), SanError> {
-        let plan = Arc::clone(
-            self.shard_plan
-                .as_ref()
-                .expect("plan derived during lane resolution"),
-        );
-        if lanes < 2 {
-            return self.run_events_shard_checked(t_end, run, &plan);
-        }
-        let model = Arc::clone(&self.model);
-        // Every marking write since the previous wave flows through the
-        // cursor-indexed delta feed; each lane replays only what it has
-        // not yet seen (its wave prologue below).
-        let feed: Mutex<Feed> = Mutex::new(Feed::new(lanes));
-        // Debug-builds-only audit: the authoritative wave-start marking,
-        // snapshotted before each dispatch so every lane can assert its
-        // replica landed exactly on it after delta replay (empty = unset).
-        let audit: Mutex<Vec<i64>> = Mutex::new(Vec::new());
-        let mut replica = self.marking.clone();
-        replica.clear_dirty();
-        vsched_exec::lane::run(
-            lanes,
-            // Lane replicas clone the engine-start marking, which is what
-            // feed cursor 0 corresponds to — a lane first engaged at wave
-            // k simply replays waves 0..k in its first prologue.
-            |_lane| ShardWorker {
-                marking: replica.clone(),
-                weight_scratch: Vec::new(),
-            },
-            |lane, w: &mut ShardWorker| {
-                feed.lock()
-                    .expect("feed lock")
-                    .replay_into(lane, &mut w.marking);
-                if cfg!(debug_assertions) {
-                    let snap = audit.lock().expect("audit lock");
-                    if !snap.is_empty() {
-                        assert_eq!(
-                            w.marking.as_slice(),
-                            &snap[..],
-                            "lane {lane} replica must equal the authoritative \
-                             wave-start marking after delta replay"
-                        );
-                    }
-                }
-            },
-            |w: &mut ShardWorker, mut item: FireItem| {
-                w.marking.clear_dirty();
-                model.fire_marking_update(
-                    item.idx,
-                    &mut w.marking,
-                    &mut item.case_rng,
-                    &mut item.gate_rng,
-                    &mut w.weight_scratch,
-                );
-                item.patch.clear();
-                item.patch.extend(
-                    w.marking
-                        .dirty()
-                        .iter()
-                        .map(|&p| (p as u32, w.marking.tokens(PlaceId(p)))),
-                );
-                FireResult {
-                    case_rng: item.case_rng,
-                    gate_rng: item.gate_rng,
-                    patch: item.patch,
-                }
-            },
-            |handle| self.drive_sharded(handle, t_end, run, &plan, &feed, &audit),
-        )
-    }
-
-    /// The driving thread's loop inside the lane pool scope.
-    fn drive_sharded<FM, FW, FS>(
-        &mut self,
-        handle: &mut vsched_exec::LaneHandle<'_, FireItem, FireResult, ShardWorker, FM, FW, FS>,
-        t_end: SimTime,
-        run: &mut RunStats,
-        plan: &ShardPlan,
-        feed: &Mutex<Feed>,
-        audit: &Mutex<Vec<i64>>,
-    ) -> Result<(), SanError>
-    where
-        FM: Fn(usize) -> ShardWorker + Sync,
-        FW: Fn(usize, &mut ShardWorker) + Sync,
-        FS: Fn(&mut ShardWorker, FireItem) -> FireResult + Sync,
-    {
-        let act_shard = plan.act_shard_raw();
-        let place_shard = plan.place_shard_raw();
-        let mut last_time = self.time;
-        let mut zero_advance: u64 = 0;
-        let mut batch: Vec<ActivityId> = Vec::new();
-        // Batch membership by generation stamp: `shard_stamp[s] == gen`
-        // iff shard `s` is already in the batch being formed — O(1) per
-        // candidate where the old `Vec::contains` scan was O(batch).
-        let mut shard_stamp: Vec<u64> = vec![0; plan.num_shards()];
-        let mut batch_gen: u64 = 0;
-        // Marking writes since the last feed publish — sequential fires
-        // and merged batch patches alike — published in ONE `append_batch`
-        // per wave (the per-fire-mutex fix; `Feed::appends` pins it).
-        let mut pending: Vec<(u32, i64)> = Vec::new();
-        // Reusable dispatch vectors and recycled patch buffers.
-        let mut items: Vec<FireItem> = Vec::new();
-        let mut results: Vec<FireResult> = Vec::new();
-        let mut buf_pool: Vec<Vec<(u32, i64)>> = Vec::new();
-        while let Some(next) = self.queue.peek_time() {
-            if next > t_end {
-                break;
-            }
-            let (t, _, act) = self.queue.pop().expect("peeked event must pop");
-            self.note_advance(&mut last_time, &mut zero_advance, t)?;
-            self.time = t;
-            let first_shard = act_shard[act.0];
-            if first_shard < 0 {
-                self.fire_buffered(act, &mut pending);
-                run.completions += 1;
-                continue;
-            }
-            // Extend into a batch: same instant, same queue priority,
-            // pairwise-distinct shards. Sharded activities are always
-            // instantaneous, so the queue priority is determined by the
-            // activity's completion priority.
-            let prio = instantaneous_queue_priority(&self.model.activities[act.0]);
-            batch.clear();
-            batch_gen += 1;
-            batch.push(act);
-            shard_stamp[first_shard as usize] = batch_gen;
-            while let Some((nt, np, &na)) = self.queue.peek() {
-                if nt != t || np != prio {
-                    break;
-                }
-                let shard = act_shard[na.0];
-                if shard < 0 || shard_stamp[shard as usize] == batch_gen {
-                    break;
-                }
-                let (pt, _, popped) = self.queue.pop().expect("peeked event must pop");
-                self.note_advance(&mut last_time, &mut zero_advance, pt)?;
-                batch.push(popped);
-                shard_stamp[shard as usize] = batch_gen;
-            }
-            if batch.len() == 1 {
-                self.fire_buffered(act, &mut pending);
-                run.completions += 1;
-                continue;
-            }
-            // Publish everything since the previous wave; when the feed
-            // has grown past its bound, this wave also engages idle lanes
-            // so every cursor reaches the tip and the feed can compact.
-            let engage_all = {
-                let mut f = feed.lock().expect("feed lock");
-                f.append_batch(&mut pending);
-                f.len() >= COMPACT_THRESHOLD
-            };
-            if cfg!(debug_assertions) {
-                let mut snap = audit.lock().expect("audit lock");
-                snap.clear();
-                snap.extend_from_slice(self.marking.as_slice());
-            }
-            // Phase A: fire every batch member on a lane replica.
-            items.extend(batch.iter().map(|a| FireItem {
-                idx: a.0,
-                case_rng: self.case_rngs[a.0].clone(),
-                gate_rng: self.gate_rngs[a.0].clone(),
-                patch: buf_pool.pop().unwrap_or_default(),
-            }));
-            handle.dispatch(&mut items, &mut results, engage_all);
-            if engage_all {
-                feed.lock().expect("feed lock").compact();
-            }
-            // Phase B: merge in pop order. Everything a sequential firing
-            // would do after its marking update happens here, on the main
-            // marking, which is in the exact sequential state at each step.
-            for (a, result) in batch.iter().zip(results.drain(..)) {
-                for &(place, _) in &result.patch {
-                    if place_shard[place as usize] != act_shard[a.0] {
-                        return Err(SanError::ShardViolation {
-                            activity: self.model.activities[a.0].name.clone(),
-                            place: self.model.names[place as usize].clone(),
-                        });
-                    }
-                }
-                self.case_rngs[a.0] = result.case_rng;
-                self.gate_rngs[a.0] = result.gate_rng;
-                self.apply_fire(*a, &result.patch, &mut pending);
-                run.completions += 1;
-                let mut patch = result.patch;
-                patch.clear();
-                buf_pool.push(patch);
-            }
-        }
-        Ok(())
-    }
-
-    /// The sharded engine's one-lane form: fires sequentially on the
-    /// authoritative marking — no replicas, no feed, no pool — and
-    /// validates each sharded activity's write footprint against the plan
-    /// afterwards, preserving the [`SanError::ShardViolation`] guarantee
-    /// at near-sequential speed. Bit-identity with the multi-lane form is
-    /// structural: batch members have pairwise-disjoint footprints
-    /// (exactly what the validation enforces), so firing them in pop
-    /// order on the live marking performs the same writes and draws as
-    /// firing them on wave-start replicas; a violating fire errors here
-    /// no later than its merge would have.
-    fn run_events_shard_checked(
-        &mut self,
-        t_end: SimTime,
-        run: &mut RunStats,
-        plan: &ShardPlan,
-    ) -> Result<(), SanError> {
-        let act_shard = plan.act_shard_raw();
-        let place_shard = plan.place_shard_raw();
-        let mut last_time = self.time;
-        let mut zero_advance: u64 = 0;
-        while let Some(next) = self.queue.peek_time() {
-            if next > t_end {
-                break;
-            }
-            let (t, _, act) = self.queue.pop().expect("peeked event must pop");
-            self.note_advance(&mut last_time, &mut zero_advance, t)?;
-            self.time = t;
-            self.fire(act);
-            run.completions += 1;
-            let shard = act_shard[act.0];
-            if shard >= 0 {
-                for &p in self.marking.dirty() {
-                    if place_shard[p] != shard {
-                        return Err(SanError::ShardViolation {
-                            activity: self.model.activities[act.0].name.clone(),
-                            place: self.model.names[p].clone(),
-                        });
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Sequential fire inside the sharded loop: the fired activity's
-    /// dirty places buffer into `pending` for the next feed publish — no
-    /// lock is taken here (fires between waves batch into one append).
-    fn fire_buffered(&mut self, act: ActivityId, pending: &mut Vec<(u32, i64)>) {
-        self.fire(act);
-        for &p in self.marking.dirty() {
-            pending.push((p as u32, self.marking.tokens(PlaceId(p))));
-        }
-    }
-
-    /// Phase B of one batched firing: everything [`Simulator::fire`] does,
-    /// with the marking update replaced by the lane-computed patch, which
-    /// also buffers into `pending` for the next feed publish.
-    fn apply_fire(
-        &mut self,
-        act_id: ActivityId,
-        patch: &[(u32, i64)],
-        pending: &mut Vec<(u32, i64)>,
-    ) {
-        let idx = act_id.0;
-        self.scheduled[idx] = None;
-        debug_assert!(
-            self.model.activities[idx].enabled(&self.marking),
-            "batched activity `{}` must still be enabled at merge time",
-            self.model.activities[idx].name
-        );
-        let now = self.time.as_f64();
-        if now > self.reward_clock {
-            for r in &mut self.rate_rewards {
-                r.acc.update(now, r.current);
-            }
-            self.reward_clock = now;
-        }
-        self.marking.clear_dirty();
-        for &(p, v) in patch {
-            self.marking.set(PlaceId(p as usize), v);
-        }
-        pending.extend_from_slice(patch);
-        self.post_fire(act_id);
+        self.stats.completions += completions;
+        Ok(stopped)
     }
 
     /// Completes one activity: the atomic SAN completion rule.
     fn fire(&mut self, act_id: ActivityId) {
         let idx = act_id.0;
         self.scheduled[idx] = None;
+        let act = &self.model.activities[idx];
         debug_assert!(
-            self.model.activities[idx].enabled(&self.marking),
+            act.enabled(&self.marking),
             "completed activity `{}` must be enabled (eager abort failed)",
-            self.model.activities[idx].name
+            act.name
         );
 
         // Rate rewards: close the interval that ends now, at the value the
@@ -984,22 +478,43 @@ impl Simulator {
         // From here on, record exactly the places this completion touches.
         self.marking.clear_dirty();
 
-        self.model.fire_marking_update(
-            idx,
-            &mut self.marking,
-            &mut self.case_rngs[idx],
-            &mut self.gate_rngs[idx],
-            &mut self.weight_scratch,
-        );
+        // 1. Input gate functions.
+        let gate_rng = &mut self.gate_rngs[idx];
+        for gate in &act.input_gates {
+            if let Some(f) = &gate.function {
+                f(&mut self.marking, gate_rng);
+            }
+        }
+        // 2. Consume input arcs.
+        for &(p, w) in &act.input_arcs {
+            self.marking.add(p, -w);
+        }
+        // 3. Select a case.
+        let case_rng = &mut self.case_rngs[idx];
+        let case_idx = match &act.case_weights {
+            CaseWeights::Fixed(w) if w.len() == 1 => 0,
+            CaseWeights::Fixed(w) => pick_case(w, case_rng, &act.name),
+            CaseWeights::Dynamic(f) => {
+                self.weight_scratch.clear();
+                f(&self.marking, &mut self.weight_scratch);
+                assert_eq!(
+                    self.weight_scratch.len(),
+                    act.cases.len(),
+                    "dynamic case weights of `{}` must match case count",
+                    act.name
+                );
+                pick_case(&self.weight_scratch, case_rng, &act.name)
+            }
+        };
+        // 4. Produce output arcs.
+        for &(p, w) in &act.cases[case_idx].output_arcs {
+            self.marking.add(p, w);
+        }
+        // 5. Output gate functions of the chosen case.
+        for gate in &act.cases[case_idx].output_gates {
+            (gate.function)(&mut self.marking, gate_rng);
+        }
 
-        self.post_fire(act_id);
-    }
-
-    /// Everything after the marking update of a completion: impulse
-    /// rewards, rate-reward recomputation, and activity reevaluation.
-    /// Shared verbatim by the sequential path ([`Simulator::fire`]) and
-    /// the sharded merge ([`Simulator::apply_fire`]).
-    fn post_fire(&mut self, act_id: ActivityId) {
         // Impulse rewards observe the post-completion marking.
         for r in &mut self.impulse_rewards {
             if r.activity == act_id {
@@ -1009,7 +524,7 @@ impl Simulator {
         }
 
         self.recompute_rewards();
-        self.reevaluate(Some(act_id.0));
+        self.reevaluate(Some(idx));
     }
 
     /// Rate rewards: the signal takes its new value from now on. Reward
@@ -1262,70 +777,6 @@ impl Model {
             (gate.function)(marking, rng);
         }
     }
-
-    /// The marking update of one completion — steps 1–5 of the atomic SAN
-    /// completion rule — on a caller-supplied marking with caller-supplied
-    /// RNG streams. The single body shared by the sequential engine
-    /// ([`Simulator::fire`]) and the shard workers, which is what makes
-    /// their results identical by construction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the activity is fired while disabled (marking underflow)
-    /// or if its case weights are invalid — both model bugs.
-    pub(crate) fn fire_marking_update(
-        &self,
-        idx: usize,
-        marking: &mut Marking,
-        case_rng: &mut Xoshiro256StarStar,
-        gate_rng: &mut Xoshiro256StarStar,
-        weight_scratch: &mut Vec<f64>,
-    ) {
-        let act = &self.activities[idx];
-        // 1. Input gate functions.
-        for gate in &act.input_gates {
-            if let Some(f) = &gate.function {
-                f(marking, gate_rng);
-            }
-        }
-        // 2. Consume input arcs.
-        for &(p, w) in &act.input_arcs {
-            marking.add(p, -w);
-        }
-        // 3. Select a case.
-        let case_idx = match &act.case_weights {
-            CaseWeights::Fixed(w) if w.len() == 1 => 0,
-            CaseWeights::Fixed(w) => pick_case(w, case_rng, &act.name),
-            CaseWeights::Dynamic(f) => {
-                weight_scratch.clear();
-                f(marking, weight_scratch);
-                assert_eq!(
-                    weight_scratch.len(),
-                    act.cases.len(),
-                    "dynamic case weights of `{}` must match case count",
-                    act.name
-                );
-                pick_case(weight_scratch, case_rng, &act.name)
-            }
-        };
-        // 4. Produce output arcs.
-        for &(p, w) in &act.cases[case_idx].output_arcs {
-            marking.add(p, w);
-        }
-        // 5. Output gate functions of the chosen case.
-        for gate in &act.cases[case_idx].output_gates {
-            (gate.function)(marking, gate_rng);
-        }
-    }
-}
-
-/// The queue priority of an instantaneous activity's completion event.
-fn instantaneous_queue_priority(act: &ActivitySpec) -> i32 {
-    let prio = act
-        .timing()
-        .priority()
-        .expect("sharded activities are instantaneous");
-    INSTANTANEOUS_BASE.saturating_add(prio)
 }
 
 /// Weighted case selection.
@@ -1479,7 +930,18 @@ mod tests {
         assert_eq!(sim.marking().tokens(a), 1);
         assert_eq!(sim.marking().tokens(b), 0);
         assert_eq!(stats.completions, 1);
+        assert_eq!(stats.aborts, 1);
         assert_eq!(sim.stats().aborts, 1);
+
+        // A second window races again: each `run_until` reports only its
+        // own completions and aborts, while `stats()` keeps the totals.
+        sim.apply_external(|m| m.set(p, 1));
+        let stats = sim.run_until(20.0).unwrap();
+        assert_eq!(sim.marking().tokens(a), 2);
+        assert_eq!(stats.completions, 1);
+        assert_eq!(stats.aborts, 1, "aborts of this call only");
+        assert_eq!(sim.stats().aborts, 2);
+        assert_eq!(sim.stats().completions, 2);
     }
 
     #[test]
@@ -2064,189 +1526,9 @@ mod tests {
         assert!(sim.marking().tokens(out) > 0, "rescaled delay 1 fires");
     }
 
-    #[test]
-    fn apply_external_invalidates_shard_plan() {
-        let mut mb = ModelBuilder::new();
-        let a = mb.place("a", 2).unwrap();
-        let b = mb.place("b", 2).unwrap();
-        mb.activity("da")
-            .unwrap()
-            .instantaneous(0)
-            .input_arc(a, 1)
-            .done()
-            .unwrap();
-        mb.activity("db")
-            .unwrap()
-            .instantaneous(0)
-            .input_arc(b, 1)
-            .done()
-            .unwrap();
-        let mut sim = Simulator::new(mb.build().unwrap(), 1);
-        sim.set_shards(2);
-        sim.run_until(0.5).unwrap();
-        assert!(
-            sim.shard_plan().is_some(),
-            "plan derived by the sharded run"
-        );
-        let place_a = sim.model().place_by_name("a").unwrap();
-        sim.apply_external(|m| m.set(place_a, 1));
-        assert!(
-            sim.shard_plan().is_none(),
-            "membership change drops the plan"
-        );
-        sim.run_until(1.0).unwrap();
-        assert_eq!(
-            sim.marking().tokens(place_a),
-            0,
-            "re-derived plan still runs"
-        );
-    }
-
-    /// A gate that lies about its write-set (declares `acc_b`, writes
-    /// `acc_a`) splits into a shard it does not belong to; the merge
-    /// phase's patch validation catches the cross-shard write instead of
-    /// silently corrupting the other shard's state.
-    #[test]
-    fn lying_cross_shard_write_is_a_shard_violation() {
-        let mut mb = ModelBuilder::new();
-        let src_a = mb.place("src_a", 3).unwrap();
-        let acc_a = mb.place("acc_a", 0).unwrap();
-        let src_b = mb.place("src_b", 3).unwrap();
-        let acc_b = mb.place("acc_b", 0).unwrap();
-        mb.activity("honest")
-            .unwrap()
-            .instantaneous(0)
-            .input_arc(src_a, 1)
-            .output_gate("bump_a", move |m, _| m.add(acc_a, 1))
-            .reads([])
-            .writes([acc_a])
-            .done()
-            .unwrap();
-        mb.activity("liar")
-            .unwrap()
-            .instantaneous(0)
-            .input_arc(src_b, 1)
-            .output_gate("bump_b", move |m, _| m.add(acc_a, 1))
-            .reads([])
-            .writes([acc_b])
-            .done()
-            .unwrap();
-        let model = mb.build().unwrap();
-        assert_eq!(
-            crate::shard::ShardPlan::derive(&model).num_shards(),
-            2,
-            "the lie hides the overlap from static derivation"
-        );
-        let mut sim = Simulator::new(model, 1);
-        sim.set_shards(2);
-        let err = sim.run_until(1.0).unwrap_err();
-        match err {
-            SanError::ShardViolation { activity, place } => {
-                assert_eq!(activity, "liar");
-                assert_eq!(place, "acc_a");
-            }
-            other => panic!("expected ShardViolation, got {other:?}"),
-        }
-    }
-
-    /// An explicit shard request capped to one lane (single-core host)
-    /// takes the direct-fire form of the sharded engine — which must keep
-    /// the footprint validation, not silently fall back to sequential.
-    #[test]
-    fn fixed_mode_capped_to_one_lane_still_detects_violations() {
-        let mut mb = ModelBuilder::new();
-        let src_a = mb.place("src_a", 3).unwrap();
-        let acc_a = mb.place("acc_a", 0).unwrap();
-        let src_b = mb.place("src_b", 3).unwrap();
-        let acc_b = mb.place("acc_b", 0).unwrap();
-        mb.activity("honest")
-            .unwrap()
-            .instantaneous(0)
-            .input_arc(src_a, 1)
-            .output_gate("bump_a", move |m, _| m.add(acc_a, 1))
-            .reads([])
-            .writes([acc_a])
-            .done()
-            .unwrap();
-        mb.activity("liar")
-            .unwrap()
-            .instantaneous(0)
-            .input_arc(src_b, 1)
-            .output_gate("bump_b", move |m, _| m.add(acc_a, 1))
-            .reads([])
-            .writes([acc_b])
-            .done()
-            .unwrap();
-        let mut sim = Simulator::new(mb.build().unwrap(), 1);
-        sim.set_shards(4);
-        sim.set_shard_available_override(Some(1));
-        let err = sim.run_until(1.0).unwrap_err();
-        match err {
-            SanError::ShardViolation { activity, place } => {
-                assert_eq!(activity, "liar");
-                assert_eq!(place, "acc_a");
-            }
-            other => panic!("expected ShardViolation, got {other:?}"),
-        }
-        assert_eq!(sim.resolved_shards(), Some(1), "one lane resolved");
-    }
-
-    /// Auto mode stays sequential on narrow plans or single-core hosts
-    /// and engages `min(avail, plan width)` lanes otherwise.
-    #[test]
-    fn auto_mode_resolution_follows_plan_width_and_parallelism() {
-        let build = || {
-            let mut mb = ModelBuilder::new();
-            let a = mb.place("a", 5).unwrap();
-            let b = mb.place("b", 5).unwrap();
-            mb.activity("da")
-                .unwrap()
-                .instantaneous(0)
-                .input_arc(a, 1)
-                .done()
-                .unwrap();
-            mb.activity("db")
-                .unwrap()
-                .instantaneous(0)
-                .input_arc(b, 1)
-                .done()
-                .unwrap();
-            mb.build().unwrap()
-        };
-
-        // Plan width 2 < default threshold: sequential even with cores.
-        let mut sim = Simulator::new(build(), 1);
-        sim.set_shard_mode(ShardMode::Auto);
-        sim.set_shard_available_override(Some(8));
-        sim.run_until(0.5).unwrap();
-        assert_eq!(sim.resolved_shards(), None, "narrow plan stays sequential");
-
-        // Threshold lowered: lanes = min(avail, plan width) = 2.
-        let mut sim = Simulator::new(build(), 1);
-        sim.set_shard_mode(ShardMode::Auto);
-        sim.set_shard_available_override(Some(8));
-        sim.set_auto_shard_threshold(2);
-        sim.run_until(0.5).unwrap();
-        assert_eq!(sim.resolved_shards(), Some(2), "plan caps the lanes");
-
-        // Single core: auto never pays for the sharded engine.
-        let mut sim = Simulator::new(build(), 1);
-        sim.set_shard_mode(ShardMode::Auto);
-        sim.set_shard_available_override(Some(1));
-        sim.set_auto_shard_threshold(2);
-        sim.run_until(0.5).unwrap();
-        assert_eq!(sim.resolved_shards(), None, "no parallelism, no lanes");
-
-        // Compat shorthand: set_shards maps to Fixed / Off.
-        let mut sim = Simulator::new(build(), 1);
-        sim.set_shards(3);
-        assert_eq!(sim.shard_mode(), ShardMode::Fixed(3));
-        sim.set_shards(1);
-        assert_eq!(sim.shard_mode(), ShardMode::Off);
-    }
-
-    /// The same lie is harmless sequentially — pins that the violation is
-    /// a sharded-engine check, not a general builder restriction.
+    /// A gate whose declared write-set is a lie (declares `decoy`, writes
+    /// `acc`) still runs correctly: the simulator never consults write-sets
+    /// (only the `stale-write-set` lint does).
     #[test]
     fn lying_write_set_is_harmless_sequentially() {
         let mut mb = ModelBuilder::new();

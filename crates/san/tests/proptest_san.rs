@@ -32,101 +32,6 @@ fn birth_death(k: usize, births: &[f64], deaths: &[f64]) -> Model {
     mb.build().unwrap()
 }
 
-/// The sharding proptests' random gated model: a deterministic clock fans
-/// tokens out to per-group instantaneous workers with declared footprints
-/// (rng-drawing output gates, dynamic case weights), plus an undeclared
-/// global "mixer" at a lower completion priority that forces sequential
-/// fires to interleave with the batched waves.
-fn gated_shard_model(groups: usize, init: &[i64], prios: &[i32], wiring: &[usize]) -> Model {
-    let mut mb = ModelBuilder::new();
-    let ticks: Vec<PlaceId> = (0..groups)
-        .map(|i| mb.place(&format!("tick{i}"), 0).unwrap())
-        .collect();
-    let bufs: Vec<PlaceId> = (0..groups)
-        .map(|i| mb.place(&format!("buf{i}"), init[i]).unwrap())
-        .collect();
-    let accs: Vec<PlaceId> = (0..groups)
-        .map(|i| mb.place(&format!("acc{i}"), 0).unwrap())
-        .collect();
-    let pulse = mb.place("pulse", 0).unwrap();
-    let mut clock = mb
-        .activity("clock")
-        .unwrap()
-        .timed(Dist::deterministic(1.0).unwrap())
-        .output_arc(pulse, 1);
-    for &t in &ticks {
-        clock = clock.output_arc(t, 1);
-    }
-    clock.done().unwrap();
-    for i in 0..groups {
-        let (buf, acc) = (bufs[i], accs[i]);
-        let mut a = mb
-            .activity(&format!("work{i}"))
-            .unwrap()
-            .instantaneous(prios[i])
-            .input_arc(ticks[i], 1)
-            .guard("buf_cap", move |m| m.tokens(buf) < 1_000)
-            .reads([buf]);
-        if wiring[i].is_multiple_of(3) {
-            // Two cases picked by marking-dependent weights; both
-            // route through declared rng-drawing gates.
-            a = a
-                .case(1.0)
-                .output_gate("grow", move |m, rng| {
-                    if rng.next_f64() < 0.7 {
-                        m.add(acc, 1);
-                    } else {
-                        m.add(buf, 1);
-                    }
-                })
-                .reads([])
-                .writes([acc, buf])
-                .case(1.0)
-                .output_gate("drain", move |m, rng| {
-                    if m.tokens(buf) > 0 && rng.next_bool(0.5) {
-                        m.add(buf, -1);
-                        m.add(acc, 1);
-                    }
-                })
-                .reads([buf])
-                .writes([buf, acc])
-                .dynamic_case_weights_into(move |m, out| {
-                    out.push(1.0 + m.tokens(buf) as f64);
-                    out.push(1.0);
-                })
-                .reads([buf]);
-        } else {
-            a = a
-                .output_gate("work", move |m, rng| {
-                    if rng.next_f64() < 0.5 {
-                        m.add(acc, 1);
-                    } else {
-                        m.add(buf, 1);
-                    }
-                })
-                .reads([])
-                .writes([acc, buf]);
-        }
-        a.done().unwrap();
-    }
-    // Undeclared gate ⇒ global (sequential path), interleaved with
-    // the batched workers at a lower completion priority.
-    let target = bufs[wiring[5] % groups];
-    let probe = accs[wiring[4] % groups];
-    mb.activity("mixer")
-        .unwrap()
-        .instantaneous(-1)
-        .input_arc(pulse, 1)
-        .output_gate("mix", move |m, _| {
-            if m.tokens(probe) % 2 == 0 {
-                m.add(target, 1);
-            }
-        })
-        .done()
-        .unwrap();
-    mb.build().unwrap()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -288,95 +193,6 @@ proptest! {
         let reference = run(false, None);
         prop_assert_eq!(&reference, &run(true, None));
         prop_assert_eq!(&reference, &run(false, Some(stop)));
-    }
-
-    /// Satellite of the sharding tentpole: on random gated models (see
-    /// [`gated_shard_model`]) a sharded run is **bit-identical** to the
-    /// sequential engine at every shard count: same final marking, same
-    /// completion counts, same reward bit patterns, same per-activity RNG
-    /// positions (checked implicitly: any divergent draw changes the
-    /// marking trajectory). The available-parallelism override forces real
-    /// helper threads for the lane counts and the one-lane direct-fire
-    /// form alike, regardless of the host's core count.
-    #[test]
-    fn sharded_is_bit_identical_to_sequential(
-        groups in 2usize..6,
-        init in proptest::collection::vec(1i64..5, 6),
-        prios in proptest::collection::vec(0i32..3, 6),
-        wiring in proptest::collection::vec(0usize..10_000, 6),
-        seed in 0u64..200,
-        horizon in 5.0f64..60.0,
-        shard_counts in proptest::collection::vec(2usize..9, 1..4),
-    ) {
-        let run = |shards: usize, avail: usize| {
-            let model = gated_shard_model(groups, &init, &prios, &wiring);
-            let accs: Vec<PlaceId> = (0..groups)
-                .map(|i| model.place_by_name(&format!("acc{i}")).unwrap())
-                .collect();
-            let mut sim = Simulator::new(model, seed);
-            let rids: Vec<_> = accs
-                .iter()
-                .enumerate()
-                .map(|(i, &p)| {
-                    if i % 2 == 0 {
-                        sim.add_rate_reward_with_reads(format!("r{i}"), [p], move |m| {
-                            m.tokens(p) as f64
-                        })
-                    } else {
-                        sim.add_rate_reward(format!("r{i}"), move |m| m.tokens(p) as f64)
-                    }
-                })
-                .collect();
-            sim.set_shards(shards);
-            sim.set_shard_available_override(Some(avail));
-            sim.run_until(horizon).unwrap();
-            let rewards: Vec<u64> = rids
-                .iter()
-                .map(|&r| sim.rate_reward_average(r).to_bits())
-                .collect();
-            (sim.marking().as_slice().to_vec(), sim.stats(), rewards)
-        };
-        let reference = run(0, 1);
-        for &count in &shard_counts {
-            // Real lanes (forced threads) and the capped one-lane form.
-            prop_assert_eq!(run(count, count), reference.clone(), "shards = {} threaded", count);
-            prop_assert_eq!(run(count, 1), reference.clone(), "shards = {} one-lane", count);
-        }
-    }
-
-    /// Satellite of the sharding tentpole: delta replica maintenance. Runs
-    /// the same random gated models through the multi-lane engine with the
-    /// horizon split into segments (each `run_until` restarts the pool and
-    /// the feed, so cursors, compaction and replica reconstruction all
-    /// exercise), with forced helper threads. Every wave start, each lane
-    /// asserts — via the engine's internal debug-build audit — that delta
-    /// replay landed its replica exactly on the authoritative marking; the
-    /// final states must then equal a sequential full-replay run bit for
-    /// bit.
-    #[test]
-    fn delta_replay_matches_full_replay(
-        groups in 2usize..6,
-        init in proptest::collection::vec(1i64..5, 6),
-        prios in proptest::collection::vec(0i32..3, 6),
-        wiring in proptest::collection::vec(0usize..10_000, 6),
-        seed in 0u64..200,
-        horizon in 10.0f64..60.0,
-        shards in 2usize..6,
-        segments in 1usize..4,
-    ) {
-        let run = |shards: usize, segments: usize| {
-            let model = gated_shard_model(groups, &init, &prios, &wiring);
-            let mut sim = Simulator::new(model, seed);
-            sim.set_shards(shards);
-            sim.set_shard_available_override(Some(shards.max(1)));
-            for k in 1..=segments {
-                let t = horizon * k as f64 / segments as f64;
-                sim.run_until(t).unwrap();
-            }
-            (sim.marking().as_slice().to_vec(), sim.stats())
-        };
-        let reference = run(0, 1);
-        prop_assert_eq!(run(shards, segments), reference, "shards = {}", shards);
     }
 
     /// Simulation and numerical solution agree on the two-state chain for

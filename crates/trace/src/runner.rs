@@ -13,7 +13,7 @@
 
 use vsched_core::direct::DirectSim;
 use vsched_core::san_model::SanSystem;
-use vsched_core::{CoreError, Engine, MetricsReport, PolicyKind, SampleMetrics, ShardMode};
+use vsched_core::{CoreError, Engine, MetricsReport, PolicyKind, SampleMetrics};
 use vsched_stats::ConfidenceInterval;
 
 use crate::load::FULL_LEVEL;
@@ -31,7 +31,6 @@ pub struct TraceExperiment {
     replications: usize,
     parallel: bool,
     jobs: Option<usize>,
-    shard_mode: ShardMode,
 }
 
 /// The result of a trace run: one [`SampleMetrics`] per replication plus
@@ -196,7 +195,6 @@ impl TraceExperiment {
             replications: 3,
             parallel: true,
             jobs: None,
-            shard_mode: ShardMode::Off,
         }
     }
 
@@ -258,41 +256,17 @@ impl TraceExperiment {
         self
     }
 
-    /// Intra-replication SAN shard count (`0`/`1` sequential; ignored by
-    /// the Direct engine). Shorthand for [`TraceExperiment::shard_mode`]
-    /// with [`ShardMode::Fixed`].
-    #[must_use]
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shard_mode = if shards >= 2 {
-            ShardMode::Fixed(shards)
-        } else {
-            ShardMode::Off
-        };
-        self
-    }
-
-    /// Intra-replication SAN engine selection policy (ignored by the
-    /// Direct engine). [`ShardMode::Auto`] lets each replication pick the
-    /// engine per model and host — bit-identical results either way.
-    #[must_use]
-    pub fn shard_mode(mut self, mode: ShardMode) -> Self {
-        self.shard_mode = mode;
-        self
-    }
-
     fn build_exec(&self, seed: u64) -> Result<Exec, CoreError> {
         let config = self.schedule.config().clone();
         Ok(match self.engine {
             Engine::Direct => {
                 Exec::Direct(Box::new(DirectSim::new(config, self.policy.create(), seed)))
             }
-            Engine::San => {
-                let mut sys = SanSystem::new_dynamic(config, self.policy.create(), seed)?;
-                if self.shard_mode != ShardMode::Off {
-                    sys.set_shard_mode(self.shard_mode);
-                }
-                Exec::San(Box::new(sys))
-            }
+            Engine::San => Exec::San(Box::new(SanSystem::new_dynamic(
+                config,
+                self.policy.create(),
+                seed,
+            )?)),
         })
     }
 
@@ -422,19 +396,14 @@ mod tests {
     }
 
     #[test]
-    fn san_engine_runs_traces_and_shards_agree() {
+    fn san_engine_runs_traces() {
         let base = TraceExperiment::new(churn_schedule(), PolicyKind::RoundRobin)
             .engine(Engine::San)
             .horizon(400)
             .replications(2);
-        let seq = base.clone().run().unwrap();
-        let sharded = base.clone().shards(4).run().unwrap();
-        assert_eq!(seq.fingerprint, sharded.fingerprint);
-        let auto = base.shard_mode(ShardMode::Auto).run().unwrap();
-        assert_eq!(
-            seq.fingerprint, auto.fingerprint,
-            "auto mode fingerprints identically"
-        );
+        let seq = base.clone().parallel(false).run().unwrap();
+        let par = base.jobs(2).run().unwrap();
+        assert_eq!(seq.fingerprint, par.fingerprint);
         assert!(seq.avg_pcpu_utilization() > 0.5);
     }
 

@@ -127,8 +127,8 @@ fn full_oracle_fuzz_sweep_is_clean() {
         report.summary(),
         "fuzz: 12 cases, 0 lint findings, 0 invariant violations, \
          0 differential mismatches, 0 metamorphic mismatches, \
-         0 incremental divergences, 0 sharded divergences, \
-         0 env divergences, 0 trace divergences, 0 errors"
+         0 incremental divergences, 0 env divergences, \
+         0 trace divergences, 0 errors"
     );
 }
 

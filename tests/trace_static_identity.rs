@@ -1,8 +1,7 @@
 //! The trace frontend's anchor property: a **degenerate trace** — every
 //! VM arrives at tick 0 with full constant demand and never departs — is
 //! **bit-identical** to running the equivalent fixed topology through
-//! `ExperimentBuilder`, on both engines, at any `--jobs` and SAN shard
-//! count. This pins the dynamic machinery (admission places, duty-cycle
+//! `ExperimentBuilder`, on both engines, at any `--jobs`. This pins the dynamic machinery (admission places, duty-cycle
 //! gates, rate multipliers) as an exact no-op at the identity marking,
 //! so every static result in the repo is unchanged by the trace tier.
 
@@ -52,8 +51,7 @@ fn assert_identity(engine: Engine, pcpus: usize, vm_sizes: &[usize], policy: Pol
         );
     }
 
-    // The full replicated run is jobs-independent (and shard-independent
-    // on the SAN engine), fingerprint-exact.
+    // The full replicated run is jobs-independent, fingerprint-exact.
     let baseline = traced
         .clone()
         .replications(3)
@@ -66,15 +64,6 @@ fn assert_identity(engine: Engine, pcpus: usize, vm_sizes: &[usize], policy: Pol
             baseline.fingerprint, r.fingerprint,
             "engine {engine:?} jobs {jobs}: fingerprint changed"
         );
-    }
-    if engine == Engine::San {
-        for shards in [2usize, 4] {
-            let r = traced.clone().replications(3).shards(shards).run().unwrap();
-            assert_eq!(
-                baseline.fingerprint, r.fingerprint,
-                "{shards} SAN shards changed the fingerprint"
-            );
-        }
     }
 }
 
@@ -92,7 +81,7 @@ proptest! {
     }
 
     /// Same property on the SAN engine (dynamic build mode vs the static
-    /// model), including shard independence.
+    /// model).
     #[test]
     fn static_trace_is_bit_identical_to_fixed_topology_san(
         pcpus in 1usize..3,
