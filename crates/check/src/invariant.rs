@@ -16,6 +16,8 @@
 //! [`InvariantChecker::for_policy`] enables them automatically for
 //! [`PolicyKind::StrictCo`] and [`PolicyKind::RelaxedCo`].
 
+use std::ops::Range;
+
 use vsched_core::observe::TickObserver;
 use vsched_core::types::{PcpuView, VcpuStatus, VcpuView};
 use vsched_core::{CoreError, PolicyKind, SystemConfig};
@@ -46,9 +48,9 @@ struct Tally {
 pub struct InvariantChecker {
     num_pcpus: usize,
     num_vcpus: usize,
-    /// Global VCPU indices of every multi-VCPU VM (singletons are
+    /// Global VCPU index ranges of every multi-VCPU VM (singletons are
     /// trivially atomic and trivially skew-free).
-    gangs: Vec<Vec<usize>>,
+    gangs: Vec<Range<usize>>,
     /// The previous end-of-tick snapshot; `None` before the first
     /// observed tick (the checker tolerates mid-run attachment).
     prev: Option<(u64, Vec<VcpuView>)>,
@@ -170,8 +172,9 @@ impl InvariantChecker {
         self.gangs
             .iter()
             .map(|gang| {
-                let min = gang.iter().map(|&g| self.progress[g]).min().unwrap_or(0);
-                let max = gang.iter().map(|&g| self.progress[g]).max().unwrap_or(0);
+                let progress = &self.progress[gang.clone()];
+                let min = progress.iter().min().copied().unwrap_or(0);
+                let max = progress.iter().max().copied().unwrap_or(0);
                 max - min
             })
             .max()
@@ -367,19 +370,17 @@ impl InvariantChecker {
 
     fn check_gang_atomicity(&self, tick: u64, vcpus: &[VcpuView]) -> Result<(), CoreError> {
         for gang in &self.gangs {
-            let active = gang
-                .iter()
-                .filter(|&&g| vcpus[g].status.is_active())
-                .count();
-            if active != 0 && active != gang.len() {
-                let vm = vcpus[gang[0]].id.vm;
+            let members = &vcpus[gang.clone()];
+            let active = members.iter().filter(|v| v.status.is_active()).count();
+            if active != 0 && active != members.len() {
+                let vm = members[0].id.vm;
                 return Err(Self::violation(
                     "gang-atomicity",
                     tick,
                     format!(
                         "VM {} has {active} of {} sibling VCPUs active — SCS gangs run all-or-nothing",
                         vm + 1,
-                        gang.len()
+                        members.len()
                     ),
                 ));
             }
@@ -393,8 +394,12 @@ impl InvariantChecker {
         };
         let bound = threshold + SKEW_SLACK;
         for gang in &self.gangs {
-            let min = gang.iter().map(|&g| self.progress[g]).min().unwrap_or(0);
-            for &g in gang {
+            let min = self.progress[gang.clone()]
+                .iter()
+                .min()
+                .copied()
+                .unwrap_or(0);
+            for g in gang.clone() {
                 let lead = self.progress[g] - min;
                 if lead > bound {
                     return Err(Self::violation(

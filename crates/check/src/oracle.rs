@@ -1009,17 +1009,9 @@ fn weighted_by_availability(report: &MetricsReport, values: &[f64]) -> f64 {
 /// Mean availability of one VM (mean over its VCPUs) plus the mean
 /// half-width of those VCPUs' intervals.
 fn vm_availability(report: &MetricsReport, config: &SystemConfig, vm: usize) -> (f64, f64) {
-    let globals = config.vm_vcpus(vm);
-    let mean = globals
-        .iter()
-        .map(|&g| report.vcpu_availability[g].mean)
-        .sum::<f64>()
-        / globals.len() as f64;
-    let hw = globals
-        .iter()
-        .map(|&g| report.vcpu_availability[g].half_width)
-        .sum::<f64>()
-        / globals.len() as f64;
+    let stats = &report.vcpu_availability[config.vm_vcpus(vm)];
+    let mean = stats.iter().map(|s| s.mean).sum::<f64>() / stats.len() as f64;
+    let hw = stats.iter().map(|s| s.half_width).sum::<f64>() / stats.len() as f64;
     (mean, hw)
 }
 

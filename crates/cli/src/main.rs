@@ -134,10 +134,11 @@ COMMANDS:
               its full-rescan reference mode across a model-size scaling
               axis (1 to 16 VMs), verify both modes end bit-identical,
               and report events/sec and speedup per size; then time the
-              large-model scale axis (64/256/1024 VMs) and report each
-              run's real-time factor (simulated seconds per wall second
-              at 30 ms per tick). With a baseline report, exit non-zero
-              on a large throughput regression.
+              large-model scale axis (64/256/1024 VMs) on the SAN engine
+              and on DirectSim and report each run's real-time factor
+              (simulated seconds per wall second at 30 ms per tick), plus
+              DirectSim's cost per VCPU-tick. With a baseline report,
+              exit non-zero on a large throughput regression.
     example   Print a commented starter config to stdout.
 
 OPTIONS (run):
@@ -229,8 +230,11 @@ OPTIONS (perf):
     --baseline <path>      A previous --out report to compare against.
     --max-regression <X>   Fail if the incremental core's speedup over
                            full rescan fell more than X-fold below the
-                           baseline's (default 2.0). Compares the
-                           same-run ratio, so machine speed cancels out.
+                           baseline's, or DirectSim's linearity (ns per
+                           VCPU-tick at the largest scale cell over the
+                           smallest) grew more than X-fold above it
+                           (default 2.0). Compares same-run ratios, so
+                           machine speed cancels out.
     --max-vms <N>          Cap the large-model scale axis (64/256/1024
                            VMs) at N VMs; below 64 the axis is skipped
                            entirely (default 1024).

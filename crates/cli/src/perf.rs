@@ -26,6 +26,13 @@
 //! simulates faster than the virtualized hardware it models would run.
 //! Full rescan is skipped on this axis — it is O(activities) per event
 //! and exists as a reference mode, not a contender at 1024 VMs.
+//! Each scale cell also runs the same configuration, seed and policy on
+//! [`DirectSim`] and reports its ticks/s, real-time factor and cost per
+//! VCPU-tick. The baseline gate covers a second same-run ratio, the
+//! direct engine's **linearity**: ns per VCPU-tick at the largest cell
+//! over the same at the smallest. A direct tick is linear in VCPUs +
+//! PCPUs, so the ratio sits near 1; a per-tick loop that scans every
+//! VCPU once per VM would make it grow with the VM count.
 //!
 //! The JSON report carries a **host block** (logical cores, optional
 //! commit hash, engine version) that makes absolute numbers
@@ -35,8 +42,9 @@ use std::path::Path;
 use std::time::Instant;
 
 use serde_json::{json, Value};
+use vsched_core::direct::DirectSim;
 use vsched_core::san_model::SanSystem;
-use vsched_core::{PolicyKind, SystemConfig};
+use vsched_core::{PolicyKind, SampleMetrics, SystemConfig};
 
 /// Simulated seconds per clock period: the paper's 30 ms timeslice.
 pub const TICK_SECONDS: f64 = 0.03;
@@ -105,6 +113,17 @@ pub struct ModeSample {
     pub events_per_sec: f64,
 }
 
+/// One timed [`DirectSim`] run's numbers.
+#[derive(Debug, Clone, Copy)]
+pub struct DirectSample {
+    /// Wall-clock seconds for the run.
+    pub seconds: f64,
+    /// Simulated ticks per wall-clock second.
+    pub ticks_per_sec: f64,
+    /// Wall-clock nanoseconds per simulated tick per VCPU.
+    pub ns_per_vcpu_tick: f64,
+}
+
 /// One (model size) cell of the scaling axis.
 #[derive(Debug, Clone)]
 pub struct PerfCase {
@@ -144,6 +163,10 @@ pub struct ScaleCase {
     pub sequential: ModeSample,
     /// The sequential run's real-time factor.
     pub sequential_rtf: f64,
+    /// The direct engine's numbers on the same ticks, seed and policy.
+    pub direct: DirectSample,
+    /// The direct run's real-time factor.
+    pub direct_rtf: f64,
 }
 
 /// The whole harness result.
@@ -181,6 +204,17 @@ impl PerfReport {
     #[must_use]
     pub fn speedup_at_largest(&self) -> f64 {
         self.cases.last().map_or(1.0, |c| c.speedup)
+    }
+
+    /// The direct engine's ns per VCPU-tick at the largest scale-axis
+    /// cell over the same at the smallest, or `None` with fewer than two
+    /// cells.
+    #[must_use]
+    pub fn direct_linearity(&self) -> Option<f64> {
+        match self.scale_cases.as_slice() {
+            [first, .., last] => Some(last.direct.ns_per_vcpu_tick / first.direct.ns_per_vcpu_tick),
+            _ => None,
+        }
     }
 
     /// The report as a JSON value with stable field order.
@@ -236,11 +270,18 @@ impl PerfReport {
                             "ticks": c.ticks,
                             "sequential": sample(&c.sequential),
                             "sequential_rtf": c.sequential_rtf,
+                            "direct": json!({
+                                "seconds": c.direct.seconds,
+                                "ticks_per_sec": c.direct.ticks_per_sec,
+                                "ns_per_vcpu_tick": c.direct.ns_per_vcpu_tick,
+                            }),
+                            "direct_rtf": c.direct_rtf,
                         })
                     })
                     .collect()
             ),
             "rtf_at_largest": self.rtf_at_largest(),
+            "direct_linearity": self.direct_linearity(),
         })
     }
 
@@ -270,17 +311,33 @@ impl PerfReport {
         if !self.scale_cases.is_empty() {
             let _ = writeln!(
                 out,
-                "scale: sequential engine, rtf = simulated seconds per wall \
-                 second (tick = {} ms)",
+                "scale: sequential SAN engine and DirectSim, rtf = simulated \
+                 seconds per wall second (tick = {} ms)",
                 TICK_SECONDS * 1000.0
             );
             for c in &self.scale_cases {
                 let _ = writeln!(
                     out,
-                    "  {:>6}: {:>5} ticks, {:>10.0} ev/s sequential (rtf {:.2})",
-                    c.name, c.ticks, c.sequential.events_per_sec, c.sequential_rtf,
+                    "  {:>6}: {:>5} ticks, {:>10.0} ev/s sequential (rtf {:.2}), \
+                     direct {:>9.0} ticks/s (rtf {:.2}, {:.1} ns/VCPU-tick)",
+                    c.name,
+                    c.ticks,
+                    c.sequential.events_per_sec,
+                    c.sequential_rtf,
+                    c.direct.ticks_per_sec,
+                    c.direct_rtf,
+                    c.direct.ns_per_vcpu_tick,
                 );
             }
+        }
+        if let (Some(ratio), [first, .., last]) =
+            (self.direct_linearity(), self.scale_cases.as_slice())
+        {
+            let _ = writeln!(
+                out,
+                "direct linearity: {ratio:.2} (ns per VCPU-tick, {} / {})",
+                last.name, first.name
+            );
         }
         out
     }
@@ -302,18 +359,23 @@ fn config(vms: usize) -> SystemConfig {
     b.build().expect("valid perf config")
 }
 
-/// The bit patterns both modes must agree on: final marking + metrics.
-fn fingerprint(sys: &SanSystem) -> (Vec<i64>, Vec<u64>) {
-    let m = sys.metrics();
-    let bits = m
-        .vcpu_availability
+/// The bit patterns of a run's metrics.
+fn metric_bits(m: &SampleMetrics) -> Vec<u64> {
+    m.vcpu_availability
         .iter()
         .chain(&m.vcpu_utilization)
         .chain(&m.pcpu_utilization)
         .chain(&m.vcpu_spin)
         .map(|v| v.to_bits())
-        .collect();
-    (sys.simulator().marking().as_slice().to_vec(), bits)
+        .collect()
+}
+
+/// The bit patterns both modes must agree on: final marking + metrics.
+fn fingerprint(sys: &SanSystem) -> (Vec<i64>, Vec<u64>) {
+    (
+        sys.simulator().marking().as_slice().to_vec(),
+        metric_bits(&sys.metrics()),
+    )
 }
 
 /// The large-model scale axis, capped by `max_vms`.
@@ -350,11 +412,7 @@ fn timed_once(
     let sample = ModeSample {
         events,
         seconds,
-        events_per_sec: if seconds > 0.0 {
-            events as f64 / seconds
-        } else {
-            f64::INFINITY
-        },
+        events_per_sec: per_second(events as f64, seconds),
     };
     (sample, fingerprint(&sys))
 }
@@ -378,17 +436,55 @@ fn timed_run(
     (best, fp)
 }
 
-/// Real-time factor of a run covering `ticks` clock periods.
-fn rtf(ticks: u64, sample: &ModeSample) -> f64 {
-    if sample.seconds > 0.0 {
-        ticks as f64 * TICK_SECONDS / sample.seconds
+/// The scale-axis cells `(name, vms, ticks)` on [`DirectSim`], best of
+/// `opts.repeats` per cell, with the metrics checked to be stable across
+/// repeats. The repeats go round the cells rather than cell by cell, so
+/// a slow spell on a shared host cannot claim every repeat of one cell
+/// and skew the linearity ratio.
+fn direct_axis(axis: &[(String, usize, u64)], opts: &PerfOpts) -> Vec<DirectSample> {
+    let configs: Vec<SystemConfig> = axis.iter().map(|&(_, vms, _)| config(vms)).collect();
+    let mut best = vec![f64::INFINITY; axis.len()];
+    let mut metrics: Vec<Option<Vec<u64>>> = vec![None; axis.len()];
+    for _ in 0..opts.repeats.max(1) {
+        for (i, (&(_, _, ticks), config)) in axis.iter().zip(&configs).enumerate() {
+            let mut sim =
+                DirectSim::new(config.clone(), PolicyKind::RoundRobin.create(), opts.seed);
+            let start = Instant::now();
+            sim.run(ticks).expect("perf run");
+            best[i] = best[i].min(start.elapsed().as_secs_f64());
+            let bits = metric_bits(&sim.metrics());
+            match &metrics[i] {
+                Some(first) => assert_eq!(first, &bits, "perf run is not deterministic"),
+                None => metrics[i] = Some(bits),
+            }
+        }
+    }
+    axis.iter()
+        .zip(&configs)
+        .zip(best)
+        .map(|((&(_, _, ticks), config), seconds)| DirectSample {
+            seconds,
+            ticks_per_sec: per_second(ticks as f64, seconds),
+            ns_per_vcpu_tick: seconds * 1e9 / (ticks as f64 * config.total_vcpus() as f64),
+        })
+        .collect()
+}
+
+fn per_second(count: f64, seconds: f64) -> f64 {
+    if seconds > 0.0 {
+        count / seconds
     } else {
         f64::INFINITY
     }
 }
 
+/// Real-time factor of a run covering `ticks` clock periods.
+fn rtf(ticks: u64, seconds: f64) -> f64 {
+    per_second(ticks as f64 * TICK_SECONDS, seconds)
+}
+
 /// Runs the whole scaling axis, both modes per size, then the
-/// large-model scale axis in incremental mode.
+/// large-model scale axis in incremental mode and on [`DirectSim`].
 #[must_use]
 pub fn run_perf(opts: &PerfOpts) -> PerfReport {
     let cases = scaling_axis()
@@ -411,10 +507,15 @@ pub fn run_perf(opts: &PerfOpts) -> PerfReport {
             }
         })
         .collect();
-    let scale_cases = scale_axis(opts.max_vms)
+    let axis: Vec<(String, usize, u64)> = scale_axis(opts.max_vms)
         .into_iter()
-        .map(|(name, vms)| {
-            let ticks = scale_ticks(vms, opts.ticks);
+        .map(|(name, vms)| (name, vms, scale_ticks(vms, opts.ticks)))
+        .collect();
+    let direct = direct_axis(&axis, opts);
+    let scale_cases = axis
+        .into_iter()
+        .zip(direct)
+        .map(|((name, vms, ticks), direct)| {
             let (sequential, _) = timed_run(vms, ticks, false, opts);
             ScaleCase {
                 name,
@@ -422,8 +523,10 @@ pub fn run_perf(opts: &PerfOpts) -> PerfReport {
                 vcpus: vms * 2,
                 pcpus: vms.max(2),
                 ticks,
-                sequential_rtf: rtf(ticks, &sequential),
+                sequential_rtf: rtf(ticks, sequential.seconds),
                 sequential,
+                direct_rtf: rtf(ticks, direct.seconds),
+                direct,
             }
         })
         .collect();
@@ -440,8 +543,11 @@ pub fn run_perf(opts: &PerfOpts) -> PerfReport {
 /// [`PerfReport::to_json`] writes) and returns one line per regression;
 /// empty = pass. For every case present in both, the incremental core's
 /// speedup over full rescan must not have dropped by more than
-/// `max_regression`×. The speedup is a same-run ratio, so absolute
-/// machine speed cancels out of the comparison.
+/// `max_regression`×. When the baseline's scale axis has the report's
+/// smallest and largest cells, the direct engine's linearity over that
+/// pair must not have grown by more than `max_regression`× either. Both
+/// are same-run ratios, so absolute machine speed cancels out of the
+/// comparison.
 ///
 /// # Errors
 ///
@@ -474,6 +580,30 @@ pub fn check_against_baseline(
                  (>{max_regression:.1}x regression)",
                 now.speedup,
             ));
+        }
+    }
+    if let (Some(now), [first, .., last]) =
+        (report.direct_linearity(), report.scale_cases.as_slice())
+    {
+        let base_ns = |name: &str| {
+            baseline
+                .get("scale_cases")
+                .and_then(Value::as_array)?
+                .iter()
+                .find(|c| c.get("name").and_then(Value::as_str) == Some(name))?
+                .get("direct")?
+                .get("ns_per_vcpu_tick")?
+                .as_f64()
+        };
+        if let (Some(from), Some(to)) = (base_ns(&first.name), base_ns(&last.name)) {
+            let base = to / from;
+            if now > base * max_regression {
+                regressions.push(format!(
+                    "direct linearity ({} / {} ns per VCPU-tick): {now:.2} now vs \
+                     {base:.2} baseline (>{max_regression:.1}x regression)",
+                    last.name, first.name,
+                ));
+            }
         }
     }
     Ok(regressions)
@@ -546,6 +676,10 @@ mod tests {
         assert!(c.sequential.events > 0);
         assert!(c.sequential_rtf > 0.0);
         assert_eq!(report.rtf_at_largest(), Some(c.sequential_rtf));
+        assert!(c.direct.ticks_per_sec > 0.0);
+        assert!(c.direct.ns_per_vcpu_tick > 0.0);
+        assert!(c.direct_rtf > 0.0);
+        assert_eq!(report.direct_linearity(), None, "one cell has no ratio");
 
         let v = report.to_json();
         assert_eq!(
@@ -556,11 +690,28 @@ mod tests {
         );
         let scale = v.get("scale_cases").and_then(Value::as_array).unwrap();
         assert_eq!(scale.len(), 1);
-        for key in ["name", "vms", "ticks", "sequential", "sequential_rtf"] {
+        for key in [
+            "name",
+            "vms",
+            "ticks",
+            "sequential",
+            "sequential_rtf",
+            "direct",
+            "direct_rtf",
+        ] {
             assert!(scale[0].get(key).is_some(), "missing {key}");
         }
+        for key in ["seconds", "ticks_per_sec", "ns_per_vcpu_tick"] {
+            assert!(
+                scale[0]["direct"].get(key).is_some(),
+                "missing direct.{key}"
+            );
+        }
         assert!(v.get("rtf_at_largest").is_some());
-        assert!(report.render_text().contains("64vm"));
+        assert!(v.get("direct_linearity").is_some());
+        let text = report.render_text();
+        assert!(text.contains("64vm"));
+        assert!(text.contains("ticks/s (rtf"), "{text}");
     }
 
     #[test]
@@ -598,6 +749,59 @@ mod tests {
         std::fs::write(&path, serde_json::to_string(&doctored.to_json()).unwrap()).unwrap();
         let regressions = check_against_baseline(&report, &path, 2.0).unwrap();
         assert_eq!(regressions.len(), report.cases.len());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn baseline_gates_direct_linearity() {
+        let opts = PerfOpts {
+            max_vms: 64,
+            ..tiny_opts()
+        };
+        // Two scale cells without simulating a large model: the 64vm
+        // cell, and a copy of it standing in for 1024vm.
+        let mut report = run_perf(&opts);
+        let mut large = report.scale_cases[0].clone();
+        large.name = "1024vm".into();
+        large.direct.ns_per_vcpu_tick *= 1.5;
+        report.scale_cases.push(large);
+        assert_eq!(report.direct_linearity(), Some(1.5));
+        assert!(report.render_text().contains("direct linearity: 1.50"));
+
+        let dir = std::env::temp_dir().join(format!("vsched-perf-lin-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("baseline.json");
+        let write = |r: &PerfReport| {
+            std::fs::write(&path, serde_json::to_string(&r.to_json()).unwrap()).unwrap();
+        };
+        write(&report);
+        assert!(check_against_baseline(&report, &path, 2.0)
+            .unwrap()
+            .is_empty());
+
+        // A baseline with a flatter direct engine (ratio 0.5) trips a
+        // ratio that grew past the allowed factor...
+        let mut flatter = report.clone();
+        flatter.scale_cases[1].direct.ns_per_vcpu_tick =
+            flatter.scale_cases[0].direct.ns_per_vcpu_tick / 2.0;
+        write(&flatter);
+        let regressions = check_against_baseline(&report, &path, 2.0).unwrap();
+        assert_eq!(regressions.len(), 1, "{regressions:?}");
+        assert!(
+            regressions[0].contains("direct linearity"),
+            "{regressions:?}"
+        );
+        // ...but stays within a looser one.
+        assert!(check_against_baseline(&report, &path, 4.0)
+            .unwrap()
+            .is_empty());
+
+        // A baseline without the same pair of cells is not compared.
+        flatter.scale_cases.truncate(1);
+        write(&flatter);
+        assert!(check_against_baseline(&report, &path, 2.0)
+            .unwrap()
+            .is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -6,6 +6,8 @@
 //! VCPU count), the workload distribution and the synchronization-point
 //! ratio.
 
+use std::ops::Range;
+
 use serde::{Deserialize, Serialize};
 use vsched_des::Dist;
 
@@ -187,6 +189,9 @@ pub struct SystemConfig {
     vms: Vec<VmSpec>,
     timeslice: u64,
     vcpu_ids: Vec<VcpuId>,
+    /// Global index of each VM's first VCPU: a VM's VCPUs are numbered
+    /// contiguously, so this and its VCPU count give its whole range.
+    vm_first: Vec<usize>,
 }
 
 impl SystemConfig {
@@ -227,19 +232,17 @@ impl SystemConfig {
         &self.vcpu_ids
     }
 
-    /// Global indices of VM `vm`'s VCPUs.
+    /// Global indices of VM `vm`'s VCPUs: one contiguous range, in
+    /// sibling order.
     ///
     /// # Panics
     ///
     /// Panics if `vm` is out of range.
     #[must_use]
-    pub fn vm_vcpus(&self, vm: usize) -> Vec<usize> {
+    pub fn vm_vcpus(&self, vm: usize) -> Range<usize> {
         assert!(vm < self.vms.len(), "VM index {vm} out of range");
-        self.vcpu_ids
-            .iter()
-            .filter(|id| id.vm == vm)
-            .map(|id| id.global)
-            .collect()
+        let first = self.vm_first[vm];
+        first..first + self.vms[vm].vcpus
     }
 
     /// A short human-readable description, e.g. `"2+1+1 VCPUs / 4 PCPUs"`.
@@ -348,6 +351,7 @@ impl SystemConfigBuilder {
             }
         }
         let mut vcpu_ids = Vec::new();
+        let mut vm_first = Vec::with_capacity(self.vms.len());
         for (vm_idx, vm) in self.vms.iter().enumerate() {
             if vm.vcpus == 0 {
                 return Err(CoreError::InvalidConfig {
@@ -360,6 +364,7 @@ impl SystemConfigBuilder {
                 });
             }
             vm.workload.validate()?;
+            vm_first.push(vcpu_ids.len());
             for sibling in 0..vm.vcpus {
                 vcpu_ids.push(VcpuId {
                     vm: vm_idx,
@@ -373,6 +378,7 @@ impl SystemConfigBuilder {
             vms: self.vms,
             timeslice: self.timeslice,
             vcpu_ids,
+            vm_first,
         })
     }
 }
@@ -393,9 +399,9 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(c.total_vcpus(), 4);
-        assert_eq!(c.vm_vcpus(0), vec![0, 1]);
-        assert_eq!(c.vm_vcpus(1), vec![2]);
-        assert_eq!(c.vm_vcpus(2), vec![3]);
+        assert_eq!(c.vm_vcpus(0), 0..2);
+        assert_eq!(c.vm_vcpus(1), 2..3);
+        assert_eq!(c.vm_vcpus(2), 3..4);
         assert_eq!(c.describe(), "2+1+1 VCPUs / 4 PCPUs");
         assert!((c.vms()[0].workload.sync_probability - 0.2).abs() < 1e-12);
     }
@@ -410,7 +416,12 @@ mod tests {
             .unwrap();
         for (g, id) in c.vcpu_ids().iter().enumerate() {
             assert_eq!(id.global, g);
+            let range = c.vm_vcpus(id.vm);
+            assert!(range.contains(&g), "VCPU {g} outside VM {}'s range", id.vm);
+            assert_eq!(id.sibling, g - range.start);
         }
+        assert_eq!(c.vm_vcpus(0), 0..3);
+        assert_eq!(c.vm_vcpus(1), 3..5);
         assert_eq!(
             c.vcpu_ids()[3],
             VcpuId {

@@ -292,8 +292,7 @@ impl DirectSim {
             }
             return;
         }
-        let members: Vec<usize> = self.config.vm_vcpus(vm);
-        for g in members {
+        for g in self.config.vm_vcpus(vm) {
             self.schedule_out(g);
             let v = &mut self.vcpus[g];
             v.remaining_load = 0;
@@ -431,9 +430,9 @@ impl DirectSim {
         for vm in 0..self.vms.len() {
             if self.vms[vm].blocked {
                 let outstanding = self
-                    .vcpus
-                    .iter()
-                    .any(|v| v.id.vm == vm && v.remaining_load > 0);
+                    .config
+                    .vm_vcpus(vm)
+                    .any(|g| self.vcpus[g].remaining_load > 0);
                 if !outstanding {
                     self.vms[vm].blocked = false;
                     let tick = self.tick;
@@ -608,18 +607,20 @@ impl DirectSim {
         if !self.admitted[vm] {
             return;
         }
-        let spec = self.config.vms()[vm].workload.clone();
+        let workload = &self.config.vms()[vm].workload;
+        let sync_mechanism = workload.sync_mechanism;
+        let interarrival = workload.interarrival.is_some();
         let level = self.load_level[vm];
         // Saturated mode: the load level duty-cycles generation — tick T
         // generates iff the integer ramp T·level/1000 steps at T. Level
         // 1000 passes every tick (the static path, bit for bit).
-        if spec.interarrival.is_none() && !duty_allows(self.tick, level) {
+        if !interarrival && !duty_allows(self.tick, level) {
             return;
         }
         // Interarrival mode: accrue arrivals up to the current tick, with
         // interarrival times scaled by 1000/level (level 0 = paused; the
         // next arrival is re-drawn when the level turns positive again).
-        if let Some(inter) = &spec.interarrival {
+        if let Some(inter) = &workload.interarrival {
             if level > 0 {
                 let state = &mut self.vms[vm];
                 if state.next_arrival.is_none() {
@@ -636,31 +637,31 @@ impl DirectSim {
                 }
             }
         }
+        // Lowest-sibling-index READY VCPU receives each workload. A VCPU
+        // that receives one turns BUSY, so the scan resumes past it.
+        let members = self.config.vm_vcpus(vm);
+        let mut from = members.start;
         loop {
             if self.vms[vm].blocked {
                 break;
             }
-            if spec.interarrival.is_some() && self.vms[vm].pending == 0 {
+            if interarrival && self.vms[vm].pending == 0 {
                 break;
             }
-            // Lowest-sibling-index READY VCPU receives the workload.
-            let Some(g) = self
-                .vcpus
-                .iter()
-                .filter(|v| v.id.vm == vm && v.status == VcpuStatus::Ready)
-                .map(|v| v.id.global)
-                .min()
+            let Some(g) = (from..members.end).find(|&g| self.vcpus[g].status == VcpuStatus::Ready)
             else {
                 break;
             };
+            from = g + 1;
+            let workload = &self.config.vms()[vm].workload;
             let rng = &mut self.vm_rngs[vm];
-            let load = sample_ticks(&spec.load, rng);
+            let load = sample_ticks(&workload.load, rng);
             self.vms[vm].generated += 1;
-            let sync = match spec.sync_every {
+            let sync = match workload.sync_every {
                 Some(k) => self.vms[vm].generated.is_multiple_of(u64::from(k)),
-                None => rng.next_bool(spec.sync_probability),
+                None => rng.next_bool(workload.sync_probability),
             };
-            if spec.interarrival.is_some() {
+            if interarrival {
                 self.vms[vm].pending -= 1;
             }
             let v = &mut self.vcpus[g];
@@ -669,7 +670,7 @@ impl DirectSim {
             v.status = VcpuStatus::Busy;
             let mut barrier_set = false;
             if sync {
-                match spec.sync_mechanism {
+                match sync_mechanism {
                     SyncMechanism::Barrier => {
                         self.vms[vm].blocked = true;
                         barrier_set = true;

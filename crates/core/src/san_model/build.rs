@@ -238,14 +238,7 @@ pub(crate) fn build_model(
 
     // ----- Unblock (barrier clearing), one per VM --------------------------
     for (k, vm) in layout.vms.iter().copied().enumerate() {
-        let members: Vec<_> = layout
-            .vcpus
-            .iter()
-            .copied()
-            .enumerate()
-            .filter(|&(g, _)| layout.vm_of(g) == k)
-            .map(|(_, v)| v)
-            .collect();
+        let members = layout.vcpus[config.vm_vcpus(k)].to_vec();
         let clear_reads: Vec<PlaceId> = std::iter::once(vm.blocked)
             .chain(members.iter().map(|v| v.remaining_load))
             .collect();
@@ -406,14 +399,7 @@ pub(crate) fn build_model(
             // Job Scheduler: dispatch one buffered workload to the lowest
             // READY sibling; fires repeatedly within the tick window until
             // the buffer or the READY set drains.
-            let members: Vec<_> = layout
-                .vcpus
-                .iter()
-                .copied()
-                .enumerate()
-                .filter(|&(g, _)| layout.vm_of(g) == k)
-                .map(|(_, v)| v)
-                .collect();
+            let members = layout.vcpus[config.vm_vcpus(k)].to_vec();
             let members_gate = members.clone();
             let dispatch_reads: Vec<PlaceId> =
                 [halt, vm.wl_pending, vm.blocked, vm.ready_count, vm.window]

@@ -415,6 +415,52 @@ pub(crate) fn idle_pcpus(pcpus: &[PcpuView]) -> Vec<usize> {
     pcpus.iter().filter(|p| p.is_idle()).map(|p| p.id).collect()
 }
 
+/// Global VCPU indices grouped by VM, ordered by VM index, in a buffer a
+/// gang policy owns and regroups on every call. Views need not list a
+/// VM's VCPUs contiguously; within a VM, members keep view order.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct VmGroups {
+    /// `bounds[vm]..bounds[vm + 1]` is VM `vm`'s slice of `members`.
+    bounds: Vec<usize>,
+    members: Vec<usize>,
+}
+
+impl VmGroups {
+    /// Regroups `vcpus` (a counting sort on `id.vm`). VMs up to the
+    /// largest index present get a group, possibly empty.
+    pub(crate) fn regroup(&mut self, vcpus: &[VcpuView]) {
+        let num_vms = vcpus.iter().map(|v| v.id.vm + 1).max().unwrap_or(0);
+        self.bounds.clear();
+        self.bounds.resize(num_vms + 1, 0);
+        for v in vcpus {
+            self.bounds[v.id.vm] += 1;
+        }
+        let mut end = 0;
+        for b in &mut self.bounds {
+            end += *b;
+            *b = end;
+        }
+        // Filling back to front turns each VM's end into its start.
+        self.members.clear();
+        self.members.resize(vcpus.len(), 0);
+        for v in vcpus.iter().rev() {
+            let slot = &mut self.bounds[v.id.vm];
+            *slot -= 1;
+            self.members[*slot] = v.id.global;
+        }
+    }
+
+    /// Number of groups.
+    pub(crate) fn len(&self) -> usize {
+        self.bounds.len().saturating_sub(1)
+    }
+
+    /// VM `vm`'s members.
+    pub(crate) fn get(&self, vm: usize) -> &[usize] {
+        &self.members[self.bounds[vm]..self.bounds[vm + 1]]
+    }
+}
+
 /// The built-in algorithms, as data — convenient for experiment configs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum PolicyKind {
@@ -894,5 +940,63 @@ mod tests {
     fn idle_pcpu_helper() {
         let pcpus = [pcpu(0, Some(1)), pcpu(1, None), pcpu(2, None)];
         assert_eq!(idle_pcpus(&pcpus), vec![1, 2]);
+    }
+
+    #[test]
+    fn vm_groups_regroup_by_vm_in_view_order() {
+        let mut groups = VmGroups::default();
+        assert_eq!(groups.len(), 0);
+        // VM 0's VCPUs are split around the others'; VM 2 has none.
+        let mut views = tests_support::vcpus_with_vms(&[2, 1, 0, 2]);
+        views.rotate_left(1);
+        groups.regroup(&views);
+        assert_eq!(groups.len(), 4);
+        assert_eq!(groups.get(0), &[1, 0]);
+        assert_eq!(groups.get(1), &[2]);
+        assert_eq!(groups.get(2), &[] as &[usize]);
+        assert_eq!(groups.get(3), &[3, 4]);
+        // A smaller view leaves nothing of the larger one behind.
+        groups.regroup(&tests_support::vcpus_with_vms(&[1]));
+        assert_eq!(groups.len(), 1);
+        assert_eq!(groups.get(0), &[0]);
+        groups.regroup(&[]);
+        assert_eq!(groups.len(), 0);
+    }
+
+    /// RCS and SCS keep per-call scratch buffers (gangs, idle PCPUs,
+    /// candidates) across calls. Whatever the previous call left in them,
+    /// a reused instance must decide exactly as a fresh instance loaded
+    /// with the same policy state — on views whose shape changes every
+    /// call.
+    #[test]
+    fn gang_policy_scratch_never_leaks_between_calls() {
+        use tests_support::{activate, pcpus_for, vcpus_with_vms};
+        let shapes: [&[usize]; 4] = [&[2, 1, 1], &[4], &[1, 1, 1, 1, 1], &[2, 1, 1]];
+        let makers: [fn() -> Box<dyn SchedulingPolicy>; 2] = [
+            || Box::new(RelaxedCo::new(3, 1)),
+            || Box::new(StrictCo::new()),
+        ];
+        for make in makers {
+            let mut reused = make();
+            for t in 0..16 {
+                let sizes = shapes[t % shapes.len()];
+                let mut vcpus = vcpus_with_vms(sizes);
+                // The first VCPU always runs, so RCS skew builds up and
+                // co-stops it; a second one rotates through the rest.
+                let n = vcpus.len();
+                activate(&mut vcpus, 0, 0);
+                if t % 3 != 0 {
+                    activate(&mut vcpus, 1 + t % (n - 1), 1);
+                }
+                let pcpus = pcpus_for(4, &vcpus);
+                let mut fresh = make();
+                assert!(fresh.load_state(&reused.save_state().expect("stateful")));
+                let now = t as u64;
+                let expected = fresh.schedule(&vcpus, &pcpus, now, 10);
+                let actual = reused.schedule(&vcpus, &pcpus, now, 10);
+                validate_decision(reused.name(), &vcpus, &pcpus, &actual).unwrap();
+                assert_eq!(actual, expected, "{} call {t} on {sizes:?}", reused.name());
+            }
+        }
     }
 }

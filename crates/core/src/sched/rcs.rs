@@ -32,8 +32,7 @@
 //! other VMs), and the holder — now the most-behind VCPU of its VM — is
 //! first in line when its VM's turn comes.
 
-use crate::sched::scs::vcpus_by_vm;
-use crate::sched::{idle_pcpus, PolicyState, ScheduleDecision, SchedulingPolicy, ViewFields};
+use crate::sched::{PolicyState, ScheduleDecision, SchedulingPolicy, ViewFields, VmGroups};
 use crate::types::{PcpuView, VcpuView};
 
 /// The Relaxed Co-Scheduling policy. See the module docs.
@@ -46,6 +45,11 @@ pub struct RelaxedCo {
     /// Leaders currently forbidden from running (co-stopped).
     stopped: Vec<bool>,
     vm_cursor: usize,
+    /// Per-call scratch: the gangs, the idle PCPUs in index order, and
+    /// one VM's start candidates.
+    groups: VmGroups,
+    idle: Vec<usize>,
+    candidates: Vec<usize>,
 }
 
 impl RelaxedCo {
@@ -70,6 +74,9 @@ impl RelaxedCo {
             progress: Vec::new(),
             stopped: Vec::new(),
             vm_cursor: 0,
+            groups: VmGroups::default(),
+            idle: Vec::new(),
+            candidates: Vec::new(),
         }
     }
 
@@ -88,7 +95,7 @@ impl RelaxedCo {
         self.stopped.get(global).copied().unwrap_or(false)
     }
 
-    fn update_accounting(&mut self, vcpus: &[VcpuView], groups: &[Vec<usize>]) {
+    fn update_accounting(&mut self, vcpus: &[VcpuView]) {
         self.progress.resize(vcpus.len(), 0);
         self.stopped.resize(vcpus.len(), false);
         for v in vcpus {
@@ -96,7 +103,8 @@ impl RelaxedCo {
                 self.progress[v.id.global] += 1;
             }
         }
-        for gang in groups {
+        for vm in 0..self.groups.len() {
+            let gang = self.groups.get(vm);
             if gang.len() < 2 {
                 continue; // a lone VCPU has no siblings to skew against
             }
@@ -135,50 +143,53 @@ impl SchedulingPolicy for RelaxedCo {
         default_timeslice: u64,
     ) -> ScheduleDecision {
         let mut decision = ScheduleDecision::none();
-        let groups = vcpus_by_vm(vcpus);
-        self.update_accounting(vcpus, &groups);
-        let num_vms = groups.len();
+        self.groups.regroup(vcpus);
+        self.update_accounting(vcpus);
+        let num_vms = self.groups.len();
         if num_vms == 0 {
             return decision;
         }
 
         // Co-stop phase: preempt running leaders, freeing their PCPUs.
-        let mut idle = idle_pcpus(pcpus);
-        let mut costopped_now = vec![false; vcpus.len()];
+        self.idle.clear();
+        self.idle
+            .extend(pcpus.iter().filter(|p| p.is_idle()).map(|p| p.id));
         for v in vcpus {
-            let g = v.id.global;
-            if self.stopped[g] && v.status.is_active() {
-                decision.preempt(g);
-                costopped_now[g] = true;
+            if self.stopped[v.id.global] && v.status.is_active() {
+                decision.preempt(v.id.global);
                 if let Some(p) = v.assigned_pcpu {
-                    idle.push(p); // available again this tick
+                    self.idle.push(p); // available again this tick
                 }
             }
         }
-        idle.sort_unstable();
+        self.idle.sort_unstable();
 
         // Assignment pass: round-robin over VMs; within a VM, most-behind
         // VCPUs first (the laggard a barrier is waiting on is by
-        // construction the least-progressed sibling).
+        // construction the least-progressed sibling). A co-stopped VCPU is
+        // never a candidate: `stopped` excludes it even when it was active
+        // a moment ago. Idle PCPUs are handed out in index order from
+        // `next_idle`.
+        let mut next_idle = 0;
         let mut next_cursor = self.vm_cursor;
         for offset in 0..num_vms {
-            if idle.is_empty() {
+            if next_idle == self.idle.len() {
                 break;
             }
             let vm = (self.vm_cursor + offset) % num_vms;
-            let mut candidates: Vec<usize> = groups[vm]
-                .iter()
-                .copied()
-                .filter(|&g| vcpus[g].is_schedulable() && !self.stopped[g] && !costopped_now[g])
-                .collect();
-            candidates.sort_by_key(|&g| self.progress[g]);
+            self.candidates.clear();
+            self.candidates.extend(
+                self.groups
+                    .get(vm)
+                    .iter()
+                    .copied()
+                    .filter(|&g| vcpus[g].is_schedulable() && !self.stopped[g]),
+            );
+            self.candidates.sort_by_key(|&g| self.progress[g]);
             let mut started = false;
-            for g in candidates {
-                if idle.is_empty() {
-                    break;
-                }
-                let p = idle.remove(0);
+            for (&g, &p) in self.candidates.iter().zip(&self.idle[next_idle..]) {
                 decision.assign(g, p, default_timeslice);
+                next_idle += 1;
                 started = true;
             }
             if started {

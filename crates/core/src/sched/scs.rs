@@ -15,7 +15,7 @@
 //! the same tick, so they co-stop on expiry. VMs are considered in
 //! round-robin order for fairness among gangs.
 
-use crate::sched::{idle_pcpus, PolicyState, ScheduleDecision, SchedulingPolicy, ViewFields};
+use crate::sched::{PolicyState, ScheduleDecision, SchedulingPolicy, ViewFields, VmGroups};
 use crate::types::{PcpuView, VcpuView};
 
 /// The Strict Co-Scheduling policy. See the module docs.
@@ -23,24 +23,17 @@ use crate::types::{PcpuView, VcpuView};
 pub struct StrictCo {
     /// Index of the next VM to consider.
     vm_cursor: usize,
+    /// Per-call scratch: the gangs, and the idle PCPUs in index order.
+    groups: VmGroups,
+    idle: Vec<usize>,
 }
 
 impl StrictCo {
     /// Creates the policy with its VM cursor at VM 0.
     #[must_use]
     pub fn new() -> Self {
-        StrictCo { vm_cursor: 0 }
+        StrictCo::default()
     }
-}
-
-/// Groups global VCPU indices by VM, ordered by VM index.
-pub(crate) fn vcpus_by_vm(vcpus: &[VcpuView]) -> Vec<Vec<usize>> {
-    let num_vms = vcpus.iter().map(|v| v.id.vm + 1).max().unwrap_or(0);
-    let mut groups = vec![Vec::new(); num_vms];
-    for v in vcpus {
-        groups[v.id.vm].push(v.id.global);
-    }
-    groups
 }
 
 impl SchedulingPolicy for StrictCo {
@@ -61,31 +54,35 @@ impl SchedulingPolicy for StrictCo {
         default_timeslice: u64,
     ) -> ScheduleDecision {
         let mut decision = ScheduleDecision::none();
-        let mut idle = idle_pcpus(pcpus);
-        if idle.is_empty() {
+        self.idle.clear();
+        self.idle
+            .extend(pcpus.iter().filter(|p| p.is_idle()).map(|p| p.id));
+        if self.idle.is_empty() {
             return decision;
         }
-        let groups = vcpus_by_vm(vcpus);
-        let num_vms = groups.len();
+        self.groups.regroup(vcpus);
+        let num_vms = self.groups.len();
         if num_vms == 0 {
             return decision;
         }
+        // Idle PCPUs are handed out in index order from this cursor.
+        let mut next_idle = 0;
         let mut next_cursor = self.vm_cursor;
         for offset in 0..num_vms {
             let vm = (self.vm_cursor + offset) % num_vms;
-            let gang = &groups[vm];
+            let gang = self.groups.get(vm);
             // Co-start requires the whole gang to be stopped and enough
             // idle PCPUs for every member.
             let all_inactive = gang.iter().all(|&g| vcpus[g].is_schedulable());
-            if !all_inactive || gang.len() > idle.len() {
+            if !all_inactive || gang.len() > self.idle.len() - next_idle {
                 continue;
             }
-            for &g in gang {
-                let pcpu = idle.remove(0);
+            for (&g, &pcpu) in gang.iter().zip(&self.idle[next_idle..]) {
                 decision.assign(g, pcpu, default_timeslice);
             }
+            next_idle += gang.len();
             next_cursor = (vm + 1) % num_vms;
-            if idle.is_empty() {
+            if next_idle == self.idle.len() {
                 break;
             }
         }

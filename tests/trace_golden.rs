@@ -121,6 +121,28 @@ fn churn_1000vm_fixture_compiles_at_scale() {
     );
 }
 
+/// The only tier-1 run of RCS on the 1000-VM union topology: the first
+/// 400 ticks of the churn fixture, one sequential replication, pinned to
+/// the fingerprints `perfbench/references.json` records for the
+/// `churn_direct` and `churn_san` workloads.
+#[test]
+fn churn_1000vm_prefix_matches_benchmark_references() {
+    let schedule = load_standard(Path::new(FIXTURE_1000)).expect("1000-VM fixture compiles");
+    let fingerprint = |engine| {
+        let r = TraceExperiment::new(schedule.clone(), PolicyKind::relaxed_co_default())
+            .engine(engine)
+            .horizon(400)
+            .seed(0x5eed)
+            .replications(1)
+            .parallel(false)
+            .run()
+            .unwrap();
+        format!("{:016x}", r.fingerprint)
+    };
+    assert_eq!(fingerprint(Engine::Direct), "2cf1a52a4003d7c5");
+    assert_eq!(fingerprint(Engine::San), "1cab7ed7e08d2d36");
+}
+
 #[test]
 fn malformed_traces_fail_with_typed_annotated_errors() {
     let header = "{\"meta\":{\"pcpus\":2}}\n";
