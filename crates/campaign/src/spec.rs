@@ -837,7 +837,8 @@ mod tests {
 
     #[test]
     fn cell_matches_bench_paper_config() {
-        // The campaign cell must reproduce `vsched_bench::paper_config`
+        // The campaign cell must reproduce the builder-made paper
+        // configuration (`paper_config` in `tests/golden_figures.rs`)
         // exactly — figure regeneration depends on it.
         let cell: CellConfig =
             serde_json::from_str(r#"{ "pcpus": 4, "vms": [2, 4], "sync_ratio": [1, 3] }"#).unwrap();

@@ -1,8 +1,4 @@
 //! Aligned text tables and cell formatting for rendered figures.
-//!
-//! Moved here from `vsched-bench` so the campaign renderers and the bench
-//! binaries share one implementation; `vsched_bench::report` re-exports
-//! these names for compatibility.
 
 use std::fmt::Write as _;
 

@@ -303,6 +303,12 @@ const EXAMPLE: &str = r#"{
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // `--help`/`-h` after any command prints the usage, before that
+    // command's own parser would reject it as an argument.
+    if args.iter().skip(1).any(|a| a == "--help" || a == "-h") {
+        println!("{HELP}");
+        return ExitCode::SUCCESS;
+    }
     match args.first().map(String::as_str) {
         Some("run") => run(&args[1..]),
         Some("trace") => trace_cmd(&args[1..]),

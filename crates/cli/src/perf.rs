@@ -3,8 +3,9 @@
 //! reference mode, across a model-size scaling axis.
 //!
 //! This is deliberately *not* a statistics-grade benchmark (that is
-//! `cargo bench -p vsched-bench`): best-of-N timed runs per (size, mode)
-//! cell is enough for the two jobs it has —
+//! `perfbench/`, which times each front door end to end over many
+//! units): best-of-N timed runs per (size, mode) cell is enough for the
+//! two jobs it has —
 //!
 //! * produce a machine-readable `BENCH_perf.json` whose speedup column
 //!   documents the incremental core's win as models grow, and
@@ -759,11 +760,13 @@ mod tests {
             ..tiny_opts()
         };
         // Two scale cells without simulating a large model: the 64vm
-        // cell, and a copy of it standing in for 1024vm.
+        // cell, and a copy of it standing in for 1024vm. Fixed costs keep
+        // every ratio below (1.5, 0.5) exact in floating point.
         let mut report = run_perf(&opts);
+        report.scale_cases[0].direct.ns_per_vcpu_tick = 8.0;
         let mut large = report.scale_cases[0].clone();
         large.name = "1024vm".into();
-        large.direct.ns_per_vcpu_tick *= 1.5;
+        large.direct.ns_per_vcpu_tick = 12.0;
         report.scale_cases.push(large);
         assert_eq!(report.direct_linearity(), Some(1.5));
         assert!(report.render_text().contains("direct linearity: 1.50"));

@@ -4,7 +4,8 @@
 //! `*.sweep.json` files are campaign specs, not single experiment configs;
 //! they are validated by planning them (every cell must resolve to a
 //! buildable system). The campaign crate's own integration tests cover
-//! actually running sweeps.
+//! actually running sweeps. The binary's `--help` on every subcommand is
+//! checked here too.
 
 use std::fs;
 use vsched_campaign::{plan, SweepSpec};
@@ -88,5 +89,36 @@ fn shipped_configs_run_quickly() {
             .run()
             .unwrap_or_else(|e| panic!("{path:?}: {e}"));
         assert!(report.avg_pcpu_utilization() > 0.0, "{path:?} ran");
+    }
+}
+
+#[test]
+fn every_subcommand_answers_help() {
+    let commands = [
+        "run",
+        "trace",
+        "sweep",
+        "fuzz",
+        "verify",
+        "lint",
+        "perf",
+        "tournament",
+        "env",
+    ];
+    for cmd in commands {
+        for flag in ["--help", "-h"] {
+            let out = std::process::Command::new(env!("CARGO_BIN_EXE_vsched"))
+                .args([cmd, flag])
+                .output()
+                .expect("vsched runs");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert!(
+                out.status.success(),
+                "`vsched {cmd} {flag}` exited {:?}: {}",
+                out.status,
+                String::from_utf8_lossy(&out.stderr)
+            );
+            assert!(stdout.contains("USAGE:"), "`vsched {cmd} {flag}`: {stdout}");
+        }
     }
 }

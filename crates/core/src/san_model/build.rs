@@ -27,14 +27,16 @@
 //! `Scheduling_Func` (20) → `WL_Generate` (12) → `Scheduling` (10) →
 //! `End_Tick` (1).
 
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use vsched_des::Dist;
-use vsched_san::{Model, ModelBuilder, PlaceId, SanError};
+use vsched_san::{ModelBuilder, PlaceId, SanError};
 
 use crate::config::{SyncMechanism, SystemConfig};
 use crate::error::CoreError;
 use crate::san_model::layout::{DynVmPlaces, Layout, VcpuPlaces, VmPlaces};
+use crate::san_model::AnalysisModel;
 use crate::sched::{validate_decision, SchedulingPolicy};
 use crate::types::VcpuStatus;
 use crate::util::{duty_allows, sample_ticks, FULL_LEVEL};
@@ -58,16 +60,11 @@ pub(crate) mod priority {
 }
 
 /// Error slot shared between the `Scheduling_Func` gate and [`super::SanSystem`].
-pub(crate) type ErrorCell = Arc<Mutex<Option<CoreError>>>;
+pub(crate) type ErrorCell = Rc<RefCell<Option<CoreError>>>;
 
-/// Shared handle on the policy captured inside the `Scheduling_Func` gate.
-/// The exhaustive-state verifier uses it to snapshot/restore the policy's
-/// hidden state (cursors, credits, skew counters) between probe firings;
-/// the lock is uncontended for the same reason as inside the gate.
-pub type PolicyHandle = Arc<Mutex<Box<dyn SchedulingPolicy>>>;
-
-/// Builds the flattened composed model. Returns the model, its place
-/// layout, and the shared error cell for policy violations.
+/// Builds the flattened composed model, with its place layout, the shared
+/// error cell for policy violations, and the policy the
+/// `Scheduling_Func` gate shares with the caller.
 ///
 /// With `dynamic` set the model additionally carries per-VM `admitted`
 /// (init 1) and `load_level` (init 1000, per-mille) places — appended
@@ -80,7 +77,7 @@ pub(crate) fn build_model(
     config: &SystemConfig,
     policy: Box<dyn SchedulingPolicy>,
     dynamic: bool,
-) -> Result<(Model, Layout, ErrorCell, PolicyHandle), SanError> {
+) -> Result<AnalysisModel, SanError> {
     let mut mb = ModelBuilder::new();
 
     // ----- Places ---------------------------------------------------------
@@ -279,17 +276,17 @@ pub(crate) fn build_model(
     }
 
     // ----- Scheduling_Func (Figure 6): the pluggable policy ----------------
-    let error_cell: ErrorCell = Arc::new(Mutex::new(None));
-    let policy_handle: PolicyHandle = Arc::new(Mutex::new(policy));
+    let error_cell: ErrorCell = Rc::new(RefCell::new(None));
+    let shared_policy = Rc::new(RefCell::new(policy));
     {
         let l = layout.clone();
         let cfg = config.clone();
-        let cell = Arc::clone(&error_cell);
-        // Gate closures are `Fn`; the stateful policy lives behind a lock
-        // (uncontended: `Scheduling_Func` is global, never fired on a
-        // worker thread). The handle is shared with the caller so the
-        // verifier can snapshot/restore the policy between probe firings.
-        let policy = Arc::clone(&policy_handle);
+        let cell = Rc::clone(&error_cell);
+        // Gate closures are `Fn`; the stateful policy lives in a `RefCell`
+        // (the gate never re-enters itself, so the borrow cannot clash).
+        // The same `Rc` goes to the caller so the verifier can
+        // snapshot/restore the policy between probe firings.
+        let policy = Rc::clone(&shared_policy);
         mb.activity("Scheduling_Func")?
             .instantaneous(priority::SCHED)
             .input_arc(tick_sched, 1)
@@ -299,12 +296,12 @@ pub(crate) fn build_model(
                 let vcpus = l.vcpu_views(m, &cfg);
                 let pcpus = l.pcpu_views(m, &cfg);
                 let now = m.tokens(l.clock);
-                let mut policy = policy.lock().expect("policy lock");
+                let mut policy = policy.borrow_mut();
                 let decision = policy.schedule(&vcpus, &pcpus, now as u64, cfg.timeslice());
                 match validate_decision(policy.name(), &vcpus, &pcpus, &decision) {
                     Ok(()) => l.apply_decision(m, &decision, now),
                     Err(e) => {
-                        *cell.lock().expect("error cell") = Some(e);
+                        *cell.borrow_mut() = Some(e);
                         m.set(l.halt, 1);
                     }
                 }
@@ -477,6 +474,10 @@ pub(crate) fn build_model(
         })?;
     }
 
-    let model = mb.build()?;
-    Ok((model, layout, error_cell, policy_handle))
+    Ok(AnalysisModel {
+        model: mb.build()?,
+        layout,
+        error: error_cell,
+        policy: shared_policy,
+    })
 }

@@ -21,10 +21,12 @@ mod symmetry;
 #[cfg(test)]
 mod tests;
 
-pub use build::PolicyHandle;
 pub use invariants::{expected_invariants, InvariantKind, ModelInvariant};
 pub use layout::{DynVmPlaces, Layout, VcpuPlaces, VmPlaces};
 pub use symmetry::{vm_rotations, MarkingRotation};
+
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use vsched_san::{ActivityId, RewardId, Simulator};
 
@@ -38,16 +40,18 @@ use crate::types::{PcpuView, VcpuView};
 use build::ErrorCell;
 
 /// A compiled model plus its layout, without a simulator attached — the
-/// input of `vsched-analyze`'s static pass, which needs mutable access to
-/// the model (gate closures are `FnMut`) to probe-fire activities on
-/// markings of its own choosing.
+/// input of `vsched-analyze`'s static pass, which probe-fires activities
+/// on markings of its own choosing.
 pub struct AnalysisModel {
     /// The built SAN model (owns the gate closures, including the policy).
     pub model: vsched_san::Model,
     /// The place layout of the composed model.
     pub layout: Layout,
     error: ErrorCell,
-    policy: PolicyHandle,
+    /// The policy inside the `Scheduling_Func` gate, shared so the
+    /// exhaustive-state verifier can snapshot/restore its hidden state
+    /// (cursors, credits, skew counters) between probe firings.
+    policy: Rc<RefCell<Box<dyn SchedulingPolicy>>>,
 }
 
 impl std::fmt::Debug for AnalysisModel {
@@ -59,19 +63,13 @@ impl std::fmt::Debug for AnalysisModel {
 }
 
 impl AnalysisModel {
-    /// Takes the policy-violation error recorded by the `Scheduling_Func`
-    /// gate during probing, if any (the gate halts the model and stores the
-    /// error instead of panicking).
-    #[must_use]
-    pub fn take_error(&self) -> Option<CoreError> {
-        self.error.lock().expect("error cell").take()
-    }
-
-    /// A detached probe for the same error cell — lets an analysis pass
-    /// poll for policy violations while it holds `self.model` mutably.
+    /// A detached probe that takes the policy-violation error recorded by
+    /// the `Scheduling_Func` gate, if any (the gate halts the model and
+    /// stores the error instead of panicking) — lets an analysis pass poll
+    /// for policy violations while it holds `self.model` mutably.
     pub fn error_probe(&self) -> impl Fn() -> Option<CoreError> {
-        let cell = std::sync::Arc::clone(&self.error);
-        move || cell.lock().expect("error cell").take()
+        let cell = Rc::clone(&self.error);
+        move || cell.borrow_mut().take()
     }
 
     /// Snapshots the embedded policy's internal state (see
@@ -79,30 +77,19 @@ impl AnalysisModel {
     /// policy does not support snapshotting.
     #[must_use]
     pub fn save_policy_state(&self) -> Option<crate::sched::PolicyState> {
-        self.policy.lock().expect("policy lock").save_state()
+        self.policy.borrow().save_state()
     }
 
     /// Restores a snapshot into the embedded policy; `false` if rejected.
     pub fn load_policy_state(&self, state: &crate::sched::PolicyState) -> bool {
-        self.policy.lock().expect("policy lock").load_state(state)
+        self.policy.borrow_mut().load_state(state)
     }
 
     /// Whether the embedded policy declares VM-rotation equivariance (see
     /// [`crate::sched::SchedulingPolicy::rotation_equivariant`]).
     #[must_use]
     pub fn policy_rotation_equivariant(&self) -> bool {
-        self.policy
-            .lock()
-            .expect("policy lock")
-            .rotation_equivariant()
-    }
-
-    /// A clone of the shared policy handle, for callers that need repeated
-    /// access without borrowing `self` (the verifier holds `self.model`
-    /// mutably while probing).
-    #[must_use]
-    pub fn policy_handle(&self) -> PolicyHandle {
-        std::sync::Arc::clone(&self.policy)
+        self.policy.borrow().rotation_equivariant()
     }
 }
 
@@ -115,13 +102,7 @@ pub fn build_analysis_model(
     config: &SystemConfig,
     policy: Box<dyn SchedulingPolicy>,
 ) -> Result<AnalysisModel, CoreError> {
-    let (model, layout, error, policy) = build::build_model(config, policy, false)?;
-    Ok(AnalysisModel {
-        model,
-        layout,
-        error,
-        policy,
-    })
+    Ok(build::build_model(config, policy, false)?)
 }
 
 /// The SAN engine for one simulation run. See the module docs.
@@ -204,7 +185,12 @@ impl SanSystem {
         seed: u64,
         dynamic: bool,
     ) -> Result<Self, CoreError> {
-        let (model, layout, error, _policy) = build::build_model(&config, policy, dynamic)?;
+        let AnalysisModel {
+            model,
+            layout,
+            error,
+            ..
+        } = build::build_model(&config, policy, dynamic)?;
         let sched_func = model
             .activity_by_name("Scheduling_Func")
             .expect("the composed model has a Scheduling_Func activity");
@@ -287,7 +273,7 @@ impl SanSystem {
         if self.observer.is_none() {
             self.horizon += ticks as f64;
             self.sim.run_until(self.horizon)?;
-            if let Some(e) = self.error.lock().expect("error cell").take() {
+            if let Some(e) = self.error.borrow_mut().take() {
                 return Err(e);
             }
             return Ok(());
@@ -299,7 +285,7 @@ impl SanSystem {
         for _ in 0..ticks {
             self.horizon += 1.0;
             self.sim.run_until(self.horizon)?;
-            if let Some(e) = self.error.lock().expect("error cell").take() {
+            if let Some(e) = self.error.borrow_mut().take() {
                 return Err(e);
             }
             let vcpu_views = self.vcpu_views();
@@ -324,7 +310,7 @@ impl SanSystem {
     pub fn run_to_decision(&mut self) -> Result<(), CoreError> {
         self.sim
             .run_until_break(self.horizon + 1.0, self.sched_func)?;
-        if let Some(e) = self.error.lock().expect("error cell").take() {
+        if let Some(e) = self.error.borrow_mut().take() {
             return Err(e);
         }
         Ok(())

@@ -248,10 +248,10 @@ mod tests {
     #[test]
     fn dynamic_models_have_no_rotations() {
         let config = identical_vms(2, 1);
-        let (model, layout, _, _) =
+        let am =
             crate::san_model::build::build_model(&config, PolicyKind::RoundRobin.create(), true)
                 .unwrap();
-        let rots = vm_rotations(&config, &layout, model.initial_marking().len());
+        let rots = vm_rotations(&config, &am.layout, am.model.initial_marking().len());
         assert!(rots.is_empty(), "admission places break the symmetry");
     }
 

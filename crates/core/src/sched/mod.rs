@@ -253,12 +253,10 @@ impl PolicyState {
 ///
 /// Implementations may keep arbitrary internal state (round-robin cursors,
 /// per-VCPU skew counters, credits) across invocations; the engine calls
-/// [`SchedulingPolicy::schedule`] exactly once per clock tick.
-///
-/// `Send` is required because the built model owns the policy inside the
-/// `Scheduling_Func` gate closure, and every model closure is
-/// `Send + Sync` (see [`vsched_san::gate::Predicate`]).
-pub trait SchedulingPolicy: Send {
+/// [`SchedulingPolicy::schedule`] exactly once per clock tick, on the
+/// thread that runs the engine — the paper's C function called from one
+/// simulation thread — so a policy needs no synchronisation of its own.
+pub trait SchedulingPolicy {
     /// Human-readable name used in reports and error messages.
     fn name(&self) -> &str;
 

@@ -22,7 +22,8 @@
 //! action sequence — same observation, reward, and fingerprint streams, on
 //! either engine.
 
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use vsched_core::direct::DirectSim;
 use vsched_core::san_model::SanSystem;
@@ -156,7 +157,7 @@ pub struct EpisodeEnd {
 struct SlotPolicy {
     name: String,
     fields: ViewFields,
-    slot: Arc<Mutex<ScheduleDecision>>,
+    slot: Rc<RefCell<ScheduleDecision>>,
 }
 
 impl SchedulingPolicy for SlotPolicy {
@@ -165,7 +166,7 @@ impl SchedulingPolicy for SlotPolicy {
     }
 
     fn schedule(&mut self, _: &[VcpuView], _: &[PcpuView], _: u64, _: u64) -> ScheduleDecision {
-        std::mem::take(&mut *self.slot.lock().expect("action slot"))
+        self.slot.take()
     }
 
     fn snapshot_view(&self) -> ViewFields {
@@ -254,7 +255,7 @@ impl Sim {
 /// slot its policy reads, and the reward state.
 struct LiveEpisode {
     sim: Sim,
-    slot: Arc<Mutex<ScheduleDecision>>,
+    slot: Rc<RefCell<ScheduleDecision>>,
     /// Ticks finished so far.
     ticks: u64,
     /// `warmup + horizon`.
@@ -326,10 +327,11 @@ impl LiveEpisode {
 /// `step(action) → (Observation, reward, done, info)`.
 ///
 /// `Env` owns its engine and runs it on the caller's thread, paused
-/// between calls at the next decision point. It is not `Send`, because an
-/// engine can carry a [`vsched_core::TickObserver`], which is not `Send`;
-/// vectorised rollouts build one `Env` per worker thread from a shared
-/// [`Scenario`], which is.
+/// between calls at the next decision point. It is not `Send`: the engine
+/// shares its policy with the action slot through `Rc`, and can carry a
+/// [`vsched_core::TickObserver`], which is not `Send` either. Vectorised
+/// rollouts build one `Env` per worker thread from a shared [`Scenario`],
+/// which is.
 ///
 /// ```
 /// use vsched_core::{ScheduleDecision, SystemConfig, Engine};
@@ -440,11 +442,11 @@ impl Env {
         if total == 0 {
             return Err(EnvError::EmptyScenario);
         }
-        let slot = Arc::new(Mutex::new(ScheduleDecision::none()));
+        let slot = Rc::new(RefCell::new(ScheduleDecision::none()));
         let policy = Box::new(SlotPolicy {
             name: self.agent_name.clone(),
             fields: self.fields,
-            slot: Arc::clone(&slot),
+            slot: Rc::clone(&slot),
         });
         let mut sim = Sim::build(&self.scenario, policy, seed)?;
         if self.scenario.warmup == 0 {
@@ -474,7 +476,7 @@ impl Env {
     /// `validate_decision`, which ends the episode as an agent fault.
     pub fn step(&mut self, action: &ScheduleDecision) -> Result<Step, EnvError> {
         let mut episode = self.episode.take().ok_or(EnvError::NoEpisode)?;
-        episode.slot.lock().expect("action slot").clone_from(action);
+        episode.slot.borrow_mut().clone_from(action);
         episode.sim.finish_tick()?;
         episode.ticks += 1;
         let warmup = self.scenario.warmup;

@@ -99,7 +99,7 @@ impl std::error::Error for PolicyFault {}
 /// is uniform across child stdio and sockets; the thread exits when the
 /// peer closes its end or the transport is dropped.
 pub struct LineTransport {
-    writer: Box<dyn Write + Send>,
+    writer: Box<dyn Write>,
     lines: Receiver<std::io::Result<String>>,
     timeout: Option<Duration>,
     child: Option<Child>,
@@ -119,7 +119,7 @@ impl LineTransport {
     /// forever, the right choice when the peer paces the conversation).
     pub fn new(
         reader: impl Read + Send + 'static,
-        writer: impl Write + Send + 'static,
+        writer: impl Write + 'static,
         timeout: Option<Duration>,
     ) -> Self {
         let (tx, rx) = mpsc::channel();
@@ -207,13 +207,18 @@ impl LineTransport {
     ///
     /// # Errors
     ///
-    /// [`PolicyFault::Io`] on a broken pipe.
+    /// [`PolicyFault::Eof`] on a broken pipe — the peer hung up, and
+    /// whether that shows first here or in [`LineTransport::recv`] is a
+    /// race — and [`PolicyFault::Io`] on any other write error.
     pub fn send(&mut self, msg: &Message) -> Result<(), PolicyFault> {
         let line = proto::encode(msg);
         self.writer
             .write_all(line.as_bytes())
             .and_then(|()| self.writer.flush())
-            .map_err(|e| PolicyFault::Io(e.to_string()))
+            .map_err(|e| match e.kind() {
+                std::io::ErrorKind::BrokenPipe => PolicyFault::Eof,
+                _ => PolicyFault::Io(e.to_string()),
+            })
     }
 
     /// Receives one message, honoring the timeout.

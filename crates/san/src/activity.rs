@@ -70,12 +70,10 @@ impl Timing {
 /// Marking-dependent case-weight function: fills `out` (cleared by the
 /// caller) with one weight per case. The buffer-filling shape lets the
 /// simulator reuse one scratch allocation across all completions.
-/// `Send + Sync` like every model closure (see [`crate::gate::Predicate`]).
-pub type WeightFn = Box<dyn Fn(&Marking, &mut Vec<f64>) + Send + Sync>;
+pub type WeightFn = Box<dyn Fn(&Marking, &mut Vec<f64>)>;
 
-/// Marking-dependent rate-multiplier function (`Send + Sync` like every
-/// model closure).
-pub type RateFn = Box<dyn Fn(&Marking) -> f64 + Send + Sync>;
+/// Marking-dependent rate-multiplier function.
+pub type RateFn = Box<dyn Fn(&Marking) -> f64>;
 
 /// Probability weights of an activity's cases.
 pub enum CaseWeights {
@@ -322,10 +320,10 @@ impl ActivitySpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use std::rc::Rc;
 
     fn marking(init: &[i64]) -> Marking {
-        let names = Arc::new((0..init.len()).map(|i| format!("p{i}")).collect::<Vec<_>>());
+        let names = Rc::new((0..init.len()).map(|i| format!("p{i}")).collect::<Vec<_>>());
         Marking::new(init.to_vec(), names)
     }
 

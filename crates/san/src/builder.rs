@@ -1,7 +1,7 @@
 //! Model construction: places, activities, and Mobius-style composition.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use vsched_des::{Dist, Xoshiro256StarStar};
 
@@ -88,7 +88,7 @@ impl EnableIndex {
 /// it is not `Clone`; replicated experiments rebuild the model from a factory
 /// closure (see [`crate::experiment`]).
 pub struct Model {
-    pub(crate) names: Arc<Vec<String>>,
+    pub(crate) names: Rc<Vec<String>>,
     pub(crate) initial: Vec<i64>,
     pub(crate) activities: Vec<ActivitySpec>,
     pub(crate) enable_index: EnableIndex,
@@ -107,7 +107,7 @@ impl Model {
     /// The initial marking of the model.
     #[must_use]
     pub fn initial_marking(&self) -> Marking {
-        Marking::new(self.initial.clone(), Arc::clone(&self.names))
+        Marking::new(self.initial.clone(), Rc::clone(&self.names))
     }
 
     /// Number of places.
@@ -420,7 +420,7 @@ impl ModelBuilder {
     pub fn build(self) -> Result<Model, SanError> {
         let enable_index = EnableIndex::build(self.names.len(), &self.activities);
         Ok(Model {
-            names: Arc::new(self.names),
+            names: Rc::new(self.names),
             initial: self.initial,
             activities: self.activities,
             enable_index,
@@ -491,7 +491,7 @@ impl<'a> ActivityBuilder<'a> {
     /// activity. The canonical use is an M/M/c server:
     /// `.timed(exp).rate_multiplier(move |m| m.tokens(q).min(c) as f64)`.
     #[must_use]
-    pub fn rate_multiplier(mut self, f: impl Fn(&Marking) -> f64 + Send + Sync + 'static) -> Self {
+    pub fn rate_multiplier(mut self, f: impl Fn(&Marking) -> f64 + 'static) -> Self {
         self.rate_fn = Some(Box::new(f));
         self.set_closure(LastClosure::Rate);
         self
@@ -507,11 +507,7 @@ impl<'a> ActivityBuilder<'a> {
 
     /// Adds an input gate with only an enabling predicate.
     #[must_use]
-    pub fn guard(
-        mut self,
-        name: &str,
-        predicate: impl Fn(&Marking) -> bool + Send + Sync + 'static,
-    ) -> Self {
+    pub fn guard(mut self, name: &str, predicate: impl Fn(&Marking) -> bool + 'static) -> Self {
         self.input_gates.push(InputGate::guard(name, predicate));
         self.set_closure(LastClosure::Gate);
         self
@@ -522,8 +518,8 @@ impl<'a> ActivityBuilder<'a> {
     pub fn input_gate(
         mut self,
         name: &str,
-        predicate: impl Fn(&Marking) -> bool + Send + Sync + 'static,
-        function: impl Fn(&mut Marking, &mut Xoshiro256StarStar) + Send + Sync + 'static,
+        predicate: impl Fn(&Marking) -> bool + 'static,
+        function: impl Fn(&mut Marking, &mut Xoshiro256StarStar) + 'static,
     ) -> Self {
         self.input_gates
             .push(InputGate::new(name, predicate, function));
@@ -651,10 +647,7 @@ impl<'a> ActivityBuilder<'a> {
     /// for closures that return a fresh `Vec` (the returned weights are
     /// copied into the simulator's scratch buffer each completion).
     #[must_use]
-    pub fn dynamic_case_weights(
-        self,
-        f: impl Fn(&Marking) -> Vec<f64> + Send + Sync + 'static,
-    ) -> Self {
+    pub fn dynamic_case_weights(self, f: impl Fn(&Marking) -> Vec<f64> + 'static) -> Self {
         self.dynamic_case_weights_into(move |m, out| out.extend_from_slice(&f(m)))
     }
 
@@ -665,7 +658,7 @@ impl<'a> ActivityBuilder<'a> {
     #[must_use]
     pub fn dynamic_case_weights_into(
         mut self,
-        f: impl Fn(&Marking, &mut Vec<f64>) + Send + Sync + 'static,
+        f: impl Fn(&Marking, &mut Vec<f64>) + 'static,
     ) -> Self {
         self.dynamic_weights = Some(Box::new(f));
         self.set_closure(LastClosure::Weights);
@@ -694,7 +687,7 @@ impl<'a> ActivityBuilder<'a> {
     pub fn output_gate(
         mut self,
         name: &str,
-        function: impl Fn(&mut Marking, &mut Xoshiro256StarStar) + Send + Sync + 'static,
+        function: impl Fn(&mut Marking, &mut Xoshiro256StarStar) + 'static,
     ) -> Self {
         self.current_case()
             .output_gates

@@ -12,20 +12,19 @@ use crate::marking::{Marking, PlaceId, ReadSet};
 
 /// Enabling predicate of an input gate.
 ///
-/// `Send + Sync` so a [`crate::Model`] can cross threads — every gate
-/// closure is immutable shared state; gates needing private mutable state
-/// (the user-defined scheduling function of the VCPU scheduler keeps its
-/// round-robin cursor this way) capture it behind `Arc<Mutex<..>>`.
-pub type Predicate = Box<dyn Fn(&Marking) -> bool + Send + Sync>;
+/// Gate closures are `Fn`: a model runs on one thread, and gates needing
+/// private mutable state (the user-defined scheduling function of the
+/// VCPU scheduler keeps its round-robin cursor this way) capture it
+/// behind `Rc<RefCell<..>>`.
+pub type Predicate = Box<dyn Fn(&Marking) -> bool>;
 
 /// State-update function of a gate.
 ///
 /// Receives the marking and a dedicated RNG stream so gates can perform
 /// stochastic updates (the paper's `WL_Output` gate samples the workload
-/// `load` and `sync_point` fields). `Fn + Send + Sync` for the same
-/// model-sharing reason as [`Predicate`]; stateful gates capture an
-/// `Arc<Mutex<..>>`.
-pub type GateFn = Box<dyn Fn(&mut Marking, &mut Xoshiro256StarStar) + Send + Sync>;
+/// `load` and `sync_point` fields). `Fn` like [`Predicate`]; stateful
+/// gates capture an `Rc<RefCell<..>>`.
+pub type GateFn = Box<dyn Fn(&mut Marking, &mut Xoshiro256StarStar)>;
 
 /// An input gate: a guard plus a completion-time update.
 pub struct InputGate {
@@ -75,10 +74,7 @@ impl std::fmt::Debug for OutputGate {
 
 impl InputGate {
     /// Creates an input gate with a predicate only (no completion update).
-    pub fn guard(
-        name: impl Into<String>,
-        predicate: impl Fn(&Marking) -> bool + Send + Sync + 'static,
-    ) -> Self {
+    pub fn guard(name: impl Into<String>, predicate: impl Fn(&Marking) -> bool + 'static) -> Self {
         InputGate {
             name: name.into(),
             predicate: Box::new(predicate),
@@ -91,8 +87,8 @@ impl InputGate {
     /// Creates an input gate with a predicate and a completion function.
     pub fn new(
         name: impl Into<String>,
-        predicate: impl Fn(&Marking) -> bool + Send + Sync + 'static,
-        function: impl Fn(&mut Marking, &mut Xoshiro256StarStar) + Send + Sync + 'static,
+        predicate: impl Fn(&Marking) -> bool + 'static,
+        function: impl Fn(&mut Marking, &mut Xoshiro256StarStar) + 'static,
     ) -> Self {
         InputGate {
             name: name.into(),
@@ -141,7 +137,7 @@ impl OutputGate {
     /// Creates an output gate from its update function.
     pub fn new(
         name: impl Into<String>,
-        function: impl Fn(&mut Marking, &mut Xoshiro256StarStar) + Send + Sync + 'static,
+        function: impl Fn(&mut Marking, &mut Xoshiro256StarStar) + 'static,
     ) -> Self {
         OutputGate {
             name: name.into(),
@@ -187,10 +183,11 @@ impl OutputGate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn marking() -> Marking {
-        Marking::new(vec![2], Arc::new(vec!["p".into()]))
+        Marking::new(vec![2], Rc::new(vec!["p".into()]))
     }
 
     #[test]
@@ -213,10 +210,10 @@ mod tests {
     #[test]
     fn stateful_gate_closure() {
         // Gates are `Fn`; private mutable state goes behind a shared cell.
-        let calls = Arc::new(std::sync::Mutex::new(0i64));
-        let cell = Arc::clone(&calls);
+        let calls = Rc::new(RefCell::new(0i64));
+        let cell = Rc::clone(&calls);
         let g = OutputGate::new("counter", move |m, _| {
-            let mut c = cell.lock().unwrap();
+            let mut c = cell.borrow_mut();
             *c += 1;
             m.set(crate::PlaceId(0), *c);
         });

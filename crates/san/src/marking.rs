@@ -1,7 +1,7 @@
 //! Markings: the state of a SAN.
 
 use std::fmt;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Handle to a place in a model.
 ///
@@ -68,7 +68,7 @@ impl ReadSet {
 #[derive(Clone)]
 pub struct Marking {
     tokens: Vec<i64>,
-    names: Arc<Vec<String>>,
+    names: Rc<Vec<String>>,
     /// First-touch-ordered log of places whose token count changed since the
     /// last [`Marking::clear_dirty`]; only populated while tracking is on.
     dirty: Vec<usize>,
@@ -78,7 +78,7 @@ pub struct Marking {
 }
 
 impl Marking {
-    pub(crate) fn new(initial: Vec<i64>, names: Arc<Vec<String>>) -> Self {
+    pub(crate) fn new(initial: Vec<i64>, names: Rc<Vec<String>>) -> Self {
         debug_assert_eq!(initial.len(), names.len());
         Marking {
             tokens: initial,
@@ -217,7 +217,7 @@ mod tests {
     use super::*;
 
     fn marking(init: &[i64]) -> Marking {
-        let names = Arc::new((0..init.len()).map(|i| format!("p{i}")).collect::<Vec<_>>());
+        let names = Rc::new((0..init.len()).map(|i| format!("p{i}")).collect::<Vec<_>>());
         Marking::new(init.to_vec(), names)
     }
 

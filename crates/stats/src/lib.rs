@@ -12,11 +12,7 @@
 //!   (regularized incomplete beta + bisection), no tables,
 //! * [`ConfidenceInterval`] — mean ± half-width at a configurable level,
 //! * [`ReplicationController`] — independent-replication stopping rule:
-//!   run until every tracked statistic meets its half-width criterion,
-//! * [`BatchMeans`] — single-long-run steady-state estimation,
-//! * [`P2Quantile`] — O(1)-memory streaming quantiles (P² algorithm),
-//! * [`autocorr`] — autocorrelation / effective-sample-size diagnostics,
-//! * [`warmup`] — MSER-5 initial-transient detection.
+//!   run until every tracked statistic meets its half-width criterion.
 //!
 //! ## Example
 //!
@@ -41,23 +37,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod autocorr;
-pub mod batch;
 pub mod ci;
 pub mod error;
-pub mod quantile;
 pub mod replication;
 pub mod student_t;
 pub mod timeweighted;
-pub mod warmup;
 pub mod welford;
 
-pub use autocorr::{autocorrelation, effective_sample_size, suggest_batch_size};
-pub use batch::BatchMeans;
 pub use ci::ConfidenceInterval;
 pub use error::StatsError;
-pub use quantile::P2Quantile;
 pub use replication::{ReplicationController, StoppingRule};
 pub use timeweighted::TimeWeighted;
-pub use warmup::{mser5, WarmupEstimate};
 pub use welford::Welford;

@@ -13,7 +13,6 @@
 //! ```
 
 use vsched_core::{direct::DirectSim, PolicyKind, SystemConfig};
-use vsched_stats::P2Quantile;
 
 /// Measures mean and P95 blocked-streak length (in ticks) of VM 0 and its
 /// VCPU utilization.
@@ -30,7 +29,6 @@ fn measure(kind: &PolicyKind, sync: (u32, u32), seed: u64) -> (f64, f64, f64) {
     sim.reset_metrics();
 
     let mut streaks = Vec::new();
-    let mut p95 = P2Quantile::new(0.95).expect("valid quantile");
     let mut current = 0u64;
     for _ in 0..30_000 {
         sim.tick().expect("tick");
@@ -38,17 +36,19 @@ fn measure(kind: &PolicyKind, sync: (u32, u32), seed: u64) -> (f64, f64, f64) {
             current += 1;
         } else if current > 0 {
             streaks.push(current);
-            p95.push(current as f64);
             current = 0;
         }
     }
-    let mean_streak = if streaks.is_empty() {
-        0.0
-    } else {
-        streaks.iter().sum::<u64>() as f64 / streaks.len() as f64
-    };
     let util = sim.metrics().avg_vcpu_utilization();
-    (mean_streak, p95.estimate().unwrap_or(0.0), util)
+    if streaks.is_empty() {
+        return (0.0, 0.0, util);
+    }
+    let mean_streak = streaks.iter().sum::<u64>() as f64 / streaks.len() as f64;
+    // Exact nearest-rank P95: the smallest streak that at least 95% of
+    // all streaks do not exceed.
+    streaks.sort_unstable();
+    let p95 = streaks[(streaks.len() * 95).div_ceil(100) - 1];
+    (mean_streak, p95 as f64, util)
 }
 
 fn main() {

@@ -13,13 +13,57 @@
 //!    beyond the band means the simulation itself changed behaviour.
 
 use serde_json::Value;
-use vsched_bench::{paper_config, run_cell};
-use vsched_core::{Engine, PolicyKind};
+use vsched_core::{Engine, ExperimentBuilder, MetricsReport, PolicyKind, SystemConfig};
+use vsched_stats::StoppingRule;
 
 /// Tolerance for regenerated cells vs. the committed snapshot. Seeds are
 /// deterministic, so regeneration is expected to be near-exact; the band
 /// only absorbs deliberate small numerical changes.
 const REGEN_TOLERANCE: f64 = 0.02;
+
+/// Builds the paper's standard configuration: `pcpus` physical CPUs, VMs
+/// of the given sizes, sync ratio `points:per_workloads`.
+fn paper_config(pcpus: usize, vm_sizes: &[usize], sync: (u32, u32)) -> SystemConfig {
+    let mut b = SystemConfig::builder()
+        .pcpus(pcpus)
+        .sync_ratio(sync.0, sync.1);
+    for &n in vm_sizes {
+        b = b.vm(n);
+    }
+    b.build().expect("paper configurations are valid")
+}
+
+/// Runs one experiment cell with the paper's stopping rule (95% level,
+/// interval < 0.1), capped at 20 replications — the rule every committed
+/// snapshot was generated with.
+fn run_cell(config: SystemConfig, policy: PolicyKind, engine: Engine) -> MetricsReport {
+    ExperimentBuilder::new(config, policy)
+        .engine(engine)
+        .warmup(1_000)
+        .horizon(20_000)
+        .stopping_rule(
+            StoppingRule::paper_default()
+                .with_min_replications(5)
+                .with_max_replications(20),
+        )
+        .run()
+        .expect("paper experiment must run")
+}
+
+#[test]
+fn paper_config_builds() {
+    let c = paper_config(4, &[2, 1, 1], (1, 5));
+    assert_eq!(c.pcpus(), 4);
+    assert_eq!(c.total_vcpus(), 4);
+}
+
+#[test]
+fn run_cell_produces_report() {
+    let c = paper_config(2, &[1, 1], (1, 5));
+    let r = run_cell(c, PolicyKind::RoundRobin, Engine::Direct);
+    assert!(r.replications >= 5);
+    assert_eq!(r.vcpu_availability.len(), 2);
+}
 
 fn golden(name: &str) -> Vec<Value> {
     let path = format!(
