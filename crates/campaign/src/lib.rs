@@ -31,7 +31,7 @@
 //!   simulations.
 //!
 //! The whole pipeline is driven by [`sweep::run_sweep`], which backs the
-//! `vsched sweep` CLI subcommand and the thin bench-binary shims.
+//! `vsched sweep` CLI subcommand.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,7 +45,7 @@ pub mod render;
 pub mod spec;
 pub mod store;
 pub mod sweep;
-pub mod table;
+mod table;
 
 pub use error::CampaignError;
 pub use key::{cell_key, ENGINE_VERSION};

@@ -1,12 +1,12 @@
-//! Figure renderers: from stored cell results to the exact tables and
-//! JSON documents the original ten bench binaries produced.
+//! Figure renderers: from stored cell results to the tables and JSON
+//! documents of the paper's figures (`bench_results/*.json`).
 //!
 //! A renderer is selected by the experiment's `report` id and consumes the
 //! experiment's cells *in planned order* (grid row-major, then extras), so
-//! each renderer just re-applies the nesting structure of the binary it
-//! replaces. Because renderers always read from the store — never from
-//! in-memory results of the current run — a warm re-render is byte-for-byte
-//! identical to the cold run that populated the store.
+//! each renderer just re-applies its figure's nesting structure. Because
+//! renderers always read from the store — never from in-memory results of
+//! the current run — a warm re-render is byte-for-byte identical to the
+//! cold run that populated the store.
 
 use serde_json::json;
 

@@ -589,51 +589,74 @@ impl CellConfig {
     }
 
     /// Builds a ready-to-run [`ExperimentBuilder`] for this cell.
-    ///
-    /// The builder is configured single-threaded (`parallel(false)`):
-    /// campaigns parallelize across *cells* on the shared `vsched-exec`
-    /// pool, and replication results are bit-identical either way.
+    /// Replications run in parallel unless the caller says otherwise;
+    /// results are bit-identical either way.
     ///
     /// # Errors
     ///
     /// Propagates validation errors from [`CellConfig::system`] and
     /// [`CellConfig::policy_kind`]; rejects trace cells (which run
-    /// through [`CellConfig::run_report`], not the static builder).
+    /// through [`CellConfig::trace_experiment`], not the static builder).
     pub fn builder(&self) -> Result<ExperimentBuilder, CoreError> {
         self.validate()?;
         if self.trace.is_some() {
             return Err(CoreError::InvalidConfig {
-                reason: "trace cells have no static builder; use run_report()".into(),
+                reason: "trace cells have no static builder; use trace_experiment()".into(),
             });
         }
-        let mut b = ExperimentBuilder::new(self.system()?, self.policy_kind()?)
+        let b = ExperimentBuilder::new(self.system()?, self.policy_kind()?)
             .engine(self.engine.to_engine())
             .warmup(self.warmup)
             .horizon(self.horizon)
-            .seed(self.seed)
-            .parallel(false);
-        b = match self.replications {
+            .seed(self.seed);
+        Ok(match self.replications {
             ReplicationSpec::Exact(n) => b.replications_exact(n),
             ReplicationSpec::Rule { min, max } => b.stopping_rule(
                 StoppingRule::paper_default()
                     .with_min_replications(min)
                     .with_max_replications(max),
             ),
+        })
+    }
+
+    /// Builds a ready-to-run [`vsched_trace::TraceExperiment`] over this
+    /// cell's compiled `schedule` ([`CellConfig::schedule`]). There is no
+    /// stopping rule mid-trace: `replications: N` runs N; a rule runs its
+    /// `min`.
+    ///
+    /// # Errors
+    ///
+    /// Validation errors and an unknown policy label.
+    pub fn trace_experiment(
+        &self,
+        schedule: vsched_trace::TraceSchedule,
+    ) -> Result<vsched_trace::TraceExperiment, CoreError> {
+        self.validate()?;
+        let replications = match self.replications {
+            ReplicationSpec::Exact(n) => n,
+            ReplicationSpec::Rule { min, .. } => min,
         };
-        Ok(b)
+        Ok(
+            vsched_trace::TraceExperiment::new(schedule, self.policy_kind()?)
+                .engine(self.engine.to_engine())
+                .warmup(self.warmup)
+                .horizon(self.horizon)
+                .seed(self.seed)
+                .replications(replications),
+        )
     }
 
     /// Runs the cell to completion — the orchestrator's single entry
     /// point. Static cells go through [`CellConfig::builder`]; trace
-    /// cells compile their schedule and run a
-    /// [`vsched_trace::TraceExperiment`] with this cell's policy, engine,
-    /// warmup, horizon and seed, then aggregate the per-replication
-    /// samples into the same [`MetricsReport`] shape, so the result store
-    /// and every renderer are agnostic to how the cell was driven.
+    /// cells compile their schedule and run
+    /// [`CellConfig::trace_experiment`], then aggregate the
+    /// per-replication samples into the same [`MetricsReport`] shape, so
+    /// the result store and every renderer are agnostic to how the cell
+    /// was driven.
     ///
-    /// Trace cells use a fixed replication count (there is no stopping
-    /// rule mid-trace): `replications: N` runs N; the default rule runs
-    /// its `min`.
+    /// Replications run sequentially (`parallel(false)`): campaigns
+    /// parallelize across *cells* on the shared `vsched-exec` pool, and
+    /// replication results are bit-identical either way.
     ///
     /// # Errors
     ///
@@ -641,22 +664,11 @@ impl CellConfig {
     pub fn run_report(&self) -> Result<MetricsReport, CoreError> {
         self.validate()?;
         if self.trace.is_none() {
-            return self.builder()?.run();
+            return self.builder()?.parallel(false).run();
         }
         let schedule = self.schedule()?;
         let (vcpus, pcpus) = (schedule.config().total_vcpus(), schedule.config().pcpus());
-        let replications = match self.replications {
-            ReplicationSpec::Exact(n) => n,
-            ReplicationSpec::Rule { min, .. } => min,
-        };
-        let report = vsched_trace::TraceExperiment::new(schedule, self.policy_kind()?)
-            .engine(self.engine.to_engine())
-            .warmup(self.warmup)
-            .horizon(self.horizon)
-            .seed(self.seed)
-            .replications(replications)
-            .parallel(false)
-            .run()?;
+        let report = self.trace_experiment(schedule)?.parallel(false).run()?;
         report.metrics_report(vcpus, pcpus, StoppingRule::paper_default().level)
     }
 

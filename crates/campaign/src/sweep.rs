@@ -1,7 +1,7 @@
 //! The campaign front door: load a spec, plan it, run it, render it.
 //!
-//! [`run_sweep`] is what both the `vsched sweep` CLI subcommand and the
-//! bench-binary shims call. One invocation:
+//! [`run_sweep`] is what the `vsched sweep` CLI subcommand calls. One
+//! invocation:
 //!
 //! 1. loads and validates the spec,
 //! 2. expands every experiment into keyed cells ([`mod@crate::plan`]),

@@ -2,8 +2,8 @@
 //! precise invalidation when an axis value changes.
 //!
 //! These drive [`vsched_campaign::run_sweep`] exactly the way the
-//! `vsched sweep` subcommand and the bench shims do, against throwaway
-//! spec/store/output directories under the system temp dir.
+//! `vsched sweep` subcommand does, against throwaway spec/store/output
+//! directories under the system temp dir.
 
 use std::fs;
 use std::path::{Path, PathBuf};

@@ -1,71 +1,30 @@
-//! JSON experiment configuration and its mapping onto `vsched-core`.
+//! JSON run configs — the `vsched run`/`lint`/`env`/`tournament` input —
+//! and their lowering onto campaign cells.
 //!
-//! The distribution and policy spec types are shared with the campaign
-//! subsystem and live in `vsched_campaign::spec`; they are re-exported
-//! here so existing `vsched_cli::config` users keep compiling.
+//! A run config is a spelling of [`CellConfig`]s: one cell per entry of
+//! `policies`, in order, built by [`ExperimentConfig::cells`]. Every
+//! subcommand that reads a run config works on those cells, so a run
+//! config and a sweep cell with the same content describe the same
+//! simulation. The lowering fills in what the config omits:
+//!
+//! * timeslice 30 and seed `0x5eed`;
+//! * replications: the paper's stopping rule between 5 and 40 for a
+//!   static system, exactly 3 for a trace-driven one (no stopping rule
+//!   mid-trace);
+//! * `weights` and `vm_workloads` stay unset when every VM has weight 1
+//!   and the paper's workload, so the cell keeps the homogeneous form.
+//!
+//! A VM's `workload` section is a [`VmWorkloadSpec`] and overrides the
+//! paper's workload field by field. As in sweep cells, `sync_every`
+//! zeroes the Bernoulli sync probability it replaces; neither engine
+//! draws that probability while `sync_every` is set, so results do not
+//! depend on it.
 
 use serde::{Deserialize, Serialize};
-use vsched_core::{
-    config::SyncMechanism, CoreError, Engine, PolicyKind, SystemConfig, VmSpec, WorkloadSpec,
-};
+use vsched_campaign::{CellConfig, EngineSpec, ReplicationSpec, SyncMechanismSpec};
+use vsched_core::CoreError;
 
-pub use vsched_campaign::spec::{CreditParams, DistSpec, PolicySpec, RcsParams};
-
-/// Workload section of a VM config. Every field is optional; omissions
-/// fall back to the paper's defaults (uniform[5,15), sync 1:5, barrier,
-/// saturated generation).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-#[serde(deny_unknown_fields)]
-pub struct WorkloadConfig {
-    /// Job-duration distribution.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub load: Option<DistSpec>,
-    /// Synchronization ratio as the paper writes it: `[1, 5]` is 1:5.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub sync_ratio: Option<(u32, u32)>,
-    /// `"barrier"` (default) or `"spinlock"`.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub sync_mechanism: Option<String>,
-    /// Deterministic pattern: every `k`-th workload is a sync point
-    /// (overrides the Bernoulli ratio).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub sync_every: Option<u32>,
-    /// Interarrival distribution; omit for a saturated generator.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub interarrival: Option<DistSpec>,
-}
-
-impl WorkloadConfig {
-    fn to_spec(&self) -> Result<WorkloadSpec, CoreError> {
-        let mut spec = WorkloadSpec::paper_default();
-        if let Some(load) = &self.load {
-            spec.load = load.to_dist()?;
-        }
-        if let Some((a, b)) = self.sync_ratio {
-            spec = spec.with_sync_ratio(a, b)?;
-        }
-        if let Some(mechanism) = &self.sync_mechanism {
-            spec.sync_mechanism = match mechanism.as_str() {
-                "barrier" => SyncMechanism::Barrier,
-                "spinlock" => SyncMechanism::SpinLock,
-                other => {
-                    return Err(CoreError::InvalidConfig {
-                        reason: format!(
-                            "unknown sync_mechanism `{other}` (expected `barrier` or `spinlock`)"
-                        ),
-                    })
-                }
-            };
-        }
-        if let Some(k) = self.sync_every {
-            spec = spec.with_sync_every(k)?;
-        }
-        if let Some(inter) = &self.interarrival {
-            spec.interarrival = Some(inter.to_dist()?);
-        }
-        Ok(spec)
-    }
-}
+pub use vsched_campaign::spec::{CreditParams, DistSpec, PolicySpec, RcsParams, VmWorkloadSpec};
 
 /// One VM in the config file.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -76,9 +35,10 @@ pub struct VmConfig {
     /// Proportional-share weight (default 1).
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub weight: Option<u32>,
-    /// Workload overrides (default: the paper's workload).
+    /// Workload overrides (default: the paper's workload — uniform
+    /// `[5, 15)` loads, sync 1:5, barrier, saturated generation).
     #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub workload: Option<WorkloadConfig>,
+    pub workload: Option<VmWorkloadSpec>,
 }
 
 /// `skip_serializing_if` gate for `pcpus`: `0` means "the trace supplies
@@ -94,10 +54,6 @@ fn default_policies() -> Vec<PolicySpec> {
         PolicySpec::Label("scs".into()),
         PolicySpec::Label("rcs".into()),
     ]
-}
-
-fn default_engine() -> String {
-    "san".into()
 }
 
 fn default_warmup() -> u64 {
@@ -139,15 +95,16 @@ pub struct ExperimentConfig {
     #[serde(default = "default_policies")]
     pub policies: Vec<PolicySpec>,
     /// `"san"` (default) or `"direct"`.
-    #[serde(default = "default_engine")]
-    pub engine: String,
+    #[serde(default)]
+    pub engine: EngineSpec,
     /// Warm-up ticks per replication (default 1000).
     #[serde(default = "default_warmup")]
     pub warmup: u64,
     /// Observed ticks per replication (default 20000).
     #[serde(default = "default_horizon")]
     pub horizon: u64,
-    /// Exact replication count; omit to use the paper's stopping rule.
+    /// Exact replication count; omit to use the paper's stopping rule
+    /// (5 to 40 replications), or 3 for a trace-driven run.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub replications: Option<usize>,
     /// Base RNG seed (default 0x5eed).
@@ -160,10 +117,12 @@ pub struct ExperimentConfig {
 }
 
 impl ExperimentConfig {
-    /// Parses a config from JSON text and validates its parameter ranges:
-    /// a zero timeslice, a zero replication count, or out-of-domain policy
-    /// parameters (e.g. an RCS skew threshold of 0) are rejected here, at
-    /// load time, instead of surfacing mid-run.
+    /// Parses a config from JSON text and validates every cell it lowers
+    /// to ([`CellConfig::validate`]): a zero timeslice, a zero
+    /// replication count, an unknown policy, out-of-domain policy
+    /// parameters (e.g. an RCS skew threshold of 0) or a topology that
+    /// conflicts with a `trace` are rejected here, at load time, instead
+    /// of surfacing mid-run.
     ///
     /// # Errors
     ///
@@ -173,128 +132,111 @@ impl ExperimentConfig {
         let config: Self = serde_json::from_str(text).map_err(|e| CoreError::InvalidConfig {
             reason: format!("config parse error: {e}"),
         })?;
-        if config.timeslice == Some(0) {
-            return Err(CoreError::InvalidConfig {
-                reason: "timeslice must be at least 1 tick".into(),
-            });
-        }
-        if config.replications == Some(0) {
-            return Err(CoreError::InvalidConfig {
-                reason: "replications must be at least 1".into(),
-            });
-        }
-        if let Some(trace) = &config.trace {
-            if !config.vms.is_empty() {
-                return Err(CoreError::InvalidConfig {
-                    reason: "a trace-driven config must omit `vms` (the trace defines the VMs)"
-                        .into(),
-                });
-            }
-            let is_csv = std::path::Path::new(trace)
-                .extension()
-                .is_some_and(|e| e.eq_ignore_ascii_case("csv"));
-            if is_csv && config.pcpus == 0 {
-                return Err(CoreError::InvalidConfig {
-                    reason: format!("CSV trace `{trace}` carries no platform: set `pcpus`"),
-                });
-            }
-            if !is_csv && config.pcpus != 0 {
-                return Err(CoreError::InvalidConfig {
-                    reason: format!("trace `{trace}` carries its own platform: omit `pcpus`"),
-                });
-            }
-        } else if config.pcpus == 0 || config.vms.is_empty() {
-            return Err(CoreError::InvalidConfig {
-                reason: "need at least 1 PCPU and 1 VM (or a `trace`)".into(),
-            });
-        }
-        for spec in &config.policies {
-            // Unknown labels keep failing later, in `policy_kinds`, with
-            // their own message; here we only range-check resolvable ones.
-            if let Ok(kind) = spec.to_kind() {
-                kind.validate()?;
-            }
+        for cell in config.cells()? {
+            cell.validate()?;
         }
         Ok(config)
     }
 
-    /// Loads and compiles this config's trace schedule.
+    /// Lowers this config to one [`CellConfig`] per entry of `policies`,
+    /// in order (see the module docs for the defaults it fills in).
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidConfig`] when no `trace` is set, or with the
-    /// trace reader's `path:line`-annotated message when the file is
-    /// missing or malformed.
-    pub fn schedule(&self) -> Result<vsched_trace::TraceSchedule, CoreError> {
-        let Some(trace) = &self.trace else {
+    /// [`CoreError::InvalidConfig`] when `policies` is empty.
+    pub fn cells(&self) -> Result<Vec<CellConfig>, CoreError> {
+        if self.policies.is_empty() {
             return Err(CoreError::InvalidConfig {
-                reason: "config has no `trace` field".into(),
+                reason: "`policies` must name at least one policy".into(),
             });
+        }
+        let weights: Vec<u32> = self.vms.iter().map(|vm| vm.weight.unwrap_or(1)).collect();
+        let overrides: Vec<VmWorkloadSpec> = self
+            .vms
+            .iter()
+            .map(|vm| vm.workload.clone().unwrap_or_default())
+            .collect();
+        let replications = match (self.replications, &self.trace) {
+            (Some(n), _) => ReplicationSpec::Exact(n),
+            (None, Some(_)) => ReplicationSpec::Exact(3),
+            (None, None) => ReplicationSpec::Rule { min: 5, max: 40 },
         };
-        let csv_meta = vsched_trace::TraceMeta::new(self.pcpus);
-        vsched_trace::load_trace(std::path::Path::new(trace), &csv_meta).map_err(|e| {
-            CoreError::InvalidConfig {
-                reason: e.to_string(),
-            }
+        let base = CellConfig {
+            pcpus: self.pcpus,
+            vms: self.vms.iter().map(|vm| vm.vcpus).collect(),
+            trace: self.trace.clone(),
+            weights: (!weights.iter().all(|&w| w == 1)).then_some(weights),
+            sync_ratio: (1, 5),
+            sync_probability: None,
+            sync_every: None,
+            sync_mechanism: SyncMechanismSpec::Barrier,
+            timeslice: self.timeslice.unwrap_or(30),
+            load: DistSpec::Uniform {
+                low: 5.0,
+                high: 15.0,
+            },
+            interarrival: None,
+            vm_workloads: (!overrides.iter().all(VmWorkloadSpec::is_noop)).then_some(overrides),
+            policy: PolicySpec::Label("rrs".into()),
+            engine: self.engine,
+            warmup: self.warmup,
+            horizon: self.horizon,
+            replications,
+            seed: self.seed.unwrap_or(0x5eed),
+        };
+        Ok(self
+            .policies
+            .iter()
+            .map(|policy| CellConfig {
+                policy: policy.clone(),
+                ..base.clone()
+            })
+            .collect())
+    }
+}
+
+/// Whether a JSON input is a sweep spec rather than a run config: its
+/// top-level object has an `experiments` key.
+#[must_use]
+pub fn is_sweep_spec(text: &str) -> bool {
+    serde_json::from_str::<serde_json::Value>(text)
+        .ok()
+        .and_then(|v| {
+            v.as_map()
+                .map(|m| m.iter().any(|(k, _)| k == "experiments"))
         })
-    }
+        .unwrap_or(false)
+}
 
-    /// Builds the [`SystemConfig`] this experiment describes — for a
-    /// trace-driven config, the trace's union topology.
-    ///
-    /// # Errors
-    ///
-    /// Propagates validation errors from the builder.
-    pub fn system(&self) -> Result<SystemConfig, CoreError> {
-        if self.trace.is_some() {
-            return Ok(self.schedule()?.config().clone());
-        }
-        let mut b = SystemConfig::builder().pcpus(self.pcpus);
-        if let Some(ts) = self.timeslice {
-            b = b.timeslice(ts);
-        }
-        for vm in &self.vms {
-            let workload = match &vm.workload {
-                Some(w) => w.to_spec()?,
-                None => WorkloadSpec::paper_default(),
-            };
-            b = b.vm_spec(VmSpec {
-                vcpus: vm.vcpus,
-                workload,
-                weight: vm.weight.unwrap_or(1),
-            });
-        }
-        b.build()
+/// The `vsched-env` scenario a static cell describes: its system, engine,
+/// warmup and horizon. Serves `vsched env` and the tournament's agent
+/// episodes alike.
+///
+/// # Errors
+///
+/// [`CoreError::InvalidConfig`] for a trace-driven cell — an episode runs
+/// a fixed VM population, so it cannot replay arrivals, departures and
+/// load changes — plus the errors of [`CellConfig::system`].
+pub fn env_scenario(cell: &CellConfig) -> Result<vsched_env::Scenario, CoreError> {
+    if let Some(trace) = &cell.trace {
+        return Err(CoreError::InvalidConfig {
+            reason: format!(
+                "trace-driven config (trace `{trace}`) cannot be hosted as an environment: \
+                 episodes run a fixed VM population"
+            ),
+        });
     }
-
-    /// The policies to compare.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvalidConfig`] for an unknown policy.
-    pub fn policy_kinds(&self) -> Result<Vec<PolicyKind>, CoreError> {
-        self.policies.iter().map(PolicySpec::to_kind).collect()
-    }
-
-    /// The engine selection.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvalidConfig`] for an unknown engine name.
-    pub fn engine_kind(&self) -> Result<Engine, CoreError> {
-        match self.engine.as_str() {
-            "san" => Ok(Engine::San),
-            "direct" => Ok(Engine::Direct),
-            other => Err(CoreError::InvalidConfig {
-                reason: format!("unknown engine `{other}` (expected `san` or `direct`)"),
-            }),
-        }
-    }
+    Ok(vsched_env::Scenario::new(cell.system()?)
+        .engine(cell.engine.to_engine())
+        .warmup(cell.warmup)
+        .horizon(cell.horizon))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vsched_campaign::cell_key;
+    use vsched_core::{Engine, PolicyKind, SyncMechanism};
 
     const FULL: &str = r#"{
         "pcpus": 4,
@@ -327,7 +269,7 @@ mod tests {
     #[test]
     fn full_config_builds_system() {
         let cfg = ExperimentConfig::from_json(FULL).unwrap();
-        let system = cfg.system().unwrap();
+        let system = cfg.cells().unwrap()[0].system().unwrap();
         assert_eq!(system.pcpus(), 4);
         assert_eq!(system.total_vcpus(), 6);
         assert_eq!(system.timeslice(), 12);
@@ -344,7 +286,8 @@ mod tests {
     #[test]
     fn policies_resolve() {
         let cfg = ExperimentConfig::from_json(FULL).unwrap();
-        let kinds = cfg.policy_kinds().unwrap();
+        let cells = cfg.cells().unwrap();
+        let kinds: Vec<PolicyKind> = cells.iter().map(|c| c.policy_kind().unwrap()).collect();
         assert_eq!(kinds[0], PolicyKind::RoundRobin);
         assert_eq!(
             kinds[1],
@@ -353,41 +296,55 @@ mod tests {
                 skew_resume: 3
             }
         );
-        assert_eq!(cfg.engine_kind().unwrap(), Engine::Direct);
+        assert_eq!(cells[1].engine.to_engine(), Engine::Direct);
+        assert_eq!(cells[1].replications, ReplicationSpec::Exact(3));
+        assert_eq!(cells[1].seed, 42);
     }
 
     #[test]
     fn minimal_config_uses_defaults() {
         let cfg =
             ExperimentConfig::from_json(r#"{ "pcpus": 2, "vms": [{ "vcpus": 1 }] }"#).unwrap();
-        assert_eq!(cfg.policy_kinds().unwrap().len(), 3, "paper trio default");
-        assert_eq!(cfg.engine_kind().unwrap(), Engine::San);
+        let cells = cfg.cells().unwrap();
+        assert_eq!(cells.len(), 3, "paper trio default");
+        assert_eq!(cells[0].engine.to_engine(), Engine::San);
         assert_eq!(cfg.warmup, 1_000);
         assert_eq!(cfg.horizon, 20_000);
         assert!(cfg.replications.is_none());
+        assert_eq!(
+            cells[0].replications,
+            ReplicationSpec::Rule { min: 5, max: 40 }
+        );
+        assert_eq!(cells[0].seed, 0x5eed);
         assert!(cfg.jobs.is_none(), "jobs defaults to auto");
-        let system = cfg.system().unwrap();
+        let system = cells[0].system().unwrap();
         assert_eq!(system.timeslice(), 30);
     }
 
     #[test]
     fn bad_inputs_are_rejected() {
         assert!(ExperimentConfig::from_json("{").is_err());
-        let cfg = ExperimentConfig::from_json(
+        // Unknown policies, engines and sync mechanisms fail at load.
+        let err = ExperimentConfig::from_json(
             r#"{ "pcpus": 1, "vms": [{ "vcpus": 1 }], "policies": ["nope"] }"#,
         )
-        .unwrap();
-        assert!(cfg.policy_kinds().is_err());
-        let cfg = ExperimentConfig::from_json(
+        .unwrap_err();
+        assert!(err.to_string().contains("nope"), "{err}");
+        let err = ExperimentConfig::from_json(
             r#"{ "pcpus": 1, "vms": [{ "vcpus": 1 }], "engine": "quantum" }"#,
         )
-        .unwrap();
-        assert!(cfg.engine_kind().is_err());
-        let cfg = ExperimentConfig::from_json(
+        .unwrap_err();
+        assert!(err.to_string().contains("quantum"), "{err}");
+        let err = ExperimentConfig::from_json(
             r#"{ "pcpus": 1, "vms": [{ "vcpus": 1, "workload": { "sync_mechanism": "mutex" } }] }"#,
         )
-        .unwrap();
-        assert!(cfg.system().is_err());
+        .unwrap_err();
+        assert!(err.to_string().contains("mutex"), "{err}");
+        let err = ExperimentConfig::from_json(
+            r#"{ "pcpus": 1, "vms": [{ "vcpus": 1 }], "policies": [] }"#,
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("policies"), "{err}");
     }
 
     #[test]
@@ -467,13 +424,61 @@ mod tests {
     #[test]
     fn trace_config_missing_file_reports_the_path() {
         let cfg = ExperimentConfig::from_json(r#"{ "trace": "/nonexistent/t.jsonl" }"#).unwrap();
-        let err = cfg.schedule().unwrap_err();
+        let err = cfg.cells().unwrap()[0].schedule().unwrap_err();
         assert!(err.to_string().contains("/nonexistent/t.jsonl"), "{err}");
-        // `system()` on a non-trace config never consults the reader.
+        // `system()` on a non-trace cell never consults the reader.
         let cfg =
             ExperimentConfig::from_json(r#"{ "pcpus": 2, "vms": [{ "vcpus": 1 }] }"#).unwrap();
-        assert!(cfg.schedule().is_err());
-        cfg.system().unwrap();
+        let cell = &cfg.cells().unwrap()[0];
+        assert!(cell.schedule().is_err());
+        cell.system().unwrap();
+    }
+
+    #[test]
+    fn cells_are_the_sweep_spelling_of_the_config() {
+        // Each lowered cell equals the cell a sweep spec would write for
+        // the same experiment, so both share a store key.
+        let cfg = ExperimentConfig::from_json(
+            r#"{ "pcpus": 2, "vms": [{ "vcpus": 2 }, { "vcpus": 1 }], "policies": ["scs"] }"#,
+        )
+        .unwrap();
+        let expected: CellConfig = serde_json::from_str(
+            r#"{ "pcpus": 2, "vms": [2, 1], "policy": "scs",
+                 "replications": { "min": 5, "max": 40 } }"#,
+        )
+        .unwrap();
+        let cells = cfg.cells().unwrap();
+        assert_eq!(cell_key(&cells[0]), cell_key(&expected));
+        assert_eq!(cells, vec![expected]);
+
+        // Non-default weights and workloads become per-VM fields.
+        let cfg = ExperimentConfig::from_json(FULL).unwrap();
+        let cells = cfg.cells().unwrap();
+        assert_eq!(cells[0].weights, Some(vec![1, 2]));
+        let overrides = cells[0].vm_workloads.as_ref().unwrap();
+        assert!(overrides[0].is_noop());
+        assert_eq!(overrides[1].sync_ratio, Some((1, 3)));
+        assert_eq!(cells[0].timeslice, 12);
+
+        // A trace-driven config runs exactly 3 replications by default.
+        let cfg = ExperimentConfig::from_json(r#"{ "trace": "t.jsonl" }"#).unwrap();
+        let cells = cfg.cells().unwrap();
+        assert_eq!(cells.len(), 3);
+        assert_eq!(cells[2].replications, ReplicationSpec::Exact(3));
+        assert_eq!(cells[2].trace.as_deref(), Some("t.jsonl"));
+        let err = env_scenario(&cells[0]).unwrap_err();
+        assert!(err.to_string().contains("trace-driven"), "{err}");
+    }
+
+    #[test]
+    fn sync_every_zeroes_the_bernoulli_probability() {
+        let cfg = ExperimentConfig::from_json(
+            r#"{ "pcpus": 2, "vms": [{ "vcpus": 2, "workload": { "sync_every": 3 } }] }"#,
+        )
+        .unwrap();
+        let system = cfg.cells().unwrap()[0].system().unwrap();
+        assert_eq!(system.vms()[0].workload.sync_every, Some(3));
+        assert_eq!(system.vms()[0].workload.sync_probability, 0.0);
     }
 
     #[test]

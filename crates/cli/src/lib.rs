@@ -23,17 +23,28 @@
 //!   "horizon": 20000
 //! }
 //! ```
+//!
+//! A run config is a spelling of campaign cells: [`ExperimentConfig::cells`]
+//! lowers it to one [`vsched_campaign::CellConfig`] per policy, and
+//! `vsched run`, `lint`, `env` and `tournament` all work on those cells.
+//! An omitted `replications` means the paper's stopping rule between 5
+//! and 40 replications, or exactly 3 for a trace-driven config; a VM
+//! workload's `sync_every` zeroes the Bernoulli sync probability it
+//! replaces (see [`config`]). Every subcommand parses its flags with the
+//! one parser in [`args`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod args;
 pub mod config;
 pub mod output;
 pub mod perf;
 pub mod tournament;
 
 pub use config::{
-    CreditParams, DistSpec, ExperimentConfig, PolicySpec, RcsParams, VmConfig, WorkloadConfig,
+    env_scenario, is_sweep_spec, CreditParams, DistSpec, ExperimentConfig, PolicySpec, RcsParams,
+    VmConfig,
 };
 pub use output::render_report;
 pub use perf::{run_perf, PerfOpts, PerfReport};

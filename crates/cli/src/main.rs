@@ -15,17 +15,25 @@
 //! vsched example                                  print a starter config
 //! vsched help                                     this message
 //! ```
+//!
+//! Every subcommand parses its flags with [`vsched_cli::args::Args`] and
+//! returns its exit code or an error, which `main` prints once.
 
+use std::error::Error;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::time::Duration;
 
 use vsched_analyze::AnalyzeOpts;
 use vsched_campaign::fsio::{read_file, write_atomic};
-use vsched_campaign::{run_sweep, SweepOptions};
+use vsched_campaign::{run_sweep, EngineSpec, SweepOptions};
 use vsched_check::{run_fuzz, FuzzOpts};
+use vsched_cli::args::Args;
 use vsched_cli::output::{render_report, report_to_json};
-use vsched_cli::ExperimentConfig;
-use vsched_core::ExperimentBuilder;
+use vsched_cli::{env_scenario, is_sweep_spec, ExperimentConfig, PolicySpec};
+
+/// A subcommand's outcome: its exit code, or an error `main` reports.
+type CmdResult = Result<ExitCode, Box<dyn Error>>;
 
 const HELP: &str = "\
 vsched — simulate and compare VCPU scheduling algorithms
@@ -50,8 +58,8 @@ USAGE:
                   [--fixture deadlock] [--counterexample <case.json>]
     vsched lint [<config.json>...] [--deny warnings] [--format <text|json>]
                 [--seed <S>] [--fixture broken]
-    vsched perf [--out <report.json>] [--ticks <N>] [--seed <S>]
-                [--baseline <report.json>] [--max-regression <X>]
+    vsched perf [--out <report.json>] [--ticks <N>] [--repeats <N>]
+                [--seed <S>] [--baseline <report.json>] [--max-regression <X>]
                 [--max-vms <N>] [--commit <hash>] [--format <text|json>]
     vsched tournament [--configs <dir>] [--store <dir>] [--out <report.json>]
                       [--policies <l1,l2,...>] [--agent <cmd>]...
@@ -309,210 +317,155 @@ fn main() -> ExitCode {
         println!("{HELP}");
         return ExitCode::SUCCESS;
     }
-    match args.first().map(String::as_str) {
-        Some("run") => run(&args[1..]),
-        Some("trace") => trace_cmd(&args[1..]),
-        Some("sweep") => sweep(&args[1..]),
-        Some("fuzz") => fuzz(&args[1..]),
-        Some("verify") => verify_cmd(&args[1..]),
-        Some("lint") => lint(&args[1..]),
-        Some("perf") => perf(&args[1..]),
-        Some("tournament") => tournament(&args[1..]),
-        Some("env") => env_cmd(&args[1..]),
+    let rest = args.get(1..).unwrap_or_default();
+    let result = match args.first().map(String::as_str) {
+        Some("run") => run(rest),
+        Some("trace") => trace_cmd(rest),
+        Some("sweep") => sweep(rest),
+        Some("fuzz") => fuzz(rest),
+        Some("verify") => verify_cmd(rest),
+        Some("lint") => lint(rest),
+        Some("perf") => perf(rest),
+        Some("tournament") => tournament(rest),
+        Some("env") => env_cmd(rest),
         Some("policies") => {
             print!("{}", vsched_cli::render_policy_registry());
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         Some("example") => {
             println!("{EXAMPLE}");
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
-        Some("help") | Some("--help") | Some("-h") | None => {
+        Some("help" | "--help" | "-h") | None => {
             println!("{HELP}");
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
-        Some(other) => {
-            eprintln!("error: unknown command `{other}`\n\n{HELP}");
-            ExitCode::FAILURE
-        }
-    }
+        Some(other) => Err(format!("unknown command `{other}`\n\n{HELP}").into()),
+    };
+    result.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        ExitCode::FAILURE
+    })
 }
 
-fn run(args: &[String]) -> ExitCode {
-    let mut config_path: Option<&str> = None;
-    let mut out_path: Option<&str> = None;
-    let mut jobs: Option<usize> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--out" => match it.next() {
-                Some(p) => out_path = Some(p),
-                None => {
-                    eprintln!("error: --out requires a path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--jobs" => match it.next().map(|n| n.parse::<usize>()) {
-                Some(Ok(n)) => jobs = Some(n),
-                _ => {
-                    eprintln!("error: --jobs requires a number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            p if config_path.is_none() => config_path = Some(p),
-            p => {
-                eprintln!("error: unexpected argument `{p}`");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let Some(config_path) = config_path else {
-        eprintln!("error: `vsched run` needs a config file\n\n{HELP}");
-        return ExitCode::FAILURE;
-    };
-    match run_experiment(config_path, out_path, jobs) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+/// Writes `body` to `path` atomically (temp file + rename: a crash
+/// mid-write cannot leave a truncated file behind) and says so.
+fn write_out(path: &Path, body: &str) -> Result<(), Box<dyn Error>> {
+    write_atomic(path, body).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    println!("[wrote {}]", path.display());
+    Ok(())
 }
 
-fn trace_cmd(args: &[String]) -> ExitCode {
-    let Some(verb) = args.first().map(String::as_str) else {
-        eprintln!("error: `vsched trace` needs a verb: validate, describe, head or run\n\n{HELP}");
-        return ExitCode::FAILURE;
-    };
-    if !matches!(verb, "validate" | "describe" | "head" | "run") {
-        eprintln!("error: unknown trace verb `{verb}` (expected validate, describe, head or run)");
-        return ExitCode::FAILURE;
+fn run(args: &[String]) -> CmdResult {
+    let mut a = Args::parse("run", args, "--out --jobs", "")?;
+    let out = a.value("--out").map(PathBuf::from);
+    let jobs = a.number::<usize>("--jobs")?;
+    let config_path = a.positional("a config file")?;
+    a.finish()?;
+    let config = ExperimentConfig::from_json(&read_file(Path::new(&config_path))?)?;
+    let cells = config.cells()?;
+    // Command line beats config file; both default (0) to one worker per
+    // core.
+    let jobs = jobs.or(config.jobs).unwrap_or(0);
+    let system = cells[0].system()?;
+    println!(
+        "system: {}   engine: {}   warmup {} / horizon {} ticks",
+        system.describe(),
+        config.engine.label(),
+        config.warmup,
+        config.horizon
+    );
+    // A trace-driven config replays its trace under each policy and adds
+    // the run fingerprint to the static comparison.
+    let schedule = config
+        .trace
+        .as_ref()
+        .map(|_| cells[0].schedule())
+        .transpose()?;
+    if let Some(schedule) = &schedule {
+        println!("trace: {}", schedule.describe());
     }
-    let mut opts = TraceOpts::default();
-    let mut path: Option<&str> = None;
-    let mut it = args[1..].iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--pcpus" => match it.next().map(|n| n.parse::<usize>()) {
-                Some(Ok(n)) if n > 0 => opts.pcpus = n,
-                _ => {
-                    eprintln!("error: --pcpus requires a positive number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--events" => match it.next().map(|n| n.parse::<usize>()) {
-                Some(Ok(n)) if n > 0 => opts.events = n,
-                _ => {
-                    eprintln!("error: --events requires a positive number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--policy" => match it.next() {
-                Some(label) => opts.policy = label.clone(),
-                None => {
-                    eprintln!("error: --policy requires a label");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--engine" => match it.next().map(String::as_str) {
-                Some("direct") => opts.engine = vsched_core::Engine::Direct,
-                Some("san") => opts.engine = vsched_core::Engine::San,
-                _ => {
-                    eprintln!("error: --engine takes `direct` or `san`");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--warmup" => match it.next().map(|n| n.parse::<u64>()) {
-                Some(Ok(n)) => opts.warmup = n,
-                _ => {
-                    eprintln!("error: --warmup requires a number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--horizon" => match it.next().map(|n| n.parse::<u64>()) {
-                Some(Ok(n)) if n > 0 => opts.horizon = Some(n),
-                _ => {
-                    eprintln!("error: --horizon requires a positive number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--seed" => match it.next().map(|n| n.parse::<u64>()) {
-                Some(Ok(n)) => opts.seed = n,
-                _ => {
-                    eprintln!("error: --seed requires a number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--replications" => match it.next().map(|n| n.parse::<usize>()) {
-                Some(Ok(n)) if n > 0 => opts.replications = n,
-                _ => {
-                    eprintln!("error: --replications requires a positive number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--jobs" => match it.next().map(|n| n.parse::<usize>()) {
-                Some(Ok(n)) => opts.jobs = Some(n),
-                _ => {
-                    eprintln!("error: --jobs requires a number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--out" => match it.next() {
-                Some(p) => opts.out = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("error: --out requires a path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            p if path.is_none() && !p.starts_with('-') => path = Some(p),
-            p => {
-                eprintln!("error: unexpected argument `{p}`");
-                return ExitCode::FAILURE;
-            }
+    let mut results = Vec::new();
+    for cell in &cells {
+        let policy = cell.policy_kind()?;
+        let mut fingerprint = None;
+        let report = if let Some(schedule) = &schedule {
+            let result = cell.trace_experiment(schedule.clone())?.jobs(jobs).run()?;
+            println!(
+                "fingerprint {:016x}  ({})",
+                result.fingerprint,
+                policy.label()
+            );
+            fingerprint = Some(format!("{:016x}", result.fingerprint));
+            result.metrics_report(system.total_vcpus(), system.pcpus(), 0.95)?
+        } else {
+            cell.builder()?.jobs(jobs).run()?
+        };
+        print!("{}", render_report(&system, &policy, &report));
+        let mut entry = report_to_json(&system, &policy, &report);
+        if let (Some(fp), serde_json::Value::Map(entries)) = (fingerprint, &mut entry) {
+            entries.push(("fingerprint".to_string(), serde_json::Value::Str(fp)));
         }
+        results.push(entry);
     }
-    let Some(path) = path else {
-        eprintln!("error: `vsched trace {verb}` needs a trace file");
-        return ExitCode::FAILURE;
-    };
-    match run_trace_verb(verb, Path::new(path), &opts) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
+    if let Some(out) = &out {
+        let body = serde_json::to_string_pretty(&serde_json::json!({
+            "config": config,
+            "results": results,
+        }))?;
+        write_out(out, &body)?;
     }
+    Ok(ExitCode::SUCCESS)
 }
 
-/// Parsed `vsched trace` flags with their defaults.
+fn trace_cmd(args: &[String]) -> CmdResult {
+    let Some((verb, rest)) = args.split_first() else {
+        return Err("`vsched trace` needs a verb: validate, describe, head or run".into());
+    };
+    if !matches!(verb.as_str(), "validate" | "describe" | "head" | "run") {
+        return Err(format!(
+            "unknown trace verb `{verb}` (expected validate, describe, head or run)"
+        )
+        .into());
+    }
+    let flags = "--pcpus --events --policy --engine --warmup --horizon --seed --replications \
+                 --jobs --out";
+    let mut a = Args::parse(&format!("trace {verb}"), rest, flags, "")?;
+    let opts = TraceOpts {
+        pcpus: a.positive("--pcpus")?.unwrap_or(0),
+        events: a.positive("--events")?.unwrap_or(10),
+        policy: a.value("--policy").unwrap_or_else(|| "rrs".into()),
+        engine: match a.choice("--engine", &["direct", "san"])? {
+            Some("san") => EngineSpec::San,
+            _ => EngineSpec::Direct,
+        },
+        warmup: a.number("--warmup")?.unwrap_or(0),
+        horizon: a.positive("--horizon")?,
+        seed: a.number("--seed")?.unwrap_or(0x5eed),
+        replications: a.positive("--replications")?.unwrap_or(3),
+        jobs: a.number("--jobs")?.unwrap_or(0),
+        out: a.value("--out").map(PathBuf::from),
+    };
+    let path = a.positional("a trace file")?;
+    a.finish()?;
+    run_trace_verb(verb, Path::new(&path), &opts)?;
+    Ok(ExitCode::SUCCESS)
+}
+
+/// Parsed `vsched trace` flags (defaults in [`trace_cmd`]).
 struct TraceOpts {
+    /// 0 when `--pcpus` is absent.
     pcpus: usize,
     events: usize,
     policy: String,
-    engine: vsched_core::Engine,
+    engine: EngineSpec,
     warmup: u64,
     horizon: Option<u64>,
     seed: u64,
     replications: usize,
-    jobs: Option<usize>,
+    /// 0 for one worker per core.
+    jobs: usize,
     out: Option<PathBuf>,
-}
-
-impl Default for TraceOpts {
-    fn default() -> Self {
-        TraceOpts {
-            pcpus: 0,
-            events: 10,
-            policy: "rrs".into(),
-            engine: vsched_core::Engine::Direct,
-            warmup: 0,
-            horizon: None,
-            seed: 0x5eed,
-            replications: 3,
-            jobs: None,
-            out: None,
-        }
-    }
 }
 
 /// The JSON written by `vsched trace run --out`.
@@ -538,37 +491,34 @@ fn is_csv_trace(path: &Path) -> bool {
         .is_some_and(|e| e.eq_ignore_ascii_case("csv"))
 }
 
-/// Loads a trace for the `trace` subcommand, enforcing the `--pcpus`
-/// contract: required by CSV datasets, rejected by self-describing
-/// standard traces.
-fn load_trace_arg(
-    path: &Path,
-    opts: &TraceOpts,
-) -> Result<vsched_trace::TraceSchedule, Box<dyn std::error::Error>> {
-    if is_csv_trace(path) {
-        if opts.pcpus == 0 {
-            return Err(format!(
-                "CSV trace `{}` carries no platform: pass --pcpus",
-                path.display()
-            )
-            .into());
-        }
-    } else if opts.pcpus != 0 {
-        return Err(format!(
+/// Enforces the `--pcpus` contract of the `trace` subcommand: required
+/// by CSV datasets, rejected by self-describing standard traces.
+fn check_pcpus_flag(path: &Path, pcpus: usize) -> Result<(), Box<dyn Error>> {
+    match (is_csv_trace(path), pcpus) {
+        (true, 0) => Err(format!(
+            "CSV trace `{}` carries no platform: pass --pcpus",
+            path.display()
+        )
+        .into()),
+        (false, 1..) => Err(format!(
             "trace `{}` carries its own platform: drop --pcpus",
             path.display()
         )
-        .into());
+        .into()),
+        _ => Ok(()),
     }
+}
+
+fn load_trace_arg(
+    path: &Path,
+    opts: &TraceOpts,
+) -> Result<vsched_trace::TraceSchedule, Box<dyn Error>> {
+    check_pcpus_flag(path, opts.pcpus)?;
     let csv_meta = vsched_trace::TraceMeta::new(opts.pcpus);
     Ok(vsched_trace::load_trace(path, &csv_meta)?)
 }
 
-fn run_trace_verb(
-    verb: &str,
-    path: &Path,
-    opts: &TraceOpts,
-) -> Result<(), Box<dyn std::error::Error>> {
+fn run_trace_verb(verb: &str, path: &Path, opts: &TraceOpts) -> Result<(), Box<dyn Error>> {
     match verb {
         "validate" => {
             let schedule = load_trace_arg(path, opts)?;
@@ -600,26 +550,13 @@ fn run_trace_verb(
             Ok(())
         }
         "head" => {
+            check_pcpus_flag(path, opts.pcpus)?;
             let (meta, events) = if is_csv_trace(path) {
-                if opts.pcpus == 0 {
-                    return Err(format!(
-                        "CSV trace `{}` carries no platform: pass --pcpus",
-                        path.display()
-                    )
-                    .into());
-                }
                 (
                     vsched_trace::TraceMeta::new(opts.pcpus),
                     vsched_trace::read_azure_csv(path)?,
                 )
             } else {
-                if opts.pcpus != 0 {
-                    return Err(format!(
-                        "trace `{}` carries its own platform: drop --pcpus",
-                        path.display()
-                    )
-                    .into());
-                }
                 vsched_trace::read_standard(path)?
             };
             let total = events.len();
@@ -639,34 +576,29 @@ fn run_trace_verb(
     }
 }
 
-fn run_trace_experiment(path: &Path, opts: &TraceOpts) -> Result<(), Box<dyn std::error::Error>> {
+fn run_trace_experiment(path: &Path, opts: &TraceOpts) -> Result<(), Box<dyn Error>> {
     let schedule = load_trace_arg(path, opts)?;
     let system = schedule.config().clone();
     let horizon = opts.horizon.unwrap_or(schedule.end_time() + 1_000);
-    let policy = vsched_cli::config::PolicySpec::Label(opts.policy.clone()).to_kind()?;
-    let engine_label = match opts.engine {
-        vsched_core::Engine::Direct => "direct",
-        vsched_core::Engine::San => "san",
-    };
+    let policy = PolicySpec::Label(opts.policy.clone()).to_kind()?;
     println!("trace: {}", schedule.describe());
     println!(
-        "policy {}   engine {engine_label}   warmup {} / horizon {horizon} ticks   \
+        "policy {}   engine {}   warmup {} / horizon {horizon} ticks   \
          seed {:#x}   replications {}",
         policy.label(),
+        opts.engine.label(),
         opts.warmup,
         opts.seed,
         opts.replications
     );
-    let mut exp = vsched_trace::TraceExperiment::new(schedule, policy.clone())
-        .engine(opts.engine)
+    let result = vsched_trace::TraceExperiment::new(schedule, policy.clone())
+        .engine(opts.engine.to_engine())
         .warmup(opts.warmup)
         .horizon(horizon)
         .seed(opts.seed)
-        .replications(opts.replications);
-    if let Some(jobs) = opts.jobs {
-        exp = exp.jobs(jobs);
-    }
-    let result = exp.run()?;
+        .replications(opts.replications)
+        .jobs(opts.jobs)
+        .run()?;
     println!("fingerprint {:016x}", result.fingerprint);
     let report = if opts.replications >= 2 {
         let report = result.metrics_report(system.total_vcpus(), system.pcpus(), 0.95)?;
@@ -686,7 +618,7 @@ fn run_trace_experiment(path: &Path, opts: &TraceOpts) -> Result<(), Box<dyn std
         let body = TraceRunJson {
             trace: path.display().to_string(),
             policy: policy.label().to_string(),
-            engine: engine_label.to_string(),
+            engine: opts.engine.label().to_string(),
             warmup: opts.warmup,
             horizon,
             seed: opts.seed,
@@ -694,123 +626,42 @@ fn run_trace_experiment(path: &Path, opts: &TraceOpts) -> Result<(), Box<dyn std
             fingerprint: format!("{:016x}", result.fingerprint),
             report,
         };
-        write_atomic(out, &serde_json::to_string_pretty(&body)?)
-            .map_err(|e| format!("cannot write {}: {e}", out.display()))?;
-        println!("[wrote {}]", out.display());
+        write_out(out, &serde_json::to_string_pretty(&body)?)?;
     }
     Ok(())
 }
 
-fn sweep(args: &[String]) -> ExitCode {
-    let mut spec_path: Option<&str> = None;
-    let mut opts = SweepOptions::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--store" => match it.next() {
-                Some(p) => opts.store_dir = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("error: --store requires a directory");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--out-dir" => match it.next() {
-                Some(p) => opts.out_dir = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("error: --out-dir requires a directory");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--jobs" => match it.next().map(|n| n.parse::<usize>()) {
-                Some(Ok(n)) => opts.jobs = Some(n),
-                _ => {
-                    eprintln!("error: --jobs requires a number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--only" => match it.next() {
-                Some(name) => opts.only = Some(name.clone()),
-                None => {
-                    eprintln!("error: --only requires an experiment name");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--max-cells" => match it.next().map(|n| n.parse::<usize>()) {
-                Some(Ok(n)) => opts.max_cells = Some(n),
-                _ => {
-                    eprintln!("error: --max-cells requires a number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--dry-run" => opts.dry_run = true,
-            "--quiet" => opts.quiet = true,
-            p if spec_path.is_none() => spec_path = Some(p),
-            p => {
-                eprintln!("error: unexpected argument `{p}`");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let Some(spec_path) = spec_path else {
-        eprintln!("error: `vsched sweep` needs a sweep spec file\n\n{HELP}");
-        return ExitCode::FAILURE;
+fn sweep(args: &[String]) -> CmdResult {
+    let flags = "--store --out-dir --jobs --only --max-cells";
+    let mut a = Args::parse("sweep", args, flags, "--dry-run --quiet")?;
+    let opts = SweepOptions {
+        store_dir: a.value("--store").map(PathBuf::from),
+        out_dir: a.value("--out-dir").map(PathBuf::from),
+        jobs: a.number("--jobs")?,
+        only: a.value("--only"),
+        max_cells: a.number("--max-cells")?,
+        dry_run: a.switch("--dry-run"),
+        quiet: a.switch("--quiet"),
     };
-    match run_sweep(std::path::Path::new(spec_path), &opts) {
-        Ok(_) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    let spec_path = a.positional("a sweep spec file")?;
+    a.finish()?;
+    run_sweep(Path::new(&spec_path), &opts)?;
+    Ok(ExitCode::SUCCESS)
 }
 
-fn fuzz(args: &[String]) -> ExitCode {
-    let mut opts = FuzzOpts::default();
-    let mut replay_path: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--cases" => match it.next().map(|n| n.parse::<u64>()) {
-                Some(Ok(n)) => opts.cases = n,
-                _ => {
-                    eprintln!("error: --cases requires a number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--seed" => match it.next().map(|n| n.parse::<u64>()) {
-                Some(Ok(n)) => opts.seed = n,
-                _ => {
-                    eprintln!("error: --seed requires a number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--jobs" => match it.next().map(|n| n.parse::<usize>()) {
-                Some(Ok(n)) => opts.jobs = Some(n),
-                _ => {
-                    eprintln!("error: --jobs requires a number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--reproducer-dir" => match it.next() {
-                Some(p) => opts.reproducer_dir = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("error: --reproducer-dir requires a directory");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--replay" => match it.next() {
-                Some(p) => replay_path = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("error: --replay requires a reproducer file");
-                    return ExitCode::FAILURE;
-                }
-            },
-            p => {
-                eprintln!("error: unexpected argument `{p}`");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+fn fuzz(args: &[String]) -> CmdResult {
+    let flags = "--cases --seed --jobs --reproducer-dir --replay";
+    let a = Args::parse("fuzz", args, flags, "")?;
+    let defaults = FuzzOpts::default();
+    let opts = FuzzOpts {
+        cases: a.number("--cases")?.unwrap_or(defaults.cases),
+        seed: a.number("--seed")?.unwrap_or(defaults.seed),
+        jobs: a.number("--jobs")?,
+        reproducer_dir: a.value("--reproducer-dir").map(PathBuf::from),
+        ..defaults
+    };
+    let replay_path = a.value("--replay").map(PathBuf::from);
+    a.finish()?;
 
     if let Some(path) = replay_path {
         // A reproducer carrying a verifier counterexample replays through
@@ -819,80 +670,56 @@ fn fuzz(args: &[String]) -> ExitCode {
         // marking) and re-run the scenario on both engines.
         if let Ok(rep) = vsched_check::Reproducer::load(&path) {
             if rep.verify.is_some() {
-                return match vsched_check::replay_verify_counterexample(&rep) {
-                    Ok(replay) => {
-                        println!(
-                            "replay: verify counterexample for `{}`: {} firings re-fired, \
-                             final marking bit-identical",
-                            replay.certificate, replay.trace_len
-                        );
-                        if let Some(e) = &replay.direct_error {
-                            println!("  direct engine: {e}");
-                        }
-                        if let Some(e) = &replay.san_error {
-                            println!("  san engine: {e}");
-                        }
-                        if replay.engines_agree() {
-                            println!("  engines agree");
-                            ExitCode::SUCCESS
-                        } else {
-                            eprintln!("error: the engines disagree on the counterexample");
-                            ExitCode::FAILURE
-                        }
-                    }
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        ExitCode::FAILURE
-                    }
-                };
+                let replay = vsched_check::replay_verify_counterexample(&rep)?;
+                println!(
+                    "replay: verify counterexample for `{}`: {} firings re-fired, \
+                     final marking bit-identical",
+                    replay.certificate, replay.trace_len
+                );
+                if let Some(e) = &replay.direct_error {
+                    println!("  direct engine: {e}");
+                }
+                if let Some(e) = &replay.san_error {
+                    println!("  san engine: {e}");
+                }
+                if !replay.engines_agree() {
+                    return Err("the engines disagree on the counterexample".into());
+                }
+                println!("  engines agree");
+                return Ok(ExitCode::SUCCESS);
             }
         }
-        return match vsched_check::fuzz::replay(&path, &opts.oracle) {
-            Ok(outcome) => {
-                println!(
-                    "replay: case {} digest {}",
-                    outcome.case_index, outcome.digest
-                );
-                for f in &outcome.failures {
-                    println!("  {f}");
-                }
-                if outcome.passed() {
-                    println!("  clean");
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::FAILURE
-                }
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
+        let outcome = vsched_check::fuzz::replay(&path, &opts.oracle)?;
+        println!(
+            "replay: case {} digest {}",
+            outcome.case_index, outcome.digest
+        );
+        for f in &outcome.failures {
+            println!("  {f}");
+        }
+        if !outcome.passed() {
+            return Ok(ExitCode::FAILURE);
+        }
+        println!("  clean");
+        return Ok(ExitCode::SUCCESS);
     }
 
-    match run_fuzz(&opts) {
-        Ok(report) => {
-            println!("{}", report.summary());
-            for failure in &report.failures {
-                println!("case {}:", failure.case_index);
-                for f in &failure.outcome.failures {
-                    println!("  {f}");
-                }
-                if let Some(path) = &failure.reproducer {
-                    println!("  reproducer: {}", path.display());
-                }
-            }
-            if report.clean() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
+    let report = run_fuzz(&opts)?;
+    println!("{}", report.summary());
+    for failure in &report.failures {
+        println!("case {}:", failure.case_index);
+        for f in &failure.outcome.failures {
+            println!("  {f}");
         }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
+        if let Some(path) = &failure.reproducer {
+            println!("  reproducer: {}", path.display());
         }
     }
+    Ok(if report.clean() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    })
 }
 
 /// Exit status of one or more verification runs: violations dominate,
@@ -940,148 +767,65 @@ fn render_verify_run(run: &vsched_check::VerifyRun) -> String {
     out
 }
 
-fn verify_cmd(args: &[String]) -> ExitCode {
+fn verify_cmd(args: &[String]) -> CmdResult {
     use vsched_core::{PolicyKind, SystemConfig, VmSpec, WorkloadSpec};
 
-    let mut opts = vsched_analyze::VerifyOpts::default();
-    let mut policy_label: Option<String> = None;
-    let mut vms = 2usize;
-    let mut vcpus = 2usize;
-    let mut pcpus = 2usize;
-    let mut timeslice = 5u64;
-    let mut fixture: Option<String> = None;
-    let mut cx_path: Option<PathBuf> = None;
-    let mut json = false;
+    let flags = "--policy --vms --vcpus --pcpus --timeslice --horizon --max-states --seed \
+                 --symmetry --format --fixture --counterexample";
+    let a = Args::parse("verify", args, flags, "")?;
+    let defaults = vsched_analyze::VerifyOpts::default();
+    let opts = vsched_analyze::VerifyOpts {
+        horizon: a.number("--horizon")?.unwrap_or(defaults.horizon),
+        max_states: a.number("--max-states")?.unwrap_or(defaults.max_states),
+        seed: a.number("--seed")?.unwrap_or(defaults.seed),
+        symmetry: a
+            .choice("--symmetry", &["on", "off"])?
+            .map_or(defaults.symmetry, |s| s == "on"),
+        ..defaults
+    };
+    let vms: usize = a.number("--vms")?.unwrap_or(2);
+    let vcpus: usize = a.number("--vcpus")?.unwrap_or(2);
+    let pcpus: usize = a.number("--pcpus")?.unwrap_or(2);
+    let timeslice: u64 = a.number("--timeslice")?.unwrap_or(5);
+    let json = a.choice("--format", &["text", "json"])? == Some("json");
+    let fixture = a.choice("--fixture", &["deadlock"])?.is_some();
+    let cx_path = a.value("--counterexample").map(PathBuf::from);
+    let policy_label = a.value("--policy");
+    a.finish()?;
 
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        macro_rules! num_flag {
-            ($name:literal, $slot:expr, $ty:ty) => {
-                match it.next().map(|n| n.parse::<$ty>()) {
-                    Some(Ok(n)) => $slot = n,
-                    _ => {
-                        eprintln!(concat!("error: ", $name, " requires a number"));
-                        return ExitCode::FAILURE;
-                    }
-                }
-            };
+    if fixture {
+        let (rep, run) = vsched_check::verify_fixture(&opts)?;
+        if json {
+            let body = run.report.to_json(&run.analysis.model);
+            println!("{}", serde_json::to_string_pretty(&body)?);
+        } else {
+            print!("{}", render_verify_run(&run));
         }
-        match arg.as_str() {
-            "--policy" => match it.next() {
-                Some(l) => policy_label = Some(l.clone()),
-                None => {
-                    eprintln!("error: --policy requires a label");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--vms" => num_flag!("--vms", vms, usize),
-            "--vcpus" => num_flag!("--vcpus", vcpus, usize),
-            "--pcpus" => num_flag!("--pcpus", pcpus, usize),
-            "--timeslice" => num_flag!("--timeslice", timeslice, u64),
-            "--horizon" => num_flag!("--horizon", opts.horizon, u64),
-            "--max-states" => num_flag!("--max-states", opts.max_states, usize),
-            "--seed" => num_flag!("--seed", opts.seed, u64),
-            "--symmetry" => match it.next().map(String::as_str) {
-                Some("on") => opts.symmetry = true,
-                Some("off") => opts.symmetry = false,
-                _ => {
-                    eprintln!("error: --symmetry requires `on` or `off`");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--format" => match it.next().map(String::as_str) {
-                Some("text") => json = false,
-                Some("json") => json = true,
-                _ => {
-                    eprintln!("error: --format requires `text` or `json`");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--fixture" => match it.next() {
-                Some(f) => fixture = Some(f.clone()),
-                None => {
-                    eprintln!("error: --fixture requires a name (deadlock)");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--counterexample" => match it.next() {
-                Some(p) => cx_path = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("error: --counterexample requires a path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            p => {
-                eprintln!("error: unexpected argument `{p}`");
-                return ExitCode::FAILURE;
+        if let Some(path) = &cx_path {
+            if rep.verify.is_none() {
+                return Err("the fixture run produced no counterexample to write".into());
             }
+            write_atomic(path, &rep.to_json())
+                .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+            println!("counterexample reproducer written to {}", path.display());
         }
-    }
-
-    if let Some(name) = fixture {
-        if name != "deadlock" {
-            eprintln!("error: unknown fixture `{name}` (expected `deadlock`)");
-            return ExitCode::FAILURE;
-        }
-        return match vsched_check::verify_fixture(&opts) {
-            Ok((rep, run)) => {
-                if json {
-                    match serde_json::to_string_pretty(&run.report.to_json(&run.analysis.model)) {
-                        Ok(body) => println!("{body}"),
-                        Err(e) => {
-                            eprintln!("error: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    }
-                } else {
-                    print!("{}", render_verify_run(&run));
-                }
-                if let Some(path) = &cx_path {
-                    if rep.verify.is_none() {
-                        eprintln!("error: the fixture run produced no counterexample to write");
-                        return ExitCode::FAILURE;
-                    }
-                    if let Err(e) = write_atomic(path, &rep.to_json()) {
-                        eprintln!("error: cannot write {}: {e}", path.display());
-                        return ExitCode::FAILURE;
-                    }
-                    println!("counterexample reproducer written to {}", path.display());
-                }
-                verify_exit(&[run.report.outcome()])
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
+        return Ok(verify_exit(&[run.report.outcome()]));
     }
 
     let policies: Vec<PolicyKind> = match policy_label {
-        Some(label) => match vsched_cli::config::PolicySpec::Label(label).to_kind() {
-            Ok(kind) => vec![kind],
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
+        Some(label) => vec![PolicySpec::Label(label).to_kind()?],
         None => PolicyKind::all(),
     };
 
     // The verifier's diet is deterministic: a fixed per-tick load and a
     // sync point every third unit make the exploration exhaustive (no
     // stochastic gates to probe under a seed budget).
-    let workload = match vsched_des::Dist::deterministic(4.0) {
-        Ok(load) => WorkloadSpec {
-            load,
-            sync_probability: 0.0,
-            sync_mechanism: vsched_core::SyncMechanism::Barrier,
-            sync_every: Some(3),
-            interarrival: None,
-        },
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
+    let workload = WorkloadSpec {
+        load: vsched_des::Dist::deterministic(4.0)?,
+        sync_probability: 0.0,
+        sync_mechanism: vsched_core::SyncMechanism::Barrier,
+        sync_every: Some(3),
+        interarrival: None,
     };
     let mut b = SystemConfig::builder().pcpus(pcpus).timeslice(timeslice);
     for _ in 0..vms {
@@ -1091,26 +835,14 @@ fn verify_cmd(args: &[String]) -> ExitCode {
             weight: 1,
         });
     }
-    let config = match b.build() {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let config = b.build()?;
 
     let mut outcomes = Vec::new();
     let mut json_reports = Vec::new();
     let mut counterexample_written = false;
     for policy in &policies {
         let target = format!("{vms}x{vcpus}x{pcpus} {}", policy.label());
-        let run = match vsched_check::verify_config(&target, &config, policy, &opts) {
-            Ok(run) => run,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+        let run = vsched_check::verify_config(&target, &config, policy, &opts)?;
         if json {
             json_reports.push(run.report.to_json(&run.analysis.model));
         } else {
@@ -1126,25 +858,18 @@ fn verify_cmd(args: &[String]) -> ExitCode {
                 failures: vec![format!("verify: {}: {}", vcx.certificate, vcx.detail)],
                 verify: Some(vcx),
             };
-            if let Err(e) = write_atomic(path, &rep.to_json()) {
-                eprintln!("error: cannot write {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
+            write_atomic(path, &rep.to_json())
+                .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
             println!("counterexample reproducer written to {}", path.display());
             counterexample_written = true;
         }
         outcomes.push(run.report.outcome());
     }
     if json {
-        match serde_json::to_string_pretty(&serde_json::Value::Seq(json_reports)) {
-            Ok(body) => println!("{body}"),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let body = serde_json::Value::Seq(json_reports);
+        println!("{}", serde_json::to_string_pretty(&body)?);
     }
-    verify_exit(&outcomes)
+    Ok(verify_exit(&outcomes))
 }
 
 /// Packages the ad-hoc verification scenario as a fuzz case so a
@@ -1181,381 +906,117 @@ fn verify_case(
     }
 }
 
-fn perf(args: &[String]) -> ExitCode {
-    let mut opts = vsched_cli::PerfOpts::default();
-    let mut out_path: Option<PathBuf> = None;
-    let mut baseline: Option<PathBuf> = None;
-    let mut max_regression = 2.0_f64;
-    let mut format = String::from("text");
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--out" => match it.next() {
-                Some(p) => out_path = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("error: --out requires a path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--ticks" => match it.next().map(|n| n.parse::<u64>()) {
-                Some(Ok(n)) if n > 0 => opts.ticks = n,
-                _ => {
-                    eprintln!("error: --ticks requires a positive number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--repeats" => match it.next().map(|n| n.parse::<usize>()) {
-                Some(Ok(n)) if n > 0 => opts.repeats = n,
-                _ => {
-                    eprintln!("error: --repeats requires a positive number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--seed" => match it.next().map(|n| n.parse::<u64>()) {
-                Some(Ok(n)) => opts.seed = n,
-                _ => {
-                    eprintln!("error: --seed requires a number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--baseline" => match it.next() {
-                Some(p) => baseline = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("error: --baseline requires a report file");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--max-regression" => match it.next().map(|n| n.parse::<f64>()) {
-                Some(Ok(x)) if x >= 1.0 => max_regression = x,
-                _ => {
-                    eprintln!("error: --max-regression requires a factor >= 1.0");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--max-vms" => match it.next().map(|n| n.parse::<usize>()) {
-                Some(Ok(n)) => opts.max_vms = n,
-                _ => {
-                    eprintln!("error: --max-vms requires a number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--commit" => match it.next() {
-                Some(hash) => opts.commit = Some(hash.clone()),
-                None => {
-                    eprintln!("error: --commit requires a hash");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--format" => match it.next().map(String::as_str) {
-                Some(f @ ("text" | "json")) => format = f.to_string(),
-                _ => {
-                    eprintln!("error: --format requires text or json");
-                    return ExitCode::FAILURE;
-                }
-            },
-            p => {
-                eprintln!("error: unexpected argument `{p}`");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+fn perf(args: &[String]) -> CmdResult {
+    let flags = "--out --ticks --repeats --seed --baseline --max-regression --max-vms \
+                 --commit --format";
+    let a = Args::parse("perf", args, flags, "")?;
+    let defaults = vsched_cli::PerfOpts::default();
+    let opts = vsched_cli::PerfOpts {
+        ticks: a.positive("--ticks")?.unwrap_or(defaults.ticks),
+        repeats: a.positive("--repeats")?.unwrap_or(defaults.repeats),
+        seed: a.number("--seed")?.unwrap_or(defaults.seed),
+        max_vms: a.number("--max-vms")?.unwrap_or(defaults.max_vms),
+        commit: a.value("--commit"),
+    };
+    let out_path = a.value("--out").map(PathBuf::from);
+    let baseline = a.value("--baseline").map(PathBuf::from);
+    let max_regression = a.at_least("--max-regression", 1.0)?.unwrap_or(2.0);
+    let json = a.choice("--format", &["text", "json"])? == Some("json");
+    a.finish()?;
 
     let report = vsched_cli::run_perf(&opts);
-    match format.as_str() {
-        "json" => match serde_json::to_string_pretty(&report.to_json()) {
-            Ok(b) => println!("{b}"),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        _ => print!("{}", report.render_text()),
+    if json {
+        println!("{}", serde_json::to_string_pretty(&report.to_json())?);
+    } else {
+        print!("{}", report.render_text());
     }
     if let Some(out) = &out_path {
-        let body = match serde_json::to_string_pretty(&report.to_json()) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(e) = write_atomic(out, &body) {
-            eprintln!("error: cannot write {}: {e}", out.display());
-            return ExitCode::FAILURE;
-        }
-        println!("[wrote {}]", out.display());
+        write_out(out, &serde_json::to_string_pretty(&report.to_json())?)?;
     }
     if !report.all_identical() {
-        eprintln!("error: engine modes diverged (see `identical` column)");
-        return ExitCode::FAILURE;
+        return Err("engine modes diverged (see `identical` column)".into());
     }
     if let Some(base) = &baseline {
-        match vsched_cli::perf::check_against_baseline(&report, base, max_regression) {
-            Ok(regressions) => {
-                if regressions.is_empty() {
-                    println!("baseline: no regression beyond {max_regression:.1}x");
-                } else {
-                    for r in &regressions {
-                        eprintln!("regression: {r}");
-                    }
-                    return ExitCode::FAILURE;
-                }
+        let regressions = vsched_cli::perf::check_against_baseline(&report, base, max_regression)?;
+        if !regressions.is_empty() {
+            for r in &regressions {
+                eprintln!("regression: {r}");
             }
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
+            return Ok(ExitCode::FAILURE);
         }
+        println!("baseline: no regression beyond {max_regression:.1}x");
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn tournament(args: &[String]) -> ExitCode {
-    let mut opts = vsched_cli::TournamentOpts::default();
-    let mut out_path: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--configs" => match it.next() {
-                Some(p) => opts.config_dir = PathBuf::from(p),
-                None => {
-                    eprintln!("error: --configs requires a directory");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--store" => match it.next() {
-                Some(p) => opts.store_dir = PathBuf::from(p),
-                None => {
-                    eprintln!("error: --store requires a directory");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--out" => match it.next() {
-                Some(p) => out_path = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("error: --out requires a path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--policies" => match it.next() {
-                Some(list) => {
-                    opts.policies = Some(list.split(',').map(|s| s.trim().to_string()).collect());
-                }
-                None => {
-                    eprintln!("error: --policies requires a comma-separated list");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--agent" => match it.next() {
-                Some(cmd) => opts.agents.push(cmd.clone()),
-                None => {
-                    eprintln!("error: --agent requires a command");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--fuzz-scenarios" => match it.next().map(|n| n.parse::<u64>()) {
-                Some(Ok(n)) => opts.fuzz_scenarios = n,
-                _ => {
-                    eprintln!("error: --fuzz-scenarios requires a number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--fuzz-seed" => match it.next().map(|n| n.parse::<u64>()) {
-                Some(Ok(n)) => opts.fuzz_seed = n,
-                _ => {
-                    eprintln!("error: --fuzz-seed requires a number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--warmup" => match it.next().map(|n| n.parse::<u64>()) {
-                Some(Ok(n)) => opts.warmup = n,
-                _ => {
-                    eprintln!("error: --warmup requires a number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--horizon" => match it.next().map(|n| n.parse::<u64>()) {
-                Some(Ok(n)) if n > 0 => opts.horizon = n,
-                _ => {
-                    eprintln!("error: --horizon requires a positive number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--replications" => match it.next().map(|n| n.parse::<usize>()) {
-                Some(Ok(n)) if n >= 2 => opts.replications = n,
-                _ => {
-                    eprintln!("error: --replications requires a number >= 2");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--seed" => match it.next().map(|n| n.parse::<u64>()) {
-                Some(Ok(n)) => opts.seed = n,
-                _ => {
-                    eprintln!("error: --seed requires a number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--timeout" => match it.next().map(|n| n.parse::<u64>()) {
-                Some(Ok(n)) if n > 0 => opts.timeout = std::time::Duration::from_secs(n),
-                _ => {
-                    eprintln!("error: --timeout requires a positive number of seconds");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--jobs" => match it.next().map(|n| n.parse::<usize>()) {
-                Some(Ok(n)) => opts.jobs = Some(n),
-                _ => {
-                    eprintln!("error: --jobs requires a number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--quiet" => opts.quiet = true,
-            p => {
-                eprintln!("error: unexpected argument `{p}`");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    match vsched_cli::run_tournament(&opts) {
-        Ok(report) => {
-            print!("{}", report.render_text());
-            if let Some(out) = &out_path {
-                let body = match serde_json::to_string_pretty(&report.to_json()) {
-                    Ok(b) => b,
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                if let Err(e) = write_atomic(out, &body) {
-                    eprintln!("error: cannot write {}: {e}", out.display());
-                    return ExitCode::FAILURE;
-                }
-                println!("[wrote {}]", out.display());
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn env_cmd(args: &[String]) -> ExitCode {
-    let mut config_path: Option<&str> = None;
-    let mut socket: Option<PathBuf> = None;
-    let mut agent_cmd: Option<String> = None;
-    let mut name: Option<String> = None;
-    let mut seed: Option<u64> = None;
-    let mut timeout = vsched_env::DEFAULT_TIMEOUT;
-    let mut warmup: Option<u64> = None;
-    let mut horizon: Option<u64> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--warmup" => match it.next().map(|n| n.parse::<u64>()) {
-                Some(Ok(n)) => warmup = Some(n),
-                _ => {
-                    eprintln!("error: --warmup requires a number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--horizon" => match it.next().map(|n| n.parse::<u64>()) {
-                Some(Ok(n)) if n > 0 => horizon = Some(n),
-                _ => {
-                    eprintln!("error: --horizon requires a positive number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--socket" => match it.next() {
-                Some(p) => socket = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("error: --socket requires a path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--agent" => match it.next() {
-                Some(cmd) => agent_cmd = Some(cmd.clone()),
-                None => {
-                    eprintln!("error: --agent requires a command");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--name" => match it.next() {
-                Some(n) => name = Some(n.clone()),
-                None => {
-                    eprintln!("error: --name requires a label");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--seed" => match it.next().map(|n| n.parse::<u64>()) {
-                Some(Ok(n)) => seed = Some(n),
-                _ => {
-                    eprintln!("error: --seed requires a number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--timeout" => match it.next().map(|n| n.parse::<u64>()) {
-                Some(Ok(n)) if n > 0 => timeout = std::time::Duration::from_secs(n),
-                _ => {
-                    eprintln!("error: --timeout requires a positive number of seconds");
-                    return ExitCode::FAILURE;
-                }
-            },
-            p if config_path.is_none() && !p.starts_with('-') => config_path = Some(p),
-            p => {
-                eprintln!("error: unexpected argument `{p}`");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let Some(config_path) = config_path else {
-        eprintln!("error: `vsched env` needs a config file\n\n{HELP}");
-        return ExitCode::FAILURE;
+fn tournament(args: &[String]) -> CmdResult {
+    let flags = "--configs --store --out --policies --agent --fuzz-scenarios --fuzz-seed \
+                 --warmup --horizon --replications --seed --timeout --jobs";
+    let a = Args::parse("tournament", args, flags, "--quiet")?;
+    let defaults = vsched_cli::TournamentOpts::default();
+    let opts = vsched_cli::TournamentOpts {
+        config_dir: a
+            .value("--configs")
+            .map_or(defaults.config_dir, PathBuf::from),
+        store_dir: a.value("--store").map_or(defaults.store_dir, PathBuf::from),
+        policies: a
+            .value("--policies")
+            .map(|list| list.split(',').map(|s| s.trim().to_string()).collect()),
+        agents: a.values("--agent"),
+        fuzz_scenarios: a
+            .number("--fuzz-scenarios")?
+            .unwrap_or(defaults.fuzz_scenarios),
+        fuzz_seed: a.number("--fuzz-seed")?.unwrap_or(defaults.fuzz_seed),
+        warmup: a.number("--warmup")?.unwrap_or(defaults.warmup),
+        horizon: a.positive("--horizon")?.unwrap_or(defaults.horizon),
+        replications: a
+            .at_least("--replications", 2)?
+            .unwrap_or(defaults.replications),
+        seed: a.number("--seed")?.unwrap_or(defaults.seed),
+        timeout: a
+            .positive("--timeout")?
+            .map_or(defaults.timeout, Duration::from_secs),
+        jobs: a.number("--jobs")?,
+        quiet: a.switch("--quiet"),
     };
-    if socket.is_some() && agent_cmd.is_some() {
-        eprintln!("error: --socket and --agent are mutually exclusive");
-        return ExitCode::FAILURE;
+    let out_path = a.value("--out").map(PathBuf::from);
+    a.finish()?;
+
+    let report = vsched_cli::run_tournament(&opts)?;
+    print!("{}", report.render_text());
+    if let Some(out) = &out_path {
+        write_out(out, &serde_json::to_string_pretty(&report.to_json())?)?;
     }
-    match run_env(
-        config_path,
-        socket,
-        agent_cmd,
-        name,
-        seed,
-        timeout,
-        warmup,
-        horizon,
-    ) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    Ok(ExitCode::SUCCESS)
 }
 
-/// Hosts one experiment as a vsched-env environment (see `env_cmd`).
-#[allow(clippy::too_many_arguments)]
-fn run_env(
-    config_path: &str,
-    socket: Option<PathBuf>,
-    agent_cmd: Option<String>,
-    name: Option<String>,
-    seed: Option<u64>,
-    timeout: std::time::Duration,
-    warmup: Option<u64>,
-    horizon: Option<u64>,
-) -> Result<(), Box<dyn std::error::Error>> {
-    let text = read_file(Path::new(config_path))?;
-    let config = ExperimentConfig::from_json(&text)?;
-    let scenario = vsched_env::Scenario::new(config.system()?)
-        .engine(config.engine_kind()?)
-        .warmup(warmup.unwrap_or(config.warmup))
-        .horizon(horizon.unwrap_or(config.horizon));
+/// Hosts one experiment as a vsched-env environment: serves the protocol
+/// on stdio or a Unix socket, or spawns an agent and plays one episode.
+fn env_cmd(args: &[String]) -> CmdResult {
+    let flags = "--warmup --horizon --socket --agent --name --seed --timeout";
+    let mut a = Args::parse("env", args, flags, "")?;
+    let warmup = a.number("--warmup")?;
+    let horizon = a.positive("--horizon")?;
+    let socket = a.value("--socket").map(PathBuf::from);
+    let agent_cmd = a.value("--agent");
+    let name = a.value("--name");
+    let seed = a.number("--seed")?;
+    let timeout = a
+        .positive("--timeout")?
+        .map_or(vsched_env::DEFAULT_TIMEOUT, Duration::from_secs);
+    let config_path = a.positional("a config file")?;
+    a.finish()?;
+    if socket.is_some() && agent_cmd.is_some() {
+        return Err("--socket and --agent are mutually exclusive".into());
+    }
+
+    let config = ExperimentConfig::from_json(&read_file(Path::new(&config_path))?)?;
+    let mut cell = config.cells()?.swap_remove(0);
+    cell.warmup = warmup.unwrap_or(cell.warmup);
+    cell.horizon = horizon.unwrap_or(cell.horizon);
+    let scenario = env_scenario(&cell)?;
     let env_name = name.unwrap_or_else(|| {
-        Path::new(config_path)
+        Path::new(&config_path)
             .file_stem()
             .map_or_else(|| "vsched-env".to_string(), |s| s.to_string_lossy().into())
     });
@@ -1567,8 +1028,7 @@ fn run_env(
         let mut env = vsched_env::Env::new(scenario)
             .fields(agent.fields())
             .agent_name(agent.name());
-        let episode_seed = seed.or(config.seed).unwrap_or(0x5eed);
-        let run = vsched_env::run_remote_episode(&mut env, &mut agent, episode_seed)
+        let run = vsched_env::run_remote_episode(&mut env, &mut agent, seed.unwrap_or(cell.seed))
             .map_err(|e| format!("episode: {e}"))?;
         println!(
             "episode: agent {} finished {} ticks ({} decisions)",
@@ -1583,7 +1043,7 @@ fn run_env(
             run.end.metrics.avg_pcpu_utilization()
         );
         println!("  fingerprint {:#018x}", run.end.fingerprint);
-        return Ok(());
+        return Ok(ExitCode::SUCCESS);
     }
 
     let stats = if let Some(path) = socket {
@@ -1596,7 +1056,7 @@ fn run_env(
         let (stream, _) = listener
             .accept()
             .map_err(|e| format!("accept on {}: {e}", path.display()))?;
-        let reader = stream.try_clone().map_err(|e| e.to_string())?;
+        let reader = stream.try_clone()?;
         let mut transport = vsched_env::LineTransport::new(reader, stream, None);
         let stats = vsched_env::serve(&mut transport, &scenario, &env_name)
             .map_err(|e| format!("serve: {e}"))?;
@@ -1613,76 +1073,24 @@ fn run_env(
         "vsched env: served {} episode(s), {} fault(s)",
         stats.episodes, stats.faults
     );
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }
 
-fn lint(args: &[String]) -> ExitCode {
-    let mut paths: Vec<String> = Vec::new();
-    let mut deny_warnings = false;
-    let mut json = false;
-    let mut fixture = false;
-    let mut opts = AnalyzeOpts::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--deny" => match it.next().map(String::as_str) {
-                Some("warnings") => deny_warnings = true,
-                _ => {
-                    eprintln!("error: --deny takes `warnings`");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--format" => match it.next().map(String::as_str) {
-                Some("json") => json = true,
-                Some("text") => json = false,
-                _ => {
-                    eprintln!("error: --format takes `text` or `json`");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--seed" => match it.next().map(|n| n.parse::<u64>()) {
-                Some(Ok(s)) => opts.seed = s,
-                _ => {
-                    eprintln!("error: --seed requires a number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--fixture" => match it.next().map(String::as_str) {
-                Some("broken") => fixture = true,
-                _ => {
-                    eprintln!("error: --fixture takes `broken`");
-                    return ExitCode::FAILURE;
-                }
-            },
-            p if p.starts_with('-') => {
-                eprintln!("error: unexpected argument `{p}`");
-                return ExitCode::FAILURE;
-            }
-            p => paths.push(p.to_string()),
-        }
-    }
-    match run_lint(&paths, fixture, &opts, deny_warnings, json) {
-        Ok(true) => ExitCode::SUCCESS,
-        Ok(false) => ExitCode::FAILURE,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
+fn lint(args: &[String]) -> CmdResult {
+    let mut a = Args::parse("lint", args, "--deny --format --seed --fixture", "")?;
+    let deny_warnings = a.choice("--deny", &["warnings"])?.is_some();
+    let json = a.choice("--format", &["text", "json"])? == Some("json");
+    let fixture = a.choice("--fixture", &["broken"])?.is_some();
+    let defaults = AnalyzeOpts::default();
+    let opts = AnalyzeOpts {
+        seed: a.number("--seed")?.unwrap_or(defaults.seed),
+        ..defaults
+    };
+    let paths = a.rest();
 
-/// Collects and renders the lint reports; returns `Ok(false)` when any
-/// report is denied under the requested severity floor.
-fn run_lint(
-    paths: &[String],
-    fixture: bool,
-    opts: &AnalyzeOpts,
-    deny_warnings: bool,
-    json: bool,
-) -> Result<bool, Box<dyn std::error::Error>> {
     let mut reports = Vec::new();
     if fixture {
-        reports.push(vsched_analyze::lint_broken_fixture(opts));
+        reports.push(vsched_analyze::lint_broken_fixture(&opts));
     }
     if paths.is_empty() && !fixture {
         // Default target: the paper model under every registered policy.
@@ -1693,39 +1101,37 @@ fn run_lint(
             .build()?;
         for kind in vsched_core::PolicyKind::all() {
             let target = format!("paper:{}", kind.label());
-            reports.push(vsched_analyze::lint_config(&target, &system, &kind, opts)?);
+            reports.push(vsched_analyze::lint_config(&target, &system, &kind, &opts)?);
         }
     }
     // Distinct (system, policy) pairs only: sweep grids repeat the same
     // model many times across seeds and engines, which lint can't tell
     // apart.
     let mut seen = std::collections::HashSet::new();
-    for path in paths {
+    for path in &paths {
         let text = read_file(Path::new(path))?;
+        let mut targets = Vec::new();
         if is_sweep_spec(&text) {
             let spec =
                 vsched_campaign::SweepSpec::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
             let expanded = vsched_campaign::plan(&spec).map_err(|e| format!("{path}: {e}"))?;
             for exp in &expanded.experiments {
                 for cell in &exp.cells {
-                    let system = cell.config.system()?;
-                    let kind = cell.config.policy_kind()?;
-                    if !seen.insert(format!("{system:?}|{kind:?}")) {
-                        continue;
-                    }
                     let target = format!("{path}#{}: {}", exp.name, cell.config.summary()?);
-                    reports.push(vsched_analyze::lint_config(&target, &system, &kind, opts)?);
+                    targets.push((target, cell.config.clone()));
                 }
             }
         } else {
             let config = ExperimentConfig::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
-            let system = config.system()?;
-            for kind in config.policy_kinds()? {
-                if !seen.insert(format!("{system:?}|{kind:?}")) {
-                    continue;
-                }
-                let target = format!("{path}: {}", kind.label());
-                reports.push(vsched_analyze::lint_config(&target, &system, &kind, opts)?);
+            for cell in config.cells()? {
+                targets.push((format!("{path}: {}", cell.policy_kind()?.label()), cell));
+            }
+        }
+        for (target, cell) in targets {
+            let system = cell.system()?;
+            let kind = cell.policy_kind()?;
+            if seen.insert(format!("{system:?}|{kind:?}")) {
+                reports.push(vsched_analyze::lint_config(&target, &system, &kind, &opts)?);
             }
         }
     }
@@ -1751,129 +1157,9 @@ fn run_lint(
             reports.len()
         );
     }
-    Ok(denied == 0)
-}
-
-/// A lint input is a sweep spec iff its top-level object has an
-/// `experiments` key; anything else is treated as a run config.
-fn is_sweep_spec(text: &str) -> bool {
-    serde_json::from_str::<serde_json::Value>(text)
-        .ok()
-        .and_then(|v| {
-            v.as_map()
-                .map(|m| m.iter().any(|(k, _)| k == "experiments"))
-        })
-        .unwrap_or(false)
-}
-
-fn run_experiment(
-    config_path: &str,
-    out_path: Option<&str>,
-    jobs_flag: Option<usize>,
-) -> Result<(), Box<dyn std::error::Error>> {
-    // Typed error with the offending path baked in, instead of a bare
-    // io::Error (or a panic) on a mistyped file name.
-    let text = read_file(Path::new(config_path))?;
-    let config = ExperimentConfig::from_json(&text)?;
-    let system = config.system()?;
-    let engine = config.engine_kind()?;
-    // Command line beats config file; both default to one worker per core.
-    let jobs = jobs_flag.or(config.jobs);
-    println!(
-        "system: {}   engine: {}   warmup {} / horizon {} ticks",
-        system.describe(),
-        config.engine,
-        config.warmup,
-        config.horizon
-    );
-    if config.trace.is_some() {
-        return run_traced_config(&config, &system, out_path, jobs);
-    }
-    let mut json_results = Vec::new();
-    for policy in config.policy_kinds()? {
-        let mut builder = ExperimentBuilder::new(system.clone(), policy.clone())
-            .engine(engine)
-            .warmup(config.warmup)
-            .horizon(config.horizon);
-        if let Some(n) = config.replications {
-            builder = builder.replications_exact(n);
-        }
-        if let Some(seed) = config.seed {
-            builder = builder.seed(seed);
-        }
-        if let Some(jobs) = jobs {
-            builder = builder.jobs(jobs);
-        }
-        let report = builder.run()?;
-        print!("{}", render_report(&system, &policy, &report));
-        json_results.push(report_to_json(&system, &policy, &report));
-    }
-    if let Some(out) = out_path {
-        let body = serde_json::to_string_pretty(&serde_json::json!({
-            "config": config,
-            "results": json_results,
-        }))?;
-        // Atomic (temp file + rename): a crash mid-write can't leave a
-        // truncated results file behind.
-        write_atomic(std::path::Path::new(out), &body)
-            .map_err(|e| format!("cannot write {out}: {e}"))?;
-        println!("[wrote {out}]");
-    }
-    Ok(())
-}
-
-/// The trace-driven arm of `vsched run`: replays the config's trace under
-/// each configured policy and prints the same comparison tables as a
-/// static run, plus the per-policy run fingerprint.
-fn run_traced_config(
-    config: &ExperimentConfig,
-    system: &vsched_core::SystemConfig,
-    out_path: Option<&str>,
-    jobs: Option<usize>,
-) -> Result<(), Box<dyn std::error::Error>> {
-    let schedule = config.schedule()?;
-    let engine = config.engine_kind()?;
-    // No stopping rule mid-trace: trace runs use a fixed count.
-    let replications = config.replications.unwrap_or(3);
-    println!("trace: {}", schedule.describe());
-    let mut json_results = Vec::new();
-    for policy in config.policy_kinds()? {
-        let mut exp = vsched_trace::TraceExperiment::new(schedule.clone(), policy.clone())
-            .engine(engine)
-            .warmup(config.warmup)
-            .horizon(config.horizon)
-            .replications(replications);
-        if let Some(seed) = config.seed {
-            exp = exp.seed(seed);
-        }
-        if let Some(jobs) = jobs {
-            exp = exp.jobs(jobs);
-        }
-        let result = exp.run()?;
-        println!(
-            "fingerprint {:016x}  ({})",
-            result.fingerprint,
-            policy.label()
-        );
-        let report = result.metrics_report(system.total_vcpus(), system.pcpus(), 0.95)?;
-        print!("{}", render_report(system, &policy, &report));
-        let mut entry = report_to_json(system, &policy, &report);
-        if let serde_json::Value::Map(entries) = &mut entry {
-            entries.push((
-                "fingerprint".to_string(),
-                serde_json::Value::Str(format!("{:016x}", result.fingerprint)),
-            ));
-        }
-        json_results.push(entry);
-    }
-    if let Some(out) = out_path {
-        let body = serde_json::to_string_pretty(&serde_json::json!({
-            "config": config,
-            "results": json_results,
-        }))?;
-        write_atomic(std::path::Path::new(out), &body)
-            .map_err(|e| format!("cannot write {out}: {e}"))?;
-        println!("[wrote {out}]");
-    }
-    Ok(())
+    Ok(if denied == 0 {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    })
 }

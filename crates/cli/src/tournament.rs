@@ -30,17 +30,16 @@ use std::time::Duration;
 use vsched_analyze::AnalyzeOpts;
 use vsched_campaign::fsio::read_file;
 use vsched_campaign::orchestrator::ensure_cells;
-use vsched_campaign::spec::VmWorkloadSpec;
 use vsched_campaign::{
     cell_key, CellConfig, DistSpec, EngineSpec, PlannedCell, PolicySpec, ReplicationSpec,
     ResultStore, SyncMechanismSpec,
 };
 use vsched_check::gen::CaseGen;
 use vsched_check::{case::LoadSpec, FuzzCase};
-use vsched_core::{CoreError, MetricsReport, PolicyKind, SyncMechanism};
+use vsched_core::{MetricsReport, PolicyKind, SyncMechanism};
 use vsched_env::{run_remote_episode, Env, EpisodeError, RemotePolicy};
 
-use crate::config::{ExperimentConfig, WorkloadConfig};
+use crate::config::{env_scenario, is_sweep_spec, ExperimentConfig};
 
 /// The three ranked metrics, in report order.
 pub const METRICS: [&str; 3] = ["vcpu_utilization", "vcpu_availability", "pcpu_utilization"];
@@ -264,85 +263,6 @@ fn spec_label(kind: &PolicyKind) -> String {
     }
 }
 
-/// Converts a run config into a tournament cell. The config's own
-/// `policies`, run lengths, and seed are ignored — every scenario runs
-/// under the tournament's normalized settings so ranks are comparable.
-fn cell_from_config(
-    config: &ExperimentConfig,
-    opts: &TournamentOpts,
-) -> Result<CellConfig, CoreError> {
-    let engine = match config.engine.as_str() {
-        "san" => EngineSpec::San,
-        "direct" => EngineSpec::Direct,
-        other => {
-            return Err(CoreError::InvalidConfig {
-                reason: format!("unknown engine `{other}` (expected `san` or `direct`)"),
-            })
-        }
-    };
-    let weights: Vec<u32> = config.vms.iter().map(|vm| vm.weight.unwrap_or(1)).collect();
-    let overrides: Vec<VmWorkloadSpec> = config
-        .vms
-        .iter()
-        .map(|vm| workload_override(vm.workload.as_ref()))
-        .collect::<Result<_, _>>()?;
-    Ok(CellConfig {
-        pcpus: config.pcpus,
-        vms: config.vms.iter().map(|vm| vm.vcpus).collect(),
-        trace: None,
-        weights: if weights.iter().all(|&w| w == 1) {
-            None
-        } else {
-            Some(weights)
-        },
-        sync_ratio: (1, 5),
-        sync_probability: None,
-        sync_every: None,
-        sync_mechanism: SyncMechanismSpec::Barrier,
-        timeslice: config.timeslice.unwrap_or(30),
-        load: DistSpec::Uniform {
-            low: 5.0,
-            high: 15.0,
-        },
-        interarrival: None,
-        vm_workloads: if overrides.iter().all(VmWorkloadSpec::is_noop) {
-            None
-        } else {
-            Some(overrides)
-        },
-        policy: PolicySpec::Label("rrs".into()),
-        engine,
-        warmup: opts.warmup,
-        horizon: opts.horizon,
-        replications: ReplicationSpec::Exact(opts.replications),
-        seed: opts.seed,
-    })
-}
-
-fn workload_override(workload: Option<&WorkloadConfig>) -> Result<VmWorkloadSpec, CoreError> {
-    let Some(w) = workload else {
-        return Ok(VmWorkloadSpec::default());
-    };
-    Ok(VmWorkloadSpec {
-        load: w.load.clone(),
-        sync_ratio: w.sync_ratio,
-        sync_every: w.sync_every,
-        sync_mechanism: match w.sync_mechanism.as_deref() {
-            None => None,
-            Some("barrier") => Some(SyncMechanismSpec::Barrier),
-            Some("spinlock") => Some(SyncMechanismSpec::Spinlock),
-            Some(other) => {
-                return Err(CoreError::InvalidConfig {
-                    reason: format!(
-                        "unknown sync_mechanism `{other}` (expected `barrier` or `spinlock`)"
-                    ),
-                })
-            }
-        },
-        interarrival: w.interarrival.clone(),
-    })
-}
-
 /// Converts a fuzz case into a tournament cell. Topology, workload,
 /// synchronization, and timeslice come from the generator; run lengths
 /// and seed are normalized like every other scenario. Engines alternate
@@ -416,8 +336,10 @@ pub fn build_corpus(
         if is_sweep_spec(&text) {
             continue;
         }
-        let config =
-            ExperimentConfig::from_json(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+        let cell = ExperimentConfig::from_json(&text)
+            .and_then(|config| config.cells())
+            .map_err(|e| format!("{}: {e}", path.display()))?
+            .swap_remove(0);
         let name = path.file_stem().map_or_else(
             || path.display().to_string(),
             |s| s.to_string_lossy().into(),
@@ -425,11 +347,23 @@ pub fn build_corpus(
         // Trace-driven configs describe a churning VM population; the
         // tournament normalizes every contestant onto static scenarios
         // (episodes included), so they are out of scope here.
-        if config.trace.is_some() {
+        if cell.trace.is_some() {
             continue;
         }
-        let cell = cell_from_config(&config, opts).map_err(|e| format!("{name}: {e}"))?;
-        scenarios.push(TournamentScenario { name, cell });
+        // The config's own policies, run lengths and seed give way to the
+        // tournament's, so ranks are comparable; the policy is a
+        // placeholder, replaced per contestant.
+        scenarios.push(TournamentScenario {
+            name,
+            cell: CellConfig {
+                policy: PolicySpec::Label("rrs".into()),
+                warmup: opts.warmup,
+                horizon: opts.horizon,
+                replications: ReplicationSpec::Exact(opts.replications),
+                seed: opts.seed,
+                ..cell
+            },
+        });
     }
     let generator = CaseGen::new(opts.fuzz_seed);
     for i in 0..opts.fuzz_scenarios {
@@ -462,18 +396,6 @@ pub fn build_corpus(
         }
     }
     Ok((clean, skipped))
-}
-
-/// A lint input is a sweep spec iff its top-level object has an
-/// `experiments` key.
-fn is_sweep_spec(text: &str) -> bool {
-    serde_json::from_str::<serde_json::Value>(text)
-        .ok()
-        .and_then(|v| {
-            v.as_map()
-                .map(|m| m.iter().any(|(k, _)| k == "experiments"))
-        })
-        .unwrap_or(false)
 }
 
 /// The built-in contestants after the `--policies` filter.
@@ -617,12 +539,7 @@ pub fn run_tournament(
                 if display.is_none() {
                     display = Some(format!("agent:{}", agent.name()));
                 }
-                let system = scenario.cell.system()?;
-                let env_scenario = vsched_env::Scenario::new(system)
-                    .engine(scenario.cell.engine.to_engine())
-                    .warmup(scenario.cell.warmup)
-                    .horizon(scenario.cell.horizon);
-                let mut env = Env::new(env_scenario)
+                let mut env = Env::new(env_scenario(&scenario.cell)?)
                     .fields(agent.fields())
                     .agent_name(agent.name());
                 match run_remote_episode(&mut env, &mut agent, seed) {

@@ -3,23 +3,52 @@
 //!
 //! `*.sweep.json` files are campaign specs, not single experiment configs;
 //! they are validated by planning them (every cell must resolve to a
-//! buildable system). The campaign crate's own integration tests cover
-//! actually running sweeps. The binary's `--help` on every subcommand is
-//! checked here too.
+//! buildable system). Run configs are checked through the cells they
+//! lower to. The campaign crate's own integration tests cover actually
+//! running sweeps. The binary's command-line surface — `--help` and
+//! unknown flags on every subcommand, and `vsched env` refusing a
+//! trace-driven config — is checked here too.
 
 use std::fs;
-use vsched_campaign::{plan, SweepSpec};
+use std::process::{Command, Output, Stdio};
+use vsched_campaign::{plan, CellConfig, EngineSpec, ReplicationSpec, SweepSpec};
 use vsched_cli::ExperimentConfig;
-use vsched_core::ExperimentBuilder;
+
+/// Every subcommand with flags of its own.
+const SUBCOMMANDS: [&str; 9] = [
+    "run",
+    "trace",
+    "sweep",
+    "fuzz",
+    "verify",
+    "lint",
+    "perf",
+    "tournament",
+    "env",
+];
+
+fn repo_root() -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
 
 fn configs_dir() -> std::path::PathBuf {
     // Shipped configs are written to be run from the repo root (relative
     // `trace` paths resolve against the working directory); make the test
     // process match. Both tests set the same directory, so concurrent
     // execution is safe.
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let root = repo_root();
     std::env::set_current_dir(&root).expect("repo root exists");
     root.join("configs")
+}
+
+/// Runs the `vsched` binary from the repo root with stdin closed.
+fn vsched(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_vsched"))
+        .args(args)
+        .current_dir(repo_root())
+        .stdin(Stdio::null())
+        .output()
+        .expect("vsched runs")
 }
 
 fn is_sweep_spec(path: &std::path::Path) -> bool {
@@ -57,14 +86,14 @@ fn shipped_configs_parse_and_build() {
         }
         let text = fs::read_to_string(&path).expect("readable config");
         let config = ExperimentConfig::from_json(&text).unwrap_or_else(|e| panic!("{path:?}: {e}"));
-        let system = config.system().unwrap_or_else(|e| panic!("{path:?}: {e}"));
-        assert!(system.total_vcpus() > 0);
-        config
-            .policy_kinds()
-            .unwrap_or_else(|e| panic!("{path:?}: {e}"));
-        config
-            .engine_kind()
-            .unwrap_or_else(|e| panic!("{path:?}: {e}"));
+        let cells = config.cells().unwrap_or_else(|e| panic!("{path:?}: {e}"));
+        assert_eq!(cells.len(), config.policies.len());
+        for cell in &cells {
+            let system = cell.system().unwrap_or_else(|e| panic!("{path:?}: {e}"));
+            assert!(system.total_vcpus() > 0);
+            cell.policy_kind()
+                .unwrap_or_else(|e| panic!("{path:?}: {e}"));
+        }
     }
     assert!(found >= 4, "expected the shipped configs, found {found}");
 }
@@ -78,15 +107,17 @@ fn shipped_configs_run_quickly() {
         }
         let text = fs::read_to_string(&path).expect("readable config");
         let config = ExperimentConfig::from_json(&text).expect("valid config");
-        let system = config.system().expect("valid system");
         // Shortened run: first policy only, tiny horizon, direct engine.
-        let policy = config.policy_kinds().expect("valid policies")[0].clone();
-        let report = ExperimentBuilder::new(system, policy)
-            .engine(vsched_core::Engine::Direct)
-            .warmup(200)
-            .horizon(2_000)
-            .replications_exact(2)
-            .run()
+        // A trace-driven config runs as a trace.
+        let cell = CellConfig {
+            engine: EngineSpec::Direct,
+            warmup: 200,
+            horizon: 2_000,
+            replications: ReplicationSpec::Exact(2),
+            ..config.cells().expect("valid cells").swap_remove(0)
+        };
+        let report = cell
+            .run_report()
             .unwrap_or_else(|e| panic!("{path:?}: {e}"));
         assert!(report.avg_pcpu_utilization() > 0.0, "{path:?} ran");
     }
@@ -94,23 +125,9 @@ fn shipped_configs_run_quickly() {
 
 #[test]
 fn every_subcommand_answers_help() {
-    let commands = [
-        "run",
-        "trace",
-        "sweep",
-        "fuzz",
-        "verify",
-        "lint",
-        "perf",
-        "tournament",
-        "env",
-    ];
-    for cmd in commands {
+    for cmd in SUBCOMMANDS {
         for flag in ["--help", "-h"] {
-            let out = std::process::Command::new(env!("CARGO_BIN_EXE_vsched"))
-                .args([cmd, flag])
-                .output()
-                .expect("vsched runs");
+            let out = vsched(&[cmd, flag]);
             let stdout = String::from_utf8_lossy(&out.stdout);
             assert!(
                 out.status.success(),
@@ -121,4 +138,44 @@ fn every_subcommand_answers_help() {
             assert!(stdout.contains("USAGE:"), "`vsched {cmd} {flag}`: {stdout}");
         }
     }
+}
+
+#[test]
+fn every_subcommand_rejects_unknown_flags() {
+    // Never opened as a file, never run: rejected while parsing.
+    for cmd in SUBCOMMANDS {
+        let args: &[&str] = if cmd == "trace" {
+            &[
+                "trace",
+                "run",
+                "configs/traces/churn_small.jsonl",
+                "--bogus",
+            ]
+        } else {
+            &[cmd, "--bogus"]
+        };
+        let out = vsched(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "`vsched {args:?}`: {stderr}");
+        assert!(
+            stderr.contains("unexpected argument `--bogus`"),
+            "`vsched {args:?}`: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn env_refuses_trace_configs() {
+    // An episode runs a fixed VM population, so a trace-driven config is
+    // refused before the handshake rather than hosted as its union
+    // topology.
+    let out = vsched(&["env", "configs/churn_trace.run.json"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "{stderr}");
+    assert!(stderr.contains("trace-driven"), "{stderr}");
+    assert!(
+        out.stdout.is_empty(),
+        "{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
 }
