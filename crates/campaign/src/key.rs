@@ -13,6 +13,8 @@
 //! defaults vs. writing them out — collapse to one key, so a campaign runs
 //! each distinct simulation once no matter how many figures consume it.
 
+use vsched_core::Fnv;
+
 use crate::spec::CellConfig;
 
 /// Version tag of the simulation semantics baked into every cell key.
@@ -22,15 +24,6 @@ use crate::spec::CellConfig;
 /// store entry then misses and is recomputed, rather than silently serving
 /// stale numbers.
 pub const ENGINE_VERSION: &str = "vsched-engine/1";
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(init: u64, bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(init, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
-}
 
 /// The canonical serialized form of a cell — what [`cell_key`] hashes.
 #[must_use]
@@ -42,10 +35,11 @@ pub fn canonical_json(config: &CellConfig) -> String {
 /// digits.
 #[must_use]
 pub fn cell_key(config: &CellConfig) -> String {
-    let mut h = fnv1a(FNV_OFFSET, ENGINE_VERSION.as_bytes());
-    h = fnv1a(h, b"\0");
-    h = fnv1a(h, canonical_json(config).as_bytes());
-    format!("{h:016x}")
+    let mut h = Fnv::new();
+    h.write(ENGINE_VERSION.as_bytes());
+    h.write(b"\0");
+    h.write(canonical_json(config).as_bytes());
+    format!("{:016x}", h.finish())
 }
 
 #[cfg(test)]
@@ -58,10 +52,15 @@ mod tests {
 
     #[test]
     fn fnv1a_known_vectors() {
-        // Standard FNV-1a 64-bit test vectors.
-        assert_eq!(fnv1a(FNV_OFFSET, b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(FNV_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a(FNV_OFFSET, b"foobar"), 0x8594_4171_f739_67e8);
+        // Standard FNV-1a 64-bit test vectors, through the hasher keys use.
+        let fnv1a = |bytes: &[u8]| {
+            let mut h = Fnv::new();
+            h.write(bytes);
+            h.finish()
+        };
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]

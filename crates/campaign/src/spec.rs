@@ -255,19 +255,23 @@ impl Default for ReplicationSpec {
 }
 
 impl ReplicationSpec {
-    /// Rejects replication counts no run could satisfy.
+    /// Rejects replication counts no run could satisfy: every cell's
+    /// report carries confidence intervals, which need two samples.
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidConfig`] for an exact count of zero, a rule
-    /// minimum of zero, or inverted rule bounds.
+    /// [`CoreError::InvalidConfig`] for an exact count or a rule minimum
+    /// below 2, or inverted rule bounds.
     pub fn validate(&self) -> Result<(), CoreError> {
         let invalid = |reason: String| Err(CoreError::InvalidConfig { reason });
         match *self {
-            ReplicationSpec::Exact(0) => invalid("replications must be at least 1".into()),
-            ReplicationSpec::Rule { min: 0, .. } => {
-                invalid("replication rule minimum must be at least 1".into())
-            }
+            ReplicationSpec::Exact(n) if n < 2 => invalid(format!(
+                "replications must be at least 2 (confidence intervals need two samples), got {n}"
+            )),
+            ReplicationSpec::Rule { min, .. } if min < 2 => invalid(format!(
+                "replications rule minimum must be at least 2 (confidence intervals need two \
+                 samples), got {min}"
+            )),
             ReplicationSpec::Rule { min, max } if min > max => invalid(format!(
                 "replication rule minimum ({min}) exceeds maximum ({max})"
             )),
@@ -654,9 +658,9 @@ impl CellConfig {
     /// the result store and every renderer are agnostic to how the cell
     /// was driven.
     ///
-    /// Replications run sequentially (`parallel(false)`): campaigns
-    /// parallelize across *cells* on the shared `vsched-exec` pool, and
-    /// replication results are bit-identical either way.
+    /// Replications run sequentially (`jobs(1)`): campaigns parallelize
+    /// across *cells* on the shared `vsched-exec` pool, and replication
+    /// results are bit-identical either way.
     ///
     /// # Errors
     ///
@@ -664,11 +668,11 @@ impl CellConfig {
     pub fn run_report(&self) -> Result<MetricsReport, CoreError> {
         self.validate()?;
         if self.trace.is_none() {
-            return self.builder()?.parallel(false).run();
+            return self.builder()?.jobs(1).run();
         }
         let schedule = self.schedule()?;
         let (vcpus, pcpus) = (schedule.config().total_vcpus(), schedule.config().pcpus());
-        let report = self.trace_experiment(schedule)?.parallel(false).run()?;
+        let report = self.trace_experiment(schedule)?.jobs(1).run()?;
         report.metrics_report(vcpus, pcpus, StoppingRule::paper_default().level)
     }
 
@@ -911,7 +915,16 @@ mod tests {
         assert!(ReplicationSpec::Exact(0).validate().is_err());
         assert!(ReplicationSpec::Rule { min: 0, max: 5 }.validate().is_err());
         assert!(ReplicationSpec::Rule { min: 9, max: 5 }.validate().is_err());
-        assert!(ReplicationSpec::Exact(1).validate().is_ok());
+        // One sample gives no confidence interval: no run could use it.
+        for one in [
+            ReplicationSpec::Exact(1),
+            ReplicationSpec::Rule { min: 1, max: 5 },
+        ] {
+            let err = one.validate().unwrap_err();
+            assert!(err.to_string().contains("replications"), "{err}");
+        }
+        assert!(ReplicationSpec::Exact(2).validate().is_ok());
+        assert!(ReplicationSpec::Rule { min: 2, max: 2 }.validate().is_ok());
         assert!(ReplicationSpec::Rule { min: 5, max: 5 }.validate().is_ok());
     }
 

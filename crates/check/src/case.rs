@@ -127,6 +127,43 @@ pub struct FuzzCase {
 }
 
 impl FuzzCase {
+    /// The `vsched verify` scenario: `vms` identical VMs of `vcpus` VCPUs
+    /// each on `pcpus` PCPUs, under `policy`, explored for `horizon`
+    /// ticks. The verifier's diet is deterministic — every job takes 4
+    /// ticks and every third one is a barrier sync point — which makes
+    /// the exploration exhaustive: there are no stochastic gates to probe
+    /// under a seed budget. As a case (seed 7, no warm-up, one
+    /// replication) it makes a verifier counterexample self-contained and
+    /// replayable.
+    #[must_use]
+    pub fn verify_scenario(
+        pcpus: usize,
+        vms: usize,
+        vcpus: usize,
+        timeslice: u64,
+        policy: PolicyKind,
+        horizon: u64,
+    ) -> Self {
+        FuzzCase {
+            case_index: 0,
+            pcpus,
+            vms: vec![VmCase { vcpus, weight: 1 }; vms],
+            load: LoadSpec::Deterministic { value: 4.0 },
+            sync: SyncSpec {
+                probability: 0.0,
+                every: Some(3),
+                mechanism: SyncMechanism::Barrier,
+            },
+            timeslice,
+            policy,
+            seed: 7,
+            warmup: 0,
+            horizon,
+            replications: 1,
+            trace: vec![],
+        }
+    }
+
     /// Materializes the case's [`SystemConfig`].
     ///
     /// # Errors

@@ -53,10 +53,11 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use vsched_core::direct::DirectSim;
 use vsched_core::san_model::SanSystem;
-use vsched_core::{CoreError, Engine, ExperimentBuilder, MetricsReport, PolicyKind, SystemConfig};
-use vsched_trace::{TraceAction, TraceExperiment, TraceReport, TraceSchedule, FULL_LEVEL};
+use vsched_core::{
+    CoreError, Engine, ExperimentBuilder, Fnv, MetricsReport, PolicyKind, Simulation, SystemConfig,
+};
+use vsched_trace::{TraceExperiment, TraceReport, TraceSchedule};
 
 use crate::case::{FuzzCase, LoadSpec};
 use crate::invariant::InvariantChecker;
@@ -350,7 +351,6 @@ pub fn engines_agree(
             .seed(seed)
             .stopping_rule(vsched_stats::StoppingRule::new(opts.ci_level, 0.05))
             .replications_exact(replications)
-            .parallel(true)
             .run()
     };
     let direct = build(Engine::Direct)?;
@@ -669,7 +669,8 @@ fn trace_check(case: &FuzzCase, opts: &OracleOpts) -> Vec<Failure> {
     failures
 }
 
-/// One invariant-checked segmented trace replay per engine: the same
+/// One invariant-checked trace replay per engine, through the loop
+/// `TraceExperiment` runs ([`vsched_trace::replay`]): the same
 /// engine-agnostic [`InvariantChecker`] that rides static runs observes
 /// every tick of the churn replay — retired VCPUs must go (and stay)
 /// INACTIVE holding no PCPU, transitions across re-admission must be
@@ -678,12 +679,22 @@ fn trace_check(case: &FuzzCase, opts: &OracleOpts) -> Vec<Failure> {
 fn traced_invariant_runs(case: &FuzzCase, schedule: &TraceSchedule) -> Vec<Failure> {
     let total = case.warmup + case.horizon;
     let mut failures = Vec::new();
-    for engine in ["direct", "san"] {
+    for (engine, kind) in [("direct", Engine::Direct), ("san", Engine::San)] {
         let ck = Rc::new(RefCell::new(InvariantChecker::for_policy(
             schedule.config(),
             &case.policy,
         )));
-        match run_traced_checked(case, schedule, engine, total, Rc::clone(&ck)) {
+        let result = Simulation::new_dynamic(
+            kind,
+            schedule.config().clone(),
+            case.policy.create(),
+            case.seed,
+        )
+        .and_then(|mut sim| {
+            sim.attach_observer(Box::new(Rc::clone(&ck)));
+            vsched_trace::replay(&mut sim, schedule, case.warmup, case.horizon)
+        });
+        match result {
             Ok(()) => debug_assert_eq!(ck.borrow().ticks_checked(), total),
             Err(CoreError::InvariantViolation {
                 invariant,
@@ -704,113 +715,20 @@ fn traced_invariant_runs(case: &FuzzCase, schedule: &TraceSchedule) -> Vec<Failu
     failures
 }
 
-/// Replays the compiled schedule on one engine with an observer
-/// attached, mirroring `TraceExperiment::run_replication`'s segment
-/// loop (initial retirement/levels, then events at their boundaries).
-fn run_traced_checked(
-    case: &FuzzCase,
-    schedule: &TraceSchedule,
-    engine: &str,
-    total: u64,
-    ck: Rc<RefCell<InvariantChecker>>,
-) -> Result<(), CoreError> {
-    enum Exec {
-        Direct(Box<DirectSim>),
-        San(Box<SanSystem>),
-    }
-    impl Exec {
-        fn run(&mut self, ticks: u64) -> Result<(), CoreError> {
-            match self {
-                Exec::Direct(sim) => sim.run(ticks),
-                Exec::San(sys) => sys.run(ticks),
-            }
-        }
-        fn set_admitted(&mut self, vm: usize, admitted: bool) {
-            match self {
-                Exec::Direct(sim) => sim.set_admitted(vm, admitted),
-                Exec::San(sys) => sys.set_admitted(vm, admitted),
-            }
-        }
-        fn set_load_level(&mut self, vm: usize, level: u32) {
-            match self {
-                Exec::Direct(sim) => sim.set_load_level(vm, level),
-                Exec::San(sys) => sys.set_load_level(vm, level),
-            }
-        }
-    }
-
-    let config = schedule.config().clone();
-    let mut exec = match engine {
-        "direct" => {
-            let mut sim = Box::new(DirectSim::new(config, case.policy.create(), case.seed));
-            sim.attach_observer(Box::new(ck));
-            Exec::Direct(sim)
-        }
-        _ => {
-            let mut sys = SanSystem::new_dynamic(config, case.policy.create(), case.seed)?;
-            sys.attach_observer(Box::new(ck));
-            Exec::San(Box::new(sys))
-        }
-    };
-    for (vm, &present) in schedule.initially_present().iter().enumerate() {
-        if !present {
-            exec.set_admitted(vm, false);
-        }
-    }
-    for (vm, &level) in schedule.initial_levels().iter().enumerate() {
-        if level != FULL_LEVEL {
-            exec.set_load_level(vm, level);
-        }
-    }
-    let events = schedule.events();
-    let mut boundaries: Vec<u64> = events
-        .iter()
-        .map(|e| e.time)
-        .filter(|&t| t < total)
-        .collect();
-    boundaries.sort_unstable();
-    boundaries.dedup();
-    let mut now = 0u64;
-    let mut next = 0usize;
-    for t in boundaries {
-        exec.run(t - now)?;
-        now = t;
-        while next < events.len() && events[next].time == t {
-            let e = events[next];
-            match e.action {
-                TraceAction::Admit => exec.set_admitted(e.vm, true),
-                TraceAction::Retire => exec.set_admitted(e.vm, false),
-                TraceAction::SetLoad(level) => exec.set_load_level(e.vm, level),
-            }
-            next += 1;
-        }
-    }
-    exec.run(total - now)
-}
-
 /// One invariant-checked run per engine.
 fn checked_runs(config: &SystemConfig, case: &FuzzCase) -> Vec<Failure> {
     let mut failures = Vec::new();
     let ticks = case.warmup + case.horizon;
-    for engine in ["direct", "san"] {
+    for (engine, kind) in [("direct", Engine::Direct), ("san", Engine::San)] {
         let ck = Rc::new(RefCell::new(InvariantChecker::for_policy(
             config,
             &case.policy,
         )));
-        let result = match engine {
-            "direct" => {
-                let mut sim = DirectSim::new(config.clone(), case.policy.create(), case.seed);
+        let result = Simulation::new(kind, config.clone(), case.policy.create(), case.seed)
+            .and_then(|mut sim| {
                 sim.attach_observer(Box::new(Rc::clone(&ck)));
                 sim.run(ticks)
-            }
-            _ => match SanSystem::new(config.clone(), case.policy.create(), case.seed) {
-                Ok(mut sys) => {
-                    sys.attach_observer(Box::new(Rc::clone(&ck)));
-                    sys.run(ticks)
-                }
-                Err(e) => Err(e),
-            },
-        };
+            });
         match result {
             Ok(()) => debug_assert_eq!(ck.borrow().ticks_checked(), ticks),
             Err(CoreError::InvariantViolation {
@@ -855,7 +773,6 @@ fn report_with_reps(
         .seed(case.seed)
         .stopping_rule(vsched_stats::StoppingRule::new(level, 0.05))
         .replications_exact(replications)
-        .parallel(true)
         .jobs(jobs)
         .run()
 }
@@ -1142,13 +1059,7 @@ fn scale_policy(policy: &PolicyKind) -> PolicyKind {
 
 /// FNV-1a over the bit patterns of every interval in the given reports.
 fn digest_of(reports: &[&MetricsReport]) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |x: f64| {
-        for byte in x.to_bits().to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut h = Fnv::new();
     for r in reports {
         for group in [
             &r.vcpu_availability,
@@ -1157,12 +1068,12 @@ fn digest_of(reports: &[&MetricsReport]) -> String {
             &r.vcpu_spin,
         ] {
             for ci in group.iter() {
-                mix(ci.mean);
-                mix(ci.half_width);
+                h.push(ci.mean.to_bits());
+                h.push(ci.half_width.to_bits());
             }
         }
     }
-    format!("{h:016x}")
+    format!("{:016x}", h.finish())
 }
 
 #[cfg(test)]

@@ -33,13 +33,12 @@ use vsched_analyze::{
     cross_check, replay_trace, semiflow_bounds, verify_model, AnalyzeOpts, Diagnostic,
     StateRotation, TraceStep, VerifyHooks, VerifyOpts, VerifyReport,
 };
-use vsched_core::direct::DirectSim;
 use vsched_core::observe::TickObserver;
-use vsched_core::san_model::{build_analysis_model, vm_rotations, AnalysisModel, SanSystem};
-use vsched_core::{CoreError, PolicyKind, SyncMechanism, SystemConfig};
+use vsched_core::san_model::{build_analysis_model, vm_rotations, AnalysisModel};
+use vsched_core::{CoreError, Engine, PolicyKind, Simulation, SystemConfig};
 use vsched_san::{Marking, PlaceId};
 
-use crate::case::{FuzzCase, LoadSpec, Reproducer, SyncSpec, VmCase};
+use crate::case::{FuzzCase, Reproducer};
 use crate::invariant::InvariantChecker;
 
 /// One firing of a serialized counterexample trace — the reproducer-file
@@ -332,36 +331,11 @@ pub fn verify_config(
 /// catch as a `deadlock-freedom` counterexample.
 #[must_use]
 pub fn deadlock_fixture_case() -> FuzzCase {
-    FuzzCase {
-        case_index: 0,
-        pcpus: 2,
-        vms: vec![
-            VmCase {
-                vcpus: 2,
-                weight: 1,
-            },
-            VmCase {
-                vcpus: 2,
-                weight: 1,
-            },
-        ],
-        load: LoadSpec::Deterministic { value: 4.0 },
-        sync: SyncSpec {
-            probability: 0.0,
-            every: Some(3),
-            mechanism: SyncMechanism::Barrier,
-        },
-        timeslice: 5,
-        policy: PolicyKind::Fault {
-            at_tick: 3,
-            inner: Box::new(PolicyKind::RoundRobin),
-        },
-        seed: 7,
-        warmup: 0,
-        horizon: 8,
-        replications: 1,
-        trace: vec![],
-    }
+    let policy = PolicyKind::Fault {
+        at_tick: 3,
+        inner: Box::new(PolicyKind::RoundRobin),
+    };
+    FuzzCase::verify_scenario(2, 2, 2, 5, policy, 8)
 }
 
 /// Verifies the planted-deadlock fixture and packages the counterexample
@@ -454,12 +428,19 @@ pub fn replay_verify_counterexample(rep: &Reproducer) -> Result<VerifyReplay, St
             vcx.final_marking
         ));
     }
-    let mut direct = DirectSim::new(config.clone(), rep.case.policy.create(), rep.case.seed);
-    let direct_error = direct.run(vcx.horizon).err().map(|e| e.to_string());
-    let san_error = match SanSystem::new(config, rep.case.policy.create(), rep.case.seed) {
-        Err(e) => Some(e.to_string()),
-        Ok(mut sys) => sys.run(vcx.horizon).err().map(|e| e.to_string()),
+    let engine_error = |engine| {
+        Simulation::new(
+            engine,
+            config.clone(),
+            rep.case.policy.create(),
+            rep.case.seed,
+        )
+        .and_then(|mut sim| sim.run(vcx.horizon))
+        .err()
+        .map(|e| e.to_string())
     };
+    let direct_error = engine_error(Engine::Direct);
+    let san_error = engine_error(Engine::San);
     Ok(VerifyReplay {
         certificate: vcx.certificate.clone(),
         trace_len: vcx.trace.len(),
@@ -473,35 +454,18 @@ pub fn replay_verify_counterexample(rep: &Reproducer) -> Result<VerifyReplay, St
 mod tests {
     use super::*;
     use vsched_analyze::VerifyOutcome;
-    use vsched_core::{VmSpec, WorkloadSpec};
 
-    /// A fully deterministic (RNG-free) paper workload: fixed job length,
-    /// every third job a barrier sync point.
-    fn deterministic_workload() -> WorkloadSpec {
-        WorkloadSpec {
-            load: vsched_des::Dist::deterministic(4.0).expect("valid dist"),
-            sync_probability: 0.0,
-            sync_mechanism: SyncMechanism::Barrier,
-            sync_every: Some(3),
-            interarrival: None,
-        }
-    }
-
-    fn paper_2x2x2(workload: WorkloadSpec) -> SystemConfig {
-        let mut b = SystemConfig::builder().pcpus(2).timeslice(5);
-        for _ in 0..2 {
-            b = b.vm_spec(VmSpec {
-                vcpus: 2,
-                workload: workload.clone(),
-                weight: 1,
-            });
-        }
-        b.build().expect("valid config")
+    /// The 2 VM x 2 VCPU x 2 PCPU paper model on the verifier's
+    /// deterministic (RNG-free) workload.
+    fn paper_2x2x2() -> SystemConfig {
+        FuzzCase::verify_scenario(2, 2, 2, 5, PolicyKind::RoundRobin, 0)
+            .system_config()
+            .expect("valid config")
     }
 
     #[test]
     fn paper_model_proves_clean_for_every_builtin_policy() {
-        let config = paper_2x2x2(deterministic_workload());
+        let config = paper_2x2x2();
         let opts = VerifyOpts {
             horizon: 6,
             ..VerifyOpts::default()
@@ -565,7 +529,7 @@ mod tests {
         // markings are then legitimate orbit members the concrete scan
         // never visits, and the closed bounds over-approximate the
         // concrete ones.
-        let config = paper_2x2x2(deterministic_workload());
+        let config = paper_2x2x2();
         let base = VerifyOpts {
             horizon: 6,
             ..VerifyOpts::default()
@@ -626,7 +590,7 @@ mod tests {
 
     #[test]
     fn non_equivariant_policies_decline_the_quotient() {
-        let config = paper_2x2x2(deterministic_workload());
+        let config = paper_2x2x2();
         let opts = VerifyOpts {
             horizon: 2,
             ..VerifyOpts::default()
@@ -706,7 +670,7 @@ mod tests {
 
     #[test]
     fn state_cap_yields_inconclusive_with_nothing_proved() {
-        let config = paper_2x2x2(deterministic_workload());
+        let config = paper_2x2x2();
         let run = verify_config(
             "capped",
             &config,

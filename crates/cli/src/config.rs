@@ -118,8 +118,8 @@ pub struct ExperimentConfig {
 
 impl ExperimentConfig {
     /// Parses a config from JSON text and validates every cell it lowers
-    /// to ([`CellConfig::validate`]): a zero timeslice, a zero
-    /// replication count, an unknown policy, out-of-domain policy
+    /// to ([`CellConfig::validate`]): a zero timeslice, fewer than 2
+    /// replications, an unknown policy, out-of-domain policy
     /// parameters (e.g. an RCS skew threshold of 0) or a topology that
     /// conflicts with a `trace` are rejected here, at load time, instead
     /// of surfacing mid-run.
@@ -355,11 +355,18 @@ mod tests {
         .unwrap_err();
         assert!(err.to_string().contains("timeslice"), "{err}");
 
-        let err = ExperimentConfig::from_json(
-            r#"{ "pcpus": 1, "vms": [{ "vcpus": 1 }], "replications": 0 }"#,
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("replications"), "{err}");
+        // No run can use fewer than 2 replications (no interval), so
+        // neither 0 nor 1 loads.
+        for replications in [0, 1] {
+            let err = ExperimentConfig::from_json(&format!(
+                r#"{{ "pcpus": 1, "vms": [{{ "vcpus": 1 }}], "replications": {replications} }}"#
+            ))
+            .unwrap_err();
+            assert!(
+                err.to_string().contains("replications"),
+                "{replications}: {err}"
+            );
+        }
 
         let err = ExperimentConfig::from_json(
             r#"{ "pcpus": 1, "vms": [{ "vcpus": 1 }],
@@ -370,7 +377,7 @@ mod tests {
 
         // Valid boundary values still load.
         ExperimentConfig::from_json(
-            r#"{ "pcpus": 1, "vms": [{ "vcpus": 1 }], "timeslice": 1, "replications": 1 }"#,
+            r#"{ "pcpus": 1, "vms": [{ "vcpus": 1 }], "timeslice": 1, "replications": 2 }"#,
         )
         .unwrap();
     }

@@ -768,7 +768,7 @@ fn render_verify_run(run: &vsched_check::VerifyRun) -> String {
 }
 
 fn verify_cmd(args: &[String]) -> CmdResult {
-    use vsched_core::{PolicyKind, SystemConfig, VmSpec, WorkloadSpec};
+    use vsched_core::PolicyKind;
 
     let flags = "--policy --vms --vcpus --pcpus --timeslice --horizon --max-states --seed \
                  --symmetry --format --fixture --counterexample";
@@ -817,30 +817,19 @@ fn verify_cmd(args: &[String]) -> CmdResult {
         None => PolicyKind::all(),
     };
 
-    // The verifier's diet is deterministic: a fixed per-tick load and a
-    // sync point every third unit make the exploration exhaustive (no
-    // stochastic gates to probe under a seed budget).
-    let workload = WorkloadSpec {
-        load: vsched_des::Dist::deterministic(4.0)?,
-        sync_probability: 0.0,
-        sync_mechanism: vsched_core::SyncMechanism::Barrier,
-        sync_every: Some(3),
-        interarrival: None,
-    };
-    let mut b = SystemConfig::builder().pcpus(pcpus).timeslice(timeslice);
-    for _ in 0..vms {
-        b = b.vm_spec(VmSpec {
-            vcpus,
-            workload: workload.clone(),
-            weight: 1,
-        });
-    }
-    let config = b.build()?;
-
     let mut outcomes = Vec::new();
     let mut json_reports = Vec::new();
     let mut counterexample_written = false;
     for policy in &policies {
+        let case = vsched_check::FuzzCase::verify_scenario(
+            pcpus,
+            vms,
+            vcpus,
+            timeslice,
+            policy.clone(),
+            opts.horizon,
+        );
+        let config = case.system_config()?;
         let target = format!("{vms}x{vcpus}x{pcpus} {}", policy.label());
         let run = vsched_check::verify_config(&target, &config, policy, &opts)?;
         if json {
@@ -854,7 +843,7 @@ fn verify_cmd(args: &[String]) -> CmdResult {
             counterexample_written,
         ) {
             let rep = vsched_check::Reproducer {
-                case: verify_case(&config, policy, vcx.horizon),
+                case,
                 failures: vec![format!("verify: {}: {}", vcx.certificate, vcx.detail)],
                 verify: Some(vcx),
             };
@@ -870,40 +859,6 @@ fn verify_cmd(args: &[String]) -> CmdResult {
         println!("{}", serde_json::to_string_pretty(&body)?);
     }
     Ok(verify_exit(&outcomes))
-}
-
-/// Packages the ad-hoc verification scenario as a fuzz case so a
-/// counterexample reproducer is self-contained and replayable.
-fn verify_case(
-    config: &vsched_core::SystemConfig,
-    policy: &vsched_core::PolicyKind,
-    horizon: u64,
-) -> vsched_check::FuzzCase {
-    vsched_check::FuzzCase {
-        case_index: 0,
-        pcpus: config.pcpus(),
-        vms: config
-            .vms()
-            .iter()
-            .map(|vm| vsched_check::case::VmCase {
-                vcpus: vm.vcpus,
-                weight: vm.weight,
-            })
-            .collect(),
-        load: vsched_check::case::LoadSpec::Deterministic { value: 4.0 },
-        sync: vsched_check::case::SyncSpec {
-            probability: 0.0,
-            every: Some(3),
-            mechanism: vsched_core::SyncMechanism::Barrier,
-        },
-        timeslice: config.timeslice(),
-        policy: policy.clone(),
-        seed: 7,
-        warmup: 0,
-        horizon,
-        replications: 1,
-        trace: vec![],
-    }
 }
 
 fn perf(args: &[String]) -> CmdResult {

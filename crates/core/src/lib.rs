@@ -77,6 +77,7 @@
 pub mod config;
 pub mod direct;
 pub mod error;
+pub mod fnv;
 pub mod metrics;
 pub mod observe;
 pub mod runner;
@@ -88,9 +89,10 @@ pub(crate) mod util;
 
 pub use config::{SyncMechanism, SystemConfig, SystemConfigBuilder, VmSpec, WorkloadSpec};
 pub use error::CoreError;
+pub use fnv::Fnv;
 pub use metrics::{MetricsReport, SampleMetrics};
 pub use observe::TickObserver;
-pub use runner::{Engine, ExperimentBuilder};
+pub use runner::{Engine, ExperimentBuilder, Simulation};
 pub use sched::{PolicyKind, ScheduleDecision, SchedulingPolicy};
 pub use spec::{DistSpec, SyncMechanismSpec};
 pub use types::{PcpuView, VcpuId, VcpuStatus, VcpuView};

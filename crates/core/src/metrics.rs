@@ -3,6 +3,8 @@
 use serde::{Deserialize, Serialize};
 use vsched_stats::ConfidenceInterval;
 
+use crate::error::CoreError;
+
 /// Metrics from **one** simulation run (one replication).
 ///
 /// All values are fractions in `[0, 1]`:
@@ -183,6 +185,40 @@ impl MetricsReport {
             vcpu_spin,
             replications,
         }
+    }
+
+    /// Aggregates per-replication samples into one confidence interval
+    /// per observation column at `level` — the one place a fixed set of
+    /// replications (an exact-count static run, a trace run) becomes a
+    /// report. The stopping-rule path accumulates its intervals as it
+    /// goes instead.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Stats`] with fewer than 2 samples (no interval).
+    pub fn from_samples(
+        samples: &[SampleMetrics],
+        num_vcpus: usize,
+        num_pcpus: usize,
+        level: f64,
+    ) -> Result<Self, CoreError> {
+        let arity = observation_arity(num_vcpus, num_pcpus);
+        let mut columns: Vec<Vec<f64>> = vec![Vec::with_capacity(samples.len()); arity];
+        for s in samples {
+            for (c, x) in columns.iter_mut().zip(s.to_observations()) {
+                c.push(x);
+            }
+        }
+        let intervals: Vec<ConfidenceInterval> = columns
+            .iter()
+            .map(|c| ConfidenceInterval::from_samples(c, level))
+            .collect::<Result<_, _>>()?;
+        Ok(MetricsReport::from_intervals(
+            intervals,
+            num_vcpus,
+            num_pcpus,
+            samples.len(),
+        ))
     }
 
     /// Mean availability of each VCPU.

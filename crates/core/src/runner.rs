@@ -1,14 +1,17 @@
 //! The experiment runner: replicated simulations with Mobius-style
-//! confidence-interval termination, over either engine.
+//! confidence-interval termination, over either engine, and the one
+//! engine handle ([`Simulation`]) every replication runs through.
 
-use vsched_stats::{ConfidenceInterval, StoppingRule};
+use vsched_stats::StoppingRule;
 
 use crate::config::SystemConfig;
 use crate::direct::DirectSim;
 use crate::error::CoreError;
 use crate::metrics::{MetricsReport, SampleMetrics};
+use crate::observe::TickObserver;
 use crate::san_model::SanSystem;
-use crate::sched::PolicyKind;
+use crate::sched::{PolicyKind, SchedulingPolicy};
+use crate::types::{PcpuView, VcpuView};
 
 /// Which engine executes the model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,6 +22,174 @@ pub enum Engine {
     /// The fast time-stepped engine ([`crate::direct::DirectSim`]) with
     /// identical semantics; use for large sweeps.
     Direct,
+}
+
+/// One built engine of either kind, behind the calls its callers make:
+/// the replication runners ([`ExperimentBuilder`] and `vsched-trace`'s
+/// replay), the environment's paused ticks, and the fuzz oracle's
+/// observed runs.
+///
+/// `SanSystem::run` is resumable at integer tick boundaries, so splitting
+/// a run — at trace event boundaries, at the warm-up boundary, or at a
+/// decision point with [`Simulation::run_to_decision`] and
+/// [`Simulation::finish_tick`] — is bit-identical to one uninterrupted
+/// run on either engine.
+#[derive(Debug)]
+pub enum Simulation {
+    /// The direct engine.
+    Direct(Box<DirectSim>),
+    /// The SAN engine.
+    San(Box<SanSystem>),
+}
+
+impl Simulation {
+    /// Builds `engine` over a static `config` ([`SanSystem::new`] for SAN).
+    ///
+    /// # Errors
+    ///
+    /// SAN model construction errors.
+    pub fn new(
+        engine: Engine,
+        config: SystemConfig,
+        policy: Box<dyn SchedulingPolicy>,
+        seed: u64,
+    ) -> Result<Self, CoreError> {
+        Ok(match engine {
+            Engine::Direct => Simulation::Direct(Box::new(DirectSim::new(config, policy, seed))),
+            Engine::San => Simulation::San(Box::new(SanSystem::new(config, policy, seed)?)),
+        })
+    }
+
+    /// Builds `engine` over a trace's union topology: the SAN engine
+    /// compiles its dynamic model ([`SanSystem::new_dynamic`]), which
+    /// carries the admission and load-level places that
+    /// [`Simulation::set_admitted`] and [`Simulation::set_load_level`]
+    /// drive. The direct engine has one build for both uses.
+    ///
+    /// # Errors
+    ///
+    /// SAN model construction errors.
+    pub fn new_dynamic(
+        engine: Engine,
+        config: SystemConfig,
+        policy: Box<dyn SchedulingPolicy>,
+        seed: u64,
+    ) -> Result<Self, CoreError> {
+        Ok(match engine {
+            Engine::Direct => Simulation::Direct(Box::new(DirectSim::new(config, policy, seed))),
+            Engine::San => Simulation::San(Box::new(SanSystem::new_dynamic(config, policy, seed)?)),
+        })
+    }
+
+    /// Advances the model by `ticks` clock ticks.
+    ///
+    /// # Errors
+    ///
+    /// Policy violations, SAN failures and observer errors.
+    pub fn run(&mut self, ticks: u64) -> Result<(), CoreError> {
+        match self {
+            Simulation::Direct(s) => s.run(ticks),
+            Simulation::San(s) => s.run(ticks),
+        }
+    }
+
+    /// Runs into the next tick and stops at its decision point, just
+    /// before the policy is called: the views then are exactly the ones
+    /// the policy receives.
+    ///
+    /// # Errors
+    ///
+    /// As [`Simulation::run`].
+    pub fn run_to_decision(&mut self) -> Result<(), CoreError> {
+        match self {
+            Simulation::Direct(s) => {
+                s.begin_tick();
+                Ok(())
+            }
+            Simulation::San(s) => s.run_to_decision(),
+        }
+    }
+
+    /// Finishes the tick [`Simulation::run_to_decision`] paused: the
+    /// policy call and everything after it.
+    ///
+    /// # Errors
+    ///
+    /// As [`Simulation::run`].
+    pub fn finish_tick(&mut self) -> Result<(), CoreError> {
+        match self {
+            Simulation::Direct(s) => s.finish_tick(),
+            Simulation::San(s) => s.run(1),
+        }
+    }
+
+    /// Restarts the metric observation window (warm-up deletion).
+    pub fn reset_metrics(&mut self) {
+        match self {
+            Simulation::Direct(s) => s.reset_metrics(),
+            Simulation::San(s) => s.reset_metrics(),
+        }
+    }
+
+    /// The three paper metrics over the current observation window.
+    #[must_use]
+    pub fn metrics(&self) -> SampleMetrics {
+        match self {
+            Simulation::Direct(s) => s.metrics(),
+            Simulation::San(s) => s.metrics(),
+        }
+    }
+
+    /// Retires (`false`) or re-admits (`true`) VM `vm`.
+    pub fn set_admitted(&mut self, vm: usize, admitted: bool) {
+        match self {
+            Simulation::Direct(s) => s.set_admitted(vm, admitted),
+            Simulation::San(s) => s.set_admitted(vm, admitted),
+        }
+    }
+
+    /// Sets VM `vm`'s workload-generation level in per-mille.
+    pub fn set_load_level(&mut self, vm: usize, per_mille: u32) {
+        match self {
+            Simulation::Direct(s) => s.set_load_level(vm, per_mille),
+            Simulation::San(s) => s.set_load_level(vm, per_mille),
+        }
+    }
+
+    /// Attaches an end-of-tick observer, replacing any previous one.
+    pub fn attach_observer(&mut self, observer: Box<dyn TickObserver>) {
+        match self {
+            Simulation::Direct(s) => s.attach_observer(observer),
+            Simulation::San(s) => s.attach_observer(observer),
+        }
+    }
+
+    /// Current tick.
+    #[must_use]
+    pub fn time(&self) -> u64 {
+        match self {
+            Simulation::Direct(s) => s.time(),
+            Simulation::San(s) => s.time(),
+        }
+    }
+
+    /// Snapshot of every VCPU, as a policy would receive it.
+    #[must_use]
+    pub fn vcpu_views(&self) -> Vec<VcpuView> {
+        match self {
+            Simulation::Direct(s) => s.vcpu_views(),
+            Simulation::San(s) => s.vcpu_views(),
+        }
+    }
+
+    /// Snapshot of every PCPU, as a policy would receive it.
+    #[must_use]
+    pub fn pcpu_views(&self) -> Vec<PcpuView> {
+        match self {
+            Simulation::Direct(s) => s.pcpu_views(),
+            Simulation::San(s) => s.pcpu_views(),
+        }
+    }
 }
 
 /// Configures and runs a replicated experiment.
@@ -37,7 +208,6 @@ pub struct ExperimentBuilder {
     seed: u64,
     rule: StoppingRule,
     exact_replications: Option<usize>,
-    parallel: bool,
     jobs: Option<usize>,
 }
 
@@ -56,7 +226,6 @@ impl ExperimentBuilder {
                 .with_min_replications(5)
                 .with_max_replications(40),
             exact_replications: None,
-            parallel: true,
             jobs: None,
         }
     }
@@ -103,33 +272,15 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Enables/disables parallel replications (default enabled). Results
-    /// are bit-identical either way: replications are merged in index
-    /// order, so threading never changes the statistics.
-    #[must_use]
-    pub fn parallel(mut self, yes: bool) -> Self {
-        self.parallel = yes;
-        self
-    }
-
-    /// Caps the replication worker pool at `jobs` threads. `0` restores
-    /// the default (one worker per available core). Any value yields
-    /// bit-identical results; this knob only trades wall-clock time for
-    /// CPU occupancy.
+    /// Caps the replication worker pool at `jobs` threads (`1` runs the
+    /// replications inline on the caller's thread). `0` restores the
+    /// default (one worker per available core). Any value yields
+    /// bit-identical results: replications are merged in index order, so
+    /// this knob only trades wall-clock time for CPU occupancy.
     #[must_use]
     pub fn jobs(mut self, jobs: usize) -> Self {
         self.jobs = if jobs == 0 { None } else { Some(jobs) };
         self
-    }
-
-    /// The worker count [`ExperimentBuilder::run`] will use.
-    #[must_use]
-    pub fn effective_jobs(&self) -> usize {
-        if self.parallel {
-            vsched_exec::resolve_jobs(self.jobs)
-        } else {
-            1
-        }
     }
 
     /// Runs one replication with the given index and returns its metrics.
@@ -139,22 +290,12 @@ impl ExperimentBuilder {
     /// Propagates engine errors (policy violations, SAN failures).
     pub fn run_replication(&self, rep: u64) -> Result<SampleMetrics, CoreError> {
         let seed = self.seed.wrapping_add(rep);
-        match self.engine {
-            Engine::Direct => {
-                let mut sim = DirectSim::new(self.config.clone(), self.policy.create(), seed);
-                sim.run(self.warmup)?;
-                sim.reset_metrics();
-                sim.run(self.horizon)?;
-                Ok(sim.metrics())
-            }
-            Engine::San => {
-                let mut sys = SanSystem::new(self.config.clone(), self.policy.create(), seed)?;
-                sys.run(self.warmup)?;
-                sys.reset_metrics();
-                sys.run(self.horizon)?;
-                Ok(sys.metrics())
-            }
-        }
+        let mut sim =
+            Simulation::new(self.engine, self.config.clone(), self.policy.create(), seed)?;
+        sim.run(self.warmup)?;
+        sim.reset_metrics();
+        sim.run(self.horizon)?;
+        Ok(sim.metrics())
     }
 
     /// Runs the experiment to completion.
@@ -176,30 +317,20 @@ impl ExperimentBuilder {
                 reason: format!("need at least 2 replications for confidence intervals, got {n}"),
             });
         }
+        let jobs = vsched_exec::resolve_jobs(self.jobs);
         let samples: Vec<SampleMetrics> =
-            vsched_exec::run_indexed(self.effective_jobs(), 0, n, |rep| self.run_replication(rep))?;
-        let arity = samples[0].to_observations().len();
-        let mut columns: Vec<Vec<f64>> = vec![Vec::with_capacity(n); arity];
-        for s in &samples {
-            for (c, x) in columns.iter_mut().zip(s.to_observations()) {
-                c.push(x);
-            }
-        }
-        let intervals: Vec<ConfidenceInterval> = columns
-            .iter()
-            .map(|c| ConfidenceInterval::from_samples(c, self.rule.level))
-            .collect::<Result<_, _>>()?;
-        Ok(MetricsReport::from_intervals(
-            intervals,
+            vsched_exec::run_indexed(jobs, 0, n, |rep| self.run_replication(rep))?;
+        MetricsReport::from_samples(
+            &samples,
             self.config.total_vcpus(),
             self.config.pcpus(),
-            n,
-        ))
+            self.rule.level,
+        )
     }
 
     fn run_until_converged(&self) -> Result<MetricsReport, CoreError> {
         let (controller, _samples) = vsched_exec::run_converged(
-            self.effective_jobs(),
+            vsched_exec::resolve_jobs(self.jobs),
             self.rule,
             |rep| self.run_replication(rep),
             SampleMetrics::to_observations,
@@ -249,8 +380,8 @@ mod tests {
             .warmup(100)
             .horizon(1_000)
             .replications_exact(3);
-        let par = base.clone().parallel(true).run().unwrap();
-        let seq = base.parallel(false).run().unwrap();
+        let par = base.clone().jobs(3).run().unwrap();
+        let seq = base.jobs(1).run().unwrap();
         assert_eq!(
             par.vcpu_availability_means(),
             seq.vcpu_availability_means(),

@@ -8,14 +8,15 @@
 //! opposite — the caller *pushes* an action and receives the next
 //! observation. The inversion is a pause: [`Env`] owns the engine and, on
 //! the caller's thread, runs it up to the point where the policy would be
-//! called — [`DirectSim::begin_tick`] (phases 1–3), or
-//! [`SanSystem::run_to_decision`], which stops with `Scheduling_Func` at
-//! the head of the event queue. The observation is read off the paused
-//! engine, so every decision epoch the agent sees is *exactly* a point
-//! where the in-process policy would have been consulted, with exactly the
-//! views it would have received (masked to the declared fields — see
-//! [`crate::obs`]). `step` then places the action in a one-slot policy and
-//! lets the engine finish the tick, consulting that policy as it would any
+//! called — [`Simulation::run_to_decision`]: `DirectSim::begin_tick`
+//! (phases 1–3), or `SanSystem::run_to_decision`, which stops with
+//! `Scheduling_Func` at the head of the event queue. The observation is
+//! read off the paused engine, so every decision epoch the agent sees is
+//! *exactly* a point where the in-process policy would have been
+//! consulted, with exactly the views it would have received (masked to
+//! the declared fields — see [`crate::obs`]). `step` then places the
+//! action in a one-slot policy and lets the engine finish the tick
+//! ([`Simulation::finish_tick`]), consulting that policy as it would any
 //! other.
 //!
 //! Episodes are bit-identically replayable: same scenario, same seed, same
@@ -25,15 +26,13 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use vsched_core::direct::DirectSim;
-use vsched_core::san_model::SanSystem;
 use vsched_core::sched::ViewFields;
 use vsched_core::{
-    CoreError, Engine, PcpuView, SampleMetrics, ScheduleDecision, SchedulingPolicy, SystemConfig,
-    VcpuView,
+    CoreError, Engine, Fnv, PcpuView, SampleMetrics, ScheduleDecision, SchedulingPolicy,
+    Simulation, SystemConfig, VcpuView,
 };
 
-use crate::obs::{Fnv, Observation, RewardWeights, StepInfo};
+use crate::obs::{Observation, RewardWeights, StepInfo};
 
 /// Everything that defines an episode except the seed and the agent: the
 /// machine, the engine, and the warm-up/measurement split.
@@ -174,87 +173,10 @@ impl SchedulingPolicy for SlotPolicy {
     }
 }
 
-/// Either engine behind the uniform paused-tick interface the episode
-/// needs. `SanSystem::run` is resumable with integer event times, so
-/// pausing inside a tick and finishing it with `run(1)` is bit-identical
-/// to one `run(n)` call.
-enum Sim {
-    Direct(Box<DirectSim>),
-    San(Box<SanSystem>),
-}
-
-impl Sim {
-    fn build(
-        scenario: &Scenario,
-        policy: Box<dyn SchedulingPolicy>,
-        seed: u64,
-    ) -> Result<Self, CoreError> {
-        Ok(match scenario.engine {
-            Engine::Direct => Sim::Direct(Box::new(DirectSim::new(
-                scenario.config.clone(),
-                policy,
-                seed,
-            ))),
-            Engine::San => Sim::San(Box::new(SanSystem::new(
-                scenario.config.clone(),
-                policy,
-                seed,
-            )?)),
-        })
-    }
-
-    /// Runs into the next tick up to its decision point.
-    fn run_to_decision(&mut self) -> Result<(), CoreError> {
-        match self {
-            Sim::Direct(s) => {
-                s.begin_tick();
-                Ok(())
-            }
-            Sim::San(s) => s.run_to_decision(),
-        }
-    }
-
-    /// Finishes the paused tick: the policy call and everything after it.
-    fn finish_tick(&mut self) -> Result<(), CoreError> {
-        match self {
-            Sim::Direct(s) => s.finish_tick(),
-            Sim::San(s) => s.run(1),
-        }
-    }
-
-    fn reset_metrics(&mut self) {
-        match self {
-            Sim::Direct(s) => s.reset_metrics(),
-            Sim::San(s) => s.reset_metrics(),
-        }
-    }
-
-    fn metrics(&self) -> SampleMetrics {
-        match self {
-            Sim::Direct(s) => s.metrics(),
-            Sim::San(s) => s.metrics(),
-        }
-    }
-
-    fn time(&self) -> u64 {
-        match self {
-            Sim::Direct(s) => s.time(),
-            Sim::San(s) => s.time(),
-        }
-    }
-
-    fn views(&self) -> (Vec<VcpuView>, Vec<PcpuView>) {
-        match self {
-            Sim::Direct(s) => (s.vcpu_views(), s.pcpu_views()),
-            Sim::San(s) => (s.vcpu_views(), s.pcpu_views()),
-        }
-    }
-}
-
 /// A live episode: the engine paused at a decision point, the action
 /// slot its policy reads, and the reward state.
 struct LiveEpisode {
-    sim: Sim,
+    sim: Simulation,
     slot: Rc<RefCell<ScheduleDecision>>,
     /// Ticks finished so far.
     ticks: u64,
@@ -273,7 +195,7 @@ impl LiveEpisode {
         default_timeslice: u64,
     ) -> Result<Observation, CoreError> {
         self.sim.run_to_decision()?;
-        self.views = self.sim.views();
+        self.views = (self.sim.vcpu_views(), self.sim.pcpu_views());
         Ok(Observation::masked(
             &self.views.0,
             &self.views.1,
@@ -298,7 +220,7 @@ impl LiveEpisode {
 
     /// The terminal summary, fingerprinting the final true views and tick.
     fn end(&self) -> EpisodeEnd {
-        let (vcpus, pcpus) = self.sim.views();
+        let (vcpus, pcpus) = (self.sim.vcpu_views(), self.sim.pcpu_views());
         let mut h = Fnv::new();
         h.push(self.sim.time());
         for v in &vcpus {
@@ -448,7 +370,12 @@ impl Env {
             fields: self.fields,
             slot: Rc::clone(&slot),
         });
-        let mut sim = Sim::build(&self.scenario, policy, seed)?;
+        let mut sim = Simulation::new(
+            self.scenario.engine,
+            self.scenario.config.clone(),
+            policy,
+            seed,
+        )?;
         if self.scenario.warmup == 0 {
             sim.reset_metrics();
         }

@@ -10,7 +10,7 @@
 
 use serde::{Deserialize, Serialize};
 use vsched_core::sched::ViewFields;
-use vsched_core::{PcpuView, SampleMetrics, VcpuView};
+use vsched_core::{Fnv, PcpuView, SampleMetrics, VcpuView};
 
 /// One observation handed to the agent at a decision epoch — the masked
 /// analogue of the `(vcpus, pcpus, timestamp, default_timeslice)` argument
@@ -171,38 +171,6 @@ impl StepInfo {
                 pcpu_utilization: m.avg_pcpu_utilization(),
             },
         }
-    }
-}
-
-/// FNV-1a accumulator used for observation and episode fingerprints.
-#[derive(Debug)]
-pub(crate) struct Fnv(u64);
-
-impl Fnv {
-    pub(crate) fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    pub(crate) fn push(&mut self, x: u64) {
-        for byte in x.to_le_bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    /// Distinguishes `None` from `Some(0)`.
-    pub(crate) fn push_opt(&mut self, x: Option<u64>) {
-        match x {
-            None => self.push(u64::MAX),
-            Some(v) => {
-                self.push(1);
-                self.push(v);
-            }
-        }
-    }
-
-    pub(crate) fn finish(&self) -> u64 {
-        self.0
     }
 }
 

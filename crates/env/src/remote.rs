@@ -21,10 +21,10 @@ use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
 use std::time::Duration;
 
 use vsched_core::sched::ViewFields;
-use vsched_core::{CoreError, ScheduleDecision};
+use vsched_core::{CoreError, Fnv, ScheduleDecision};
 
 use crate::env::{Env, EnvError, EpisodeRun, Scenario};
-use crate::obs::{Fnv, Observation, StepInfo};
+use crate::obs::{Observation, StepInfo};
 use crate::proto::{self, Message, PROTO_VERSION};
 
 /// Default per-message timeout for hosted agents.

@@ -1,9 +1,10 @@
 //! Bounded parallel execution of independent replications with
 //! deterministic, replication-order merging.
 //!
-//! Both experiment drivers in this workspace (`vsched-san`'s
-//! `run_replicated` and `vsched-core`'s `ExperimentBuilder`) funnel their
-//! replications through this crate. Two primitives are provided:
+//! Both replication runners in this workspace (`vsched-core`'s
+//! `ExperimentBuilder` and `vsched-trace`'s `TraceExperiment`) funnel
+//! their replications through this crate, and campaign cells and fuzz
+//! cases fan out over [`run_indexed`]. Two primitives are provided:
 //!
 //! * [`run_indexed`] — run a fixed range of replication indices across a
 //!   bounded worker pool and return the results in index order;

@@ -85,8 +85,7 @@ impl EnableIndex {
 /// A complete, validated SAN model ready for simulation.
 ///
 /// Produced by [`ModelBuilder::build`]. The model owns the gate closures, so
-/// it is not `Clone`; replicated experiments rebuild the model from a factory
-/// closure (see [`crate::experiment`]).
+/// it is not `Clone`; each replication builds its own model.
 pub struct Model {
     pub(crate) names: Rc<Vec<String>>,
     pub(crate) initial: Vec<i64>,

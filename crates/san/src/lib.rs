@@ -70,7 +70,6 @@
 pub mod activity;
 pub mod builder;
 pub mod error;
-pub mod experiment;
 pub mod gate;
 pub mod marking;
 pub mod numerical;
@@ -81,7 +80,6 @@ pub mod sim;
 pub use activity::{ActivityId, Timing};
 pub use builder::{ActivityBuilder, Model, ModelBuilder};
 pub use error::SanError;
-pub use experiment::{run_replicated, run_replicated_jobs, ExperimentResult};
 pub use gate::{GateFn, Predicate};
 pub use marking::{Marking, PlaceId, ReadSet};
 pub use numerical::{solve_steady_state, solve_transient, CtmcOptions, CtmcSolution};

@@ -18,10 +18,10 @@
 //!    plus a validated, time-sorted event list; per-VM [`LoadModel`]s
 //!    expand into plain set-load events here.
 //! 3. **Run** ([`TraceExperiment`]) on either engine: the union system
-//!    is built once (the SAN engine in its dynamic mode), absent VMs are
-//!    retired before tick 0, and events apply at their boundaries.
-//!    Replications parallelize bit-identically; [`TraceReport`] carries
-//!    a fingerprint to prove it.
+//!    is built once per replication (the SAN engine in its dynamic mode)
+//!    and [`replay`]ed: absent VMs are retired before tick 0, and events
+//!    apply at their boundaries. Replications parallelize
+//!    bit-identically; [`TraceReport`] carries a fingerprint to prove it.
 //!
 //! A *degenerate* trace — everyone arrives at tick 0, full demand, no
 //! departures — is bit-identical to the corresponding static topology
@@ -44,5 +44,5 @@ pub use reader::{
     load_standard, load_trace, read_azure_csv, read_azure_csv_str, read_standard,
     read_standard_str, write_standard,
 };
-pub use runner::{TraceExperiment, TraceReport};
+pub use runner::{replay, TraceExperiment, TraceReport};
 pub use schedule::{CompiledEvent, TraceAction, TraceSchedule};

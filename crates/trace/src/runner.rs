@@ -1,20 +1,20 @@
 //! Executing a compiled trace on either engine.
 //!
+//! [`replay`] is the one trace segment loop: on a
+//! [`Simulation`] built over the union topology (the SAN engine in its
+//! *dynamic* build mode), it retires every VM that is not present at
+//! tick 0, applies the initial load levels, then runs the horizon in
+//! segments split at every event boundary. At a boundary the metrics
+//! reset (if it is the warmup boundary) happens first, then that
+//! instant's events apply in compiled order.
+//!
 //! [`TraceExperiment`] mirrors `vsched_core::ExperimentBuilder` for
-//! trace-driven runs: replication `r` uses `seed + r`, builds the union
-//! topology on the chosen engine (the SAN engine in its *dynamic* build
-//! mode), retires every VM that is not present at tick 0, applies the
-//! initial load levels, then runs the horizon in segments split at every
-//! event boundary. At a boundary the metrics reset (if it is the warmup
-//! boundary) happens first, then that instant's events apply in compiled
-//! order. Replications run in parallel via `vsched-exec` and merge in
-//! index order, so results are bit-identical at any `--jobs` — the
+//! trace-driven runs: replication `r` uses `seed + r` and is one
+//! [`replay`]. Replications run in parallel via `vsched-exec` and merge
+//! in index order, so results are bit-identical at any `--jobs` — the
 //! [`TraceReport::fingerprint`] makes that checkable from the CLI.
 
-use vsched_core::direct::DirectSim;
-use vsched_core::san_model::SanSystem;
-use vsched_core::{CoreError, Engine, MetricsReport, PolicyKind, SampleMetrics};
-use vsched_stats::ConfidenceInterval;
+use vsched_core::{CoreError, Engine, Fnv, MetricsReport, PolicyKind, SampleMetrics, Simulation};
 
 use crate::load::FULL_LEVEL;
 use crate::schedule::{TraceAction, TraceSchedule};
@@ -81,101 +81,70 @@ impl TraceReport {
         num_pcpus: usize,
         level: f64,
     ) -> Result<MetricsReport, CoreError> {
-        let arity = self
-            .samples
-            .first()
-            .map_or(0, |s| s.to_observations().len());
-        let mut columns: Vec<Vec<f64>> = vec![Vec::with_capacity(self.samples.len()); arity];
-        for s in &self.samples {
-            for (c, x) in columns.iter_mut().zip(s.to_observations()) {
-                c.push(x);
+        MetricsReport::from_samples(&self.samples, num_vcpus, num_pcpus, level)
+    }
+}
+
+/// Replays `schedule` on `sim` for `warmup + horizon` ticks: retires the
+/// VMs absent at tick 0, sets the non-default initial levels, then runs
+/// to each event boundary, resets the metrics at the warm-up boundary,
+/// and applies that instant's events in compiled order. `sim` must be
+/// fresh and built over `schedule`'s union topology
+/// ([`Simulation::new_dynamic`] with [`TraceSchedule::config`]); read
+/// the replication's metrics off it afterwards.
+///
+/// # Errors
+///
+/// Engine errors (policy violations, SAN failures, observer vetoes).
+pub fn replay(
+    sim: &mut Simulation,
+    schedule: &TraceSchedule,
+    warmup: u64,
+    horizon: u64,
+) -> Result<(), CoreError> {
+    for (vm, &present) in schedule.initially_present().iter().enumerate() {
+        if !present {
+            sim.set_admitted(vm, false);
+        }
+    }
+    for (vm, &level) in schedule.initial_levels().iter().enumerate() {
+        if level != FULL_LEVEL {
+            sim.set_load_level(vm, level);
+        }
+    }
+
+    let total = warmup + horizon;
+    let events = schedule.events();
+    let mut boundaries: Vec<u64> = events
+        .iter()
+        .map(|e| e.time)
+        .filter(|&t| t < total)
+        .collect();
+    if warmup > 0 {
+        boundaries.push(warmup);
+    }
+    boundaries.sort_unstable();
+    boundaries.dedup();
+
+    let mut now = 0u64;
+    let mut next_event = 0usize;
+    for t in boundaries {
+        sim.run(t - now)?;
+        now = t;
+        if t == warmup {
+            sim.reset_metrics();
+        }
+        while next_event < events.len() && events[next_event].time == t {
+            let e = events[next_event];
+            match e.action {
+                TraceAction::Admit => sim.set_admitted(e.vm, true),
+                TraceAction::Retire => sim.set_admitted(e.vm, false),
+                TraceAction::SetLoad(level) => sim.set_load_level(e.vm, level),
             }
-        }
-        let intervals: Vec<ConfidenceInterval> = columns
-            .iter()
-            .map(|c| ConfidenceInterval::from_samples(c, level))
-            .collect::<Result<_, _>>()?;
-        Ok(MetricsReport::from_intervals(
-            intervals,
-            num_vcpus,
-            num_pcpus,
-            self.samples.len(),
-        ))
-    }
-
-    /// Mean PCPU utilization across replications and PCPUs.
-    #[must_use]
-    pub fn avg_pcpu_utilization(&self) -> f64 {
-        let n = self.samples.len();
-        self.samples
-            .iter()
-            .map(SampleMetrics::avg_pcpu_utilization)
-            .sum::<f64>()
-            / n.max(1) as f64
-    }
-
-    /// Mean VCPU availability across replications and VCPUs.
-    #[must_use]
-    pub fn avg_vcpu_availability(&self) -> f64 {
-        let n = self.samples.len();
-        self.samples
-            .iter()
-            .map(SampleMetrics::avg_vcpu_availability)
-            .sum::<f64>()
-            / n.max(1) as f64
-    }
-}
-
-/// FNV-1a 64 over a byte stream (tiny, dependency-free).
-fn fnv1a_64(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-enum Exec {
-    Direct(Box<DirectSim>),
-    San(Box<SanSystem>),
-}
-
-impl Exec {
-    fn run(&mut self, ticks: u64) -> Result<(), CoreError> {
-        match self {
-            Exec::Direct(sim) => sim.run(ticks),
-            Exec::San(sys) => sys.run(ticks),
+            next_event += 1;
         }
     }
-
-    fn reset_metrics(&mut self) {
-        match self {
-            Exec::Direct(sim) => sim.reset_metrics(),
-            Exec::San(sys) => sys.reset_metrics(),
-        }
-    }
-
-    fn set_admitted(&mut self, vm: usize, admitted: bool) {
-        match self {
-            Exec::Direct(sim) => sim.set_admitted(vm, admitted),
-            Exec::San(sys) => sys.set_admitted(vm, admitted),
-        }
-    }
-
-    fn set_load_level(&mut self, vm: usize, level: u32) {
-        match self {
-            Exec::Direct(sim) => sim.set_load_level(vm, level),
-            Exec::San(sys) => sys.set_load_level(vm, level),
-        }
-    }
-
-    fn metrics(&self) -> SampleMetrics {
-        match self {
-            Exec::Direct(sim) => sim.metrics(),
-            Exec::San(sys) => sys.metrics(),
-        }
-    }
+    sim.run(total - now)
 }
 
 impl TraceExperiment {
@@ -256,21 +225,8 @@ impl TraceExperiment {
         self
     }
 
-    fn build_exec(&self, seed: u64) -> Result<Exec, CoreError> {
-        let config = self.schedule.config().clone();
-        Ok(match self.engine {
-            Engine::Direct => {
-                Exec::Direct(Box::new(DirectSim::new(config, self.policy.create(), seed)))
-            }
-            Engine::San => Exec::San(Box::new(SanSystem::new_dynamic(
-                config,
-                self.policy.create(),
-                seed,
-            )?)),
-        })
-    }
-
-    /// Runs one replication and returns its metrics.
+    /// Runs one replication — one [`replay`] on a fresh engine seeded
+    /// `seed + rep` — and returns its metrics.
     ///
     /// # Errors
     ///
@@ -282,53 +238,14 @@ impl TraceExperiment {
                 reason: "trace horizon must be at least one tick".into(),
             });
         }
-        let mut exec = self.build_exec(self.seed.wrapping_add(rep))?;
-
-        // Initial state: retire absent VMs, set non-default levels.
-        for (vm, &present) in self.schedule.initially_present().iter().enumerate() {
-            if !present {
-                exec.set_admitted(vm, false);
-            }
-        }
-        for (vm, &level) in self.schedule.initial_levels().iter().enumerate() {
-            if level != FULL_LEVEL {
-                exec.set_load_level(vm, level);
-            }
-        }
-
-        let total = self.warmup + self.horizon;
-        let events = self.schedule.events();
-        let mut boundaries: Vec<u64> = events
-            .iter()
-            .map(|e| e.time)
-            .filter(|&t| t < total)
-            .collect();
-        if self.warmup > 0 {
-            boundaries.push(self.warmup);
-        }
-        boundaries.sort_unstable();
-        boundaries.dedup();
-
-        let mut now = 0u64;
-        let mut next_event = 0usize;
-        for t in boundaries {
-            exec.run(t - now)?;
-            now = t;
-            if t == self.warmup {
-                exec.reset_metrics();
-            }
-            while next_event < events.len() && events[next_event].time == t {
-                let e = events[next_event];
-                match e.action {
-                    TraceAction::Admit => exec.set_admitted(e.vm, true),
-                    TraceAction::Retire => exec.set_admitted(e.vm, false),
-                    TraceAction::SetLoad(level) => exec.set_load_level(e.vm, level),
-                }
-                next_event += 1;
-            }
-        }
-        exec.run(total - now)?;
-        Ok(exec.metrics())
+        let mut sim = Simulation::new_dynamic(
+            self.engine,
+            self.schedule.config().clone(),
+            self.policy.create(),
+            self.seed.wrapping_add(rep),
+        )?;
+        replay(&mut sim, &self.schedule, self.warmup, self.horizon)?;
+        Ok(sim.metrics())
     }
 
     /// Runs every replication (in parallel) and reports.
@@ -350,21 +267,25 @@ impl TraceExperiment {
         };
         let samples: Vec<SampleMetrics> =
             vsched_exec::run_indexed(jobs, 0, self.replications, |rep| self.run_replication(rep))?;
-        let fingerprint = fnv1a_64(
-            samples
-                .iter()
-                .flat_map(SampleMetrics::to_observations)
-                .flat_map(|x| x.to_bits().to_le_bytes()),
-        );
+        let mut fingerprint = Fnv::new();
+        for x in samples.iter().flat_map(SampleMetrics::to_observations) {
+            fingerprint.push(x.to_bits());
+        }
         Ok(TraceReport {
             samples,
-            fingerprint,
+            fingerprint: fingerprint.finish(),
         })
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    use vsched_core::observe::TickObserver;
+    use vsched_core::{PcpuView, VcpuView};
+
     use super::*;
     use crate::event::{RawEvent, TraceMeta, VmShape};
 
@@ -402,9 +323,13 @@ mod tests {
             .horizon(400)
             .replications(2);
         let seq = base.clone().parallel(false).run().unwrap();
-        let par = base.jobs(2).run().unwrap();
+        let par = base.clone().jobs(2).run().unwrap();
         assert_eq!(seq.fingerprint, par.fingerprint);
-        assert!(seq.avg_pcpu_utilization() > 0.5);
+        let config = base.schedule().config();
+        let report = seq
+            .metrics_report(config.total_vcpus(), config.pcpus(), 0.95)
+            .unwrap();
+        assert!(report.avg_pcpu_utilization() > 0.5);
     }
 
     #[test]
@@ -496,6 +421,60 @@ mod tests {
         let obs = r.mean_observations();
         assert!(!obs.is_empty());
         assert!(obs.iter().all(|x| (0.0..=1.0).contains(x)));
-        assert!(r.avg_vcpu_availability() > 0.0);
+        assert!(r.samples.iter().all(|s| s.avg_vcpu_availability() > 0.0));
+    }
+
+    /// Counts the ticks it observes.
+    struct CountTicks(u64);
+
+    impl TickObserver for CountTicks {
+        fn on_tick(&mut self, _: u64, _: &[VcpuView], _: &[PcpuView]) -> Result<(), CoreError> {
+            self.0 += 1;
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn observing_never_changes_a_trace_replication() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../configs/traces/churn_small.jsonl"
+        );
+        let schedule = crate::load_standard(std::path::Path::new(path)).unwrap();
+        let bits = |m: &SampleMetrics| -> Vec<u64> {
+            m.to_observations().iter().map(|x| x.to_bits()).collect()
+        };
+        let policies = [
+            PolicyKind::RoundRobin,
+            PolicyKind::relaxed_co_default(),
+            PolicyKind::StrictCo,
+        ];
+        for engine in [Engine::Direct, Engine::San] {
+            for warmup in [0, 100] {
+                for policy in &policies {
+                    let (horizon, seed, rep) = (500, 7, 1);
+                    let unobserved = TraceExperiment::new(schedule.clone(), policy.clone())
+                        .engine(engine)
+                        .warmup(warmup)
+                        .horizon(horizon)
+                        .seed(seed)
+                        .run_replication(rep)
+                        .unwrap();
+                    let ticks = Rc::new(RefCell::new(CountTicks(0)));
+                    let mut sim = Simulation::new_dynamic(
+                        engine,
+                        schedule.config().clone(),
+                        policy.create(),
+                        seed + rep,
+                    )
+                    .unwrap();
+                    sim.attach_observer(Box::new(Rc::clone(&ticks)));
+                    replay(&mut sim, &schedule, warmup, horizon).unwrap();
+                    let label = format!("{engine:?} warmup {warmup} {}", policy.label());
+                    assert_eq!(bits(&sim.metrics()), bits(&unobserved), "{label}");
+                    assert_eq!(ticks.borrow().0, warmup + horizon, "{label}");
+                }
+            }
+        }
     }
 }

@@ -1,5 +1,5 @@
 //! Parallel determinism of the core experiment runner: any `jobs` value —
-//! including the sequential fallback — must produce **bit-identical**
+//! including the inline `jobs(1)` path — must produce **bit-identical**
 //! reports, because replication seeds derive purely from the replication
 //! index and observations merge into the stopping rule in ascending order.
 
@@ -35,11 +35,6 @@ fn assert_bit_identical(a: &MetricsReport, b: &MetricsReport) {
 
 #[test]
 fn exact_count_jobs_invariant() {
-    let sequential = builder(Engine::Direct)
-        .replications_exact(8)
-        .parallel(false)
-        .run()
-        .unwrap();
     let one_worker = builder(Engine::Direct)
         .replications_exact(8)
         .jobs(1)
@@ -50,8 +45,13 @@ fn exact_count_jobs_invariant() {
         .jobs(4)
         .run()
         .unwrap();
-    assert_bit_identical(&sequential, &one_worker);
-    assert_bit_identical(&sequential, &four_workers);
+    let auto = builder(Engine::Direct)
+        .replications_exact(8)
+        .jobs(0)
+        .run()
+        .unwrap();
+    assert_bit_identical(&one_worker, &four_workers);
+    assert_bit_identical(&one_worker, &auto);
 }
 
 #[test]
