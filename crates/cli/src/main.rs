@@ -145,8 +145,9 @@ COMMANDS:
               large-model scale axis (64/256/1024 VMs) on the SAN engine
               and on DirectSim and report each run's real-time factor
               (simulated seconds per wall second at 30 ms per tick), plus
-              DirectSim's cost per VCPU-tick. With a baseline report,
-              exit non-zero on a large throughput regression.
+              the SAN engine's cost per completion and DirectSim's cost
+              per VCPU-tick. With a baseline report, exit non-zero on a
+              large throughput regression.
     example   Print a commented starter config to stdout.
 
 OPTIONS (run):
@@ -238,9 +239,10 @@ OPTIONS (perf):
     --baseline <path>      A previous --out report to compare against.
     --max-regression <X>   Fail if the incremental core's speedup over
                            full rescan fell more than X-fold below the
-                           baseline's, or DirectSim's linearity (ns per
-                           VCPU-tick at the largest scale cell over the
-                           smallest) grew more than X-fold above it
+                           baseline's, or an engine's linearity (the SAN
+                           engine's ns per completion, or DirectSim's ns
+                           per VCPU-tick, at the largest scale cell over
+                           the smallest) grew more than X-fold above it
                            (default 2.0). Compares same-run ratios, so
                            machine speed cancels out.
     --max-vms <N>          Cap the large-model scale axis (64/256/1024

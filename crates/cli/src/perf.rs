@@ -29,11 +29,14 @@
 //! and exists as a reference mode, not a contender at 1024 VMs.
 //! Each scale cell also runs the same configuration, seed and policy on
 //! [`DirectSim`] and reports its ticks/s, real-time factor and cost per
-//! VCPU-tick. The baseline gate covers a second same-run ratio, the
-//! direct engine's **linearity**: ns per VCPU-tick at the largest cell
-//! over the same at the smallest. A direct tick is linear in VCPUs +
-//! PCPUs, so the ratio sits near 1; a per-tick loop that scans every
-//! VCPU once per VM would make it grow with the VM count.
+//! VCPU-tick. The baseline gate covers two more same-run ratios, one per
+//! engine's **linearity**: the SAN engine's ns per activity completion
+//! and the direct engine's ns per VCPU-tick, each at the largest cell
+//! over the same at the smallest. A completion touches a few places and
+//! a direct tick is linear in VCPUs + PCPUs, so both ratios sit near 1;
+//! an event-queue operation that grows with the pending events, or a
+//! per-tick loop that scans every VCPU once per VM, would make them grow
+//! with the VM count.
 //!
 //! The JSON report carries a **host block** (logical cores, optional
 //! commit hash, engine version) that makes absolute numbers
@@ -164,6 +167,8 @@ pub struct ScaleCase {
     pub sequential: ModeSample,
     /// The sequential run's real-time factor.
     pub sequential_rtf: f64,
+    /// The sequential run's wall-clock nanoseconds per activity completion.
+    pub ns_per_completion: f64,
     /// The direct engine's numbers on the same ticks, seed and policy.
     pub direct: DirectSample,
     /// The direct run's real-time factor.
@@ -205,6 +210,16 @@ impl PerfReport {
     #[must_use]
     pub fn speedup_at_largest(&self) -> f64 {
         self.cases.last().map_or(1.0, |c| c.speedup)
+    }
+
+    /// The SAN engine's ns per completion at the largest scale-axis cell
+    /// over the same at the smallest, or `None` with fewer than two cells.
+    #[must_use]
+    pub fn san_linearity(&self) -> Option<f64> {
+        match self.scale_cases.as_slice() {
+            [first, .., last] => Some(last.ns_per_completion / first.ns_per_completion),
+            _ => None,
+        }
     }
 
     /// The direct engine's ns per VCPU-tick at the largest scale-axis
@@ -271,6 +286,7 @@ impl PerfReport {
                             "ticks": c.ticks,
                             "sequential": sample(&c.sequential),
                             "sequential_rtf": c.sequential_rtf,
+                            "ns_per_completion": c.ns_per_completion,
                             "direct": json!({
                                 "seconds": c.direct.seconds,
                                 "ticks_per_sec": c.direct.ticks_per_sec,
@@ -282,6 +298,7 @@ impl PerfReport {
                     .collect()
             ),
             "rtf_at_largest": self.rtf_at_largest(),
+            "san_linearity": self.san_linearity(),
             "direct_linearity": self.direct_linearity(),
         })
     }
@@ -319,28 +336,53 @@ impl PerfReport {
             for c in &self.scale_cases {
                 let _ = writeln!(
                     out,
-                    "  {:>6}: {:>5} ticks, {:>10.0} ev/s sequential (rtf {:.2}), \
-                     direct {:>9.0} ticks/s (rtf {:.2}, {:.1} ns/VCPU-tick)",
+                    "  {:>6}: {:>5} ticks, {:>10.0} ev/s sequential (rtf {:.2}, \
+                     {:.1} ns/completion), direct {:>9.0} ticks/s (rtf {:.2}, \
+                     {:.1} ns/VCPU-tick)",
                     c.name,
                     c.ticks,
                     c.sequential.events_per_sec,
                     c.sequential_rtf,
+                    c.ns_per_completion,
                     c.direct.ticks_per_sec,
                     c.direct_rtf,
                     c.direct.ns_per_vcpu_tick,
                 );
             }
         }
-        if let (Some(ratio), [first, .., last]) =
-            (self.direct_linearity(), self.scale_cases.as_slice())
-        {
-            let _ = writeln!(
-                out,
-                "direct linearity: {ratio:.2} (ns per VCPU-tick, {} / {})",
-                last.name, first.name
-            );
+        if let [first, .., last] = self.scale_cases.as_slice() {
+            for (label, unit, ratio, _) in self.linearities() {
+                let _ = writeln!(
+                    out,
+                    "{label}: {ratio:.2} ({unit}, {} / {})",
+                    last.name, first.name
+                );
+            }
         }
         out
+    }
+
+    /// Each engine's linearity, SAN first, as `(label, unit, ratio,
+    /// path)`, where `path` leads to the per-cell cost inside a scale
+    /// case's JSON. Empty with fewer than two scale cells.
+    fn linearities(&self) -> Vec<(&'static str, &'static str, f64, &'static [&'static str])> {
+        [
+            (
+                "san linearity",
+                "ns per completion",
+                self.san_linearity(),
+                &["ns_per_completion"][..],
+            ),
+            (
+                "direct linearity",
+                "ns per VCPU-tick",
+                self.direct_linearity(),
+                &["direct", "ns_per_vcpu_tick"][..],
+            ),
+        ]
+        .into_iter()
+        .filter_map(|(label, unit, ratio, path)| Some((label, unit, ratio?, path)))
+        .collect()
     }
 }
 
@@ -525,6 +567,7 @@ pub fn run_perf(opts: &PerfOpts) -> PerfReport {
                 pcpus: vms.max(2),
                 ticks,
                 sequential_rtf: rtf(ticks, sequential.seconds),
+                ns_per_completion: sequential.seconds * 1e9 / sequential.events as f64,
                 sequential,
                 direct_rtf: rtf(ticks, direct.seconds),
                 direct,
@@ -545,9 +588,9 @@ pub fn run_perf(opts: &PerfOpts) -> PerfReport {
 /// empty = pass. For every case present in both, the incremental core's
 /// speedup over full rescan must not have dropped by more than
 /// `max_regression`×. When the baseline's scale axis has the report's
-/// smallest and largest cells, the direct engine's linearity over that
-/// pair must not have grown by more than `max_regression`× either. Both
-/// are same-run ratios, so absolute machine speed cancels out of the
+/// smallest and largest cells, neither engine's linearity over that pair
+/// may have grown by more than `max_regression`× either. All are
+/// same-run ratios, so absolute machine speed cancels out of the
 /// comparison.
 ///
 /// # Errors
@@ -583,25 +626,26 @@ pub fn check_against_baseline(
             ));
         }
     }
-    if let (Some(now), [first, .., last]) =
-        (report.direct_linearity(), report.scale_cases.as_slice())
-    {
-        let base_ns = |name: &str| {
-            baseline
+    if let [first, .., last] = report.scale_cases.as_slice() {
+        // The value at `path` in the baseline's scale cell `name`.
+        let base_ns = |name: &str, path: &[&str]| {
+            let cell = baseline
                 .get("scale_cases")
                 .and_then(Value::as_array)?
                 .iter()
-                .find(|c| c.get("name").and_then(Value::as_str) == Some(name))?
-                .get("direct")?
-                .get("ns_per_vcpu_tick")?
-                .as_f64()
+                .find(|c| c.get("name").and_then(Value::as_str) == Some(name))?;
+            path.iter().try_fold(cell, |v, key| v.get(key))?.as_f64()
         };
-        if let (Some(from), Some(to)) = (base_ns(&first.name), base_ns(&last.name)) {
+        for (label, unit, now, path) in report.linearities() {
+            let (Some(from), Some(to)) = (base_ns(&first.name, path), base_ns(&last.name, path))
+            else {
+                continue;
+            };
             let base = to / from;
             if now > base * max_regression {
                 regressions.push(format!(
-                    "direct linearity ({} / {} ns per VCPU-tick): {now:.2} now vs \
-                     {base:.2} baseline (>{max_regression:.1}x regression)",
+                    "{label} ({} / {} {unit}): {now:.2} now vs {base:.2} baseline \
+                     (>{max_regression:.1}x regression)",
                     last.name, first.name,
                 ));
             }
@@ -680,6 +724,11 @@ mod tests {
         assert!(c.direct.ticks_per_sec > 0.0);
         assert!(c.direct.ns_per_vcpu_tick > 0.0);
         assert!(c.direct_rtf > 0.0);
+        assert_eq!(
+            c.ns_per_completion,
+            c.sequential.seconds * 1e9 / c.sequential.events as f64
+        );
+        assert_eq!(report.san_linearity(), None, "one cell has no ratio");
         assert_eq!(report.direct_linearity(), None, "one cell has no ratio");
 
         let v = report.to_json();
@@ -697,6 +746,7 @@ mod tests {
             "ticks",
             "sequential",
             "sequential_rtf",
+            "ns_per_completion",
             "direct",
             "direct_rtf",
         ] {
@@ -709,9 +759,11 @@ mod tests {
             );
         }
         assert!(v.get("rtf_at_largest").is_some());
+        assert!(v.get("san_linearity").is_some());
         assert!(v.get("direct_linearity").is_some());
         let text = report.render_text();
         assert!(text.contains("64vm"));
+        assert!(text.contains("ns/completion), direct"), "{text}");
         assert!(text.contains("ticks/s (rtf"), "{text}");
     }
 
@@ -753,25 +805,31 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn baseline_gates_direct_linearity() {
+    /// The baseline gate on one engine's linearity: `cost` is a scale
+    /// cell's cost per unit of work, `label` the ratio's name.
+    fn gates_linearity(cost: fn(&mut ScaleCase) -> &mut f64, label: &str) {
         let opts = PerfOpts {
             max_vms: 64,
             ..tiny_opts()
         };
         // Two scale cells without simulating a large model: the 64vm
         // cell, and a copy of it standing in for 1024vm. Fixed costs keep
-        // every ratio below (1.5, 0.5) exact in floating point.
+        // every ratio below (1.5, 0.5) exact in floating point; the other
+        // engine's ratio stays 1.
         let mut report = run_perf(&opts);
-        report.scale_cases[0].direct.ns_per_vcpu_tick = 8.0;
+        *cost(&mut report.scale_cases[0]) = 8.0;
         let mut large = report.scale_cases[0].clone();
         large.name = "1024vm".into();
-        large.direct.ns_per_vcpu_tick = 12.0;
+        *cost(&mut large) = 12.0;
         report.scale_cases.push(large);
-        assert_eq!(report.direct_linearity(), Some(1.5));
-        assert!(report.render_text().contains("direct linearity: 1.50"));
+        let text = report.render_text();
+        assert!(text.contains(&format!("{label}: 1.50 (")), "{text}");
 
-        let dir = std::env::temp_dir().join(format!("vsched-perf-lin-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!(
+            "vsched-perf-{}-{}",
+            label.replace(' ', "-"),
+            std::process::id()
+        ));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("baseline.json");
         let write = |r: &PerfReport| {
@@ -782,18 +840,14 @@ mod tests {
             .unwrap()
             .is_empty());
 
-        // A baseline with a flatter direct engine (ratio 0.5) trips a
-        // ratio that grew past the allowed factor...
+        // A baseline with a flatter engine (ratio 0.5) trips a ratio that
+        // grew past the allowed factor...
         let mut flatter = report.clone();
-        flatter.scale_cases[1].direct.ns_per_vcpu_tick =
-            flatter.scale_cases[0].direct.ns_per_vcpu_tick / 2.0;
+        *cost(&mut flatter.scale_cases[1]) = 4.0;
         write(&flatter);
         let regressions = check_against_baseline(&report, &path, 2.0).unwrap();
         assert_eq!(regressions.len(), 1, "{regressions:?}");
-        assert!(
-            regressions[0].contains("direct linearity"),
-            "{regressions:?}"
-        );
+        assert!(regressions[0].starts_with(label), "{regressions:?}");
         // ...but stays within a looser one.
         assert!(check_against_baseline(&report, &path, 4.0)
             .unwrap()
@@ -806,5 +860,15 @@ mod tests {
             .unwrap()
             .is_empty());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn baseline_gates_direct_linearity() {
+        gates_linearity(|c| &mut c.direct.ns_per_vcpu_tick, "direct linearity");
+    }
+
+    #[test]
+    fn baseline_gates_san_linearity() {
+        gates_linearity(|c| &mut c.ns_per_completion, "san linearity");
     }
 }

@@ -172,6 +172,14 @@ impl<T> EventQueue<T> {
         self.heap.peek().map(|e| e.time)
     }
 
+    /// The next pending event as `(time, priority, &payload)`, without
+    /// removing it.
+    #[must_use]
+    pub fn peek(&mut self) -> Option<(SimTime, i32, &T)> {
+        self.prune();
+        self.heap.peek().map(|e| (e.time, e.priority, &e.payload))
+    }
+
     /// Removes and returns the next event as `(time, id, payload)`.
     ///
     /// # Panics
@@ -204,12 +212,15 @@ impl<T> EventQueue<T> {
         self.last_popped = None;
     }
 
+    /// Drops cancelled entries off the head. With nothing cancelled the
+    /// head is live, and no id is hashed.
     fn prune(&mut self) {
-        while let Some(head) = self.heap.peek() {
-            if self.cancelled.remove(&head.id) {
-                self.heap.pop();
-            } else {
-                break;
+        while !self.cancelled.is_empty() {
+            match self.heap.peek() {
+                Some(head) if self.cancelled.remove(&head.id) => {
+                    self.heap.pop();
+                }
+                _ => break,
             }
         }
     }
@@ -332,13 +343,44 @@ mod tests {
     }
 
     #[test]
+    fn same_time_pops_priority_descending_then_insertion_order() {
+        let mut q = EventQueue::new();
+        q.schedule(t(5.0), 1, "low-first");
+        q.schedule(t(5.0), 9, "high-first");
+        q.schedule(t(5.0), 9, "high-second");
+        q.schedule(t(5.0), 1, "low-second");
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, _, p)| p)).collect();
+        assert_eq!(
+            order,
+            ["high-first", "high-second", "low-first", "low-second"]
+        );
+    }
+
+    #[test]
+    fn peek_does_not_disturb_order() {
+        let mut q = EventQueue::new();
+        let low = q.schedule(t(1.0), 2, 10u32);
+        q.schedule(t(1.0), 7, 20u32);
+        assert_eq!(q.peek(), Some((t(1.0), 7, &20)));
+        assert_eq!(q.pop().unwrap().2, 20);
+        assert_eq!(q.len(), 1);
+        // A cancelled head is skipped, as by `pop`.
+        q.cancel(low);
+        assert_eq!(q.peek(), None);
+    }
+
+    #[test]
     fn interleaved_schedule_and_pop() {
         let mut q = EventQueue::new();
         q.schedule(t(5.0), 0, 5);
         q.schedule(t(1.0), 0, 1);
         assert_eq!(q.pop().unwrap().2, 1);
         q.schedule(t(3.0), 0, 3);
-        assert_eq!(q.pop().unwrap().2, 3);
-        assert_eq!(q.pop().unwrap().2, 5);
+        // Events scheduled at the instant just popped still go first,
+        // higher priority first.
+        q.schedule(t(1.0), 0, 10);
+        q.schedule(t(1.0), 7, 17);
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, _, p)| p)).collect();
+        assert_eq!(order, vec![17, 10, 3, 5]);
     }
 }

@@ -6,14 +6,19 @@
 //! * a **virtual clock** with a totally ordered, finite time type
 //!   ([`SimTime`]),
 //! * a **cancellable future-event list** ([`EventQueue`]) with deterministic
-//!   tie-breaking (time, then priority, then insertion order), and
+//!   tie-breaking (time, then priority, then insertion order) — the one
+//!   event queue of the workspace, and
 //! * **reproducible randomness**: a small, portable PRNG
 //!   ([`rng::Xoshiro256StarStar`]) with independent per-component streams
 //!   ([`rng::RngStreams`]) and a library of sampling
 //!   [`dist::Dist`]ributions.
 //!
 //! The SAN engine (`vsched-san`) and the direct virtualization engine
-//! (`vsched-core`) are both built on top of this crate.
+//! (`vsched-core`) are both built on top of this crate. The SAN engine
+//! keeps only its *timed* completions in an [`EventQueue`]: instantaneous
+//! ones wait on its own zero-delay agenda, which never leaves the current
+//! instant, so the queue holds a handful of events even on a 1000-VM
+//! model.
 //!
 //! ## Example
 //!
@@ -31,14 +36,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod calendar;
 pub mod dist;
 pub mod error;
 pub mod event;
 pub mod rng;
 pub mod time;
 
-pub use calendar::{CalEventId, CalendarQueue};
 pub use dist::Dist;
 pub use error::DesError;
 pub use event::{EventId, EventQueue};

@@ -1,8 +1,7 @@
-//! Property-based tests: the event queue against a reference model, and
-//! the calendar queue against the event queue.
+//! Property-based tests: the event queue against a reference model.
 
 use proptest::prelude::*;
-use vsched_des::{CalendarQueue, EventQueue, SimTime};
+use vsched_des::{EventQueue, SimTime};
 
 /// Operations the fuzzer may apply.
 #[derive(Debug, Clone)]
@@ -107,50 +106,6 @@ proptest! {
                 .map(|seq| ids.iter().find(|(s, _)| *s == seq).unwrap().1);
             prop_assert_eq!(got, expected);
             if got.is_none() {
-                break;
-            }
-        }
-    }
-
-    /// The calendar queue is observationally equivalent to the event
-    /// queue on arbitrary schedule/cancel/pop sequences: every pop
-    /// returns the same `(time, payload)`, every cancel the same bool,
-    /// and the live counts track. This is the contract that lets the SAN
-    /// engine swap queues without a semantic change.
-    #[test]
-    fn calendar_queue_matches_event_queue(ops in proptest::collection::vec(op_strategy(), 1..200)) {
-        let mut old: EventQueue<u64> = EventQueue::new();
-        let mut new: CalendarQueue<u64> = CalendarQueue::new();
-        let mut old_ids = Vec::new();
-        let mut new_ids = Vec::new();
-        let mut payload = 0u64;
-        for op in ops {
-            match op {
-                Op::Schedule { time, priority } => {
-                    let t = SimTime::new(f64::from(time));
-                    old_ids.push(old.schedule(t, i32::from(priority), payload));
-                    new_ids.push(new.schedule(t, i32::from(priority), payload));
-                    payload += 1;
-                }
-                Op::Pop => {
-                    let a = old.pop().map(|(t, _, p)| (t, p));
-                    let b = new.pop().map(|(t, _, p)| (t, p));
-                    prop_assert_eq!(a, b);
-                }
-                Op::CancelNth(n) => {
-                    if let (Some(&a), Some(&b)) = (old_ids.get(n), new_ids.get(n)) {
-                        prop_assert_eq!(old.cancel(a), new.cancel(b));
-                    }
-                }
-            }
-            prop_assert_eq!(old.len(), new.len());
-            prop_assert_eq!(old.is_empty(), new.is_empty());
-        }
-        loop {
-            let a = old.pop().map(|(t, _, p)| (t, p));
-            let b = new.pop().map(|(t, _, p)| (t, p));
-            prop_assert_eq!(a, b);
-            if a.is_none() {
                 break;
             }
         }

@@ -16,6 +16,7 @@
 //! *episode* (a tournament forfeit), never the process.
 
 use std::io::{BufRead, BufReader, Read, Write};
+use std::os::unix::process::CommandExt;
 use std::process::{Child, Command, Stdio};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
 use std::time::Duration;
@@ -154,6 +155,8 @@ impl LineTransport {
 
     /// Spawns `command` through `sh -c` with piped stdin/stdout (stderr
     /// passes through) and speaks to it with the given per-step timeout.
+    /// The shell leads a process group of its own, and dropping the
+    /// transport kills the whole group.
     ///
     /// # Errors
     ///
@@ -162,6 +165,7 @@ impl LineTransport {
         let mut child = Command::new("sh")
             .arg("-c")
             .arg(command)
+            .process_group(0)
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
             .stderr(Stdio::inherit())
@@ -251,8 +255,17 @@ impl LineTransport {
 impl Drop for LineTransport {
     fn drop(&mut self) {
         if let Some(mut child) = self.child.take() {
-            // Closing stdin is usually enough; kill covers agents that
-            // ignore EOF. The wait reaps the zombie either way.
+            // Closing stdin is usually enough; the kills cover agents
+            // that ignore EOF. `sh -c` may have forked the agent (dash
+            // forks even a lone command), and an orphan would hold what
+            // it inherited, the host's stderr among it, so the whole group
+            // goes. The group id is the shell's pid, which stays reserved
+            // until the wait reaps it; `child.kill` still ends the shell
+            // where there is no `kill` program.
+            let _ = Command::new("kill")
+                .args(["-s", "KILL", "--", &format!("-{}", child.id())])
+                .stderr(Stdio::null())
+                .status();
             let _ = child.kill();
             let _ = child.wait();
         }

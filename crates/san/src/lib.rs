@@ -68,6 +68,7 @@
 #![warn(missing_docs)]
 
 pub mod activity;
+mod agenda;
 pub mod builder;
 pub mod error;
 pub mod gate;

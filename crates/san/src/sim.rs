@@ -1,16 +1,30 @@
 //! The SAN discrete-event simulator.
 
-use vsched_des::{CalEventId, CalendarQueue, RngStreams, SimTime, Xoshiro256StarStar};
+use vsched_des::{EventId, EventQueue, RngStreams, SimTime, Xoshiro256StarStar};
 
 use crate::activity::{ActivityId, CaseWeights, Timing};
+use crate::agenda::Agenda;
 use crate::builder::Model;
 use crate::error::SanError;
 use crate::marking::{Marking, PlaceId, ReadSet};
 use crate::reward::{ImpulseReward, RateReward, RewardFn, RewardId};
 
 /// Priority offset that makes instantaneous activities preempt timed ones
-/// scheduled at the same instant.
+/// scheduled at the same instant: an instantaneous activity of priority
+/// `p` fires with effective priority `INSTANTANEOUS_BASE + p` (saturating),
+/// a timed one with `0`.
 const INSTANTANEOUS_BASE: i32 = 1_000_000;
+
+/// An activated activity's pending completion.
+#[derive(Debug, Clone, Copy)]
+struct Pending {
+    /// Activation order: among completions due at the same instant with
+    /// the same effective priority the lowest stamp fires first, and an
+    /// agenda entry is live only while its stamp is the pending one.
+    stamp: u64,
+    /// The timed queue's handle; `None` for a completion on the agenda.
+    event: Option<EventId>,
+}
 
 /// Statistics from one [`Simulator::run_until`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -33,6 +47,16 @@ pub struct RunStats {
 /// * Instantaneous activities complete before any timed activity scheduled
 ///   at the same instant, higher priority first, FIFO among equals.
 ///
+/// ## Event order
+///
+/// Completions fire by time, then by effective priority (highest first),
+/// then by activation order. Instantaneous completions never enter the
+/// timed queue: they wait on a zero-delay agenda with one FIFO per
+/// distinct priority, which drains before the clock moves. A timed
+/// completion due now merges with the agenda by effective priority, so an
+/// instantaneous priority below `-1_000_000` still fires after a
+/// zero-delay timed activity.
+///
 /// ## Incremental reevaluation
 ///
 /// By default, after each completion only the activities whose enablement
@@ -41,7 +65,7 @@ pub struct RunStats {
 /// closure — see [`crate::ModelBuilder`] and
 /// [`crate::ActivityBuilder::reads`]). Visits happen in ascending activity
 /// index order, exactly the order of the full rescan with the no-op checks
-/// removed, so the result — every marking, statistic, event id and RNG
+/// removed, so the result — every marking, statistic, firing and RNG
 /// draw — is bit-identical to [`Simulator::set_full_rescan`] mode. The
 /// same filtering applies to rate-reward recomputation (reward functions
 /// are pure functions of the marking).
@@ -51,9 +75,14 @@ pub struct Simulator {
     model: Model,
     marking: Marking,
     time: SimTime,
-    queue: CalendarQueue<ActivityId>,
-    /// Scheduled completion of each activity, if activated.
-    scheduled: Vec<Option<CalEventId>>,
+    /// Timed completions, all at effective priority 0.
+    queue: EventQueue<ActivityId>,
+    /// Instantaneous completions pending at the current instant.
+    agenda: Agenda,
+    /// Pending completion of each activity, if activated.
+    scheduled: Vec<Option<Pending>>,
+    /// Stamp of the next activation.
+    next_stamp: u64,
     /// Rate multiplier in force when each activity was activated; a change
     /// triggers reactivation (resampling) for rate-scaled activities.
     activation_rate: Vec<f64>,
@@ -109,11 +138,22 @@ impl Simulator {
         let n = model.num_activities();
         let mut marking = model.initial_marking();
         marking.enable_dirty_tracking();
+        let priorities: Vec<Option<i32>> = model
+            .activities
+            .iter()
+            .map(|a| {
+                a.timing
+                    .priority()
+                    .map(|p| INSTANTANEOUS_BASE.saturating_add(p))
+            })
+            .collect();
         Simulator {
             marking,
             time: SimTime::ZERO,
-            queue: CalendarQueue::new(),
+            queue: EventQueue::new(),
+            agenda: Agenda::new(&priorities),
             scheduled: vec![None; n],
+            next_stamp: 0,
             activation_rate: vec![1.0; n],
             delay_rngs: (0..n).map(|i| streams.stream(10_000 + i as u64)).collect(),
             case_rngs: (0..n).map(|i| streams.stream(20_000 + i as u64)).collect(),
@@ -155,10 +195,11 @@ impl Simulator {
     }
 
     /// Enables the future-event-list monotonicity check (see
-    /// [`CalendarQueue::enable_monotonicity_check`]): every popped completion
-    /// must be at or after the previous one, otherwise the simulator panics
-    /// instead of silently running time backwards. Costs one branch per
-    /// event; disabled by default.
+    /// [`EventQueue::enable_monotonicity_check`]): every timed completion
+    /// popped must be at or after the previous one, otherwise the simulator
+    /// panics instead of silently running time backwards. Agenda entries are
+    /// due at the current instant by construction. Costs one branch per
+    /// timed event; disabled by default.
     pub fn enable_event_monotonicity_check(&mut self) {
         self.queue.enable_monotonicity_check();
     }
@@ -365,12 +406,12 @@ impl Simulator {
     }
 
     /// [`Simulator::run_until`] with a breakpoint: returns `Ok(true)`,
-    /// without firing it, as soon as the event at the queue head is a
-    /// completion of `stop`. The clock and the reward windows then stay
-    /// where the last fired event put them, so a later `run_until`
-    /// resumes exactly where one uninterrupted run would have been. When
-    /// no completion of `stop` falls within `t_end` this is exactly
-    /// `run_until(t_end)` and returns `Ok(false)`.
+    /// without firing it, as soon as the next completion due, on the
+    /// agenda or in the timed queue, is one of `stop`. The clock and the
+    /// reward windows then stay where the last fired event put them, so a
+    /// later `run_until` resumes exactly where one uninterrupted run would
+    /// have been. When no completion of `stop` falls within `t_end` this is
+    /// exactly `run_until(t_end)` and returns `Ok(false)`.
     ///
     /// # Errors
     ///
@@ -402,10 +443,38 @@ impl Simulator {
         }
     }
 
-    /// The event loop: fires every event due by `t_end` in queue order,
+    /// The next completion due, as `(time, activity, on_agenda)`. The
+    /// agenda's head is due now; the timed head goes first only when it is
+    /// due now too and wins on effective priority (`0` against the head's)
+    /// or, tied, on activation order.
+    fn next_event(&mut self) -> Option<(SimTime, ActivityId, bool)> {
+        let scheduled = &self.scheduled;
+        let instant = self
+            .agenda
+            .head(|act, stamp| scheduled[act].is_some_and(|p| p.stamp == stamp));
+        let timed = self.queue.peek().map(|(t, _, &act)| (t, act));
+        match (instant, timed) {
+            (Some((priority, act, stamp)), Some((t, timed_act))) => {
+                let timed_first = t <= self.time
+                    && (priority < 0
+                        || priority == 0
+                            && scheduled[timed_act.0].is_some_and(|p| p.stamp < stamp));
+                Some(if timed_first {
+                    (t, timed_act, false)
+                } else {
+                    (self.time, ActivityId(act), true)
+                })
+            }
+            (Some((_, act, _)), None) => Some((self.time, ActivityId(act), true)),
+            (None, Some((t, act))) => Some((t, act, false)),
+            (None, None) => None,
+        }
+    }
+
+    /// The event loop: fires every event due by `t_end` in event order,
     /// then advances the clock and the reward windows to `t_end`. Returns
     /// `Ok(true)` without firing it, and without advancing, as soon as
-    /// `stop` accepts the activity at the queue head. `run_until` passes a
+    /// `stop` accepts the activity of the next event. `run_until` passes a
     /// constant `false`, which the compiler folds away.
     fn run_events(
         &mut self,
@@ -417,7 +486,7 @@ impl Simulator {
         let mut zero_advance: u64 = 0;
         let mut completions = 0;
         let mut stopped = false;
-        while let Some((t, _, &act)) = self.queue.peek() {
+        while let Some((t, act, on_agenda)) = self.next_event() {
             if t > t_end {
                 break;
             }
@@ -425,7 +494,11 @@ impl Simulator {
                 stopped = true;
                 break;
             }
-            self.queue.pop();
+            if on_agenda {
+                self.agenda.pop();
+            } else {
+                self.queue.pop();
+            }
             if t > last_time {
                 last_time = t;
                 zero_advance = 0;
@@ -568,8 +641,9 @@ impl Simulator {
     /// reads changed). Visits are in ascending activity-index order — a
     /// subsequence of the full rescan from which only provable no-ops are
     /// missing (unchanged reads ⇒ unchanged `enabled()` and multiplier ⇒
-    /// no queue operation, no RNG draw), so both modes schedule the same
-    /// events with the same ids and consume the same random numbers.
+    /// no activation, no abort, no RNG draw), so both modes activate the
+    /// same activities in the same order and consume the same random
+    /// numbers.
     fn reevaluate(&mut self, fired: Option<usize>) {
         if self.full_rescan {
             for idx in 0..self.model.activities.len() {
@@ -597,14 +671,10 @@ impl Simulator {
     /// The per-activity body of [`Simulator::reevaluate`].
     fn reevaluate_one(&mut self, idx: usize) {
         let enabled = self.model.activities[idx].enabled(&self.marking);
-        match (enabled, self.scheduled[idx]) {
-            (true, None) => self.activate(idx),
-            (false, Some(ev)) => {
-                self.queue.cancel(ev);
-                self.scheduled[idx] = None;
-                self.stats.aborts += 1;
-            }
-            (true, Some(ev)) => {
+        match (enabled, self.scheduled[idx].is_some()) {
+            (true, false) => self.activate(idx),
+            (false, true) => self.abort(idx),
+            (true, true) => {
                 let act = &self.model.activities[idx];
                 if act.rate_fn.is_some() {
                     let k = act.rate_multiplier(&self.marking);
@@ -614,35 +684,48 @@ impl Simulator {
                     // so re-reading an unchanged near-zero rate registered
                     // as a change and forced a spurious resample.
                     if (k - old).abs() > f64::EPSILON * k.abs().max(old.abs()).max(1.0) {
-                        self.queue.cancel(ev);
-                        self.scheduled[idx] = None;
-                        self.stats.aborts += 1;
+                        self.abort(idx);
                         self.activate(idx);
                     }
                 }
             }
-            (false, None) => {}
+            (false, false) => {}
         }
     }
 
-    /// Samples a delay and schedules the completion of activity `idx`.
+    /// Schedules the completion of activity `idx`: a timed activity samples
+    /// its delay into the timed queue, an instantaneous one joins the agenda.
     fn activate(&mut self, idx: usize) {
-        let (delay, priority) = match &self.model.activities[idx].timing {
+        let stamp = self.next_stamp;
+        self.next_stamp += 1;
+        let event = match &self.model.activities[idx].timing {
             Timing::Timed(dist) => {
                 let base = dist.sample(&mut self.delay_rngs[idx]);
                 // Marking-dependent rate: enabled() guarantees the
                 // multiplier is positive here.
                 let k = self.model.activities[idx].rate_multiplier(&self.marking);
                 self.activation_rate[idx] = k;
-                (base / k, 0)
+                let when = SimTime::new(self.time.as_f64() + base / k);
+                Some(self.queue.schedule(when, 0, ActivityId(idx)))
             }
-            Timing::Instantaneous { priority } => {
-                (0.0, INSTANTANEOUS_BASE.saturating_add(*priority))
+            Timing::Instantaneous { .. } => {
+                self.agenda.push(idx, stamp);
+                None
             }
         };
-        let when = SimTime::new(self.time.as_f64() + delay);
-        let ev = self.queue.schedule(when, priority, ActivityId(idx));
-        self.scheduled[idx] = Some(ev);
+        self.scheduled[idx] = Some(Pending { stamp, event });
+    }
+
+    /// Discards the pending completion of activity `idx`. An agenda entry
+    /// is left behind: its stamp is no longer pending, so it never fires.
+    fn abort(&mut self, idx: usize) {
+        if let Some(Pending {
+            event: Some(ev), ..
+        }) = self.scheduled[idx].take()
+        {
+            self.queue.cancel(ev);
+        }
+        self.stats.aborts += 1;
     }
 }
 
@@ -1524,6 +1607,198 @@ mod tests {
         sim.apply_external(|m| m.set(speed, 10));
         sim.run_until(45.0).unwrap();
         assert!(sim.marking().tokens(out) > 0, "rescaled delay 1 fires");
+    }
+
+    /// Completion names, in firing order.
+    type FiringLog = std::rc::Rc<std::cell::RefCell<Vec<&'static str>>>;
+
+    /// Adds activity `name`, which takes a token from each of `inputs`,
+    /// puts one in each of `outputs` and records its completions in `log`.
+    fn logged(
+        mb: &mut ModelBuilder,
+        log: &FiringLog,
+        name: &'static str,
+        timing: Timing,
+        inputs: &[PlaceId],
+        outputs: &[PlaceId],
+    ) {
+        let act = mb.activity(name).unwrap();
+        let mut act = match timing {
+            Timing::Timed(dist) => act.timed(dist),
+            Timing::Instantaneous { priority } => act.instantaneous(priority),
+        };
+        for &p in inputs {
+            act = act.input_arc(p, 1);
+        }
+        for &p in outputs {
+            act = act.output_arc(p, 1);
+        }
+        let log = std::rc::Rc::clone(log);
+        act.output_gate("log", move |_, _| log.borrow_mut().push(name))
+            .done()
+            .unwrap();
+    }
+
+    fn inst(priority: i32) -> Timing {
+        Timing::Instantaneous { priority }
+    }
+
+    fn after(delay: f64) -> Timing {
+        Timing::Timed(Dist::deterministic(delay).unwrap())
+    }
+
+    #[test]
+    fn agenda_fires_by_priority_then_activation_order() {
+        // One timed completion enables four instantaneous activities; the
+        // highest then enables `late`, which ties with two earlier
+        // activations at priority 5 and queues behind them, although its
+        // index is lower.
+        let log = FiringLog::default();
+        let mut mb = ModelBuilder::new();
+        let start = mb.place("start", 1).unwrap();
+        let [go, a, b1, b2, lo] = ["go", "a", "b1", "b2", "lo"].map(|n| mb.place(n, 0).unwrap());
+        logged(
+            &mut mb,
+            &log,
+            "trigger",
+            after(1.0),
+            &[start],
+            &[go, b1, b2, lo],
+        );
+        logged(&mut mb, &log, "late", inst(5), &[a], &[]);
+        logged(&mut mb, &log, "hi", inst(9), &[go], &[a]);
+        logged(&mut mb, &log, "early_a", inst(5), &[b1], &[]);
+        logged(&mut mb, &log, "early_b", inst(5), &[b2], &[]);
+        logged(&mut mb, &log, "low", inst(1), &[lo], &[]);
+        let mut sim = Simulator::new(mb.build().unwrap(), 1);
+        sim.run_until(2.0).unwrap();
+        assert_eq!(
+            *log.borrow(),
+            ["trigger", "hi", "early_a", "early_b", "late", "low"]
+        );
+    }
+
+    #[test]
+    fn zero_delay_timed_work_merges_with_the_agenda_by_effective_priority() {
+        // Effective priorities: 1_000_000 + p for instantaneous, 0 for
+        // timed. At 0 (p = -1_000_000) activation order decides, which
+        // here is index order: all six activate at the trigger.
+        let log = FiringLog::default();
+        let mut mb = ModelBuilder::new();
+        let start = mb.place("start", 1).unwrap();
+        let acts = [
+            ("inst_m999999", inst(-999_999)),
+            ("timed_zero", after(0.0)),
+            ("inst_m1000000", inst(-1_000_000)),
+            ("tie_inst", inst(-1_000_000)),
+            ("tie_timed", after(0.0)),
+            ("inst_m1000001", inst(-1_000_001)),
+        ];
+        let inputs: Vec<PlaceId> = acts.iter().map(|(n, _)| mb.place(n, 0).unwrap()).collect();
+        logged(&mut mb, &log, "trigger", after(1.0), &[start], &inputs);
+        for ((name, timing), input) in acts.into_iter().zip(inputs) {
+            logged(&mut mb, &log, name, timing, &[input], &[]);
+        }
+        let mut sim = Simulator::new(mb.build().unwrap(), 1);
+        sim.run_until(2.0).unwrap();
+        assert_eq!(
+            log.borrow()[1..],
+            [
+                "inst_m999999",
+                "timed_zero",
+                "inst_m1000000",
+                "tie_inst",
+                "tie_timed",
+                "inst_m1000001"
+            ]
+        );
+    }
+
+    #[test]
+    fn cancelled_agenda_entries_never_fire_and_count_one_abort() {
+        // `high` takes the token `low` was activated on, so `low` aborts.
+        // `refill` puts it back at the same instant: `low` activates anew
+        // behind its cancelled entry and fires exactly once.
+        let build = |refill: bool| {
+            let log = FiringLog::default();
+            let mut mb = ModelBuilder::new();
+            let start = mb.place("start", 1).unwrap();
+            let once = mb.place("once", 1).unwrap();
+            let [p, q] = ["p", "q"].map(|n| mb.place(n, 0).unwrap());
+            logged(&mut mb, &log, "trigger", after(1.0), &[start], &[p]);
+            logged(&mut mb, &log, "high", inst(9), &[p, once], &[q]);
+            if refill {
+                logged(&mut mb, &log, "refill", inst(5), &[q], &[p]);
+            }
+            logged(&mut mb, &log, "low", inst(1), &[p], &[]);
+            let mut sim = Simulator::new(mb.build().unwrap(), 1);
+            sim.run_until(2.0).unwrap();
+            let fired = log.borrow().clone();
+            (fired, sim.stats())
+        };
+        let (fired, stats) = build(false);
+        assert_eq!(fired, ["trigger", "high"]);
+        assert_eq!((stats.completions, stats.aborts), (2, 1));
+        let (fired, stats) = build(true);
+        assert_eq!(fired, ["trigger", "high", "refill", "low"]);
+        assert_eq!((stats.completions, stats.aborts), (4, 1));
+    }
+
+    #[test]
+    fn a_run_paused_on_an_instantaneous_activity_resumes_bit_identically() {
+        // A clock feeds a two-level cascade with a random case split and
+        // a rate reward: pausing before the cascade's lower level and
+        // resuming must change no firing, draw or reward bit.
+        let build = || {
+            let log = FiringLog::default();
+            let mut mb = ModelBuilder::new();
+            let [tick, work, left, right] =
+                ["tick", "work", "left", "right"].map(|n| mb.place(n, 0).unwrap());
+            logged(&mut mb, &log, "clock", after(1.0), &[], &[tick]);
+            logged(&mut mb, &log, "process", inst(5), &[tick], &[work]);
+            let [to_left, to_right] = ["left", "right"].map(|side| {
+                let log = std::rc::Rc::clone(&log);
+                move |_: &mut Marking, _: &mut Xoshiro256StarStar| log.borrow_mut().push(side)
+            });
+            mb.activity("split")
+                .unwrap()
+                .instantaneous(3)
+                .input_arc(work, 1)
+                .case(1.0)
+                .output_arc(left, 1)
+                .output_gate("log", to_left)
+                .case(2.0)
+                .output_arc(right, 1)
+                .output_gate("log", to_right)
+                .done()
+                .unwrap();
+            let drain = Timing::Timed(Dist::exponential(2.0).unwrap());
+            logged(&mut mb, &log, "drain", drain, &[left], &[]);
+            let mut sim = Simulator::new(mb.build().unwrap(), 17);
+            let reward = sim.add_rate_reward("left", move |m| m.tokens(left) as f64);
+            (sim, reward, log)
+        };
+        let (mut whole, r_whole, log_whole) = build();
+        whole.run_until(30.5).unwrap();
+
+        let (mut paused, r_paused, log_paused) = build();
+        let split = paused.model().activity_by_name("split").unwrap();
+        assert!(paused.run_until_break(30.5, split).unwrap());
+        assert_eq!(paused.time(), SimTime::new(1.0));
+        assert_eq!(*log_paused.borrow(), ["clock", "process"]);
+        // Resuming within the instant fires the paused completion first.
+        paused.run_until(1.0).unwrap();
+        assert_eq!(*log_paused.borrow(), log_whole.borrow()[..3]);
+        paused.run_until(30.5).unwrap();
+
+        assert_eq!(*log_paused.borrow(), *log_whole.borrow());
+        assert_eq!(paused.marking().as_slice(), whole.marking().as_slice());
+        assert_eq!(paused.stats(), whole.stats());
+        assert_eq!(
+            paused.rate_reward_average(r_paused).to_bits(),
+            whole.rate_reward_average(r_whole).to_bits()
+        );
+        assert!(log_whole.borrow().contains(&"drain"), "the model ran");
     }
 
     /// A gate whose declared write-set is a lie (declares `decoy`, writes

@@ -93,11 +93,17 @@ proptest! {
 
     /// The headline claim of the incremental reevaluation core: on random
     /// gated models — mixed declared and undeclared read-sets, rate
-    /// multipliers, dynamic case weights — the incremental mode's run is
+    /// multipliers, dynamic case weights, and timed, zero-delay timed and
+    /// instantaneous activities — the incremental mode's run is
     /// **bit-identical** to the full-rescan reference mode: same final
     /// marking, same completion/abort counts, same reward bit patterns.
     /// So is a run paused at a breakpoint on a drawn activity
     /// (`run_until_break`) and then resumed to the horizon.
+    ///
+    /// Zero-delay work spends one `fuel` token per completion, and only a
+    /// timed `refuel` activity adds fuel, so no cascade runs forever. The
+    /// instantaneous priorities straddle `-1_000_000`, where they tie with
+    /// timed activities at the same instant.
     #[test]
     fn incremental_is_bit_identical_to_full_rescan(
         n in 2usize..5,
@@ -105,30 +111,38 @@ proptest! {
         means in proptest::collection::vec(0.3f64..3.0, 8),
         wiring in proptest::collection::vec(0usize..10_000, 8),
         declare in proptest::collection::vec(any::<bool>(), 8),
+        timing in proptest::collection::vec(0u8..6, 8),
         seed in 0u64..200,
         horizon in 5.0f64..80.0,
         stop in 0usize..8,
     ) {
+        const PRIORITIES: [i32; 5] = [-1_000_001, -1_000_000, -999_999, 0, 7];
         let build = || {
             let mut mb = ModelBuilder::new();
             let places: Vec<PlaceId> = (0..n)
                 .map(|i| mb.place(&format!("p{i}"), init[i]).unwrap())
                 .collect();
+            let fuel = mb.place("fuel", init[4]).unwrap();
             for (i, &mean) in means.iter().enumerate() {
                 let src = places[wiring[i] % n];
                 let dst = places[(wiring[i] / n) % n];
                 let gp = places[(wiring[i] / (n * n)) % n];
                 let wp = places[(wiring[i] / 7) % n];
-                let mut a = mb
-                    .activity(&format!("a{i}"))
-                    .unwrap()
-                    .timed(Dist::exponential(mean).unwrap())
+                let a = mb.activity(&format!("a{i}")).unwrap();
+                let mut a = match timing[i] {
+                    0..=2 => a.timed(Dist::exponential(mean).unwrap()),
+                    3 => a.timed(Dist::deterministic(0.0).unwrap()).input_arc(fuel, 1),
+                    _ => a
+                        .instantaneous(PRIORITIES[wiring[i] % PRIORITIES.len()])
+                        .input_arc(fuel, 1),
+                };
+                a = a
                     .input_arc(src, 1)
                     .guard("below_cap", move |m| m.tokens(gp) <= 2);
                 if declare[i] {
                     a = a.reads([gp]);
                 }
-                if wiring[i].is_multiple_of(3) {
+                if timing[i] <= 3 && wiring[i].is_multiple_of(3) {
                     a = a.rate_multiplier(move |m| 1.0 + m.tokens(gp) as f64);
                     if declare[i] {
                         a = a.reads([gp]);
@@ -155,6 +169,12 @@ proptest! {
                 }
                 a.done().unwrap();
             }
+            mb.activity("refuel")
+                .unwrap()
+                .timed(Dist::exponential(1.0).unwrap())
+                .output_arc(fuel, 1)
+                .done()
+                .unwrap();
             mb.build().unwrap()
         };
         let run = |full: bool, stop: Option<usize>| {

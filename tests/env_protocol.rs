@@ -2,7 +2,7 @@
 //! typed [`PolicyFault`] that fails the episode — never a crash, hang,
 //! or process abort. Agents here are deliberately hostile `sh` one-liners.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use vsched_core::{Engine, ScheduleDecision, SystemConfig};
 use vsched_env::{
@@ -89,11 +89,63 @@ fn an_undeclared_field_name_is_a_handshake_fault() {
     }
 }
 
+/// `(pid, process group)` of every process that has not exited, read
+/// from `/proc/<pid>/stat` (empty where there is no `/proc`).
+fn live_processes() -> Vec<(u32, u32)> {
+    let Ok(procs) = std::fs::read_dir("/proc") else {
+        return Vec::new();
+    };
+    procs
+        .filter_map(|entry| {
+            let entry = entry.ok()?;
+            let pid = entry.file_name().to_str()?.parse().ok()?;
+            let stat = std::fs::read_to_string(entry.path().join("stat")).ok()?;
+            // `pid (comm) state ppid pgrp ...`; comm may hold spaces.
+            let (_, rest) = stat.rsplit_once(')')?;
+            let fields: Vec<&str> = rest.split_whitespace().collect();
+            match fields.as_slice() {
+                [state, _, pgrp, ..] if *state != "Z" => Some((pid, pgrp.parse().ok()?)),
+                _ => None,
+            }
+        })
+        .collect()
+}
+
 #[test]
 fn a_stalled_agent_times_out_without_hanging_the_host() {
+    // The agent's shell forks a `sleep` and waits on it. An orphaned
+    // `sleep` would hold the test's stdout for ten minutes, so once the
+    // transport is gone neither it nor anything else in the shell's
+    // process group may still run.
+    let pidfile = std::env::temp_dir().join(format!("vsched-stalled-agent-{}", std::process::id()));
+    let command = format!("sleep 600 & echo \"$$ $!\" > '{}'; wait", pidfile.display());
     let err =
-        RemotePolicy::spawn("sleep 600", "protocol-test", Duration::from_millis(200)).unwrap_err();
+        RemotePolicy::spawn(&command, "protocol-test", Duration::from_millis(200)).unwrap_err();
     assert_eq!(err, PolicyFault::Timeout { after_ms: 200 });
+    let pids: Vec<u32> = std::fs::read_to_string(&pidfile)
+        .unwrap()
+        .split_whitespace()
+        .map(|p| p.parse().unwrap())
+        .collect();
+    let _ = std::fs::remove_file(&pidfile);
+    let [shell, sleep] = pids[..] else {
+        panic!("pid file holds {pids:?}")
+    };
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let survivors: Vec<(u32, u32)> = live_processes()
+            .into_iter()
+            .filter(|&(pid, group)| pid == sleep || group == shell)
+            .collect();
+        if survivors.is_empty() {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "agent processes outlived the transport: {survivors:?}"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
 }
 
 #[test]

@@ -7,10 +7,10 @@
 
 use std::path::Path;
 
-use vsched_core::{Engine, PolicyKind};
+use vsched_core::{Engine, Fnv, PolicyKind, Simulation};
 use vsched_trace::{
-    load_standard, load_trace, read_azure_csv, read_standard, read_standard_str, write_standard,
-    TraceError, TraceExperiment, TraceMeta,
+    load_standard, load_trace, read_azure_csv, read_standard, read_standard_str, replay,
+    write_standard, TraceError, TraceExperiment, TraceMeta,
 };
 
 const FIXTURE_SMALL: &str = concat!(
@@ -122,25 +122,39 @@ fn churn_1000vm_fixture_compiles_at_scale() {
 }
 
 /// The only tier-1 run of RCS on the 1000-VM union topology: the first
-/// 400 ticks of the churn fixture, one sequential replication, pinned to
-/// the fingerprints `perfbench/references.json` records for the
-/// `churn_direct` and `churn_san` workloads.
+/// 400 ticks of the churn fixture, one replication, pinned to the
+/// fingerprints `perfbench/references.json` records for the
+/// `churn_direct` and `churn_san` workloads. The SAN run also pins its
+/// exact work, the `san.completions` and `san.aborts` perfbench reports:
+/// an engine change that keeps every metric bit can still not change
+/// how many activities complete or abort on the way.
 #[test]
 fn churn_1000vm_prefix_matches_benchmark_references() {
     let schedule = load_standard(Path::new(FIXTURE_1000)).expect("1000-VM fixture compiles");
-    let fingerprint = |engine| {
-        let r = TraceExperiment::new(schedule.clone(), PolicyKind::relaxed_co_default())
-            .engine(engine)
-            .horizon(400)
-            .seed(0x5eed)
-            .replications(1)
-            .parallel(false)
-            .run()
-            .unwrap();
-        format!("{:016x}", r.fingerprint)
+    let replicate = |engine| {
+        let mut sim = Simulation::new_dynamic(
+            engine,
+            schedule.config().clone(),
+            PolicyKind::relaxed_co_default().create(),
+            0x5eed,
+        )
+        .unwrap();
+        replay(&mut sim, &schedule, 0, 400).unwrap();
+        let mut fingerprint = Fnv::new();
+        for x in sim.metrics().to_observations() {
+            fingerprint.push(x.to_bits());
+        }
+        (format!("{:016x}", fingerprint.finish()), sim)
     };
-    assert_eq!(fingerprint(Engine::Direct), "2cf1a52a4003d7c5");
-    assert_eq!(fingerprint(Engine::San), "1cab7ed7e08d2d36");
+    let (direct, _) = replicate(Engine::Direct);
+    assert_eq!(direct, "2cf1a52a4003d7c5");
+    let (san, sim) = replicate(Engine::San);
+    assert_eq!(san, "1cab7ed7e08d2d36");
+    let Simulation::San(s) = &sim else {
+        panic!("a SAN build")
+    };
+    let stats = s.simulator().stats();
+    assert_eq!((stats.completions, stats.aborts), (1_825_892, 176));
 }
 
 #[test]
