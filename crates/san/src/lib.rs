@@ -68,8 +68,8 @@
 #![warn(missing_docs)]
 
 pub mod activity;
-mod agenda;
 pub mod builder;
+mod calendar;
 pub mod error;
 pub mod gate;
 pub mod marking;

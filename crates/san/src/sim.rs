@@ -1,10 +1,10 @@
 //! The SAN discrete-event simulator.
 
-use vsched_des::{EventId, EventQueue, RngStreams, SimTime, Xoshiro256StarStar};
+use vsched_des::{RngStreams, SimTime, Xoshiro256StarStar};
 
 use crate::activity::{ActivityId, CaseWeights, Timing};
-use crate::agenda::Agenda;
 use crate::builder::Model;
+use crate::calendar::Calendar;
 use crate::error::SanError;
 use crate::marking::{Marking, PlaceId, ReadSet};
 use crate::reward::{ImpulseReward, RateReward, RewardFn, RewardId};
@@ -14,17 +14,6 @@ use crate::reward::{ImpulseReward, RateReward, RewardFn, RewardId};
 /// `p` fires with effective priority `INSTANTANEOUS_BASE + p` (saturating),
 /// a timed one with `0`.
 const INSTANTANEOUS_BASE: i32 = 1_000_000;
-
-/// An activated activity's pending completion.
-#[derive(Debug, Clone, Copy)]
-struct Pending {
-    /// Activation order: among completions due at the same instant with
-    /// the same effective priority the lowest stamp fires first, and an
-    /// agenda entry is live only while its stamp is the pending one.
-    stamp: u64,
-    /// The timed queue's handle; `None` for a completion on the agenda.
-    event: Option<EventId>,
-}
 
 /// Statistics from one [`Simulator::run_until`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -75,14 +64,9 @@ pub struct Simulator {
     model: Model,
     marking: Marking,
     time: SimTime,
-    /// Timed completions, all at effective priority 0.
-    queue: EventQueue<ActivityId>,
-    /// Instantaneous completions pending at the current instant.
-    agenda: Agenda,
-    /// Pending completion of each activity, if activated.
-    scheduled: Vec<Option<Pending>>,
-    /// Stamp of the next activation.
-    next_stamp: u64,
+    /// Pending completions: timed ones in the event queue, instantaneous
+    /// ones on the zero-delay agenda.
+    calendar: Calendar,
     /// Rate multiplier in force when each activity was activated; a change
     /// triggers reactivation (resampling) for rate-scaled activities.
     activation_rate: Vec<f64>,
@@ -125,6 +109,7 @@ impl std::fmt::Debug for Simulator {
             .field("time", &self.time)
             .field("marking", &self.marking)
             .field("stats", &self.stats)
+            .field("pending", &self.calendar.len())
             .finish()
     }
 }
@@ -150,10 +135,7 @@ impl Simulator {
         Simulator {
             marking,
             time: SimTime::ZERO,
-            queue: EventQueue::new(),
-            agenda: Agenda::new(&priorities),
-            scheduled: vec![None; n],
-            next_stamp: 0,
+            calendar: Calendar::new(&priorities),
             activation_rate: vec![1.0; n],
             delay_rngs: (0..n).map(|i| streams.stream(10_000 + i as u64)).collect(),
             case_rngs: (0..n).map(|i| streams.stream(20_000 + i as u64)).collect(),
@@ -195,13 +177,13 @@ impl Simulator {
     }
 
     /// Enables the future-event-list monotonicity check (see
-    /// [`EventQueue::enable_monotonicity_check`]): every timed completion
-    /// popped must be at or after the previous one, otherwise the simulator
-    /// panics instead of silently running time backwards. Agenda entries are
-    /// due at the current instant by construction. Costs one branch per
-    /// timed event; disabled by default.
+    /// [`vsched_des::EventQueue::enable_monotonicity_check`]): every timed
+    /// completion popped must be at or after the previous one, otherwise
+    /// the simulator panics instead of silently running time backwards.
+    /// Agenda entries are due at the current instant by construction.
+    /// Costs one branch per timed event; disabled by default.
     pub fn enable_event_monotonicity_check(&mut self) {
-        self.queue.enable_monotonicity_check();
+        self.calendar.enable_monotonicity_check();
     }
 
     /// Current virtual time.
@@ -443,34 +425,6 @@ impl Simulator {
         }
     }
 
-    /// The next completion due, as `(time, activity, on_agenda)`. The
-    /// agenda's head is due now; the timed head goes first only when it is
-    /// due now too and wins on effective priority (`0` against the head's)
-    /// or, tied, on activation order.
-    fn next_event(&mut self) -> Option<(SimTime, ActivityId, bool)> {
-        let scheduled = &self.scheduled;
-        let instant = self
-            .agenda
-            .head(|act, stamp| scheduled[act].is_some_and(|p| p.stamp == stamp));
-        let timed = self.queue.peek().map(|(t, _, &act)| (t, act));
-        match (instant, timed) {
-            (Some((priority, act, stamp)), Some((t, timed_act))) => {
-                let timed_first = t <= self.time
-                    && (priority < 0
-                        || priority == 0
-                            && scheduled[timed_act.0].is_some_and(|p| p.stamp < stamp));
-                Some(if timed_first {
-                    (t, timed_act, false)
-                } else {
-                    (self.time, ActivityId(act), true)
-                })
-            }
-            (Some((_, act, _)), None) => Some((self.time, ActivityId(act), true)),
-            (None, Some((t, act))) => Some((t, act, false)),
-            (None, None) => None,
-        }
-    }
-
     /// The event loop: fires every event due by `t_end` in event order,
     /// then advances the clock and the reward windows to `t_end`. Returns
     /// `Ok(true)` without firing it, and without advancing, as soon as
@@ -486,7 +440,8 @@ impl Simulator {
         let mut zero_advance: u64 = 0;
         let mut completions = 0;
         let mut stopped = false;
-        while let Some((t, act, on_agenda)) = self.next_event() {
+        while let Some(due) = self.calendar.peek(self.time) {
+            let (t, act) = (due.time, due.act);
             if t > t_end {
                 break;
             }
@@ -494,11 +449,7 @@ impl Simulator {
                 stopped = true;
                 break;
             }
-            if on_agenda {
-                self.agenda.pop();
-            } else {
-                self.queue.pop();
-            }
+            self.calendar.take(due);
             if t > last_time {
                 last_time = t;
                 zero_advance = 0;
@@ -525,7 +476,6 @@ impl Simulator {
     /// Completes one activity: the atomic SAN completion rule.
     fn fire(&mut self, act_id: ActivityId) {
         let idx = act_id.0;
-        self.scheduled[idx] = None;
         let act = &self.model.activities[idx];
         debug_assert!(
             act.enabled(&self.marking),
@@ -671,7 +621,7 @@ impl Simulator {
     /// The per-activity body of [`Simulator::reevaluate`].
     fn reevaluate_one(&mut self, idx: usize) {
         let enabled = self.model.activities[idx].enabled(&self.marking);
-        match (enabled, self.scheduled[idx].is_some()) {
+        match (enabled, self.calendar.is_pending(idx)) {
             (true, false) => self.activate(idx),
             (false, true) => self.abort(idx),
             (true, true) => {
@@ -696,9 +646,7 @@ impl Simulator {
     /// Schedules the completion of activity `idx`: a timed activity samples
     /// its delay into the timed queue, an instantaneous one joins the agenda.
     fn activate(&mut self, idx: usize) {
-        let stamp = self.next_stamp;
-        self.next_stamp += 1;
-        let event = match &self.model.activities[idx].timing {
+        match &self.model.activities[idx].timing {
             Timing::Timed(dist) => {
                 let base = dist.sample(&mut self.delay_rngs[idx]);
                 // Marking-dependent rate: enabled() guarantees the
@@ -706,25 +654,16 @@ impl Simulator {
                 let k = self.model.activities[idx].rate_multiplier(&self.marking);
                 self.activation_rate[idx] = k;
                 let when = SimTime::new(self.time.as_f64() + base / k);
-                Some(self.queue.schedule(when, 0, ActivityId(idx)))
+                self.calendar.schedule_timed(idx, when);
             }
-            Timing::Instantaneous { .. } => {
-                self.agenda.push(idx, stamp);
-                None
-            }
-        };
-        self.scheduled[idx] = Some(Pending { stamp, event });
+            Timing::Instantaneous { .. } => self.calendar.schedule_now(idx),
+        }
     }
 
-    /// Discards the pending completion of activity `idx`. An agenda entry
-    /// is left behind: its stamp is no longer pending, so it never fires.
+    /// Discards the pending completion of activity `idx`.
     fn abort(&mut self, idx: usize) {
-        if let Some(Pending {
-            event: Some(ev), ..
-        }) = self.scheduled[idx].take()
-        {
-            self.queue.cancel(ev);
-        }
+        let was_pending = self.calendar.cancel(idx);
+        debug_assert!(was_pending, "only an activated activity aborts");
         self.stats.aborts += 1;
     }
 }
