@@ -36,7 +36,9 @@
 //! a direct tick is linear in VCPUs + PCPUs, so both ratios sit near 1;
 //! an event-queue operation that grows with the pending events, or a
 //! per-tick loop that scans every VCPU once per VM, would make them grow
-//! with the VM count.
+//! with the VM count. Each SAN scale cell also reports its reevaluation
+//! visits per completion, an exact count that separates more work per
+//! completion from slower work.
 //!
 //! The JSON report carries a **host block** (logical cores, optional
 //! commit hash, engine version) that makes absolute numbers
@@ -111,6 +113,9 @@ impl HostInfo {
 pub struct ModeSample {
     /// Activity completions processed.
     pub events: u64,
+    /// Activities reevaluated after those completions
+    /// ([`vsched_san::RunStats::visits`]).
+    pub visits: u64,
     /// Wall-clock seconds for the run.
     pub seconds: f64,
     /// `events / seconds`.
@@ -169,6 +174,9 @@ pub struct ScaleCase {
     pub sequential_rtf: f64,
     /// The sequential run's wall-clock nanoseconds per activity completion.
     pub ns_per_completion: f64,
+    /// The sequential run's reevaluation visits per activity completion:
+    /// an exact work count, unlike the times.
+    pub visits_per_completion: f64,
     /// The direct engine's numbers on the same ticks, seed and policy.
     pub direct: DirectSample,
     /// The direct run's real-time factor.
@@ -287,6 +295,7 @@ impl PerfReport {
                             "sequential": sample(&c.sequential),
                             "sequential_rtf": c.sequential_rtf,
                             "ns_per_completion": c.ns_per_completion,
+                            "visits_per_completion": c.visits_per_completion,
                             "direct": json!({
                                 "seconds": c.direct.seconds,
                                 "ticks_per_sec": c.direct.ticks_per_sec,
@@ -337,12 +346,13 @@ impl PerfReport {
                 let _ = writeln!(
                     out,
                     "  {:>6}: {:>5} ticks, {:>10.0} ev/s sequential (rtf {:.2}, \
-                     {:.1} ns/completion), direct {:>9.0} ticks/s (rtf {:.2}, \
-                     {:.1} ns/VCPU-tick)",
+                     {:.2} visits/completion, {:.1} ns/completion), direct {:>9.0} \
+                     ticks/s (rtf {:.2}, {:.1} ns/VCPU-tick)",
                     c.name,
                     c.ticks,
                     c.sequential.events_per_sec,
                     c.sequential_rtf,
+                    c.visits_per_completion,
                     c.ns_per_completion,
                     c.direct.ticks_per_sec,
                     c.direct_rtf,
@@ -451,9 +461,11 @@ fn timed_once(
     let start = Instant::now();
     sys.run(ticks).expect("perf run");
     let seconds = start.elapsed().as_secs_f64();
-    let events = sys.simulator().stats().completions;
+    let stats = sys.simulator().stats();
+    let events = stats.completions;
     let sample = ModeSample {
         events,
+        visits: stats.visits,
         seconds,
         events_per_sec: per_second(events as f64, seconds),
     };
@@ -568,6 +580,7 @@ pub fn run_perf(opts: &PerfOpts) -> PerfReport {
                 ticks,
                 sequential_rtf: rtf(ticks, sequential.seconds),
                 ns_per_completion: sequential.seconds * 1e9 / sequential.events as f64,
+                visits_per_completion: sequential.visits as f64 / sequential.events as f64,
                 sequential,
                 direct_rtf: rtf(ticks, direct.seconds),
                 direct,
@@ -728,6 +741,11 @@ mod tests {
             c.ns_per_completion,
             c.sequential.seconds * 1e9 / c.sequential.events as f64
         );
+        assert!(c.sequential.visits > 0);
+        assert_eq!(
+            c.visits_per_completion,
+            c.sequential.visits as f64 / c.sequential.events as f64
+        );
         assert_eq!(report.san_linearity(), None, "one cell has no ratio");
         assert_eq!(report.direct_linearity(), None, "one cell has no ratio");
 
@@ -747,6 +765,7 @@ mod tests {
             "sequential",
             "sequential_rtf",
             "ns_per_completion",
+            "visits_per_completion",
             "direct",
             "direct_rtf",
         ] {
@@ -764,6 +783,7 @@ mod tests {
         let text = report.render_text();
         assert!(text.contains("64vm"));
         assert!(text.contains("ns/completion), direct"), "{text}");
+        assert!(text.contains(" visits/completion, "), "{text}");
         assert!(text.contains("ticks/s (rtf"), "{text}");
     }
 

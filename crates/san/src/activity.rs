@@ -149,7 +149,7 @@ impl ActivitySpec {
     #[must_use]
     pub fn enabled(&self, marking: &Marking) -> bool {
         self.input_arcs.iter().all(|&(p, w)| marking.has(p, w))
-            && self.input_gates.iter().all(|g| (g.predicate)(marking))
+            && self.input_gates.iter().all(|g| g.holds(marking))
             && self.rate_fn.as_ref().is_none_or(|f| f(marking) > 0.0)
     }
 
@@ -237,7 +237,7 @@ impl ActivitySpec {
     pub fn enablement_reads(&self) -> Option<Vec<PlaceId>> {
         let mut out: Vec<PlaceId> = self.input_arcs.iter().map(|&(p, _)| p).collect();
         for gate in &self.input_gates {
-            out.extend_from_slice(gate.reads.as_declared()?);
+            out.extend_from_slice(gate.reads().as_declared()?);
         }
         if self.rate_fn.is_some() {
             out.extend_from_slice(self.rate_reads.as_declared()?);
@@ -300,7 +300,7 @@ impl ActivitySpec {
         let mut out: Vec<PlaceId> = Vec::new();
         for gate in &self.input_gates {
             if gate.function.is_some() {
-                out.extend_from_slice(gate.reads.as_declared()?);
+                out.extend_from_slice(gate.reads().as_declared()?);
             }
         }
         for case in &self.cases {

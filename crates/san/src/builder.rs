@@ -8,79 +8,9 @@ use vsched_des::{Dist, Xoshiro256StarStar};
 use crate::activity::{ActivityId, ActivitySpec, CaseSpec, CaseWeights, RateFn, Timing, WeightFn};
 use crate::error::SanError;
 use crate::gate::{InputGate, OutputGate};
+use crate::index::DependencyIndex;
 use crate::marking::{Marking, PlaceId, ReadSet};
 use crate::record::RecordRef;
-
-/// Place → dependent-activity index computed at [`ModelBuilder::build`] time
-/// from input arcs and declared read-sets. The simulator's incremental
-/// reevaluation visits `dependents(p)` for each dirty place `p`, plus every
-/// `conservative` activity.
-///
-/// Stored in CSR (offsets + one flat data array) rather than a `Vec` per
-/// place: at 1000-VM scale the per-place `Vec` headers alone cost more
-/// cache traffic than the dependent lists themselves, and the hot loop
-/// walks several lists per completion.
-pub(crate) struct EnableIndex {
-    /// `offsets[p] .. offsets[p + 1]` indexes `data` for place `p`.
-    offsets: Vec<u32>,
-    /// Dependent activity indices, ascending within each place's range.
-    data: Vec<u32>,
-    /// Activities with an undeclared enablement closure, ascending — the
-    /// conservative fallback, revisited after every firing.
-    pub(crate) conservative: Vec<u32>,
-}
-
-impl EnableIndex {
-    fn build(num_places: usize, activities: &[ActivitySpec]) -> Self {
-        // Two passes: count per-place degrees, then fill the flat array.
-        let mut counts = vec![0u32; num_places];
-        let mut conservative = Vec::new();
-        let mut reads: Vec<Option<Vec<crate::PlaceId>>> = Vec::with_capacity(activities.len());
-        for (i, act) in activities.iter().enumerate() {
-            let r = act.enablement_reads();
-            match &r {
-                Some(places) => {
-                    for p in places {
-                        counts[p.index()] += 1;
-                    }
-                }
-                None => conservative.push(i as u32),
-            }
-            reads.push(r);
-        }
-        let mut offsets = Vec::with_capacity(num_places + 1);
-        let mut total = 0u32;
-        offsets.push(0);
-        for &c in &counts {
-            total += c;
-            offsets.push(total);
-        }
-        let mut cursor: Vec<u32> = offsets[..num_places].to_vec();
-        let mut data = vec![0u32; total as usize];
-        // `enablement_reads` is sorted and deduplicated, and `i` is
-        // ascending, so every per-place range ends up ascending too.
-        for (i, r) in reads.iter().enumerate() {
-            if let Some(places) = r {
-                for p in places {
-                    let slot = &mut cursor[p.index()];
-                    data[*slot as usize] = i as u32;
-                    *slot += 1;
-                }
-            }
-        }
-        EnableIndex {
-            offsets,
-            data,
-            conservative,
-        }
-    }
-
-    /// Activities whose enablement may depend on place `p`, ascending.
-    #[inline]
-    pub(crate) fn dependents(&self, p: usize) -> &[u32] {
-        &self.data[self.offsets[p] as usize..self.offsets[p + 1] as usize]
-    }
-}
 
 /// A complete, validated SAN model ready for simulation.
 ///
@@ -90,7 +20,11 @@ pub struct Model {
     pub(crate) names: Rc<Vec<String>>,
     pub(crate) initial: Vec<i64>,
     pub(crate) activities: Vec<ActivitySpec>,
-    pub(crate) enable_index: EnableIndex,
+    /// Place → activities whose enablement may depend on it, computed from
+    /// input arcs and declared read-sets. The simulator's incremental
+    /// reevaluation visits the dependents of each dirty place, plus every
+    /// conservative activity.
+    pub(crate) enable_index: DependencyIndex,
 }
 
 impl std::fmt::Debug for Model {
@@ -124,7 +58,10 @@ impl Model {
     /// Looks up a place id by fully qualified name.
     #[must_use]
     pub fn place_by_name(&self, name: &str) -> Option<PlaceId> {
-        self.names.iter().position(|n| n == name).map(PlaceId)
+        self.names
+            .iter()
+            .position(|n| n == name)
+            .map(PlaceId::from_index)
     }
 
     /// Looks up an activity id by fully qualified name.
@@ -143,7 +80,7 @@ impl Model {
     /// Panics if `place` was not issued by this model's builder.
     #[must_use]
     pub fn place_name(&self, place: PlaceId) -> &str {
-        &self.names[place.0]
+        &self.names[place.index()]
     }
 
     /// Iterates over all places as `(id, name)` pairs.
@@ -151,7 +88,7 @@ impl Model {
         self.names
             .iter()
             .enumerate()
-            .map(|(i, n)| (PlaceId(i), n.as_str()))
+            .map(|(i, n)| (PlaceId::from_index(i), n.as_str()))
     }
 
     /// The definition of activity `id`.
@@ -177,7 +114,7 @@ impl Model {
     /// (see [`Model::conservative_activities`]) are *not* listed here.
     pub fn enablement_dependents(&self, place: PlaceId) -> impl Iterator<Item = ActivityId> + '_ {
         self.enable_index
-            .dependents(place.0)
+            .dependents(place.index())
             .iter()
             .map(|&i| ActivityId(i as usize))
     }
@@ -247,13 +184,15 @@ impl ModelBuilder {
     ///
     /// # Errors
     ///
-    /// [`SanError::DuplicatePlace`] if the qualified name already exists.
+    /// [`SanError::DuplicatePlace`] if the qualified name already exists,
+    /// or [`SanError::TooManyPlaces`] if the model already holds 2^32
+    /// places.
     pub fn place(&mut self, name: &str, initial: i64) -> Result<PlaceId, SanError> {
         let qualified = self.qualify(name);
         if self.by_name.contains_key(&qualified) {
             return Err(SanError::DuplicatePlace { name: qualified });
         }
-        let id = PlaceId(self.names.len());
+        let id = next_place_id(self.names.len(), &qualified)?;
         self.names.push(qualified.clone());
         self.by_name.insert(qualified, id);
         self.shared.push(false);
@@ -272,8 +211,9 @@ impl ModelBuilder {
     /// # Errors
     ///
     /// [`SanError::SharedPlaceConflict`] if re-declared with a different
-    /// initial marking, or [`SanError::DuplicatePlace`] if the name exists
-    /// as a non-shared place.
+    /// initial marking, [`SanError::DuplicatePlace`] if the name exists
+    /// as a non-shared place, or [`SanError::TooManyPlaces`] as for
+    /// [`ModelBuilder::place`].
     pub fn shared_place(&mut self, name: &str, initial: i64) -> Result<PlaceId, SanError> {
         let qualified = self.qualify(name);
         self.shared_place_qualified(qualified, initial)
@@ -295,19 +235,19 @@ impl ModelBuilder {
         initial: i64,
     ) -> Result<PlaceId, SanError> {
         if let Some(&id) = self.by_name.get(&qualified) {
-            if !self.shared[id.0] {
+            if !self.shared[id.index()] {
                 return Err(SanError::DuplicatePlace { name: qualified });
             }
-            if self.initial[id.0] != initial {
+            if self.initial[id.index()] != initial {
                 return Err(SanError::SharedPlaceConflict {
                     name: qualified,
-                    existing: self.initial[id.0],
+                    existing: self.initial[id.index()],
                     requested: initial,
                 });
             }
             return Ok(id);
         }
-        let id = PlaceId(self.names.len());
+        let id = next_place_id(self.names.len(), &qualified)?;
         self.names.push(qualified.clone());
         self.by_name.insert(qualified, id);
         self.shared.push(true);
@@ -417,7 +357,13 @@ impl ModelBuilder {
     /// invariants are enforced at declaration time), but returns `Result`
     /// so future validations are non-breaking.
     pub fn build(self) -> Result<Model, SanError> {
-        let enable_index = EnableIndex::build(self.names.len(), &self.activities);
+        let reads: Vec<Option<Vec<PlaceId>>> = self
+            .activities
+            .iter()
+            .map(ActivitySpec::enablement_reads)
+            .collect();
+        let enable_index =
+            DependencyIndex::build(self.names.len(), reads.iter().map(Option::as_deref));
         Ok(Model {
             names: Rc::new(self.names),
             initial: self.initial,
@@ -425,6 +371,17 @@ impl ModelBuilder {
             enable_index,
         })
     }
+}
+
+/// The id of a new place `name` in a model that holds `count` places.
+///
+/// # Errors
+///
+/// [`SanError::TooManyPlaces`] if a 32-bit [`PlaceId`] cannot address it.
+fn next_place_id(count: usize, name: &str) -> Result<PlaceId, SanError> {
+    PlaceId::checked(count).ok_or_else(|| SanError::TooManyPlaces {
+        name: name.to_string(),
+    })
 }
 
 /// Which closure a subsequent [`ActivityBuilder::reads`] call describes.
@@ -564,7 +521,7 @@ impl<'a> ActivityBuilder<'a> {
         match self.last_closure {
             LastClosure::Gate => {
                 if let Some(g) = self.input_gates.last_mut() {
-                    g.reads = set;
+                    g.set_reads(set);
                 }
             }
             LastClosure::OutputGate => {
@@ -573,7 +530,7 @@ impl<'a> ActivityBuilder<'a> {
                     .last_mut()
                     .and_then(|c| c.output_gates.last_mut())
                 {
-                    g.reads = set;
+                    g.set_reads(set);
                 }
             }
             LastClosure::Rate => self.rate_reads = set,
@@ -609,7 +566,7 @@ impl<'a> ActivityBuilder<'a> {
                 match self.input_gates.last_mut() {
                     // A guard without a completion function writes nothing;
                     // declaring a write-set for it is a modeling error.
-                    Some(g) if g.function.is_some() => g.writes = ReadSet::Declared(set),
+                    Some(g) if g.function.is_some() => g.set_writes(ReadSet::Declared(set)),
                     _ => self.misplaced_writes = true,
                 }
             }
@@ -619,7 +576,7 @@ impl<'a> ActivityBuilder<'a> {
                     .last_mut()
                     .and_then(|c| c.output_gates.last_mut())
                 {
-                    g.writes = ReadSet::Declared(set);
+                    g.set_writes(ReadSet::Declared(set));
                 }
             }
             LastClosure::Rate | LastClosure::Weights | LastClosure::None => {
@@ -982,6 +939,20 @@ mod tests {
         let model = mb.build().unwrap();
         let deps: Vec<usize> = model.enablement_dependents(p).map(|a| a.index()).collect();
         assert_eq!(deps, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn a_place_past_the_32_bit_id_range_is_a_typed_error() {
+        let last = u32::MAX as usize;
+        assert_eq!(next_place_id(last, "p"), Ok(PlaceId(u32::MAX)));
+        let err = next_place_id(last + 1, "vm/p").unwrap_err();
+        assert_eq!(
+            err,
+            SanError::TooManyPlaces {
+                name: "vm/p".into()
+            }
+        );
+        assert!(err.to_string().contains("vm/p"), "{err}");
     }
 
     #[test]

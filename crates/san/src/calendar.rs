@@ -15,15 +15,16 @@ use vsched_des::{EventId, EventQueue, SimTime};
 
 use crate::activity::ActivityId;
 
-/// An activated activity's pending completion.
+/// The stamp of an activity with no pending completion.
+const IDLE: u64 = u64::MAX;
+
+/// Where an activity's completion waits once activated.
 #[derive(Debug, Clone, Copy)]
-struct Pending {
-    /// Activation order: among completions due at the same instant with
-    /// the same effective priority the lowest stamp fires first, and an
-    /// agenda entry is live only while its stamp is the pending one.
-    stamp: u64,
-    /// The timed queue's handle; `None` for a completion on the agenda.
-    event: Option<EventId>,
+enum Slot {
+    /// On the agenda, at this level of `levels`.
+    Agenda(u32),
+    /// In the timed queue, with its handle at this index of `handles`.
+    Timed(u32),
 }
 
 /// The completion due next, as [`Calendar::peek`] found it.
@@ -42,12 +43,18 @@ pub(crate) struct Calendar {
     /// highest first. The levels are fixed when the calendar is built, so
     /// a push or a pop never allocates a level.
     levels: Vec<(i32, VecDeque<(u32, u64)>)>,
-    /// Per activity: its index into `levels` (`u32::MAX` for timed ones).
-    level_of: Vec<u32>,
+    /// Per activity: where its completion waits.
+    slot: Vec<Slot>,
     /// No level before this index holds an entry.
     top: usize,
-    /// Pending completion of each activity, if activated.
-    pending: Vec<Option<Pending>>,
+    /// Per activity: the activation stamp of its pending completion, or
+    /// [`IDLE`]. Among completions due at the same instant with the same
+    /// effective priority the lowest stamp fires first, and an agenda
+    /// entry is live only while its stamp is the pending one.
+    stamps: Vec<u64>,
+    /// Per timed activity: the timed queue's handle of its latest
+    /// completion, meaningful while the activity is pending.
+    handles: Vec<Option<EventId>>,
     /// Stamp of the next activation.
     next_stamp: u64,
 }
@@ -59,23 +66,27 @@ impl Calendar {
         let mut distinct: Vec<i32> = priorities.iter().flatten().copied().collect();
         distinct.sort_unstable_by(|a, b| b.cmp(a));
         distinct.dedup();
-        let level_of = priorities
+        let mut timed = 0;
+        let slot = priorities
             .iter()
             .map(|p| match p {
                 Some(p) => {
                     let level = distinct.binary_search_by(|d| p.cmp(d));
-                    u32::try_from(level.expect("every priority has a level"))
-                        .expect("level count fits u32")
+                    Slot::Agenda(fits_u32(level.expect("every priority has a level")))
                 }
-                None => u32::MAX,
+                None => {
+                    timed += 1;
+                    Slot::Timed(fits_u32(timed - 1))
+                }
             })
             .collect();
         Calendar {
             timed: EventQueue::new(),
             top: distinct.len(),
             levels: distinct.into_iter().map(|p| (p, VecDeque::new())).collect(),
-            level_of,
-            pending: vec![None; priorities.len()],
+            slot,
+            stamps: vec![IDLE; priorities.len()],
+            handles: vec![None; timed],
             next_stamp: 0,
         }
     }
@@ -89,39 +100,39 @@ impl Calendar {
 
     /// Whether activity `act` has a pending completion.
     pub(crate) fn is_pending(&self, act: usize) -> bool {
-        self.pending[act].is_some()
+        self.stamps[act] != IDLE
     }
 
     /// Number of pending completions.
     pub(crate) fn len(&self) -> usize {
-        self.pending.iter().filter(|p| p.is_some()).count()
+        self.stamps.iter().filter(|&&s| s != IDLE).count()
     }
 
     /// Schedules the completion of timed activity `act` at `when`.
     pub(crate) fn schedule_timed(&mut self, act: usize, when: SimTime) {
-        let stamp = self.stamp(act);
-        let event = Some(self.timed.schedule(when, 0, ActivityId(act)));
-        self.pending[act] = Some(Pending { stamp, event });
+        let Slot::Timed(h) = self.slot[act] else {
+            panic!("activity {act} is instantaneous")
+        };
+        self.stamps[act] = self.stamp(act);
+        self.handles[h as usize] = Some(self.timed.schedule(when, 0, ActivityId(act)));
     }
 
     /// Queues the completion of instantaneous activity `act` at the
     /// current instant, behind every entry of its priority.
     pub(crate) fn schedule_now(&mut self, act: usize) {
+        let Slot::Agenda(level) = self.slot[act] else {
+            panic!("activity {act} is timed")
+        };
         let stamp = self.stamp(act);
-        let level = self.level_of[act] as usize;
-        self.levels[level]
-            .1
-            .push_back((u32::try_from(act).expect("activity count fits u32"), stamp));
+        self.stamps[act] = stamp;
+        let level = level as usize;
+        self.levels[level].1.push_back((fits_u32(act), stamp));
         self.top = self.top.min(level);
-        self.pending[act] = Some(Pending { stamp, event: None });
     }
 
     /// The next activation stamp, for an activity with nothing pending.
     fn stamp(&mut self, act: usize) -> u64 {
-        debug_assert!(
-            self.pending[act].is_none(),
-            "one pending completion per activity"
-        );
+        debug_assert!(!self.is_pending(act), "one pending completion per activity");
         let stamp = self.next_stamp;
         self.next_stamp += 1;
         stamp
@@ -131,15 +142,15 @@ impl Calendar {
     /// none. An agenda entry is left behind: its stamp is no longer
     /// pending, so it is dropped when it reaches the front of its FIFO.
     pub(crate) fn cancel(&mut self, act: usize) -> bool {
-        match self.pending[act].take() {
-            Some(Pending { event, .. }) => {
-                if let Some(ev) = event {
-                    self.timed.cancel(ev);
-                }
-                true
-            }
-            None => false,
+        if !self.is_pending(act) {
+            return false;
         }
+        self.stamps[act] = IDLE;
+        if let Slot::Timed(h) = self.slot[act] {
+            let event = self.handles[h as usize].expect("a pending timed activity has a handle");
+            self.timed.cancel(event);
+        }
+        true
     }
 
     /// The completion due next when the clock reads `now`. The agenda's
@@ -151,10 +162,8 @@ impl Calendar {
         let timed = self.timed.peek().map(|(t, _, &act)| (t, act));
         let (time, act, on_agenda) = match (instant, timed) {
             (Some((priority, act, stamp)), Some((t, timed_act))) => {
-                let timed_first = t <= now
-                    && (priority < 0
-                        || priority == 0
-                            && self.pending[timed_act.0].is_some_and(|p| p.stamp < stamp));
+                let timed_first =
+                    t <= now && (priority < 0 || priority == 0 && self.stamps[timed_act.0] < stamp);
                 if timed_first {
                     (t, timed_act, false)
                 } else {
@@ -182,7 +191,7 @@ impl Calendar {
             let head = self.timed.pop();
             debug_assert_eq!(head.map(|(_, _, act)| act), Some(due.act));
         }
-        self.pending[due.act.0] = None;
+        self.stamps[due.act.0] = IDLE;
     }
 
     /// The agenda's first live entry, as `(effective priority, activity,
@@ -190,7 +199,7 @@ impl Calendar {
     fn agenda_head(&mut self) -> Option<(i32, usize, u64)> {
         while let Some((priority, fifo)) = self.levels.get_mut(self.top) {
             while let Some(&(act, stamp)) = fifo.front() {
-                if self.pending[act as usize].is_some_and(|p| p.stamp == stamp) {
+                if self.stamps[act as usize] == stamp {
                     return Some((*priority, act as usize, stamp));
                 }
                 fifo.pop_front();
@@ -199,6 +208,11 @@ impl Calendar {
         }
         None
     }
+}
+
+/// `index` as a `u32`: activity and level counts fit 32 bits.
+fn fits_u32(index: usize) -> u32 {
+    u32::try_from(index).expect("activity count fits u32")
 }
 
 #[cfg(test)]

@@ -41,6 +41,12 @@ pub enum SanError {
         /// Number of zero-advance completions tolerated before giving up.
         limit: u64,
     },
+    /// The model already holds as many places as a 32-bit
+    /// [`crate::PlaceId`] can address.
+    TooManyPlaces {
+        /// The place that did not fit.
+        name: String,
+    },
     /// A shared place was re-declared with a conflicting initial marking.
     SharedPlaceConflict {
         /// The place name.
@@ -95,6 +101,10 @@ impl fmt::Display for SanError {
             SanError::InstantaneousLoop { at_time, limit } => write!(
                 f,
                 "instantaneous-activity loop at t={at_time}: more than {limit} completions without time advancing"
+            ),
+            SanError::TooManyPlaces { name } => write!(
+                f,
+                "place `{name}` does not fit: a model holds at most 2^32 places"
             ),
             SanError::SharedPlaceConflict {
                 name,

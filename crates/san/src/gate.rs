@@ -10,42 +10,109 @@ use vsched_des::Xoshiro256StarStar;
 
 use crate::marking::{Marking, PlaceId, ReadSet};
 
-/// Enabling predicate of an input gate.
-///
-/// Gate closures are `Fn`: a model runs on one thread, and gates needing
-/// private mutable state (the user-defined scheduling function of the
-/// VCPU scheduler keeps its round-robin cursor this way) capture it
-/// behind `Rc<RefCell<..>>`.
-pub type Predicate = Box<dyn Fn(&Marking) -> bool>;
-
 /// State-update function of a gate.
 ///
 /// Receives the marking and a dedicated RNG stream so gates can perform
 /// stochastic updates (the paper's `WL_Output` gate samples the workload
-/// `load` and `sync_point` fields). `Fn` like [`Predicate`]; stateful
-/// gates capture an `Rc<RefCell<..>>`.
+/// `load` and `sync_point` fields).
+///
+/// Gate closures, predicates included, are `Fn`: a model runs on one
+/// thread, and gates needing private mutable state (the user-defined
+/// scheduling function of the VCPU scheduler keeps its round-robin cursor
+/// this way) capture it behind `Rc<RefCell<..>>`.
 pub type GateFn = Box<dyn Fn(&mut Marking, &mut Xoshiro256StarStar)>;
+
+/// A gate's name and declared footprint. Analysis tools and diagnostics
+/// read it; the simulator's hot path never does.
+#[derive(Debug)]
+struct GateMeta {
+    name: String,
+    /// Places the gate declares it reads. On an input gate this covers
+    /// the predicate *and* the completion-time update function, and it
+    /// drives the simulator's dependency index (an undeclared read-set
+    /// makes the activity's enablement conservative, revisited after
+    /// every firing). On an output gate it documents what the update
+    /// function depends on and does not enter the index (output gates run
+    /// at completion, not at enablement).
+    reads: ReadSet,
+    /// Places the update function declares it writes. Documentation only:
+    /// the simulator never consults it, and the `stale-write-set` lint
+    /// checks it against observed firings.
+    writes: ReadSet,
+}
+
+/// A gate closure and its gate's [`GateMeta`], boxed together: the box the
+/// closure needs anyway holds the metadata behind the closure's captures,
+/// so a gate adds no allocation for it and a gate inline is only closure
+/// pointers. `repr(C)` keeps the captures, which every call reads, at the
+/// front of the block.
+#[repr(C)]
+struct WithMeta<F> {
+    f: F,
+    meta: GateMeta,
+}
+
+/// Access to the [`GateMeta`] boxed with a gate closure.
+trait HasMeta {
+    fn meta(&self) -> &GateMeta;
+    fn meta_mut(&mut self) -> &mut GateMeta;
+}
+
+impl<F> HasMeta for WithMeta<F> {
+    fn meta(&self) -> &GateMeta {
+        &self.meta
+    }
+    fn meta_mut(&mut self) -> &mut GateMeta {
+        &mut self.meta
+    }
+}
+
+/// An input gate's predicate, with the gate's metadata.
+trait GuardFn: HasMeta {
+    fn holds(&self, marking: &Marking) -> bool;
+}
+
+impl<F: Fn(&Marking) -> bool> GuardFn for WithMeta<F> {
+    fn holds(&self, marking: &Marking) -> bool {
+        (self.f)(marking)
+    }
+}
+
+/// An output gate's update function, with the gate's metadata.
+trait UpdateFn: HasMeta {
+    fn run(&self, marking: &mut Marking, rng: &mut Xoshiro256StarStar);
+}
+
+impl<F: Fn(&mut Marking, &mut Xoshiro256StarStar)> UpdateFn for WithMeta<F> {
+    fn run(&self, marking: &mut Marking, rng: &mut Xoshiro256StarStar) {
+        (self.f)(marking, rng);
+    }
+}
+
+/// Closure `f` paired with a fresh [`GateMeta`] named `name`, nothing
+/// declared yet.
+fn with_meta<F>(name: String, f: F) -> WithMeta<F> {
+    WithMeta {
+        f,
+        meta: GateMeta {
+            name,
+            reads: ReadSet::All,
+            writes: ReadSet::All,
+        },
+    }
+}
 
 /// An input gate: a guard plus a completion-time update.
 pub struct InputGate {
-    pub(crate) name: String,
-    pub(crate) predicate: Predicate,
+    /// The predicate, boxed with the gate's name and declared sets.
+    predicate: Box<dyn GuardFn>,
     pub(crate) function: Option<GateFn>,
-    /// Places the gate declares it reads — the predicate *and* the
-    /// completion-time update function. Drives the simulator's dependency
-    /// index (an undeclared read-set makes the activity's enablement
-    /// conservative, revisited after every firing).
-    pub(crate) reads: ReadSet,
-    /// Places the completion-time update function declares it writes.
-    /// Documentation only: the simulator never consults it, and the
-    /// `stale-write-set` lint checks it against observed firings.
-    pub(crate) writes: ReadSet,
 }
 
 impl std::fmt::Debug for InputGate {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("InputGate")
-            .field("name", &self.name)
+            .field("name", &self.name())
             .field("has_function", &self.function.is_some())
             .finish()
     }
@@ -53,21 +120,14 @@ impl std::fmt::Debug for InputGate {
 
 /// An output gate: a state update executed when its case is chosen.
 pub struct OutputGate {
-    pub(crate) name: String,
-    pub(crate) function: GateFn,
-    /// Places the update function declares it reads. Does not enter the
-    /// dependency index (output gates run at completion, not at enablement)
-    /// but documents what the update function depends on.
-    pub(crate) reads: ReadSet,
-    /// Places the update function declares it writes (documentation; see
-    /// [`InputGate`]).
-    pub(crate) writes: ReadSet,
+    /// The update function, boxed with the gate's name and declared sets.
+    function: Box<dyn UpdateFn>,
 }
 
 impl std::fmt::Debug for OutputGate {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("OutputGate")
-            .field("name", &self.name)
+            .field("name", &self.name())
             .finish()
     }
 }
@@ -76,11 +136,8 @@ impl InputGate {
     /// Creates an input gate with a predicate only (no completion update).
     pub fn guard(name: impl Into<String>, predicate: impl Fn(&Marking) -> bool + 'static) -> Self {
         InputGate {
-            name: name.into(),
-            predicate: Box::new(predicate),
+            predicate: Box::new(with_meta(name.into(), predicate)),
             function: None,
-            reads: ReadSet::All,
-            writes: ReadSet::All,
         }
     }
 
@@ -91,45 +148,56 @@ impl InputGate {
         function: impl Fn(&mut Marking, &mut Xoshiro256StarStar) + 'static,
     ) -> Self {
         InputGate {
-            name: name.into(),
-            predicate: Box::new(predicate),
+            predicate: Box::new(with_meta(name.into(), predicate)),
             function: Some(Box::new(function)),
-            reads: ReadSet::All,
-            writes: ReadSet::All,
         }
+    }
+
+    /// Whether the predicate holds in `marking`.
+    #[inline]
+    pub(crate) fn holds(&self, marking: &Marking) -> bool {
+        self.predicate.holds(marking)
     }
 
     /// Declares the places the gate reads — predicate and update function
     /// together (builder form).
     #[must_use]
     pub fn with_reads(mut self, places: impl IntoIterator<Item = PlaceId>) -> Self {
-        self.reads = ReadSet::Declared(places.into_iter().collect());
+        self.set_reads(ReadSet::Declared(places.into_iter().collect()));
         self
     }
 
     /// Declares the places the update function writes (builder form).
     #[must_use]
     pub fn with_writes(mut self, places: impl IntoIterator<Item = PlaceId>) -> Self {
-        self.writes = ReadSet::Declared(places.into_iter().collect());
+        self.set_writes(ReadSet::Declared(places.into_iter().collect()));
         self
+    }
+
+    pub(crate) fn set_reads(&mut self, reads: ReadSet) {
+        self.predicate.meta_mut().reads = reads;
+    }
+
+    pub(crate) fn set_writes(&mut self, writes: ReadSet) {
+        self.predicate.meta_mut().writes = writes;
     }
 
     /// The gate's declared read-set.
     #[must_use]
     pub fn reads(&self) -> &ReadSet {
-        &self.reads
+        &self.predicate.meta().reads
     }
 
     /// The update function's declared write-set.
     #[must_use]
     pub fn writes(&self) -> &ReadSet {
-        &self.writes
+        &self.predicate.meta().writes
     }
 
     /// Gate name (for diagnostics).
     #[must_use]
     pub fn name(&self) -> &str {
-        &self.name
+        &self.predicate.meta().name
     }
 }
 
@@ -140,43 +208,54 @@ impl OutputGate {
         function: impl Fn(&mut Marking, &mut Xoshiro256StarStar) + 'static,
     ) -> Self {
         OutputGate {
-            name: name.into(),
-            function: Box::new(function),
-            reads: ReadSet::All,
-            writes: ReadSet::All,
+            function: Box::new(with_meta(name.into(), function)),
         }
+    }
+
+    /// Runs the update function on `marking`.
+    #[inline]
+    pub(crate) fn run(&self, marking: &mut Marking, rng: &mut Xoshiro256StarStar) {
+        self.function.run(marking, rng);
     }
 
     /// Declares the places the update function reads (builder form).
     #[must_use]
     pub fn with_reads(mut self, places: impl IntoIterator<Item = PlaceId>) -> Self {
-        self.reads = ReadSet::Declared(places.into_iter().collect());
+        self.set_reads(ReadSet::Declared(places.into_iter().collect()));
         self
     }
 
     /// Declares the places the update function writes (builder form).
     #[must_use]
     pub fn with_writes(mut self, places: impl IntoIterator<Item = PlaceId>) -> Self {
-        self.writes = ReadSet::Declared(places.into_iter().collect());
+        self.set_writes(ReadSet::Declared(places.into_iter().collect()));
         self
+    }
+
+    pub(crate) fn set_reads(&mut self, reads: ReadSet) {
+        self.function.meta_mut().reads = reads;
+    }
+
+    pub(crate) fn set_writes(&mut self, writes: ReadSet) {
+        self.function.meta_mut().writes = writes;
     }
 
     /// The update function's declared read-set.
     #[must_use]
     pub fn reads(&self) -> &ReadSet {
-        &self.reads
+        &self.function.meta().reads
     }
 
     /// The update function's declared write-set.
     #[must_use]
     pub fn writes(&self) -> &ReadSet {
-        &self.writes
+        &self.function.meta().writes
     }
 
     /// Gate name (for diagnostics).
     #[must_use]
     pub fn name(&self) -> &str {
-        &self.name
+        &self.function.meta().name
     }
 }
 
@@ -194,7 +273,7 @@ mod tests {
     fn guard_has_no_function() {
         let g = InputGate::guard("g", |m| m.tokens(crate::PlaceId(0)) > 0);
         assert!(g.function.is_none());
-        assert!((g.predicate)(&marking()));
+        assert!(g.holds(&marking()));
         assert_eq!(g.name(), "g");
     }
 
@@ -203,7 +282,7 @@ mod tests {
         let g = OutputGate::new("og", |m, _rng| m.set(crate::PlaceId(0), 9));
         let mut m = marking();
         let mut rng = Xoshiro256StarStar::seed_from(0);
-        (g.function)(&mut m, &mut rng);
+        g.run(&mut m, &mut rng);
         assert_eq!(m.tokens(crate::PlaceId(0)), 9);
     }
 
@@ -219,9 +298,27 @@ mod tests {
         });
         let mut m = marking();
         let mut rng = Xoshiro256StarStar::seed_from(0);
-        (g.function)(&mut m, &mut rng);
-        (g.function)(&mut m, &mut rng);
+        g.run(&mut m, &mut rng);
+        g.run(&mut m, &mut rng);
         assert_eq!(m.tokens(crate::PlaceId(0)), 2);
+    }
+
+    #[test]
+    fn gates_hold_only_closure_pointers_inline() {
+        let word = std::mem::size_of::<usize>();
+        assert_eq!(std::mem::size_of::<InputGate>(), 4 * word);
+        assert_eq!(std::mem::size_of::<OutputGate>(), 2 * word);
+        let p = crate::PlaceId(0);
+        let g = InputGate::new("ig", |_| true, |_, _| {})
+            .with_reads([p])
+            .with_writes([]);
+        assert_eq!(g.name(), "ig");
+        assert_eq!(g.reads().as_declared(), Some(&[p][..]));
+        assert_eq!(g.writes().as_declared(), Some(&[][..]));
+        let og = OutputGate::new("og", |_, _| {}).with_writes([p]);
+        assert_eq!(og.name(), "og");
+        assert!(!og.reads().is_declared());
+        assert_eq!(og.writes().as_declared(), Some(&[p][..]));
     }
 
     #[test]

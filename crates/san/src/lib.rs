@@ -72,6 +72,7 @@ pub mod builder;
 mod calendar;
 pub mod error;
 pub mod gate;
+mod index;
 pub mod marking;
 pub mod numerical;
 pub mod record;
@@ -81,7 +82,7 @@ pub mod sim;
 pub use activity::{ActivityId, Timing};
 pub use builder::{ActivityBuilder, Model, ModelBuilder};
 pub use error::SanError;
-pub use gate::{GateFn, Predicate};
+pub use gate::GateFn;
 pub use marking::{Marking, PlaceId, ReadSet};
 pub use numerical::{solve_steady_state, solve_transient, CtmcOptions, CtmcSolution};
 pub use record::RecordRef;

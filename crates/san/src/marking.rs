@@ -6,23 +6,35 @@ use std::rc::Rc;
 /// Handle to a place in a model.
 ///
 /// Issued by [`crate::ModelBuilder::place`]; only valid for the model that
-/// created it.
+/// created it. The id is 32 bits wide, which halves what gate closures
+/// capture and what read-sets store; a model holds at most 2^32 places.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct PlaceId(pub(crate) usize);
+pub struct PlaceId(pub(crate) u32);
 
 impl PlaceId {
     /// Index of this place in the marking vector.
     #[must_use]
+    #[inline]
     pub fn index(self) -> usize {
-        self.0
+        self.0 as usize
     }
 
     /// Rebuilds a handle from a raw index (inverse of [`PlaceId::index`]).
     /// Only meaningful for the model whose iteration produced the index —
     /// used by structural analysis tools that store places by position.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` does not fit 32 bits: no model has such a place.
     #[must_use]
     pub fn from_index(index: usize) -> Self {
-        PlaceId(index)
+        PlaceId::checked(index).expect("a place index fits 32 bits")
+    }
+
+    /// The id of the place at `index`, or `None` if `index` does not fit
+    /// 32 bits.
+    pub(crate) fn checked(index: usize) -> Option<Self> {
+        u32::try_from(index).ok().map(PlaceId)
     }
 }
 
@@ -122,7 +134,7 @@ impl Marking {
     /// Number of tokens in `place`.
     #[must_use]
     pub fn tokens(&self, place: PlaceId) -> i64 {
-        self.tokens[place.0]
+        self.tokens[place.index()]
     }
 
     /// Sets `place` to exactly `count` tokens.
@@ -134,11 +146,11 @@ impl Marking {
         assert!(
             count >= 0,
             "cannot set place `{}` to negative marking {count}",
-            self.names[place.0]
+            self.names[place.index()]
         );
-        if self.tokens[place.0] != count {
-            self.tokens[place.0] = count;
-            self.record_touch(place.0);
+        if self.tokens[place.index()] != count {
+            self.tokens[place.index()] = count;
+            self.record_touch(place.index());
         }
     }
 
@@ -148,35 +160,35 @@ impl Marking {
     ///
     /// Panics if the result would be negative.
     pub fn add(&mut self, place: PlaceId, delta: i64) {
-        let new = self.tokens[place.0] + delta;
+        let new = self.tokens[place.index()] + delta;
         assert!(
             new >= 0,
             "place `{}` would go negative: {} + {delta}",
-            self.names[place.0],
-            self.tokens[place.0]
+            self.names[place.index()],
+            self.tokens[place.index()]
         );
         if delta != 0 {
-            self.tokens[place.0] = new;
-            self.record_touch(place.0);
+            self.tokens[place.index()] = new;
+            self.record_touch(place.index());
         }
     }
 
     /// Whether `place` holds at least `count` tokens.
     #[must_use]
     pub fn has(&self, place: PlaceId, count: i64) -> bool {
-        self.tokens[place.0] >= count
+        self.tokens[place.index()] >= count
     }
 
     /// Whether `place` is empty.
     #[must_use]
     pub fn is_empty(&self, place: PlaceId) -> bool {
-        self.tokens[place.0] == 0
+        self.tokens[place.index()] == 0
     }
 
     /// Name of `place` (for diagnostics).
     #[must_use]
     pub fn name(&self, place: PlaceId) -> &str {
-        &self.names[place.0]
+        &self.names[place.index()]
     }
 
     /// Number of places in the model.
@@ -274,6 +286,17 @@ mod tests {
         assert!(m.dirty().is_empty());
         m.set(PlaceId(2), 7);
         assert_eq!(m.dirty(), &[2], "tracking resumes after clear");
+    }
+
+    #[test]
+    fn place_ids_are_32_bits_and_never_truncate() {
+        assert_eq!(std::mem::size_of::<PlaceId>(), 4);
+        let last = u32::MAX as usize;
+        assert_eq!(PlaceId::checked(last), Some(PlaceId(u32::MAX)));
+        assert_eq!(PlaceId::from_index(last).index(), last);
+        assert_eq!(PlaceId::checked(last + 1), None);
+        let past = std::panic::catch_unwind(|| PlaceId::from_index(last + 1));
+        assert!(past.is_err(), "from_index panics instead of truncating");
     }
 
     #[test]

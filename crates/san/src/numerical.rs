@@ -418,8 +418,8 @@ impl Explorer<'_> {
         for &(p, w) in &act.cases[case].output_arcs {
             m.add(p, w);
         }
-        for gate in &mut act.cases[case].output_gates {
-            (gate.function)(&mut m, &mut self.rng);
+        for gate in &act.cases[case].output_gates {
+            gate.run(&mut m, &mut self.rng);
         }
         m
     }

@@ -6,8 +6,9 @@ use crate::activity::{ActivityId, CaseWeights, Timing};
 use crate::builder::Model;
 use crate::calendar::Calendar;
 use crate::error::SanError;
+use crate::index::{DependencyIndex, OrderedSet};
 use crate::marking::{Marking, PlaceId, ReadSet};
-use crate::reward::{ImpulseReward, RateReward, RewardFn, RewardId};
+use crate::reward::{ImpulseReward, RateReward, RewardFn, RewardId, RewardState};
 
 /// Priority offset that makes instantaneous activities preempt timed ones
 /// scheduled at the same instant: an instantaneous activity of priority
@@ -22,6 +23,11 @@ pub struct RunStats {
     pub completions: u64,
     /// Activity activations that were aborted (disabled before completing).
     pub aborts: u64,
+    /// Activities reevaluated after a completion or an external mutation:
+    /// every activity per completion under [`Simulator::set_full_rescan`],
+    /// the dependency index's candidates otherwise. The start-up pass over
+    /// every activity is not counted.
+    pub visits: u64,
 }
 
 /// Executes a [`Model`] according to standard SAN semantics.
@@ -77,16 +83,20 @@ pub struct Simulator {
     /// of every fingerprint.
     gate_rngs: Vec<Xoshiro256StarStar>,
     rate_rewards: Vec<RateReward>,
+    /// Running state of each rate reward, dense and in registration order.
+    reward_state: Vec<RewardState>,
     /// Instant (as `f64`) up to which every rate-reward accumulator has
     /// been advanced. Completions at exactly this instant skip the
     /// accumulator loop: the update would add `0.0 * value`, a bit-exact
     /// no-op for finite reward values.
     reward_clock: f64,
-    /// Per place: rate rewards whose declared read-set contains it,
-    /// ascending (mirror of the model's place → activity index).
-    reward_dependents: Vec<Vec<u32>>,
-    /// Rate rewards with undeclared read-sets — recomputed every firing.
-    reward_conservative: Vec<u32>,
+    /// Place → rate rewards whose declared read-set contains it, and the
+    /// rewards with undeclared read-sets, recomputed after every firing
+    /// (the mirror of the model's place → activity index).
+    reward_index: DependencyIndex,
+    /// Whether a reward registered since `reward_index` was built; the
+    /// next reward pass rebuilds it.
+    reward_index_stale: bool,
     impulse_rewards: Vec<ImpulseReward>,
     /// Guard against models whose instantaneous activities loop forever.
     max_zero_advance: u64,
@@ -94,10 +104,10 @@ pub struct Simulator {
     /// Debug/differential mode: rescan every activity and reward after
     /// every completion instead of using the dependency index.
     full_rescan: bool,
-    /// Scratch: candidate activity indices for incremental reevaluation.
-    eval_scratch: Vec<u32>,
-    /// Scratch: candidate reward indices for incremental recomputation.
-    reward_scratch: Vec<u32>,
+    /// Candidate activities of one incremental reevaluation pass.
+    eval_set: OrderedSet,
+    /// Candidate rate rewards of one incremental recomputation pass.
+    reward_set: OrderedSet,
     /// Scratch buffer for dynamic case weights (reused across completions).
     weight_scratch: Vec<f64>,
     stats: RunStats,
@@ -141,15 +151,16 @@ impl Simulator {
             case_rngs: (0..n).map(|i| streams.stream(20_000 + i as u64)).collect(),
             gate_rngs: (0..n).map(|i| streams.stream(30_000 + i as u64)).collect(),
             rate_rewards: Vec::new(),
+            reward_state: Vec::new(),
             reward_clock: 0.0,
-            reward_dependents: vec![Vec::new(); model.num_places()],
-            reward_conservative: Vec::new(),
+            reward_index: DependencyIndex::default(),
+            reward_index_stale: true,
             impulse_rewards: Vec::new(),
             max_zero_advance: 1_000_000,
             started: false,
             full_rescan: false,
-            eval_scratch: Vec::new(),
-            reward_scratch: Vec::new(),
+            eval_set: OrderedSet::with_bound(n),
+            reward_set: OrderedSet::default(),
             weight_scratch: Vec::new(),
             stats: RunStats::default(),
             model,
@@ -242,30 +253,21 @@ impl Simulator {
         )
     }
 
-    fn push_rate_reward(&mut self, name: String, f: RewardFn, reads: ReadSet) -> RewardId {
+    fn push_rate_reward(&mut self, name: String, f: RewardFn, mut reads: ReadSet) -> RewardId {
         let id = self.rate_rewards.len();
-        match &reads {
-            ReadSet::All => self.reward_conservative.push(id as u32),
-            ReadSet::Declared(places) => {
-                let mut places: Vec<usize> = places.iter().map(|p| p.index()).collect();
-                places.sort_unstable();
-                places.dedup();
-                for p in places {
-                    self.reward_dependents[p].push(id as u32);
-                }
-            }
+        if let ReadSet::Declared(places) = &mut reads {
+            places.sort_unstable();
+            places.dedup();
         }
         let current = f(&self.marking);
         let mut acc = vsched_stats::TimeWeighted::new(self.time.as_f64());
         // If registered mid-run, the accumulator starts "now"; if registered
         // before the first event it starts at zero — both are correct.
         acc.reset(self.time.as_f64());
-        self.rate_rewards.push(RateReward {
-            name,
-            f,
-            acc,
-            current,
-        });
+        self.reward_state.push(RewardState { acc, current });
+        self.rate_rewards.push(RateReward { name, f, reads });
+        self.reward_index_stale = true;
+        self.reward_set.raise_bound(id + 1);
         RewardId(id)
     }
 
@@ -294,7 +296,7 @@ impl Simulator {
     /// this simulator.
     #[must_use]
     pub fn rate_reward_average(&self, id: RewardId) -> f64 {
-        self.rate_rewards[id.0].acc.time_average()
+        self.reward_state[id.0].acc.time_average()
     }
 
     /// Name of a rate reward.
@@ -331,9 +333,9 @@ impl Simulator {
     pub fn reset_rewards(&mut self) {
         let now = self.time.as_f64();
         self.reward_clock = now;
-        for r in &mut self.rate_rewards {
-            r.acc.reset(now);
-            r.current = (r.f)(&self.marking);
+        for (r, state) in self.rate_rewards.iter().zip(&mut self.reward_state) {
+            state.acc.reset(now);
+            state.current = (r.f)(&self.marking);
         }
         for r in &mut self.impulse_rewards {
             r.total = 0.0;
@@ -384,6 +386,7 @@ impl Simulator {
         Ok(RunStats {
             completions: self.stats.completions - before.completions,
             aborts: self.stats.aborts - before.aborts,
+            visits: self.stats.visits - before.visits,
         })
     }
 
@@ -418,8 +421,8 @@ impl Simulator {
         self.time = self.time.max(t_end);
         let now = self.time.as_f64();
         if now > self.reward_clock {
-            for r in &mut self.rate_rewards {
-                r.acc.update(now, r.current);
+            for state in &mut self.reward_state {
+                state.acc.update(now, state.current);
             }
             self.reward_clock = now;
         }
@@ -492,8 +495,8 @@ impl Simulator {
         // rounds to `-0.0`), so the whole loop is skipped.
         let now = self.time.as_f64();
         if now > self.reward_clock {
-            for r in &mut self.rate_rewards {
-                r.acc.update(now, r.current);
+            for state in &mut self.reward_state {
+                state.acc.update(now, state.current);
             }
             self.reward_clock = now;
         }
@@ -535,7 +538,7 @@ impl Simulator {
         }
         // 5. Output gate functions of the chosen case.
         for gate in &act.cases[case_idx].output_gates {
-            (gate.function)(&mut self.marking, gate_rng);
+            gate.run(&mut self.marking, gate_rng);
         }
 
         // Impulse rewards observe the post-completion marking.
@@ -557,25 +560,36 @@ impl Simulator {
     /// zero time has elapsed (a bit-exact no-op), and both modes share
     /// that rule, so the accumulation grouping stays identical between
     /// modes.
+    ///
+    /// The incremental pass builds the reward index on its first run and
+    /// rebuilds it after a reward registers, so a reward added mid-run is
+    /// indexed before its first recomputation. When no dirty place has a
+    /// reward reader and no reward is conservative, nothing is inserted
+    /// and the drain finds the set empty at once.
     fn recompute_rewards(&mut self) {
         if self.full_rescan {
-            for r in &mut self.rate_rewards {
-                r.current = (r.f)(&self.marking);
+            for (r, state) in self.rate_rewards.iter().zip(&mut self.reward_state) {
+                state.current = (r.f)(&self.marking);
             }
-        } else {
-            self.reward_scratch.clear();
-            for &p in self.marking.dirty() {
-                self.reward_scratch
-                    .extend_from_slice(&self.reward_dependents[p]);
+            return;
+        }
+        if self.reward_index_stale {
+            self.reward_index = DependencyIndex::build(
+                self.model.num_places(),
+                self.rate_rewards.iter().map(|r| r.reads.as_declared()),
+            );
+            self.reward_index_stale = false;
+        }
+        for &p in self.marking.dirty() {
+            for &ri in self.reward_index.dependents(p) {
+                self.reward_set.insert(ri as usize);
             }
-            self.reward_scratch
-                .extend_from_slice(&self.reward_conservative);
-            self.reward_scratch.sort_unstable();
-            self.reward_scratch.dedup();
-            for &ri in &self.reward_scratch {
-                let r = &mut self.rate_rewards[ri as usize];
-                r.current = (r.f)(&self.marking);
-            }
+        }
+        for &ri in &self.reward_index.conservative {
+            self.reward_set.insert(ri as usize);
+        }
+        while let Some(ri) = self.reward_set.pop_first() {
+            self.reward_state[ri].current = (self.rate_rewards[ri].f)(&self.marking);
         }
     }
 
@@ -599,23 +613,25 @@ impl Simulator {
             for idx in 0..self.model.activities.len() {
                 self.reevaluate_one(idx);
             }
+            self.stats.visits += self.model.activities.len() as u64;
             return;
         }
-        let mut cand = std::mem::take(&mut self.eval_scratch);
-        cand.clear();
+        let index = &self.model.enable_index;
         for &p in self.marking.dirty() {
-            cand.extend_from_slice(self.model.enable_index.dependents(p));
+            for &idx in index.dependents(p) {
+                self.eval_set.insert(idx as usize);
+            }
         }
-        cand.extend_from_slice(&self.model.enable_index.conservative);
+        for &idx in &index.conservative {
+            self.eval_set.insert(idx as usize);
+        }
         if let Some(fired) = fired {
-            cand.push(fired as u32);
+            self.eval_set.insert(fired);
         }
-        cand.sort_unstable();
-        cand.dedup();
-        for &idx in &cand {
-            self.reevaluate_one(idx as usize);
+        while let Some(idx) = self.eval_set.pop_first() {
+            self.stats.visits += 1;
+            self.reevaluate_one(idx);
         }
-        self.eval_scratch = cand;
     }
 
     /// The per-activity body of [`Simulator::reevaluate`].
@@ -727,7 +743,7 @@ impl Model {
         }
         // 5. Output gate functions of the chosen case.
         for gate in &spec.cases[case_idx].output_gates {
-            (gate.function)(marking, rng);
+            gate.run(marking, rng);
         }
         Some(case_idx)
     }
@@ -796,7 +812,7 @@ impl Model {
             marking.add(p, w);
         }
         for gate in &spec.cases[case].output_gates {
-            (gate.function)(marking, rng);
+            gate.run(marking, rng);
         }
     }
 }
@@ -1324,7 +1340,8 @@ mod tests {
             inc.run_until(horizon).unwrap();
             full.run_until(horizon).unwrap();
             assert_eq!(inc.marking().as_slice(), full.marking().as_slice());
-            assert_eq!(inc.stats(), full.stats());
+            let work = |s: RunStats| (s.completions, s.aborts);
+            assert_eq!(work(inc.stats()), work(full.stats()));
             assert_eq!(
                 inc.rate_reward_average(r_inc).to_bits(),
                 full.rate_reward_average(r_full).to_bits(),
@@ -1332,6 +1349,31 @@ mod tests {
             );
         }
         assert!(inc.stats().completions > 50, "model actually ran");
+    }
+
+    #[test]
+    fn a_reward_registered_mid_run_matches_full_rescan() {
+        // The incremental reward index is built lazily: a declared reward
+        // registered after events have fired must be indexed before the
+        // next completion, or its signal would freeze at its first value.
+        let run = |full: bool| {
+            let mut sim = Simulator::new(mixed_model(), 99);
+            sim.set_full_rescan(full);
+            let queue = sim.model().place_by_name("queue").unwrap();
+            let served = sim.model().place_by_name("served").unwrap();
+            let early =
+                sim.add_rate_reward_with_reads("q", [queue], move |m| m.tokens(queue) as f64);
+            sim.run_until(20.0).unwrap();
+            assert!(sim.stats().completions > 10, "events fired before");
+            let late = sim
+                .add_rate_reward_with_reads("served", [served], move |m| m.tokens(served) as f64);
+            let at_registration = sim.marking().tokens(served);
+            sim.run_until(200.0).unwrap();
+            let average = sim.rate_reward_average(late);
+            assert_ne!(average, at_registration as f64, "the signal moved");
+            [early, late].map(|r| sim.rate_reward_average(r).to_bits())
+        };
+        assert_eq!(run(false), run(true));
     }
 
     #[test]

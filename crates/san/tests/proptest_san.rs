@@ -100,6 +100,12 @@ proptest! {
     /// So is a run paused at a breakpoint on a drawn activity
     /// (`run_until_break`) and then resumed to the horizon.
     ///
+    /// The drawn 8-activity block is replicated `blocks` times, each copy
+    /// over its own `n` places and feeding the next copy's, with three
+    /// rate rewards per place (declared, undeclared, and declared with a
+    /// duplicate). At 16 blocks the activity and reward indices pass 128,
+    /// so the candidate sets span three 64-bit words.
+    ///
     /// Zero-delay work spends one `fuel` token per completion, and only a
     /// timed `refuel` activity adds fuel, so no cascade runs forever. The
     /// instantaneous priorities straddle `-1_000_000`, where they tie with
@@ -107,6 +113,7 @@ proptest! {
     #[test]
     fn incremental_is_bit_identical_to_full_rescan(
         n in 2usize..5,
+        blocks in 1usize..17,
         init in proptest::collection::vec(0i64..4, 5),
         means in proptest::collection::vec(0.3f64..3.0, 8),
         wiring in proptest::collection::vec(0usize..10_000, 8),
@@ -114,60 +121,64 @@ proptest! {
         timing in proptest::collection::vec(0u8..6, 8),
         seed in 0u64..200,
         horizon in 5.0f64..80.0,
-        stop in 0usize..8,
+        stop in 0usize..128,
     ) {
         const PRIORITIES: [i32; 5] = [-1_000_001, -1_000_000, -999_999, 0, 7];
         let build = || {
             let mut mb = ModelBuilder::new();
-            let places: Vec<PlaceId> = (0..n)
-                .map(|i| mb.place(&format!("p{i}"), init[i]).unwrap())
+            let places: Vec<PlaceId> = (0..n * blocks)
+                .map(|j| mb.place(&format!("p{j}"), init[j % n]).unwrap())
                 .collect();
             let fuel = mb.place("fuel", init[4]).unwrap();
-            for (i, &mean) in means.iter().enumerate() {
-                let src = places[wiring[i] % n];
-                let dst = places[(wiring[i] / n) % n];
-                let gp = places[(wiring[i] / (n * n)) % n];
-                let wp = places[(wiring[i] / 7) % n];
-                let a = mb.activity(&format!("a{i}")).unwrap();
-                let mut a = match timing[i] {
-                    0..=2 => a.timed(Dist::exponential(mean).unwrap()),
-                    3 => a.timed(Dist::deterministic(0.0).unwrap()).input_arc(fuel, 1),
-                    _ => a
-                        .instantaneous(PRIORITIES[wiring[i] % PRIORITIES.len()])
-                        .input_arc(fuel, 1),
-                };
-                a = a
-                    .input_arc(src, 1)
-                    .guard("below_cap", move |m| m.tokens(gp) <= 2);
-                if declare[i] {
-                    a = a.reads([gp]);
-                }
-                if timing[i] <= 3 && wiring[i].is_multiple_of(3) {
-                    a = a.rate_multiplier(move |m| 1.0 + m.tokens(gp) as f64);
+            for b in 0..blocks {
+                let own = |x: usize| places[b * n + x % n];
+                let next = |x: usize| places[(b + 1) % blocks * n + x % n];
+                for (i, &mean) in means.iter().enumerate() {
+                    let src = own(wiring[i]);
+                    let dst = next(wiring[i] / n);
+                    let gp = own(wiring[i] / (n * n));
+                    let wp = own(wiring[i] / 7);
+                    let a = mb.activity(&format!("b{b}a{i}")).unwrap();
+                    let mut a = match timing[i] {
+                        0..=2 => a.timed(Dist::exponential(mean).unwrap()),
+                        3 => a.timed(Dist::deterministic(0.0).unwrap()).input_arc(fuel, 1),
+                        _ => a
+                            .instantaneous(PRIORITIES[wiring[i] % PRIORITIES.len()])
+                            .input_arc(fuel, 1),
+                    };
+                    a = a
+                        .input_arc(src, 1)
+                        .guard("below_cap", move |m| m.tokens(gp) <= 2);
                     if declare[i] {
                         a = a.reads([gp]);
                     }
+                    if timing[i] <= 3 && wiring[i].is_multiple_of(3) {
+                        a = a.rate_multiplier(move |m| 1.0 + m.tokens(gp) as f64);
+                        if declare[i] {
+                            a = a.reads([gp]);
+                        }
+                    }
+                    if wiring[i] % 4 == 1 {
+                        // Two cases under dynamic weights; the second case
+                        // routes through an output gate instead of an arc.
+                        a = a
+                            .case(1.0)
+                            .output_arc(dst, 1)
+                            .case(1.0)
+                            .output_gate("stash", move |m, _rng| {
+                                let t = m.tokens(gp);
+                                m.set(gp, t); // read-modify-write, no net change
+                                m.add(dst, 1);
+                            })
+                            .dynamic_case_weights_into(move |m, out| {
+                                out.push(1.0 + m.tokens(wp) as f64);
+                                out.push(1.0);
+                            });
+                    } else {
+                        a = a.output_arc(dst, 1);
+                    }
+                    a.done().unwrap();
                 }
-                if wiring[i] % 4 == 1 {
-                    // Two cases under dynamic weights; the second case
-                    // routes through an output gate instead of an arc.
-                    a = a
-                        .case(1.0)
-                        .output_arc(dst, 1)
-                        .case(1.0)
-                        .output_gate("stash", move |m, _rng| {
-                            let t = m.tokens(gp);
-                            m.set(gp, t); // read-modify-write, no net change
-                            m.add(dst, 1);
-                        })
-                        .dynamic_case_weights_into(move |m, out| {
-                            out.push(1.0 + m.tokens(wp) as f64);
-                            out.push(1.0);
-                        });
-                } else {
-                    a = a.output_arc(dst, 1);
-                }
-                a.done().unwrap();
             }
             mb.activity("refuel")
                 .unwrap()
@@ -179,26 +190,27 @@ proptest! {
         };
         let run = |full: bool, stop: Option<usize>| {
             let model = build();
-            let ps: Vec<PlaceId> = (0..n)
-                .map(|i| model.place_by_name(&format!("p{i}")).unwrap())
+            let ps: Vec<PlaceId> = (0..n * blocks)
+                .map(|j| model.place_by_name(&format!("p{j}")).unwrap())
                 .collect();
             let mut sim = Simulator::new(model, seed);
-            let rids: Vec<_> = ps
-                .iter()
-                .enumerate()
-                .map(|(i, &p)| {
-                    if i % 2 == 0 {
-                        sim.add_rate_reward_with_reads(format!("r{i}"), [p], move |m| {
-                            m.tokens(p) as f64
-                        })
-                    } else {
-                        sim.add_rate_reward(format!("r{i}"), move |m| m.tokens(p) as f64)
-                    }
-                })
-                .collect();
+            let mut rids = Vec::new();
+            for (j, &p) in ps.iter().enumerate() {
+                let q = ps[(j + 1) % ps.len()];
+                rids.push(sim.add_rate_reward_with_reads(format!("r{j}"), [p], move |m| {
+                    m.tokens(p) as f64
+                }));
+                rids.push(sim.add_rate_reward(format!("r{j}_all"), move |m| m.tokens(p) as f64));
+                rids.push(sim.add_rate_reward_with_reads(
+                    format!("r{j}_pair"),
+                    [q, p, q],
+                    move |m| (m.tokens(p) * m.tokens(q)) as f64,
+                ));
+            }
             sim.set_full_rescan(full);
             if let Some(k) = stop {
-                let act = sim.model().activity_by_name(&format!("a{k}")).unwrap();
+                let name = format!("b{}a{}", k / 8 % blocks, k % 8);
+                let act = sim.model().activity_by_name(&name).unwrap();
                 if sim.run_until_break(horizon, act).unwrap() {
                     assert!(sim.time().as_f64() <= horizon, "paused inside the window");
                 }
@@ -208,7 +220,14 @@ proptest! {
                 .iter()
                 .map(|&r| sim.rate_reward_average(r).to_bits())
                 .collect();
-            (sim.marking().as_slice().to_vec(), sim.stats(), rewards)
+            // Visits differ between the modes by design; the work done
+            // (completions and aborts) must not.
+            let stats = sim.stats();
+            (
+                sim.marking().as_slice().to_vec(),
+                (stats.completions, stats.aborts),
+                rewards,
+            )
         };
         let reference = run(false, None);
         prop_assert_eq!(&reference, &run(true, None));

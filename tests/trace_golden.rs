@@ -125,9 +125,10 @@ fn churn_1000vm_fixture_compiles_at_scale() {
 /// 400 ticks of the churn fixture, one replication, pinned to the
 /// fingerprints `perfbench/references.json` records for the
 /// `churn_direct` and `churn_san` workloads. The SAN run also pins its
-/// exact work, the `san.completions` and `san.aborts` perfbench reports:
-/// an engine change that keeps every metric bit can still not change
-/// how many activities complete or abort on the way.
+/// exact work, the `san.completions` and `san.aborts` perfbench reports
+/// and the reevaluation visits behind them: an engine change that keeps
+/// every metric bit can still not change how many activities complete,
+/// abort or get reevaluated on the way.
 #[test]
 fn churn_1000vm_prefix_matches_benchmark_references() {
     let schedule = load_standard(Path::new(FIXTURE_1000)).expect("1000-VM fixture compiles");
@@ -154,7 +155,10 @@ fn churn_1000vm_prefix_matches_benchmark_references() {
         panic!("a SAN build")
     };
     let stats = s.simulator().stats();
-    assert_eq!((stats.completions, stats.aborts), (1_825_892, 176));
+    assert_eq!(
+        (stats.completions, stats.aborts, stats.visits),
+        (1_825_892, 176, 5_274_609)
+    );
 }
 
 #[test]
