@@ -173,7 +173,6 @@ mod tests {
             "fixture:stale-bound",
             &model,
             &VerifyHooks::default(),
-            &[],
             &VerifyOpts {
                 horizon: 3,
                 ..VerifyOpts::default()

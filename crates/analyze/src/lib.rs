@@ -21,12 +21,11 @@
 //! * **Policy lints** — `invalid-policy-params`, `invalid-decision`,
 //!   `undeclared-field-read`, `inert-policy`, checked against the static
 //!   contract surface of [`vsched_core::sched`] ([`policy_pass`]);
-//! * **Exhaustive verification** — explicit-state reachability with
-//!   VM-rotation symmetry reduction, proving invariant catalogues,
-//!   deadlock-freedom, exact place bounds and exact activity liveness
-//!   with concretely replayable counterexamples ([`verify_pass`]);
-//!   its exact results are cross-checked against the structural pass
-//!   (`stale-bound`).
+//! * **Exhaustive verification** — explicit-state reachability proving
+//!   invariant catalogues, deadlock-freedom, exact place bounds and exact
+//!   activity liveness with concretely replayable counterexamples
+//!   ([`verify_pass`]); its exact results are cross-checked against the
+//!   structural pass (`stale-bound`).
 //!
 //! The catalogue with per-lint rationale lives in [`lints::CATALOGUE`];
 //! `vsched lint` is the CLI frontend and DESIGN.md §12 the narrative
@@ -48,8 +47,8 @@ pub use lints::{Certificate, Diagnostic, LintDef, LintReport, Severity, CATALOGU
 pub use model_pass::{analyze_model, semiflow_bounds};
 pub use policy_pass::lint_policy;
 pub use verify_pass::{
-    cross_check, replay_trace, verify_model, Counterexample, StateRotation, TraceStep, VerifyHooks,
-    VerifyOpts, VerifyOutcome, VerifyReport,
+    cross_check, replay_trace, verify_model, Counterexample, TraceStep, VerifyHooks, VerifyOpts,
+    VerifyOutcome, VerifyReport,
 };
 
 use vsched_core::san_model::{build_analysis_model, expected_invariants};

@@ -8,33 +8,32 @@
 //!   every activity of the top enabled priority is fired in every order
 //!   (the engine's declaration-order tie-break is one interleaving of the
 //!   set explored here), every probabilistic case with positive weight is
-//!   followed, and every stochastic gate is probed under
-//!   [`VerifyOpts::seeds_per_edge`] deterministic RNG streams;
+//!   followed, and every stochastic gate is probed under one deterministic
+//!   RNG stream derived from [`VerifyOpts::seed`];
 //! * **timed activities are abstracted to enabled-set successors** — each
-//!   enabled timed activity contributes one successor branch per
-//!   seed/case, ignoring durations; a layer of the search is one timed
-//!   firing ("tick" for the paper model, whose only timed activity is the
+//!   enabled timed activity contributes one successor branch per case,
+//!   ignoring durations; a layer of the search is one timed firing
+//!   ("tick" for the paper model, whose only timed activity is the
 //!   period-1 `Clock`).
 //!
-//! States are deduplicated on a canonical key: the flat marking, the
+//! States are deduplicated on their own encoding: the flat marking, the
 //! embedded policy's [`PolicyState`] encoding, and the checker's auxiliary
-//! vector, minimized over the supplied [`StateRotation`] group (VM
-//! rotations of the paper model). Every stored state was first reached by
-//! a *concrete* firing sequence from its parent, so counterexample traces
-//! replay verbatim even when the quotient is active — symmetry only
-//! prunes duplicates, it never fabricates representatives.
+//! vector. Every stored state was first reached by a concrete firing
+//! sequence from its parent, so counterexample traces replay verbatim.
 //!
 //! On the explored graph the pass proves, as named certificates:
 //! per-edge invariants supplied by [`VerifyHooks::edge_check`] (the
 //! runtime checker's seven-invariant catalogue when driven from
 //! `vsched-check`), deadlock-freedom (no reachable dead marking before
 //! the horizon), exact per-place token bounds, and exact activity
-//! liveness (the `never-enabled` heuristic promoted to a verdict).
+//! liveness (the `never-enabled` heuristic promoted to a verdict). Bounds
+//! and liveness are folded over the markings the search visited, and
+//! nothing else.
 //! [`cross_check`] compares the exact results against the structural
 //! bounds and bounded-walk coverage of [`crate::model_pass`] and raises
-//! `stale-bound` where they disagree. A model with unbounded stochastic
-//! branching is explored up to the seed budget — for fully deterministic
-//! models (the verifier's intended diet) the exploration is exhaustive.
+//! `stale-bound` where they disagree. A stochastic gate is explored under
+//! its one probe stream only — for fully deterministic models (the
+//! verifier's intended diet) the exploration is exhaustive.
 
 use std::collections::{HashMap, HashSet};
 
@@ -51,20 +50,15 @@ pub struct VerifyOpts {
     /// Timed layers to explore (clock ticks for the paper model). States
     /// at the horizon are recorded but not expanded.
     pub horizon: u64,
-    /// Cap on stored canonical states; exceeding it makes the run
-    /// inconclusive rather than silently partial.
+    /// Cap on stored states; exceeding it makes the run inconclusive
+    /// rather than silently partial.
     pub max_states: usize,
-    /// Whether to quotient the state space by the supplied rotations.
-    pub symmetry: bool,
-    /// Deterministic RNG streams probed per firing. One suffices for
-    /// RNG-free models; more sample stochastic gates more widely.
-    pub seeds_per_edge: usize,
-    /// Base seed every probe stream is derived from.
+    /// Base seed the probe stream of every firing is derived from.
     pub seed: u64,
-    /// Record every visited marking (rotated images included) in
-    /// [`VerifyReport::visited_markings`]. Off by default — the set can
-    /// dwarf the canonical store — and used by coverage cross-checks that
-    /// compare bounded walks against the exhaustive visit set.
+    /// Record every visited marking in [`VerifyReport::visited_markings`].
+    /// Off by default — the set can dwarf the state store — and used by
+    /// coverage cross-checks that compare bounded walks against the
+    /// exhaustive visit set.
     pub record_markings: bool,
 }
 
@@ -73,37 +67,15 @@ impl Default for VerifyOpts {
         VerifyOpts {
             horizon: 16,
             max_states: 200_000,
-            symmetry: true,
-            seeds_per_edge: 1,
             seed: 0x5EED,
             record_markings: false,
         }
     }
 }
 
-/// One symmetry of the model, compiled to concrete actions on each state
-/// component. The verifier applies all three components together — a
-/// rotation must describe the *same* group element on markings, policy
-/// snapshots, and the auxiliary vector.
-pub struct StateRotation {
-    /// The marking permutation (id-valued places already remapped).
-    pub apply_marking: MarkingMap,
-    /// VCPU shift of the group element (for policy/aux rotation).
-    pub vcpu_shift: usize,
-    /// VCPU count (modulus of the VCPU action).
-    pub num_vcpus: usize,
-    /// VM shift of the group element.
-    pub vm_shift: usize,
-    /// VM count (modulus of the VM action).
-    pub num_vms: usize,
-}
-
 /// Outcome of an edge or initial-state check: the successor's auxiliary
 /// vector, or `(certificate name, detail)` on violation.
 pub type CheckOutcome = Result<Vec<u64>, (String, String)>;
-
-/// A compiled marking permutation: input marking in, permuted marking out.
-pub type MarkingMap = Box<dyn Fn(&[i64]) -> Vec<i64>>;
 
 /// Restores a policy snapshot before a probe firing; `false` = rejected.
 pub type PolicyLoader<'a> = Box<dyn Fn(&PolicyState) -> bool + 'a>;
@@ -203,27 +175,21 @@ pub struct VerifyReport {
     pub outcome: Option<VerifyOutcome>,
     /// Horizon the run used.
     pub horizon: u64,
-    /// Non-trivial rotations the quotient used (0 = symmetry off or none).
-    pub rotations_used: usize,
-    /// Canonical states stored.
+    /// States stored.
     pub states_stored: usize,
     /// Successor states generated before deduplication.
     pub states_generated: usize,
     /// Markings visited, including instantaneous-cascade transients.
     pub markings_seen: usize,
     /// Per-place maximum token count over every visited marking (cascade
-    /// transients included; closed under the rotation group). Exact when
-    /// the rotations are reach-set automorphisms; a rotation that only
-    /// fixes the net structure — not the coupled policy/dispatch dynamics
-    /// — may credit orbit images the concrete dynamics never reach,
-    /// making this a sound over-approximation instead.
+    /// transients included).
     pub place_bounds: Vec<i64>,
     /// Exact per-activity liveness: was the activity enabled at any
-    /// visited marking (closed under the rotation group)?
+    /// visited marking?
     pub enabled_ever: Vec<bool>,
-    /// Every visited marking, rotated images included — present only when
-    /// [`VerifyOpts::record_markings`] is set. Coverage cross-checks use
-    /// this to prove bounded walks visit a subset of the reachable space.
+    /// Every visited marking — present only when [`VerifyOpts::record_markings`]
+    /// is set. Coverage cross-checks use this to prove bounded walks visit
+    /// a subset of the reachable space.
     pub visited_markings: Option<HashSet<Vec<i64>>>,
     /// Named certificates, most specific first.
     pub certificates: Vec<Certificate>,
@@ -247,7 +213,6 @@ impl VerifyReport {
             "target": self.target.clone(),
             "outcome": self.outcome().as_str(),
             "horizon": self.horizon,
-            "rotations_used": self.rotations_used,
             "states_stored": self.states_stored,
             "states_generated": self.states_generated,
             "markings_seen": self.markings_seen,
@@ -318,14 +283,13 @@ impl VerifyReport {
         let _ = writeln!(
             out,
             "verify {}: {} — {} states stored ({} generated, {} markings seen), \
-             horizon {}, {} rotations",
+             horizon {}",
             self.target,
             self.outcome().as_str().to_uppercase(),
             self.states_stored,
             self.states_generated,
             self.markings_seen,
             self.horizon,
-            self.rotations_used,
         );
         if let Some(reason) = &self.inconclusive {
             let _ = writeln!(out, "  inconclusive: {reason}");
@@ -360,7 +324,7 @@ impl VerifyReport {
     }
 }
 
-/// One stored canonical state with its concrete discovery path.
+/// One stored state with its concrete discovery path.
 struct StoredState {
     marking: Vec<i64>,
     policy: Option<PolicyState>,
@@ -373,59 +337,28 @@ struct StoredState {
 }
 
 /// Exploration statistics shared across every visited marking.
-struct Stats<'r> {
+struct Stats {
     bounds: Vec<i64>,
     enabled_ever: Vec<bool>,
     markings_seen: usize,
-    rotations: &'r [StateRotation],
-    /// Scratch marking for rotated-image enablement probes.
-    scratch: Marking,
-    /// Visit set (rotated images included), when recording is requested.
+    /// Visit set, when recording is requested.
     visited: Option<HashSet<Vec<i64>>>,
 }
 
-impl Stats<'_> {
-    /// Folds one visited marking into the exact place bounds, including
-    /// every rotated image (states the quotient never visits concretely).
-    fn note_marking(&mut self, m: &[i64]) {
+impl Stats {
+    /// Folds one visited marking into the place bounds and the activity
+    /// liveness verdicts.
+    fn note_marking(&mut self, model: &Model, m: &Marking) {
         self.markings_seen += 1;
-        for (b, &t) in self.bounds.iter_mut().zip(m) {
+        for (b, &t) in self.bounds.iter_mut().zip(m.as_slice()) {
             *b = (*b).max(t);
         }
         if let Some(visited) = &mut self.visited {
-            visited.insert(m.to_vec());
+            visited.insert(m.as_slice().to_vec());
         }
-        for rot in self.rotations {
-            let im = (rot.apply_marking)(m);
-            for (b, &t) in self.bounds.iter_mut().zip(&im) {
-                *b = (*b).max(t);
-            }
-            if let Some(visited) = &mut self.visited {
-                visited.insert(im);
-            }
-        }
-    }
-
-    /// Records enablement at `m`, then closes the verdict under the
-    /// rotation group for activities still unseen.
-    fn note_enabled(&mut self, model: &Model, m: &Marking) {
         for (id, spec) in model.activities() {
             if !self.enabled_ever[id.index()] && spec.enabled(m) {
                 self.enabled_ever[id.index()] = true;
-            }
-        }
-        if self.rotations.is_empty() || self.enabled_ever.iter().all(|&e| e) {
-            return;
-        }
-        for rot in self.rotations {
-            let im = (rot.apply_marking)(m.as_slice());
-            for (p, &t) in im.iter().enumerate() {
-                self.scratch.set(place_at(p), t);
-            }
-            for (id, spec) in model.activities() {
-                if !self.enabled_ever[id.index()] && spec.enabled(&self.scratch) {
-                    self.enabled_ever[id.index()] = true;
-                }
             }
         }
     }
@@ -435,23 +368,19 @@ impl Stats<'_> {
 struct Abort(String);
 
 /// Exhaustively explores `model` up to the horizon and proves the
-/// certificate catalogue on the result. `rotations` supply the symmetry
-/// quotient (pass an empty slice, or set [`VerifyOpts::symmetry`] off, to
-/// disable it); hooks bind policy snapshots and per-edge checks.
+/// certificate catalogue on the result; hooks bind policy snapshots and
+/// per-edge checks.
 #[must_use]
 pub fn verify_model(
     target: &str,
     model: &Model,
     hooks: &VerifyHooks,
-    rotations: &[StateRotation],
     opts: &VerifyOpts,
 ) -> VerifyReport {
     let num_places = model.num_places();
-    let active_rotations: &[StateRotation] = if opts.symmetry { rotations } else { &[] };
     let mut report = VerifyReport {
         target: target.to_string(),
         horizon: opts.horizon,
-        rotations_used: active_rotations.len(),
         place_bounds: vec![0; num_places],
         enabled_ever: vec![false; model.num_activities()],
         ..VerifyReport::default()
@@ -460,13 +389,12 @@ pub fn verify_model(
         bounds: vec![0; num_places],
         enabled_ever: vec![false; model.num_activities()],
         markings_seen: 0,
-        rotations: active_rotations,
-        scratch: model.initial_marking(),
         visited: opts.record_markings.then(HashSet::new),
     };
+    let seed = probe_seed(opts.seed);
 
     let mut states: Vec<StoredState> = Vec::new();
-    let mut canon: HashMap<Vec<i64>, usize> = HashMap::new();
+    let mut seen: HashMap<Vec<i64>, usize> = HashMap::new();
     let mut generated = 0usize;
     // First counterexample per certificate name, in discovery order.
     let mut counterexamples: Vec<Counterexample> = Vec::new();
@@ -494,7 +422,7 @@ pub fn verify_model(
             };
             insert_state(
                 &mut states,
-                &mut canon,
+                &mut seen,
                 StoredState {
                     marking: m,
                     policy: pol,
@@ -503,7 +431,6 @@ pub fn verify_model(
                     parent: usize::MAX,
                     steps,
                 },
-                active_rotations,
             );
         }
 
@@ -546,56 +473,52 @@ pub fn verify_model(
             }
 
             for act in timed {
-                for k in 0..opts.seeds_per_edge.max(1) {
-                    let seed = probe_seed(opts.seed, k);
-                    let fired = fire_cases(model, hooks, &m, &src_policy, act, seed)?;
-                    for (m2, pol2, case) in fired {
-                        let step = TraceStep {
-                            activity: act.index(),
-                            name: model.activity(act).name().to_string(),
-                            case,
-                            seed,
-                            timed: true,
-                            tick: dst_tick,
+                let fired = fire_cases(model, hooks, &m, &src_policy, act, seed)?;
+                for (m2, pol2, case) in fired {
+                    let step = TraceStep {
+                        activity: act.index(),
+                        name: model.activity(act).name().to_string(),
+                        case,
+                        seed,
+                        timed: true,
+                        tick: dst_tick,
+                    };
+                    let stable = cascade(model, hooks, &m2, &pol2, dst_tick, opts, &mut stats)?;
+                    for (dst, pol_dst, mut steps) in stable {
+                        generated += 1;
+                        steps.insert(0, step.clone());
+                        let aux = match hooks
+                            .edge_check
+                            .as_ref()
+                            .map(|f| f(dst_tick, &src_marking, &dst, &src_aux))
+                        {
+                            None => Vec::new(),
+                            Some(Ok(aux)) => aux,
+                            Some(Err((name, detail))) => {
+                                let mut trace = trace_to(&states, id);
+                                trace.extend(steps.clone());
+                                record_counterexample(
+                                    &mut counterexamples,
+                                    name,
+                                    detail,
+                                    trace,
+                                    dst.clone(),
+                                );
+                                continue;
+                            }
                         };
-                        let stable = cascade(model, hooks, &m2, &pol2, dst_tick, opts, &mut stats)?;
-                        for (dst, pol_dst, mut steps) in stable {
-                            generated += 1;
-                            steps.insert(0, step.clone());
-                            let aux = match hooks
-                                .edge_check
-                                .as_ref()
-                                .map(|f| f(dst_tick, &src_marking, &dst, &src_aux))
-                            {
-                                None => Vec::new(),
-                                Some(Ok(aux)) => aux,
-                                Some(Err((name, detail))) => {
-                                    let mut trace = trace_to(&states, id);
-                                    trace.extend(steps.clone());
-                                    record_counterexample(
-                                        &mut counterexamples,
-                                        name,
-                                        detail,
-                                        trace,
-                                        dst.clone(),
-                                    );
-                                    continue;
-                                }
-                            };
-                            insert_state(
-                                &mut states,
-                                &mut canon,
-                                StoredState {
-                                    marking: dst,
-                                    policy: pol_dst,
-                                    aux,
-                                    tick: dst_tick,
-                                    parent: id,
-                                    steps,
-                                },
-                                active_rotations,
-                            );
-                        }
+                        insert_state(
+                            &mut states,
+                            &mut seen,
+                            StoredState {
+                                marking: dst,
+                                policy: pol_dst,
+                                aux,
+                                tick: dst_tick,
+                                parent: id,
+                                steps,
+                            },
+                        );
                     }
                 }
             }
@@ -812,14 +735,14 @@ fn cascade(
     opts: &VerifyOpts,
     stats: &mut Stats,
 ) -> Result<Vec<(Vec<i64>, Option<PolicyState>, Vec<TraceStep>)>, Abort> {
+    let seed = probe_seed(opts.seed);
     let mut stable = Vec::new();
     let mut seen: HashSet<Vec<i64>> = HashSet::new();
     seen.insert(encode(m0.as_slice(), pol0, &[]));
     let mut work: Vec<(Marking, Option<PolicyState>, Vec<TraceStep>)> =
         vec![(m0.clone(), pol0.clone(), Vec::new())];
     while let Some((m, pol, steps)) = work.pop() {
-        stats.note_marking(m.as_slice());
-        stats.note_enabled(model, &m);
+        stats.note_marking(model, &m);
         let inst = instantaneous_frontier(model, &m);
         if inst.is_empty() {
             stable.push((m.as_slice().to_vec(), pol, steps));
@@ -833,24 +756,21 @@ fn cascade(
             )));
         }
         for act in inst {
-            for k in 0..opts.seeds_per_edge.max(1) {
-                let seed = probe_seed(opts.seed, k);
-                let fired = fire_cases(model, hooks, &m, &pol, act, seed)?;
-                for (m2, pol2, case) in fired {
-                    if !seen.insert(encode(m2.as_slice(), &pol2, &[])) {
-                        continue;
-                    }
-                    let mut s2 = steps.clone();
-                    s2.push(TraceStep {
-                        activity: act.index(),
-                        name: model.activity(act).name().to_string(),
-                        case,
-                        seed,
-                        timed: false,
-                        tick,
-                    });
-                    work.push((m2, pol2, s2));
+            let fired = fire_cases(model, hooks, &m, &pol, act, seed)?;
+            for (m2, pol2, case) in fired {
+                if !seen.insert(encode(m2.as_slice(), &pol2, &[])) {
+                    continue;
                 }
+                let mut s2 = steps.clone();
+                s2.push(TraceStep {
+                    activity: act.index(),
+                    name: model.activity(act).name().to_string(),
+                    case,
+                    seed,
+                    timed: false,
+                    tick,
+                });
+                work.push((m2, pol2, s2));
             }
         }
     }
@@ -893,55 +813,17 @@ fn fire_cases(
     Ok(out)
 }
 
-/// Inserts a state under its canonical key; duplicates (including rotated
-/// images) are dropped.
+/// Inserts a state under its encoding; duplicates are dropped.
 fn insert_state(
     states: &mut Vec<StoredState>,
-    canon: &mut HashMap<Vec<i64>, usize>,
+    seen: &mut HashMap<Vec<i64>, usize>,
     state: StoredState,
-    rotations: &[StateRotation],
 ) {
-    let key = canonical_key(&state.marking, &state.policy, &state.aux, rotations);
-    if let std::collections::hash_map::Entry::Vacant(e) = canon.entry(key) {
+    let key = encode(&state.marking, &state.policy, &state.aux);
+    if let std::collections::hash_map::Entry::Vacant(e) = seen.entry(key) {
         e.insert(states.len());
         states.push(state);
     }
-}
-
-/// The lexicographic minimum of the state encoding over the identity and
-/// every supplied rotation.
-fn canonical_key(
-    marking: &[i64],
-    policy: &Option<PolicyState>,
-    aux: &[u64],
-    rotations: &[StateRotation],
-) -> Vec<i64> {
-    let mut best = encode(marking, policy, aux);
-    for rot in rotations {
-        let rm = (rot.apply_marking)(marking);
-        let rp = policy
-            .as_ref()
-            .map(|p| p.rotated(rot.vcpu_shift, rot.num_vcpus, rot.vm_shift, rot.num_vms));
-        let ra = rotate_aux(aux, rot);
-        let cand = encode(&rm, &rp, &ra);
-        if cand < best {
-            best = cand;
-        }
-    }
-    best
-}
-
-/// Rotates a per-VCPU positional auxiliary vector; vectors of any other
-/// length are fixed points (nothing positional to move).
-fn rotate_aux(aux: &[u64], rot: &StateRotation) -> Vec<u64> {
-    if aux.len() != rot.num_vcpus || rot.num_vcpus == 0 {
-        return aux.to_vec();
-    }
-    let mut out = vec![0u64; aux.len()];
-    for (g, &v) in aux.iter().enumerate() {
-        out[(g + rot.vcpu_shift) % rot.num_vcpus] = v;
-    }
-    out
 }
 
 /// Flat, unambiguous state encoding: marking, policy snapshot, aux — each
@@ -1055,11 +937,10 @@ fn load_policy(hooks: &VerifyHooks, pol: &Option<PolicyState>) -> Result<(), Abo
     }
 }
 
-/// Deterministic probe-stream seed `k` (splitmix64 of the base seed).
-fn probe_seed(base: u64, k: usize) -> u64 {
-    let mut x = base ^ (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+/// The probe stream's seed: the splitmix64 finalizer of the base seed.
+fn probe_seed(base: u64) -> u64 {
+    let x = (base ^ (base >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    let x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
 }
 
@@ -1106,7 +987,7 @@ mod tests {
             horizon: 5,
             ..VerifyOpts::default()
         };
-        let report = verify_model("counter", &model, &VerifyHooks::default(), &[], &opts);
+        let report = verify_model("counter", &model, &VerifyHooks::default(), &opts);
         assert_eq!(report.outcome(), VerifyOutcome::Proved);
         assert_eq!(report.states_stored, 6, "initial + one per layer");
         assert_eq!(report.place_bounds, vec![1, 5], "src stays 1, acc hits 5");
@@ -1129,7 +1010,6 @@ mod tests {
             "burnout",
             &model,
             &VerifyHooks::default(),
-            &[],
             &VerifyOpts {
                 horizon: 10,
                 ..VerifyOpts::default()
@@ -1189,7 +1069,6 @@ mod tests {
             "race",
             &model,
             &VerifyHooks::default(),
-            &[],
             &VerifyOpts {
                 horizon: 3,
                 ..VerifyOpts::default()
@@ -1243,7 +1122,6 @@ mod tests {
             "flip",
             &model,
             &VerifyHooks::default(),
-            &[],
             &VerifyOpts {
                 horizon: 2,
                 ..VerifyOpts::default()
@@ -1264,7 +1142,6 @@ mod tests {
             "counter",
             &model,
             &VerifyHooks::default(),
-            &[],
             &VerifyOpts {
                 horizon: 10,
                 max_states: 2,
@@ -1283,75 +1160,11 @@ mod tests {
         );
     }
 
-    #[test]
-    fn symmetry_quotient_shrinks_without_changing_verdicts() {
-        // Two mirrored branches: `grab_l`/`grab_r` then a self-loop on
-        // each side. The swap rotation identifies the two branches.
-        let mut mb = ModelBuilder::new();
-        let t = mb.place("t", 1).unwrap();
-        let l = mb.place("l", 0).unwrap();
-        let r = mb.place("r", 0).unwrap();
-        for (name, p) in [("grab_l", l), ("grab_r", r)] {
-            mb.activity(name)
-                .unwrap()
-                .instantaneous(5)
-                .input_arc(t, 1)
-                .output_arc(p, 1)
-                .done()
-                .unwrap();
-        }
-        for (name, p) in [("spin_l", l), ("spin_r", r)] {
-            mb.activity(name)
-                .unwrap()
-                .timed(vsched_des::Dist::Deterministic { value: 1.0 })
-                .input_arc(p, 1)
-                .output_arc(p, 1)
-                .done()
-                .unwrap();
-        }
-        let model = mb.build().unwrap();
-        let swap = StateRotation {
-            apply_marking: Box::new(|m: &[i64]| vec![m[0], m[2], m[1]]),
-            vcpu_shift: 0,
-            num_vcpus: 0,
-            vm_shift: 0,
-            num_vms: 0,
-        };
-        let base = VerifyOpts {
-            horizon: 3,
-            ..VerifyOpts::default()
-        };
-        let on = verify_model("mirror", &model, &VerifyHooks::default(), &[swap], &base);
-        let off = verify_model(
-            "mirror",
-            &model,
-            &VerifyHooks::default(),
-            &[],
-            &VerifyOpts {
-                symmetry: false,
-                ..base
-            },
-        );
-        assert!(
-            on.states_stored < off.states_stored,
-            "quotient must shrink the store: {} vs {}",
-            on.states_stored,
-            off.states_stored
-        );
-        assert_eq!(on.outcome(), off.outcome());
-        assert_eq!(on.outcome(), VerifyOutcome::Proved);
-        assert_eq!(
-            on.place_bounds, off.place_bounds,
-            "rotation-closed bounds are identical"
-        );
-        assert_eq!(on.enabled_ever, off.enabled_ever);
-    }
-
-    /// Two structurally identical random halves sharing a fuel tank, plus
-    /// the swap rotation that identifies them. Every timed activity burns
-    /// one fuel token, so `fuel` layers exhaust the reachable space and a
-    /// bounded walk can never outrun the verifier's horizon.
-    fn mirrored_random_model(seed: u64, fuel: i64) -> (Model, StateRotation) {
+    /// Two structurally identical random halves sharing a fuel tank. Every
+    /// timed activity burns one fuel token, so `fuel` layers exhaust the
+    /// reachable space and a bounded walk can never outrun the verifier's
+    /// horizon.
+    fn mirrored_random_model(seed: u64, fuel: i64) -> Model {
         let mut rng = Xoshiro256StarStar::seed_from(seed);
         let n = 2 + rng.next_below(3) as usize;
         let tokens: Vec<i64> = (0..n).map(|_| rng.next_below(3) as i64).collect();
@@ -1407,68 +1220,26 @@ mod tests {
                     .unwrap();
             }
         }
-        let model = mb.build().unwrap();
-        // Place order is fuel, p0_a..p{n-1}_a, p0_b..p{n-1}_b.
-        let swap = StateRotation {
-            apply_marking: Box::new(move |m: &[i64]| {
-                let mut out = m.to_vec();
-                for i in 0..n {
-                    out[1 + i] = m[1 + n + i];
-                    out[1 + n + i] = m[1 + i];
-                }
-                out
-            }),
-            vcpu_shift: 0,
-            num_vcpus: 0,
-            vm_shift: 0,
-            num_vms: 0,
-        };
-        (model, swap)
+        mb.build().unwrap()
     }
 
     #[test]
     fn bounded_walks_visit_a_subset_of_the_exhaustive_space() {
         for seed in [1u64, 7, 23, 91, 204] {
             let fuel = 3i64;
-            let (mut model, swap) = mirrored_random_model(seed, fuel);
-            let base = VerifyOpts {
-                horizon: fuel as u64,
-                record_markings: true,
-                ..VerifyOpts::default()
-            };
-            let on = verify_model("mirror", &model, &VerifyHooks::default(), &[swap], &base);
-            let off = verify_model(
+            let mut model = mirrored_random_model(seed, fuel);
+            let report = verify_model(
                 "mirror",
                 &model,
                 &VerifyHooks::default(),
-                &[],
                 &VerifyOpts {
-                    symmetry: false,
-                    ..base
+                    horizon: fuel as u64,
+                    record_markings: true,
+                    ..VerifyOpts::default()
                 },
             );
-            // The quotient never changes a verdict, only the store size.
-            assert_eq!(on.outcome(), off.outcome(), "seed {seed}");
-            assert_ne!(on.outcome(), VerifyOutcome::Inconclusive, "seed {seed}");
-            assert_eq!(on.place_bounds, off.place_bounds, "seed {seed}");
-            assert_eq!(on.enabled_ever, off.enabled_ever, "seed {seed}");
-            assert_eq!(
-                on.certificates
-                    .iter()
-                    .map(|c| (c.name.as_str(), c.passed))
-                    .collect::<Vec<_>>(),
-                off.certificates
-                    .iter()
-                    .map(|c| (c.name.as_str(), c.passed))
-                    .collect::<Vec<_>>(),
-                "seed {seed}"
-            );
-            assert!(on.states_stored <= off.states_stored, "seed {seed}");
-            // Rotation closure recovers exactly the markings the quotient
-            // pruned: the recorded visit sets agree.
-            let on_visited = on.visited_markings.as_ref().expect("recording on");
-            let off_visited = off.visited_markings.as_ref().expect("recording on");
-            assert_eq!(on_visited, off_visited, "seed {seed}");
+            assert_ne!(report.outcome(), VerifyOutcome::Inconclusive, "seed {seed}");
+            let visited = report.visited_markings.as_ref().expect("recording on");
             // Every marking a bounded walk samples lies inside the
             // exhaustively verified space.
             let walk = crate::incidence::explore(
@@ -1483,7 +1254,7 @@ mod tests {
             assert!(!walk.visited.is_empty(), "seed {seed}");
             for m in &walk.visited {
                 assert!(
-                    off_visited.contains(m),
+                    visited.contains(m),
                     "seed {seed}: walk marking {m:?} outside the exhaustive set"
                 );
             }
@@ -1508,7 +1279,6 @@ mod tests {
             "capped",
             &model,
             &hooks,
-            &[],
             &VerifyOpts {
                 horizon: 5,
                 ..VerifyOpts::default()
@@ -1569,7 +1339,6 @@ mod tests {
             "counter",
             &model,
             &VerifyHooks::default(),
-            &[],
             &VerifyOpts {
                 horizon: 4,
                 ..VerifyOpts::default()

@@ -12,9 +12,6 @@
 //!   ([`InvariantChecker::resume_at`]) and steps it once, proving the
 //!   runtime catalogue of DESIGN.md §11 on *every* reachable edge rather
 //!   than one sampled trajectory;
-//! * **symmetry** — the VM-rotation group
-//!   ([`vsched_core::san_model::vm_rotations`]) quotients the state
-//!   space, but only when the policy declares rotation equivariance;
 //! * **cross-check** — the exact place bounds and liveness verdicts are
 //!   compared against the structural pass (Farkas semiflow bounds,
 //!   bounded-walk enablement); disagreements surface as `stale-bound`.
@@ -30,11 +27,11 @@ use serde::{Deserialize, Serialize};
 
 use vsched_analyze::incidence::explore;
 use vsched_analyze::{
-    cross_check, replay_trace, semiflow_bounds, verify_model, AnalyzeOpts, Diagnostic,
-    StateRotation, TraceStep, VerifyHooks, VerifyOpts, VerifyReport,
+    cross_check, replay_trace, semiflow_bounds, verify_model, AnalyzeOpts, Diagnostic, TraceStep,
+    VerifyHooks, VerifyOpts, VerifyReport,
 };
 use vsched_core::observe::TickObserver;
-use vsched_core::san_model::{build_analysis_model, vm_rotations, AnalysisModel};
+use vsched_core::san_model::{build_analysis_model, AnalysisModel};
 use vsched_core::{CoreError, Engine, PolicyKind, Simulation, SystemConfig};
 use vsched_san::{Marking, PlaceId};
 
@@ -215,25 +212,6 @@ pub fn verify_config(
     let mut analysis = build_analysis_model(config, policy.create())?;
     let num_places = analysis.model.num_places();
 
-    // The quotient is sound only when relabeling VMs maps the *whole*
-    // state — marking, policy snapshot, progress ledger — onto itself;
-    // policies with order-dependent tie-breaks opt out via
-    // `rotation_equivariant`.
-    let rotations: Vec<StateRotation> = if analysis.policy_rotation_equivariant() {
-        vm_rotations(config, &analysis.layout, num_places)
-            .into_iter()
-            .map(|r| StateRotation {
-                vcpu_shift: r.vcpu_shift,
-                num_vcpus: r.num_vcpus,
-                vm_shift: r.vm_shift,
-                num_vms: r.num_vms,
-                apply_marking: Box::new(move |m: &[i64]| r.apply(m)),
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-
     let report = {
         let layout = analysis.layout.clone();
         let template = analysis.model.initial_marking();
@@ -284,7 +262,7 @@ pub fn verify_config(
             invariants: invariant_catalogue(),
             probe_error: Some(Box::new(move || probe().map(|e| e.to_string()))),
         };
-        verify_model(target, &analysis.model, &hooks, &rotations, opts)
+        verify_model(target, &analysis.model, &hooks, opts)
     };
 
     // Cross-check against the structural pass on the same model: Farkas
@@ -505,103 +483,6 @@ mod tests {
             }
             assert!(run.counterexample.is_none());
         }
-    }
-
-    #[test]
-    fn symmetry_quotient_is_sound_on_the_paper_model() {
-        // The VM-rotation quotient is *active* on the paper model (two
-        // identical VMs under an equivariant policy) and must never change
-        // a verdict in the exhaustive, RNG-free regime. It does not shrink
-        // this particular state space: from the symmetric cold start, the
-        // deterministic policy cursor and the index-order dispatcher keep
-        // the reachable set free of cross-orbit duplicates, so canonical
-        // and concrete stores coincide. The strict-shrink acceptance
-        // assertion lives in the engine test
-        // `symmetry_quotient_shrinks_without_changing_verdicts`
-        // (vsched-analyze verify_pass), whose mirrored-branch model does
-        // reach asymmetric states.
-        //
-        // Bounds and liveness are compared directionally, not for
-        // equality: the engine closes them over the rotation group, and
-        // the index-order dispatcher makes the reachable set asymmetric
-        // (under contention VM 1's VCPUs dispatch first, so per-VCPU
-        // counters differ across VMs) — rotated images of visited
-        // markings are then legitimate orbit members the concrete scan
-        // never visits, and the closed bounds over-approximate the
-        // concrete ones.
-        let config = paper_2x2x2();
-        let base = VerifyOpts {
-            horizon: 6,
-            ..VerifyOpts::default()
-        };
-        let on = verify_config("rrs+sym", &config, &PolicyKind::RoundRobin, &base)
-            .expect("model builds");
-        let off = verify_config(
-            "rrs-sym",
-            &config,
-            &PolicyKind::RoundRobin,
-            &VerifyOpts {
-                symmetry: false,
-                ..base
-            },
-        )
-        .expect("model builds");
-        assert!(on.report.rotations_used > 0, "rotations must be in play");
-        assert_eq!(off.report.rotations_used, 0);
-        assert!(
-            on.report.states_stored <= off.report.states_stored,
-            "the quotient never inflates the store: {} vs {}",
-            on.report.states_stored,
-            off.report.states_stored
-        );
-        assert_eq!(on.report.outcome(), off.report.outcome());
-        for (p, (&closed, &concrete)) in on
-            .report
-            .place_bounds
-            .iter()
-            .zip(&off.report.place_bounds)
-            .enumerate()
-        {
-            assert!(
-                closed >= concrete,
-                "place {p}: rotation-closed bound {closed} below concrete {concrete}"
-            );
-        }
-        for (a, (&closed, &concrete)) in on
-            .report
-            .enabled_ever
-            .iter()
-            .zip(&off.report.enabled_ever)
-            .enumerate()
-        {
-            assert!(
-                closed || !concrete,
-                "activity {a}: concretely enabled but closure missed it"
-            );
-        }
-        let verdicts = |r: &VerifyReport| {
-            r.certificates
-                .iter()
-                .map(|c| (c.name.clone(), c.passed))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(verdicts(&on.report), verdicts(&off.report));
-    }
-
-    #[test]
-    fn non_equivariant_policies_decline_the_quotient() {
-        let config = paper_2x2x2();
-        let opts = VerifyOpts {
-            horizon: 2,
-            ..VerifyOpts::default()
-        };
-        let fcfs = verify_config("fcfs", &config, &PolicyKind::Fcfs, &opts).unwrap();
-        assert_eq!(
-            fcfs.report.rotations_used, 0,
-            "FCFS arrival order is not rotation-equivariant"
-        );
-        let rrs = verify_config("rrs", &config, &PolicyKind::RoundRobin, &opts).unwrap();
-        assert_eq!(rrs.report.rotations_used, 1, "2 identical VMs, 1 rotation");
     }
 
     #[test]

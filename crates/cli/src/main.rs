@@ -54,7 +54,7 @@ USAGE:
     vsched fuzz --replay <case.json>
     vsched verify [--policy <label>] [--vms <N>] [--vcpus <N>] [--pcpus <N>]
                   [--timeslice <N>] [--horizon <N>] [--max-states <N>]
-                  [--symmetry <on|off>] [--seed <S>] [--format <text|json>]
+                  [--seed <S>] [--format <text|json>]
                   [--fixture deadlock] [--counterexample <case.json>]
     vsched lint [<config.json>...] [--deny warnings] [--format <text|json>]
                 [--seed <S>] [--fixture broken]
@@ -101,17 +101,16 @@ COMMANDS:
               are shrunk and written as replayable JSON reproducers.
     verify    Model-check the paper model exhaustively: enumerate every
               reachable SAN state up to a tick horizon (all instantaneous
-              interleavings, every positive-weight case), quotient the
-              space by VM-rotation symmetry where the policy permits, and
-              prove named certificates — the runtime seven-invariant
-              catalogue on every reachable edge, deadlock-freedom, exact
-              per-place token bounds (reported alongside the structural
-              semiflow bounds), and exact activity liveness. Violations
-              come with concrete firing traces packaged as fuzz
-              reproducers: `vsched fuzz --replay` re-fires the trace
-              bit-exactly and re-runs the scenario on both engines.
-              Exits 0 when everything is proved, 1 on a violation, 2 when
-              the search was cut short (state cap) and nothing is claimed.
+              interleavings, every positive-weight case) and prove named
+              certificates — the runtime seven-invariant catalogue on
+              every reachable edge, deadlock-freedom, exact per-place
+              token bounds (reported alongside the structural semiflow
+              bounds), and exact activity liveness. Violations come with
+              concrete firing traces packaged as fuzz reproducers:
+              `vsched fuzz --replay` re-fires the trace bit-exactly and
+              re-runs the scenario on both engines. Exits 0 when
+              everything is proved, 1 on a violation, 2 when the search
+              was cut short (state cap) and nothing is claimed.
     lint      Statically analyze SAN models and policies before running
               anything: extract the incidence matrix, compute P-/T-
               invariants by exact rational elimination, check the model's
@@ -207,8 +206,6 @@ OPTIONS (verify):
     --max-states <N>       Stored-state cap; exceeding it exits 2
                            (inconclusive), never silently partial
                            (default 200000).
-    --symmetry <on|off>    VM-rotation symmetry quotient (default on;
-                           used only for rotation-equivariant policies).
     --seed <S>             Base seed for stochastic-gate probes
                            (default 0x5eed; the default workload is
                            deterministic, where the seed is irrelevant).
@@ -773,16 +770,13 @@ fn verify_cmd(args: &[String]) -> CmdResult {
     use vsched_core::PolicyKind;
 
     let flags = "--policy --vms --vcpus --pcpus --timeslice --horizon --max-states --seed \
-                 --symmetry --format --fixture --counterexample";
+                 --format --fixture --counterexample";
     let a = Args::parse("verify", args, flags, "")?;
     let defaults = vsched_analyze::VerifyOpts::default();
     let opts = vsched_analyze::VerifyOpts {
         horizon: a.number("--horizon")?.unwrap_or(defaults.horizon),
         max_states: a.number("--max-states")?.unwrap_or(defaults.max_states),
         seed: a.number("--seed")?.unwrap_or(defaults.seed),
-        symmetry: a
-            .choice("--symmetry", &["on", "off"])?
-            .map_or(defaults.symmetry, |s| s == "on"),
         ..defaults
     };
     let vms: usize = a.number("--vms")?.unwrap_or(2);

@@ -16,14 +16,12 @@
 mod build;
 pub mod invariants;
 mod layout;
-mod symmetry;
 
 #[cfg(test)]
 mod tests;
 
 pub use invariants::{expected_invariants, InvariantKind, ModelInvariant};
 pub use layout::{DynVmPlaces, Layout, VcpuPlaces, VmPlaces};
-pub use symmetry::{vm_rotations, MarkingRotation};
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -83,13 +81,6 @@ impl AnalysisModel {
     /// Restores a snapshot into the embedded policy; `false` if rejected.
     pub fn load_policy_state(&self, state: &crate::sched::PolicyState) -> bool {
         self.policy.borrow_mut().load_state(state)
-    }
-
-    /// Whether the embedded policy declares VM-rotation equivariance (see
-    /// [`crate::sched::SchedulingPolicy::rotation_equivariant`]).
-    #[must_use]
-    pub fn policy_rotation_equivariant(&self) -> bool {
-        self.policy.borrow().rotation_equivariant()
     }
 }
 

@@ -107,13 +107,6 @@ impl SchedulingPolicy for Balance {
             _ => false,
         }
     }
-
-    /// The candidate scan runs cyclically from the cursor and prefers a
-    /// strictly-less-held VM, so the winner is determined by cursor-relative
-    /// position and per-VM held counts — both of which rotate with the VMs.
-    fn rotation_equivariant(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]

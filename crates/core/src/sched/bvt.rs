@@ -121,9 +121,6 @@ impl SchedulingPolicy for Bvt {
         self.evt = state.per_vcpu.iter().map(|row| row[0] as u64).collect();
         true
     }
-
-    // NOT rotation-equivariant: EVT ties are broken on the raw global
-    // index `(evt, g)`, which a cyclic shift reorders.
 }
 
 #[cfg(test)]

@@ -158,14 +158,6 @@ impl SchedulingPolicy for Credit {
         self.cursor = cursor as usize;
         true
     }
-
-    /// The ordering key is `(under, -credits, distance-from-cursor)`;
-    /// the distance term is invariant under a common cyclic shift of VCPU
-    /// and cursor, and is injective over candidates — no raw-index
-    /// tie-break sneaks in. Refill and burn are per-VCPU-uniform.
-    fn rotation_equivariant(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]

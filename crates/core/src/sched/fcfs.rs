@@ -92,10 +92,6 @@ impl SchedulingPolicy for Fcfs {
         self.queued = state.per_vcpu.iter().map(|row| row[0] != 0).collect();
         true
     }
-
-    // NOT rotation-equivariant: VCPUs becoming schedulable in the same
-    // tick enqueue in raw global-index order, which a cyclic shift
-    // reorders.
 }
 
 #[cfg(test)]

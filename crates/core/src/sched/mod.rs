@@ -157,11 +157,10 @@ impl ViewFields {
 /// successor, so hidden cursors and counters are part of the explored
 /// state, not an accident of visit order.
 ///
-/// The split into index-free scalars, per-VCPU rows, per-VM rows, and
-/// id-valued words exists so the verifier can apply a VM rotation to the
-/// snapshot without knowing anything about the concrete policy: `per_vcpu`
-/// / `per_vm` rows rotate positionally, `vcpu_ids` / `vm_ids` *values* are
-/// remapped, and `global` is untouched.
+/// The verifier never looks inside a snapshot: it only hands it back to
+/// [`SchedulingPolicy::load_state`] and keys stored states by
+/// [`PolicyState::encode_into`]. The five sections just name what each
+/// word means to the policy that wrote it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PolicyState {
     /// Index-free scalars (accumulated clocks, phase flags, ...).
@@ -198,54 +197,6 @@ impl PolicyState {
         out.extend_from_slice(&self.vcpu_ids);
         out.push(self.vm_ids.len() as i64);
         out.extend_from_slice(&self.vm_ids);
-    }
-
-    /// The image of this snapshot under the VM rotation that shifts VM `v`
-    /// to `v + vm_shift` (and therefore VCPU `g` to `g + vcpu_shift`, all
-    /// modulo the respective counts — valid only when every VM has the
-    /// same shape, which is when the verifier uses rotations at all).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a per-VCPU/per-VM section is non-empty but does not match
-    /// the given counts — such a snapshot cannot be rotated soundly.
-    #[must_use]
-    pub fn rotated(
-        &self,
-        vcpu_shift: usize,
-        num_vcpus: usize,
-        vm_shift: usize,
-        num_vms: usize,
-    ) -> PolicyState {
-        fn rotate_rows(rows: &[Vec<i64>], shift: usize, n: usize, what: &str) -> Vec<Vec<i64>> {
-            if rows.is_empty() {
-                return Vec::new();
-            }
-            assert_eq!(rows.len(), n, "cannot rotate partial {what} state");
-            let mut out = vec![Vec::new(); n];
-            for (i, row) in rows.iter().enumerate() {
-                out[(i + shift) % n] = row.clone();
-            }
-            out
-        }
-        let remap = |ids: &[i64], shift: usize, n: usize| {
-            ids.iter()
-                .map(|&v| {
-                    if v >= 0 {
-                        (v as usize + shift) as i64 % n as i64
-                    } else {
-                        v
-                    }
-                })
-                .collect()
-        };
-        PolicyState {
-            global: self.global.clone(),
-            per_vcpu: rotate_rows(&self.per_vcpu, vcpu_shift, num_vcpus, "per-VCPU"),
-            per_vm: rotate_rows(&self.per_vm, vm_shift, num_vms, "per-VM"),
-            vcpu_ids: remap(&self.vcpu_ids, vcpu_shift, num_vcpus),
-            vm_ids: remap(&self.vm_ids, vm_shift, num_vms),
-        }
     }
 }
 
@@ -301,12 +252,10 @@ pub trait SchedulingPolicy {
     }
 
     /// Whether the policy's decisions commute with a cyclic rotation of
-    /// *identical* VMs: rotating the VCPU views, PCPU-held ids, and the
-    /// [`PolicyState`] must yield the rotated decision. This is the
-    /// license the verifier needs to quotient the state graph by VM
-    /// rotation; declaring `false` (the default) merely disables the
-    /// reduction. Policies that break ties on raw global indices (SEDF,
-    /// BVT, FCFS) are **not** equivariant and must keep the default.
+    /// identical VMs. Nothing in the workspace reads it, and no built-in
+    /// overrides the default; it stays only because the benchmark's
+    /// policy wrapper (`perfbench/`) forwards it. ROADMAP item 9 deletes
+    /// it.
     fn rotation_equivariant(&self) -> bool {
         false
     }

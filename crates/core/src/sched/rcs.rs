@@ -230,15 +230,6 @@ impl SchedulingPolicy for RelaxedCo {
         self.vm_cursor = *cursor as usize;
         true
     }
-
-    /// Progress accounting and co-stop are per-VCPU-uniform; assignment
-    /// scans VMs cyclically from the cursor and orders candidates by
-    /// progress with a *stable* sort, so ties keep within-VM sibling
-    /// order. Rotating VMs, the cursor, and the progress rows rotates the
-    /// decision.
-    fn rotation_equivariant(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]

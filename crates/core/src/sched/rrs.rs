@@ -86,13 +86,6 @@ impl SchedulingPolicy for RoundRobin {
             _ => false,
         }
     }
-
-    /// The cyclic scan starts at the cursor and visits VCPUs in circular
-    /// order, so shifting every index (cursor included) shifts the
-    /// decision — exactly the equivariance contract.
-    fn rotation_equivariant(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]

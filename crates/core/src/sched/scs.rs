@@ -106,13 +106,6 @@ impl SchedulingPolicy for StrictCo {
             _ => false,
         }
     }
-
-    /// Gangs are scanned cyclically from the VM cursor and filled in
-    /// within-VM sibling order; rotating VMs (and the cursor with them)
-    /// rotates the gang order without reordering siblings.
-    fn rotation_equivariant(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]

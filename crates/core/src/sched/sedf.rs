@@ -186,10 +186,6 @@ impl SchedulingPolicy for Sedf {
         self.cursor = *cursor as usize;
         true
     }
-
-    // NOT rotation-equivariant: the reserved pass breaks deadline ties on
-    // the raw global index `(deadline, g)`, which a cyclic shift reorders
-    // (all deadlines coincide at start-up, so the ties are real).
 }
 
 #[cfg(test)]

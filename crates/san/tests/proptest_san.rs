@@ -110,6 +110,10 @@ proptest! {
     /// timed `refuel` activity adds fuel, so no cascade runs forever. The
     /// instantaneous priorities straddle `-1_000_000`, where they tie with
     /// timed activities at the same instant.
+    ///
+    /// Each block also has a timed source that feeds its head place while
+    /// that place holds at most 2 tokens, so tokens keep flowing and every
+    /// case runs at least 200 completions.
     #[test]
     fn incremental_is_bit_identical_to_full_rescan(
         n in 2usize..5,
@@ -120,7 +124,7 @@ proptest! {
         declare in proptest::collection::vec(any::<bool>(), 8),
         timing in proptest::collection::vec(0u8..6, 8),
         seed in 0u64..200,
-        horizon in 5.0f64..80.0,
+        horizon in 20.0f64..200.0,
         stop in 0usize..128,
     ) {
         const PRIORITIES: [i32; 5] = [-1_000_001, -1_000_000, -999_999, 0, 7];
@@ -179,10 +183,19 @@ proptest! {
                     }
                     a.done().unwrap();
                 }
+                let head = own(0);
+                mb.activity(&format!("b{b}src"))
+                    .unwrap()
+                    .timed(Dist::exponential(1.0).unwrap())
+                    .guard("head_below_cap", move |m| m.tokens(head) <= 2)
+                    .reads([head])
+                    .output_arc(head, 1)
+                    .done()
+                    .unwrap();
             }
             mb.activity("refuel")
                 .unwrap()
-                .timed(Dist::exponential(1.0).unwrap())
+                .timed(Dist::exponential(0.2).unwrap())
                 .output_arc(fuel, 1)
                 .done()
                 .unwrap();
@@ -230,6 +243,11 @@ proptest! {
             )
         };
         let reference = run(false, None);
+        let (_, (completions, _), _) = &reference;
+        prop_assert!(
+            *completions >= 200,
+            "only {} completions: the run checks too little", completions
+        );
         prop_assert_eq!(&reference, &run(true, None));
         prop_assert_eq!(&reference, &run(false, Some(stop)));
     }
