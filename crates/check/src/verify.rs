@@ -24,6 +24,7 @@
 //! failure.
 
 use serde::{Deserialize, Serialize};
+use serde_json::{json, Value};
 
 use vsched_analyze::incidence::explore;
 use vsched_analyze::{
@@ -132,6 +133,40 @@ pub struct VerifyRun {
     /// The first counterexample in reproducer form, when the run found
     /// any.
     pub counterexample: Option<VerifyCounterexample>,
+}
+
+impl VerifyRun {
+    /// The report's JSON ([`VerifyReport::to_json`]) with the two parts
+    /// the text report adds from the cross-check: every `place_bounds`
+    /// entry gains a `structural_bound` (`null` when the structural pass
+    /// found none), and a `cross_check` array lists the findings as
+    /// `{lint, subject, message}`.
+    #[must_use]
+    pub fn to_json(&self) -> Value {
+        let mut body = self.report.to_json(&self.analysis.model);
+        let Value::Map(fields) = &mut body else {
+            unreachable!("a verify report is a JSON object")
+        };
+        for (key, value) in fields.iter_mut() {
+            if let ("place_bounds", Value::Seq(entries)) = (key.as_str(), value) {
+                for (p, entry) in entries.iter_mut().enumerate() {
+                    if let Value::Map(entry) = entry {
+                        let structural = self.structural_bounds.get(p).copied().flatten();
+                        entry.push(("structural_bound".into(), json!(structural)));
+                    }
+                }
+            }
+        }
+        let findings = self.cross_findings.iter().map(|d| {
+            json!({
+                "lint": d.lint,
+                "subject": d.subject.clone(),
+                "message": d.message.clone(),
+            })
+        });
+        fields.push(("cross_check".into(), Value::Seq(findings.collect())));
+        body
+    }
 }
 
 /// The DESIGN.md §11 catalogue as verifier certificates: every name

@@ -140,7 +140,8 @@ COMMANDS:
     perf      Time the SAN engine's incremental reevaluation core against
               its full-rescan reference mode across a model-size scaling
               axis (1 to 16 VMs), verify both modes end bit-identical,
-              and report events/sec and speedup per size; then time the
+              and report events/sec and speedup per size, with DirectSim's
+              ns per tick on the same configs; then time the
               large-model scale axis (64/256/1024 VMs) on the SAN engine
               and on DirectSim and report each run's real-time factor
               (simulated seconds per wall second at 30 ms per tick), plus
@@ -792,8 +793,7 @@ fn verify_cmd(args: &[String]) -> CmdResult {
     if fixture {
         let (rep, run) = vsched_check::verify_fixture(&opts)?;
         if json {
-            let body = run.report.to_json(&run.analysis.model);
-            println!("{}", serde_json::to_string_pretty(&body)?);
+            println!("{}", serde_json::to_string_pretty(&run.to_json())?);
         } else {
             print!("{}", render_verify_run(&run));
         }
@@ -829,7 +829,7 @@ fn verify_cmd(args: &[String]) -> CmdResult {
         let target = format!("{vms}x{vcpus}x{pcpus} {}", policy.label());
         let run = vsched_check::verify_config(&target, &config, policy, &opts)?;
         if json {
-            json_reports.push(run.report.to_json(&run.analysis.model));
+            json_reports.push(run.to_json());
         } else {
             print!("{}", render_verify_run(&run));
         }

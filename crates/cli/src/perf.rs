@@ -18,7 +18,10 @@
 //!
 //! Every cell also cross-checks that both modes end bit-identical
 //! (final marking and metrics) — a free differential pass on exactly
-//! the configurations being timed.
+//! the configurations being timed — and times [`DirectSim`] on the same
+//! configuration: on these few-VCPU systems a direct tick costs a few
+//! hundred ns, so fixed per-tick costs such as the policy consultation
+//! show in its ns per tick. No gate reads that column.
 //!
 //! A second, *large-model* scale axis (64/256/1024 VMs, capped by
 //! `--max-vms`) times the incremental engine alone and reports each
@@ -129,6 +132,8 @@ pub struct DirectSample {
     pub seconds: f64,
     /// Simulated ticks per wall-clock second.
     pub ticks_per_sec: f64,
+    /// Wall-clock nanoseconds per simulated tick.
+    pub ns_per_tick: f64,
     /// Wall-clock nanoseconds per simulated tick per VCPU.
     pub ns_per_vcpu_tick: f64,
 }
@@ -152,6 +157,10 @@ pub struct PerfCase {
     pub speedup: f64,
     /// Whether both modes ended bit-identical (final marking + metrics).
     pub identical: bool,
+    /// [`DirectSim`] on the same configuration, ticks, seed and policy:
+    /// on these few-VCPU systems a direct tick costs a few hundred ns,
+    /// so fixed per-tick overheads (the policy consultation) show here.
+    pub direct: DirectSample,
 }
 
 /// One (model size) cell of the large-model scale axis.
@@ -251,6 +260,14 @@ impl PerfReport {
                 "events_per_sec": s.events_per_sec,
             })
         };
+        let direct = |d: &DirectSample| {
+            json!({
+                "seconds": d.seconds,
+                "ticks_per_sec": d.ticks_per_sec,
+                "ns_per_tick": d.ns_per_tick,
+                "ns_per_vcpu_tick": d.ns_per_vcpu_tick,
+            })
+        };
         json!({
             "harness": "vsched perf",
             "host": json!({
@@ -276,6 +293,7 @@ impl PerfReport {
                             "incremental": sample(&c.incremental),
                             "speedup": c.speedup,
                             "identical": c.identical,
+                            "direct": direct(&c.direct),
                         })
                     })
                     .collect()
@@ -296,11 +314,7 @@ impl PerfReport {
                             "sequential_rtf": c.sequential_rtf,
                             "ns_per_completion": c.ns_per_completion,
                             "visits_per_completion": c.visits_per_completion,
-                            "direct": json!({
-                                "seconds": c.direct.seconds,
-                                "ticks_per_sec": c.direct.ticks_per_sec,
-                                "ns_per_vcpu_tick": c.direct.ns_per_vcpu_tick,
-                            }),
+                            "direct": direct(&c.direct),
                             "direct_rtf": c.direct_rtf,
                         })
                     })
@@ -322,17 +336,21 @@ impl PerfReport {
             "perf: {} ticks per run, best of {}, {} logical cores, engine {}",
             self.ticks, self.repeats, self.host.logical_cores, self.host.engine
         );
-        let _ = writeln!(out, "small: incremental vs full-rescan reevaluation");
+        let _ = writeln!(
+            out,
+            "small: incremental vs full-rescan reevaluation, and DirectSim"
+        );
         for c in &self.cases {
             let _ = writeln!(
                 out,
                 "  {:>5}: {:>10.0} ev/s incremental, {:>10.0} ev/s full-rescan, \
-                 speedup {:.2}x, identical: {}",
+                 speedup {:.2}x, identical: {}, direct {:.0} ns/tick",
                 c.name,
                 c.incremental.events_per_sec,
                 c.full_rescan.events_per_sec,
                 c.speedup,
                 if c.identical { "yes" } else { "NO" },
+                c.direct.ns_per_tick,
             );
         }
         if !self.scale_cases.is_empty() {
@@ -520,6 +538,7 @@ fn direct_axis(axis: &[(String, usize, u64)], opts: &PerfOpts) -> Vec<DirectSamp
         .map(|((&(_, _, ticks), config), seconds)| DirectSample {
             seconds,
             ticks_per_sec: per_second(ticks as f64, seconds),
+            ns_per_tick: seconds * 1e9 / ticks as f64,
             ns_per_vcpu_tick: seconds * 1e9 / (ticks as f64 * config.total_vcpus() as f64),
         })
         .collect()
@@ -538,13 +557,20 @@ fn rtf(ticks: u64, seconds: f64) -> f64 {
     per_second(ticks as f64 * TICK_SECONDS, seconds)
 }
 
-/// Runs the whole scaling axis, both modes per size, then the
-/// large-model scale axis in incremental mode and on [`DirectSim`].
+/// Runs the whole scaling axis, both modes per size and on
+/// [`DirectSim`], then the large-model scale axis in incremental mode and
+/// on [`DirectSim`].
 #[must_use]
 pub fn run_perf(opts: &PerfOpts) -> PerfReport {
-    let cases = scaling_axis()
+    let small_axis: Vec<(String, usize, u64)> = scaling_axis()
         .into_iter()
-        .map(|(name, vms)| {
+        .map(|(name, vms)| (name, vms, opts.ticks))
+        .collect();
+    let small_direct = direct_axis(&small_axis, opts);
+    let cases = small_axis
+        .into_iter()
+        .zip(small_direct)
+        .map(|((name, vms, _), direct)| {
             // Full-rescan first, then incremental: if something is badly
             // wrong with the dependency index, the reference number is
             // already in hand when the comparison trips.
@@ -559,6 +585,7 @@ pub fn run_perf(opts: &PerfOpts) -> PerfReport {
                 identical: fp_full == fp_inc,
                 full_rescan: full,
                 incremental,
+                direct,
             }
         })
         .collect();
@@ -699,10 +726,20 @@ mod tests {
         let cases = v.get("cases").and_then(Value::as_array).unwrap();
         assert_eq!(cases.len(), 5);
         for c in cases {
-            for key in ["full_rescan", "incremental", "speedup", "identical"] {
+            for key in [
+                "full_rescan",
+                "incremental",
+                "speedup",
+                "identical",
+                "direct",
+            ] {
                 assert!(c.get(key).is_some(), "missing {key}");
             }
+            let ns = c["direct"].get("ns_per_tick").and_then(Value::as_f64);
+            assert!(ns.unwrap() > 0.0, "direct ns per tick on {c:?}");
         }
+        let text = report.render_text();
+        assert_eq!(text.matches(" ns/tick\n").count(), 5, "{text}");
         assert!(v.get("speedup_at_largest").is_some());
         // The host block makes numbers interpretable across machines.
         let host = v.get("host").unwrap();
@@ -771,7 +808,12 @@ mod tests {
         ] {
             assert!(scale[0].get(key).is_some(), "missing {key}");
         }
-        for key in ["seconds", "ticks_per_sec", "ns_per_vcpu_tick"] {
+        for key in [
+            "seconds",
+            "ticks_per_sec",
+            "ns_per_tick",
+            "ns_per_vcpu_tick",
+        ] {
             assert!(
                 scale[0]["direct"].get(key).is_some(),
                 "missing direct.{key}"

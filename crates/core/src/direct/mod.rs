@@ -42,9 +42,9 @@ use crate::config::{SyncMechanism, SystemConfig};
 use crate::error::CoreError;
 use crate::metrics::SampleMetrics;
 use crate::observe::TickObserver;
-use crate::sched::{validate_decision, SchedulingPolicy};
+use crate::sched::{PolicyScratch, SchedulingPolicy};
 use crate::types::{PcpuView, VcpuId, VcpuStatus, VcpuView};
-use crate::util::{duty_allows, sample_ticks, sample_ticks_scaled, FULL_LEVEL};
+use crate::util::{duty_allows, refill, sample_ticks, sample_ticks_scaled, FULL_LEVEL};
 
 #[derive(Debug, Clone)]
 struct VcpuState {
@@ -115,6 +115,8 @@ pub struct DirectSim {
     observed_ticks: u64,
     trace: Option<Trace>,
     observer: Option<Box<dyn TickObserver>>,
+    /// The views the policy and the observer receive, refilled every tick.
+    scratch: PolicyScratch,
 }
 
 impl std::fmt::Debug for DirectSim {
@@ -176,6 +178,7 @@ impl DirectSim {
             observed_ticks: 0,
             trace: None,
             observer: None,
+            scratch: PolicyScratch::default(),
             policy,
             config,
         }
@@ -339,9 +342,16 @@ impl DirectSim {
     /// Snapshot of every VCPU, as a policy would see it.
     #[must_use]
     pub fn vcpu_views(&self) -> Vec<VcpuView> {
-        self.vcpus
-            .iter()
-            .map(|v| VcpuView {
+        let mut views = Vec::new();
+        self.vcpu_views_into(&mut views);
+        views
+    }
+
+    /// [`DirectSim::vcpu_views`] into `out`, reusing its capacity.
+    pub fn vcpu_views_into(&self, out: &mut Vec<VcpuView>) {
+        refill(
+            out,
+            self.vcpus.iter().map(|v| VcpuView {
                 id: v.id,
                 status: v.status,
                 remaining_load: v.remaining_load,
@@ -351,21 +361,30 @@ impl DirectSim {
                 last_scheduled_in: v.last_in,
                 vm_weight: self.config.vms()[v.id.vm].weight,
                 present: self.admitted[v.id.vm],
-            })
-            .collect()
+            }),
+        );
     }
 
     /// Snapshot of every PCPU.
     #[must_use]
     pub fn pcpu_views(&self) -> Vec<PcpuView> {
-        self.pcpus
-            .iter()
-            .enumerate()
-            .map(|(id, &assigned)| PcpuView {
-                id,
-                assigned: assigned.map(|g| self.vcpus[g].id),
-            })
-            .collect()
+        let mut views = Vec::new();
+        self.pcpu_views_into(&mut views);
+        views
+    }
+
+    /// [`DirectSim::pcpu_views`] into `out`, reusing its capacity.
+    pub fn pcpu_views_into(&self, out: &mut Vec<PcpuView>) {
+        refill(
+            out,
+            self.pcpus
+                .iter()
+                .enumerate()
+                .map(|(id, &assigned)| PcpuView {
+                    id,
+                    assigned: assigned.map(|g| self.vcpus[g].id),
+                }),
+        );
     }
 
     /// Advances the simulation by one clock tick: [`DirectSim::begin_tick`]
@@ -460,13 +479,19 @@ impl DirectSim {
     ///
     /// As [`DirectSim::tick`].
     pub fn finish_tick(&mut self) -> Result<(), CoreError> {
+        // The scratch leaves `self` for the tick, so the views can be
+        // refilled from `&self` while it is borrowed mutably.
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let finished = self.finish_tick_with(&mut scratch);
+        self.scratch = scratch;
+        finished
+    }
+
+    fn finish_tick_with(&mut self, scratch: &mut PolicyScratch) -> Result<(), CoreError> {
         // Phase 4: run the pluggable scheduling algorithm.
-        let vcpu_views = self.vcpu_views();
-        let pcpu_views = self.pcpu_views();
-        let decision =
-            self.policy
-                .schedule(&vcpu_views, &pcpu_views, self.tick, self.config.timeslice());
-        validate_decision(self.policy.name(), &vcpu_views, &pcpu_views, &decision)?;
+        self.vcpu_views_into(&mut scratch.vcpus);
+        self.pcpu_views_into(&mut scratch.pcpus);
+        let decision = scratch.consult(self.policy.as_mut(), self.tick, self.config.timeslice())?;
         for &g in &decision.preemptions {
             self.schedule_out(g);
         }
@@ -513,11 +538,11 @@ impl DirectSim {
         }
 
         if self.observer.is_some() {
-            let vcpu_views = self.vcpu_views();
-            let pcpu_views = self.pcpu_views();
+            self.vcpu_views_into(&mut scratch.vcpus);
+            self.pcpu_views_into(&mut scratch.pcpus);
             let tick = self.tick;
             if let Some(obs) = self.observer.as_mut() {
-                obs.on_tick(tick, &vcpu_views, &pcpu_views)?;
+                obs.on_tick(tick, &scratch.vcpus, &scratch.pcpus)?;
             }
         }
         Ok(())
@@ -558,37 +583,42 @@ impl DirectSim {
     /// latency Figure 10 measures.
     #[must_use]
     pub fn metrics(&self) -> SampleMetrics {
+        let mut metrics = SampleMetrics::empty();
+        self.metrics_into(&mut metrics);
+        metrics
+    }
+
+    /// [`DirectSim::metrics`] into `out`, reusing its capacity.
+    pub fn metrics_into(&self, out: &mut SampleMetrics) {
         let t = self.observed_ticks.max(1) as f64;
-        SampleMetrics {
-            vcpu_availability: self
-                .vcpus
-                .iter()
-                .map(|v| v.active_ticks as f64 / t)
-                .collect(),
-            vcpu_utilization: self
-                .vcpus
-                .iter()
-                .map(|v| {
-                    if v.active_ticks == 0 {
-                        0.0
-                    } else {
-                        v.busy_ticks.saturating_sub(v.spin_ticks) as f64 / v.active_ticks as f64
-                    }
-                })
-                .collect(),
-            pcpu_utilization: self.pcpu_ticks.iter().map(|&x| x as f64 / t).collect(),
-            vcpu_spin: self
-                .vcpus
-                .iter()
-                .map(|v| {
-                    if v.active_ticks == 0 {
-                        0.0
-                    } else {
-                        v.spin_ticks as f64 / v.active_ticks as f64
-                    }
-                })
-                .collect(),
-        }
+        refill(
+            &mut out.vcpu_availability,
+            self.vcpus.iter().map(|v| v.active_ticks as f64 / t),
+        );
+        refill(
+            &mut out.vcpu_utilization,
+            self.vcpus.iter().map(|v| {
+                if v.active_ticks == 0 {
+                    0.0
+                } else {
+                    v.busy_ticks.saturating_sub(v.spin_ticks) as f64 / v.active_ticks as f64
+                }
+            }),
+        );
+        refill(
+            &mut out.pcpu_utilization,
+            self.pcpu_ticks.iter().map(|&x| x as f64 / t),
+        );
+        refill(
+            &mut out.vcpu_spin,
+            self.vcpus.iter().map(|v| {
+                if v.active_ticks == 0 {
+                    0.0
+                } else {
+                    v.spin_ticks as f64 / v.active_ticks as f64
+                }
+            }),
+        );
     }
 
     fn schedule_out(&mut self, g: usize) {

@@ -38,6 +38,16 @@ pub struct SampleMetrics {
 }
 
 impl SampleMetrics {
+    /// No values yet: the buffer the engines' `metrics()` fill in place.
+    pub(crate) fn empty() -> Self {
+        SampleMetrics {
+            vcpu_availability: Vec::new(),
+            vcpu_utilization: Vec::new(),
+            pcpu_utilization: Vec::new(),
+            vcpu_spin: Vec::new(),
+        }
+    }
+
     /// Average VCPU availability across all VCPUs.
     #[must_use]
     pub fn avg_vcpu_availability(&self) -> f64 {

@@ -134,9 +134,16 @@ impl Simulation {
     /// The three paper metrics over the current observation window.
     #[must_use]
     pub fn metrics(&self) -> SampleMetrics {
+        let mut metrics = SampleMetrics::empty();
+        self.metrics_into(&mut metrics);
+        metrics
+    }
+
+    /// [`Simulation::metrics`] into `out`, reusing its capacity.
+    pub fn metrics_into(&self, out: &mut SampleMetrics) {
         match self {
-            Simulation::Direct(s) => s.metrics(),
-            Simulation::San(s) => s.metrics(),
+            Simulation::Direct(s) => s.metrics_into(out),
+            Simulation::San(s) => s.metrics_into(out),
         }
     }
 
@@ -176,18 +183,32 @@ impl Simulation {
     /// Snapshot of every VCPU, as a policy would receive it.
     #[must_use]
     pub fn vcpu_views(&self) -> Vec<VcpuView> {
+        let mut views = Vec::new();
+        self.vcpu_views_into(&mut views);
+        views
+    }
+
+    /// [`Simulation::vcpu_views`] into `out`, reusing its capacity.
+    pub fn vcpu_views_into(&self, out: &mut Vec<VcpuView>) {
         match self {
-            Simulation::Direct(s) => s.vcpu_views(),
-            Simulation::San(s) => s.vcpu_views(),
+            Simulation::Direct(s) => s.vcpu_views_into(out),
+            Simulation::San(s) => s.vcpu_views_into(out),
         }
     }
 
     /// Snapshot of every PCPU, as a policy would receive it.
     #[must_use]
     pub fn pcpu_views(&self) -> Vec<PcpuView> {
+        let mut views = Vec::new();
+        self.pcpu_views_into(&mut views);
+        views
+    }
+
+    /// [`Simulation::pcpu_views`] into `out`, reusing its capacity.
+    pub fn pcpu_views_into(&self, out: &mut Vec<PcpuView>) {
         match self {
-            Simulation::Direct(s) => s.pcpu_views(),
-            Simulation::San(s) => s.pcpu_views(),
+            Simulation::Direct(s) => s.pcpu_views_into(out),
+            Simulation::San(s) => s.pcpu_views_into(out),
         }
     }
 }

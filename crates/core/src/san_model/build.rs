@@ -37,7 +37,7 @@ use crate::config::{SyncMechanism, SystemConfig};
 use crate::error::CoreError;
 use crate::san_model::layout::{DynVmPlaces, Layout, VcpuPlaces, VmPlaces};
 use crate::san_model::AnalysisModel;
-use crate::sched::{validate_decision, SchedulingPolicy};
+use crate::sched::{PolicyScratch, SchedulingPolicy};
 use crate::types::VcpuStatus;
 use crate::util::{duty_allows, sample_ticks, FULL_LEVEL};
 
@@ -287,19 +287,21 @@ pub(crate) fn build_model(
         // The same `Rc` goes to the caller so the verifier can
         // snapshot/restore the policy between probe firings.
         let policy = Rc::clone(&shared_policy);
+        // The views and decision marks, refilled in place at every firing.
+        let scratch = RefCell::new(PolicyScratch::default());
         mb.activity("Scheduling_Func")?
             .instantaneous(priority::SCHED)
             .input_arc(tick_sched, 1)
             .guard("not_halted", move |m| m.tokens(halt) == 0)
             .reads([halt])
             .output_gate("schedule", move |m, _| {
-                let vcpus = l.vcpu_views(m, &cfg);
-                let pcpus = l.pcpu_views(m, &cfg);
+                let mut scratch = scratch.borrow_mut();
+                l.vcpu_views_into(m, &cfg, &mut scratch.vcpus);
+                l.pcpu_views_into(m, &cfg, &mut scratch.pcpus);
                 let now = m.tokens(l.clock);
                 let mut policy = policy.borrow_mut();
-                let decision = policy.schedule(&vcpus, &pcpus, now as u64, cfg.timeslice());
-                match validate_decision(policy.name(), &vcpus, &pcpus, &decision) {
-                    Ok(()) => l.apply_decision(m, &decision, now),
+                match scratch.consult(policy.as_mut(), now as u64, cfg.timeslice()) {
+                    Ok(decision) => l.apply_decision(m, &decision, now),
                     Err(e) => {
                         *cell.borrow_mut() = Some(e);
                         m.set(l.halt, 1);

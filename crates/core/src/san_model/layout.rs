@@ -6,6 +6,7 @@ use vsched_san::{Marking, PlaceId};
 use crate::config::SystemConfig;
 use crate::sched::ScheduleDecision;
 use crate::types::{PcpuView, VcpuStatus, VcpuView};
+use crate::util::refill;
 
 /// Field places of one VCPU — the paper's `VCPU_slot` extended place
 /// (`remaining_load`, `sync_point`, `status`) plus the scheduler-side
@@ -96,10 +97,21 @@ impl Layout {
     /// Builds the [`VcpuView`] array a policy receives, from a marking.
     #[must_use]
     pub fn vcpu_views(&self, marking: &Marking, config: &SystemConfig) -> Vec<VcpuView> {
-        self.vcpus
-            .iter()
-            .zip(config.vcpu_ids())
-            .map(|(p, &id)| {
+        let mut views = Vec::new();
+        self.vcpu_views_into(marking, config, &mut views);
+        views
+    }
+
+    /// [`Layout::vcpu_views`] into `out`, reusing its capacity.
+    pub fn vcpu_views_into(
+        &self,
+        marking: &Marking,
+        config: &SystemConfig,
+        out: &mut Vec<VcpuView>,
+    ) {
+        refill(
+            out,
+            self.vcpus.iter().zip(config.vcpu_ids()).map(|(p, &id)| {
                 let pcpu = marking.tokens(p.pcpu);
                 let last_in = marking.tokens(p.last_in);
                 VcpuView {
@@ -113,8 +125,8 @@ impl Layout {
                     vm_weight: config.vms()[id.vm].weight,
                     present: self.vm_admitted(marking, id.vm),
                 }
-            })
-            .collect()
+            }),
+        );
     }
 
     /// Whether VM `vm` is admitted in `marking`. Static models are always
@@ -172,17 +184,28 @@ impl Layout {
     /// Builds the [`PcpuView`] array from a marking.
     #[must_use]
     pub fn pcpu_views(&self, marking: &Marking, config: &SystemConfig) -> Vec<PcpuView> {
-        self.pcpus
-            .iter()
-            .enumerate()
-            .map(|(id, &place)| {
+        let mut views = Vec::new();
+        self.pcpu_views_into(marking, config, &mut views);
+        views
+    }
+
+    /// [`Layout::pcpu_views`] into `out`, reusing its capacity.
+    pub fn pcpu_views_into(
+        &self,
+        marking: &Marking,
+        config: &SystemConfig,
+        out: &mut Vec<PcpuView>,
+    ) {
+        refill(
+            out,
+            self.pcpus.iter().enumerate().map(|(id, &place)| {
                 let v = marking.tokens(place);
                 PcpuView {
                     id,
                     assigned: (v > 0).then(|| config.vcpu_ids()[(v - 1) as usize]),
                 }
-            })
-            .collect()
+            }),
+        );
     }
 
     /// Schedules VCPU `g` out: INACTIVE, PCPU freed, ready count adjusted.

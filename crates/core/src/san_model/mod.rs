@@ -32,8 +32,9 @@ use crate::config::SystemConfig;
 use crate::error::CoreError;
 use crate::metrics::SampleMetrics;
 use crate::observe::TickObserver;
-use crate::sched::SchedulingPolicy;
+use crate::sched::{PolicyScratch, SchedulingPolicy};
 use crate::types::{PcpuView, VcpuView};
+use crate::util::refill;
 
 use build::ErrorCell;
 
@@ -123,6 +124,8 @@ pub struct SanSystem {
     putil: Vec<RewardId>,
     horizon: f64,
     observer: Option<Box<dyn TickObserver>>,
+    /// The views the observer receives, refilled every observed tick.
+    scratch: PolicyScratch,
 }
 
 impl std::fmt::Debug for SanSystem {
@@ -230,6 +233,7 @@ impl SanSystem {
             putil,
             horizon: 0.0,
             observer: None,
+            scratch: PolicyScratch::default(),
         })
     }
 
@@ -279,11 +283,15 @@ impl SanSystem {
             if let Some(e) = self.error.borrow_mut().take() {
                 return Err(e);
             }
-            let vcpu_views = self.vcpu_views();
-            let pcpu_views = self.pcpu_views();
             let tick = self.time();
+            let marking = self.sim.marking();
+            let views = &mut self.scratch;
+            self.layout
+                .vcpu_views_into(marking, &self.config, &mut views.vcpus);
+            self.layout
+                .pcpu_views_into(marking, &self.config, &mut views.pcpus);
             if let Some(obs) = self.observer.as_mut() {
-                obs.on_tick(tick, &vcpu_views, &pcpu_views)?;
+                obs.on_tick(tick, &views.vcpus, &views.pcpus)?;
             }
         }
         Ok(())
@@ -339,50 +347,49 @@ impl SanSystem {
     /// of scheduled time spent making progress (see [`crate::metrics`]).
     #[must_use]
     pub fn metrics(&self) -> SampleMetrics {
-        let availability: Vec<f64> = self
-            .avail
-            .iter()
-            .map(|&r| self.sim.rate_reward_average(r))
-            .collect();
-        let spin_avg: Vec<f64> = self
-            .spin
-            .iter()
-            .map(|&r| self.sim.rate_reward_average(r))
-            .collect();
-        let utilization = self
-            .util
-            .iter()
-            .zip(&availability)
-            .zip(&spin_avg)
-            .map(|((&r, &active), &spinning)| {
-                if active == 0.0 {
-                    0.0
-                } else {
-                    (self.sim.rate_reward_average(r) - spinning).max(0.0) / active
-                }
-            })
-            .collect();
-        let vcpu_spin = spin_avg
-            .iter()
-            .zip(&availability)
-            .map(|(&spinning, &active)| {
-                if active == 0.0 {
-                    0.0
-                } else {
-                    spinning / active
-                }
-            })
-            .collect();
-        SampleMetrics {
-            vcpu_availability: availability,
-            vcpu_utilization: utilization,
-            pcpu_utilization: self
-                .putil
-                .iter()
-                .map(|&r| self.sim.rate_reward_average(r))
-                .collect(),
+        let mut metrics = SampleMetrics::empty();
+        self.metrics_into(&mut metrics);
+        metrics
+    }
+
+    /// [`SanSystem::metrics`] into `out`, reusing its capacity.
+    pub fn metrics_into(&self, out: &mut SampleMetrics) {
+        let average = |&r: &RewardId| self.sim.rate_reward_average(r);
+        let SampleMetrics {
+            vcpu_availability,
+            vcpu_utilization,
+            pcpu_utilization,
             vcpu_spin,
-        }
+        } = out;
+        refill(vcpu_availability, self.avail.iter().map(average));
+        refill(
+            vcpu_utilization,
+            self.util
+                .iter()
+                .zip(&self.spin)
+                .zip(vcpu_availability.iter())
+                .map(|((u, s), &active)| {
+                    if active == 0.0 {
+                        0.0
+                    } else {
+                        (average(u) - average(s)).max(0.0) / active
+                    }
+                }),
+        );
+        refill(
+            vcpu_spin,
+            self.spin
+                .iter()
+                .zip(vcpu_availability.iter())
+                .map(|(s, &active)| {
+                    if active == 0.0 {
+                        0.0
+                    } else {
+                        average(s) / active
+                    }
+                }),
+        );
+        refill(pcpu_utilization, self.putil.iter().map(average));
     }
 
     /// Snapshot of every VCPU from the current marking.
@@ -391,10 +398,22 @@ impl SanSystem {
         self.layout.vcpu_views(self.sim.marking(), &self.config)
     }
 
+    /// [`SanSystem::vcpu_views`] into `out`, reusing its capacity.
+    pub fn vcpu_views_into(&self, out: &mut Vec<VcpuView>) {
+        self.layout
+            .vcpu_views_into(self.sim.marking(), &self.config, out);
+    }
+
     /// Snapshot of every PCPU from the current marking.
     #[must_use]
     pub fn pcpu_views(&self) -> Vec<PcpuView> {
         self.layout.pcpu_views(self.sim.marking(), &self.config)
+    }
+
+    /// [`SanSystem::pcpu_views`] into `out`, reusing its capacity.
+    pub fn pcpu_views_into(&self, out: &mut Vec<PcpuView>) {
+        self.layout
+            .pcpu_views_into(self.sim.marking(), &self.config, out);
     }
 
     /// Whether VM `vm` is currently blocked on a synchronization point.

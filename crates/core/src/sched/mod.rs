@@ -261,16 +261,176 @@ pub trait SchedulingPolicy {
     }
 }
 
+/// The reusable state of the once-per-tick policy consultation: the VCPU
+/// and PCPU views a policy receives and the marks that check its
+/// decision.
+///
+/// Each engine owns one. Per tick it refills [`PolicyScratch::vcpus`] and
+/// [`PolicyScratch::pcpus`] in place and calls [`PolicyScratch::consult`].
+/// The buffers keep their capacity and the marks are cleared after every
+/// check, so a steady-state consultation allocates only what the policy's
+/// own decision allocates — as the paper's C interface, which hands the
+/// policy the hypervisor's own arrays, allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct PolicyScratch {
+    /// Every VCPU's view, indexed by global id.
+    pub vcpus: Vec<VcpuView>,
+    /// Every PCPU's view, indexed by id.
+    pub pcpus: Vec<PcpuView>,
+    marks: DecisionMarks,
+}
+
+impl PolicyScratch {
+    /// Calls `policy` on the current views and checks the decision it
+    /// returns: [`validate_decision`] exactly, on the marks the previous
+    /// call left clear.
+    ///
+    /// # Errors
+    ///
+    /// As [`validate_decision`].
+    pub fn consult(
+        &mut self,
+        policy: &mut dyn SchedulingPolicy,
+        timestamp: u64,
+        default_timeslice: u64,
+    ) -> Result<ScheduleDecision, CoreError> {
+        let decision = policy.schedule(&self.vcpus, &self.pcpus, timestamp, default_timeslice);
+        self.marks
+            .check(policy.name(), &self.vcpus, &self.pcpus, &decision)?;
+        Ok(decision)
+    }
+}
+
+/// A VCPU mark: preempted by the decision under check.
+const PREEMPTED: u8 = 1;
+/// A VCPU mark: assigned by the decision under check.
+const ASSIGNED: u8 = 2;
+/// A PCPU mark: freed by one of the decision's preemptions.
+const FREED: u8 = 1;
+/// A PCPU mark: taken by one of the decision's assignments.
+const TAKEN: u8 = 2;
+
+/// Per-VCPU and per-PCPU marks of the decision check, all clear between
+/// checks. A check marks only entries its decision names and clears
+/// exactly those afterwards, so it costs O(decision), not O(system).
+#[derive(Debug, Clone, Default)]
+struct DecisionMarks {
+    vcpu: Vec<u8>,
+    pcpu: Vec<u8>,
+}
+
+impl DecisionMarks {
+    fn check(
+        &mut self,
+        policy_name: &str,
+        vcpus: &[VcpuView],
+        pcpus: &[PcpuView],
+        decision: &ScheduleDecision,
+    ) -> Result<(), CoreError> {
+        self.vcpu.resize(vcpus.len(), 0);
+        self.pcpu.resize(pcpus.len(), 0);
+        let verdict = self.mark(vcpus, pcpus, decision);
+        self.clear(vcpus, decision);
+        verdict.map_err(|reason| CoreError::PolicyViolation {
+            policy: policy_name.to_string(),
+            reason,
+        })
+    }
+
+    /// Walks the decision in order and returns its first violation.
+    fn mark(
+        &mut self,
+        vcpus: &[VcpuView],
+        pcpus: &[PcpuView],
+        decision: &ScheduleDecision,
+    ) -> Result<(), String> {
+        for &v in &decision.preemptions {
+            let view = vcpus
+                .get(v)
+                .ok_or_else(|| format!("preemption of unknown VCPU index {v}"))?;
+            if self.vcpu[v] & PREEMPTED != 0 {
+                return Err(format!("VCPU {v} preempted twice"));
+            }
+            self.vcpu[v] |= PREEMPTED;
+            match view.assigned_pcpu {
+                Some(p) => self.pcpu[p] |= FREED,
+                None => {
+                    return Err(format!(
+                        "preempted VCPU {v} is not ACTIVE (status {:?})",
+                        view.status
+                    ))
+                }
+            }
+        }
+        for a in &decision.assignments {
+            let view = vcpus
+                .get(a.vcpu)
+                .ok_or_else(|| format!("assignment of unknown VCPU index {}", a.vcpu))?;
+            if a.pcpu >= pcpus.len() {
+                return Err(format!("assignment to unknown PCPU {}", a.pcpu));
+            }
+            if a.timeslice == 0 {
+                return Err(format!("VCPU {} assigned a zero timeslice", a.vcpu));
+            }
+            if self.vcpu[a.vcpu] & PREEMPTED != 0 {
+                return Err(format!(
+                    "VCPU {} both preempted and assigned in one tick",
+                    a.vcpu
+                ));
+            }
+            if !view.is_schedulable() {
+                return Err(format!(
+                    "assigned VCPU {} is not INACTIVE (status {:?})",
+                    a.vcpu, view.status
+                ));
+            }
+            if self.vcpu[a.vcpu] & ASSIGNED != 0 {
+                return Err(format!("VCPU {} assigned twice", a.vcpu));
+            }
+            self.vcpu[a.vcpu] |= ASSIGNED;
+            let idle = pcpus[a.pcpu].is_idle() || self.pcpu[a.pcpu] & FREED != 0;
+            if !idle || self.pcpu[a.pcpu] & TAKEN != 0 {
+                return Err(format!("PCPU {} is not available", a.pcpu));
+            }
+            self.pcpu[a.pcpu] |= TAKEN;
+        }
+        Ok(())
+    }
+
+    /// Clears every entry [`DecisionMarks::mark`] may have set, however
+    /// far it got.
+    fn clear(&mut self, vcpus: &[VcpuView], decision: &ScheduleDecision) {
+        for &v in &decision.preemptions {
+            if let Some(view) = vcpus.get(v) {
+                self.vcpu[v] = 0;
+                if let Some(mark) = view.assigned_pcpu.and_then(|p| self.pcpu.get_mut(p)) {
+                    *mark = 0;
+                }
+            }
+        }
+        for a in &decision.assignments {
+            if let Some(mark) = self.vcpu.get_mut(a.vcpu) {
+                *mark = 0;
+            }
+            if let Some(mark) = self.pcpu.get_mut(a.pcpu) {
+                *mark = 0;
+            }
+        }
+    }
+}
+
 /// Checks a decision against the model invariants — the **decision
 /// invariant** of the `vsched-check` catalogue (see DESIGN.md §11).
 ///
-/// Both engines gate every [`ScheduleDecision`] through this function
-/// before applying it, so it runs on every tick of every simulation, not
-/// only under the fuzzer; the `vsched-check` crate re-exports it as the
-/// first entry of its invariant catalogue and layers the *state*
-/// invariants (exclusive assignment, transition legality, gang atomicity,
-/// skew bound, accounting closure) on top via the
-/// [`crate::observe::TickObserver`] hook.
+/// Both engines run this check on every [`ScheduleDecision`] before
+/// applying it, through [`PolicyScratch::consult`], which reuses its
+/// marks from tick to tick; this function runs the same check on fresh
+/// marks. It runs on every tick of every simulation, not only under the
+/// fuzzer; the `vsched-check` crate re-exports it as the first entry of
+/// its invariant catalogue and layers the *state* invariants (exclusive
+/// assignment, transition legality, gang atomicity, skew bound,
+/// accounting closure) on top via the [`crate::observe::TickObserver`]
+/// hook.
 ///
 /// Invariants:
 ///
@@ -292,68 +452,7 @@ pub fn validate_decision(
     pcpus: &[PcpuView],
     decision: &ScheduleDecision,
 ) -> Result<(), CoreError> {
-    let violation = |reason: String| CoreError::PolicyViolation {
-        policy: policy_name.to_string(),
-        reason,
-    };
-    let mut freed = vec![false; pcpus.len()];
-    let mut preempted = vec![false; vcpus.len()];
-    for &v in &decision.preemptions {
-        let view = vcpus
-            .get(v)
-            .ok_or_else(|| violation(format!("preemption of unknown VCPU index {v}")))?;
-        if preempted[v] {
-            return Err(violation(format!("VCPU {v} preempted twice")));
-        }
-        preempted[v] = true;
-        match view.assigned_pcpu {
-            Some(p) => freed[p] = true,
-            None => {
-                return Err(violation(format!(
-                    "preempted VCPU {v} is not ACTIVE (status {:?})",
-                    view.status
-                )))
-            }
-        }
-    }
-    let mut pcpu_taken = vec![false; pcpus.len()];
-    let mut vcpu_assigned = vec![false; vcpus.len()];
-    for a in &decision.assignments {
-        let view = vcpus
-            .get(a.vcpu)
-            .ok_or_else(|| violation(format!("assignment of unknown VCPU index {}", a.vcpu)))?;
-        if a.pcpu >= pcpus.len() {
-            return Err(violation(format!("assignment to unknown PCPU {}", a.pcpu)));
-        }
-        if a.timeslice == 0 {
-            return Err(violation(format!(
-                "VCPU {} assigned a zero timeslice",
-                a.vcpu
-            )));
-        }
-        if preempted[a.vcpu] {
-            return Err(violation(format!(
-                "VCPU {} both preempted and assigned in one tick",
-                a.vcpu
-            )));
-        }
-        if !view.is_schedulable() {
-            return Err(violation(format!(
-                "assigned VCPU {} is not INACTIVE (status {:?})",
-                a.vcpu, view.status
-            )));
-        }
-        if vcpu_assigned[a.vcpu] {
-            return Err(violation(format!("VCPU {} assigned twice", a.vcpu)));
-        }
-        vcpu_assigned[a.vcpu] = true;
-        let idle = pcpus[a.pcpu].is_idle() || freed[a.pcpu];
-        if !idle || pcpu_taken[a.pcpu] {
-            return Err(violation(format!("PCPU {} is not available", a.pcpu)));
-        }
-        pcpu_taken[a.pcpu] = true;
-    }
-    Ok(())
+    DecisionMarks::default().check(policy_name, vcpus, pcpus, decision)
 }
 
 /// Collects the indices of currently idle PCPUs.
@@ -943,6 +1042,115 @@ mod tests {
                 let actual = reused.schedule(&vcpus, &pcpus, now, 10);
                 validate_decision(reused.name(), &vcpus, &pcpus, &actual).unwrap();
                 assert_eq!(actual, expected, "{} call {t} on {sizes:?}", reused.name());
+            }
+        }
+    }
+
+    /// Views of 1–8 single-VCPU VMs on 1–6 PCPUs, decoded from `bits`:
+    /// some VCPUs run (BUSY or READY) on distinct PCPUs, the rest are
+    /// INACTIVE.
+    fn views_from(bits: u64) -> (Vec<VcpuView>, Vec<PcpuView>) {
+        use tests_support::{activate, pcpus_for, vcpus_inactive};
+        let n = 1 + (bits % 8) as usize;
+        let m = 1 + (bits >> 3) as usize % 6;
+        let mut vcpus = vcpus_inactive(n);
+        let mut next = (bits >> 6) as usize % m;
+        let mut running = 0;
+        for g in 0..n {
+            if running < m && (bits >> (9 + g)) & 1 == 1 {
+                activate(&mut vcpus, g, next);
+                if (bits >> (20 + g)) & 1 == 1 {
+                    vcpus[g].status = VcpuStatus::Ready;
+                }
+                next = (next + 1) % m;
+                running += 1;
+            }
+        }
+        let pcpus = pcpus_for(m, &vcpus);
+        (vcpus, pcpus)
+    }
+
+    /// A decision that passes the check: it preempts some running VCPUs
+    /// and assigns INACTIVE ones to idle or freed PCPUs.
+    fn valid_decision(vcpus: &[VcpuView], pcpus: &[PcpuView], bits: u64) -> ScheduleDecision {
+        let mut d = ScheduleDecision::none();
+        let mut free = idle_pcpus(pcpus);
+        for v in vcpus {
+            if let Some(p) = v.assigned_pcpu {
+                if (bits >> (32 + v.id.global)) & 1 == 1 {
+                    d.preempt(v.id.global);
+                    free.push(p);
+                }
+            }
+        }
+        for v in vcpus.iter().filter(|v| v.is_schedulable()) {
+            if (bits >> (44 + v.id.global)) & 1 == 1 {
+                if let Some(p) = free.pop() {
+                    d.assign(v.id.global, p, 1 + (bits >> 56) % 5);
+                }
+            }
+        }
+        d
+    }
+
+    /// One decision step: view bits, whether the decision is built valid,
+    /// and raw `(kind, vcpu, pcpu, timeslice)` operations otherwise (kind
+    /// 0 preempts, 1 assigns). Indices run past the system's sizes and
+    /// repeat, and timeslices may be zero, so every violation shows up.
+    type Step = (u64, bool, Vec<(u8, usize, usize, u64)>);
+
+    fn step() -> impl proptest::strategy::Strategy<Value = Step> {
+        use proptest::prelude::*;
+        (
+            any::<u64>(),
+            any::<bool>(),
+            proptest::collection::vec((0..2u8, 0..10usize, 0..8usize, 0..8u64), 0..6),
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// One set of marks checks a sequence of decisions, valid and
+        /// invalid, on views whose size changes from step to step. Each
+        /// check returns exactly what a fresh `validate_decision` returns,
+        /// error text included, and leaves every mark clear.
+        #[test]
+        fn a_reused_check_equals_a_fresh_one(
+            steps in proptest::collection::vec(step(), 1..24)
+        ) {
+            let mut marks = DecisionMarks::default();
+            for (bits, valid, ops) in steps {
+                let (vcpus, pcpus) = views_from(bits);
+                let decision = if valid {
+                    valid_decision(&vcpus, &pcpus, bits)
+                } else {
+                    let mut d = ScheduleDecision::none();
+                    for (kind, vcpu, pcpu, timeslice) in ops {
+                        if kind == 0 {
+                            d.preempt(vcpu);
+                        } else {
+                            d.assign(vcpu, pcpu, timeslice);
+                        }
+                    }
+                    d
+                };
+                let fresh = validate_decision("p", &vcpus, &pcpus, &decision);
+                let reused = marks.check("p", &vcpus, &pcpus, &decision);
+                proptest::prop_assert_eq!(
+                    reused.map_err(|e| e.to_string()),
+                    fresh.map_err(|e| e.to_string()),
+                    "{:?}",
+                    decision
+                );
+                if valid {
+                    proptest::prop_assert!(marks.check("p", &vcpus, &pcpus, &decision).is_ok());
+                }
+                proptest::prop_assert!(
+                    marks.vcpu.iter().chain(&marks.pcpu).all(|&m| m == 0),
+                    "marks left set after {:?}",
+                    decision
+                );
             }
         }
     }

@@ -183,8 +183,10 @@ struct LiveEpisode {
     /// `warmup + horizon`.
     total: u64,
     prev_scalar: f64,
-    /// The true views at the pending decision point.
+    /// The true views at the pending decision point, refilled in place.
     views: (Vec<VcpuView>, Vec<PcpuView>),
+    /// The cumulative post-warm-up metrics, refilled in place every step.
+    metrics: SampleMetrics,
 }
 
 impl LiveEpisode {
@@ -195,7 +197,8 @@ impl LiveEpisode {
         default_timeslice: u64,
     ) -> Result<Observation, CoreError> {
         self.sim.run_to_decision()?;
-        self.views = (self.sim.vcpu_views(), self.sim.pcpu_views());
+        self.sim.vcpu_views_into(&mut self.views.0);
+        self.sim.pcpu_views_into(&mut self.views.1);
         Ok(Observation::masked(
             &self.views.0,
             &self.views.1,
@@ -208,13 +211,13 @@ impl LiveEpisode {
     /// Differences the weighted metric scalar against the previous step
     /// (`None` during warm-up, where the scalar is zero).
     fn settle_reward(
-        &mut self,
+        prev_scalar: &mut f64,
         weights: RewardWeights,
         metrics: Option<&SampleMetrics>,
     ) -> (f64, StepInfo) {
         let scalar = metrics.map_or(0.0, |m| weights.scalar(m));
-        let reward = scalar - self.prev_scalar;
-        self.prev_scalar = scalar;
+        let reward = scalar - *prev_scalar;
+        *prev_scalar = scalar;
         (reward, StepInfo::from_metrics(metrics))
     }
 
@@ -386,6 +389,12 @@ impl Env {
             total,
             prev_scalar: 0.0,
             views: (Vec::new(), Vec::new()),
+            metrics: SampleMetrics {
+                vcpu_availability: Vec::new(),
+                vcpu_utilization: Vec::new(),
+                pcpu_utilization: Vec::new(),
+                vcpu_spin: Vec::new(),
+            },
         };
         let obs = episode.observe_next(self.fields, self.scenario.config.timeslice())?;
         self.episode = Some(episode);
@@ -413,7 +422,11 @@ impl Env {
         let timeslice = self.scenario.config.timeslice();
         if episode.ticks == episode.total {
             let end = episode.end();
-            let (reward, info) = episode.settle_reward(self.weights, Some(&end.metrics));
+            let (reward, info) = LiveEpisode::settle_reward(
+                &mut episode.prev_scalar,
+                self.weights,
+                Some(&end.metrics),
+            );
             // The terminal observation re-shows the last epoch's views at
             // the end-of-episode tick.
             let (vcpus, pcpus) = &episode.views;
@@ -426,8 +439,15 @@ impl Env {
                 info,
             });
         }
-        let metrics = (episode.ticks > warmup).then(|| episode.sim.metrics());
-        let (reward, info) = episode.settle_reward(self.weights, metrics.as_ref());
+        let warmed_up = episode.ticks > warmup;
+        if warmed_up {
+            episode.sim.metrics_into(&mut episode.metrics);
+        }
+        let (reward, info) = LiveEpisode::settle_reward(
+            &mut episode.prev_scalar,
+            self.weights,
+            warmed_up.then_some(&episode.metrics),
+        );
         let obs = episode.observe_next(self.fields, timeslice)?;
         self.episode = Some(episode);
         Ok(Step {

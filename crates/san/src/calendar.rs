@@ -41,7 +41,10 @@ pub(crate) struct Calendar {
     timed: EventQueue<ActivityId>,
     /// The agenda: `(effective priority, FIFO of (activity, stamp))`,
     /// highest first. The levels are fixed when the calendar is built, so
-    /// a push or a pop never allocates a level.
+    /// a push or a pop never allocates a level. Each FIFO starts with room
+    /// for every activity of its priority pending at once, so a push grows
+    /// it only while cancelled entries ahead of it still wait to be
+    /// dropped, and a burst of activations mid-run does not.
     levels: Vec<(i32, VecDeque<(u32, u64)>)>,
     /// Per activity: where its completion waits.
     slot: Vec<Slot>,
@@ -67,12 +70,15 @@ impl Calendar {
         distinct.sort_unstable_by(|a, b| b.cmp(a));
         distinct.dedup();
         let mut timed = 0;
+        let mut level_sizes = vec![0; distinct.len()];
         let slot = priorities
             .iter()
             .map(|p| match p {
                 Some(p) => {
                     let level = distinct.binary_search_by(|d| p.cmp(d));
-                    Slot::Agenda(fits_u32(level.expect("every priority has a level")))
+                    let level = level.expect("every priority has a level");
+                    level_sizes[level] += 1;
+                    Slot::Agenda(fits_u32(level))
                 }
                 None => {
                     timed += 1;
@@ -83,7 +89,11 @@ impl Calendar {
         Calendar {
             timed: EventQueue::new(),
             top: distinct.len(),
-            levels: distinct.into_iter().map(|p| (p, VecDeque::new())).collect(),
+            levels: distinct
+                .into_iter()
+                .zip(level_sizes)
+                .map(|(p, size)| (p, VecDeque::with_capacity(size)))
+                .collect(),
             slot,
             stamps: vec![IDLE; priorities.len()],
             handles: vec![None; timed],
