@@ -31,11 +31,14 @@
 //!   simulations.
 //!
 //! The whole pipeline is driven by [`sweep::run_sweep`], which backs the
-//! `vsched sweep` CLI subcommand.
+//! `vsched sweep` CLI subcommand. Its progress lines and figures, like
+//! the tournament's, print through [`STDOUT`], which goes quiet instead
+//! of panicking when the reader closes the pipe.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod console;
 pub mod error;
 pub mod fsio;
 pub mod key;
@@ -47,6 +50,7 @@ pub mod store;
 pub mod sweep;
 mod table;
 
+pub use console::STDOUT;
 pub use error::CampaignError;
 pub use key::{cell_key, ENGINE_VERSION};
 pub use plan::{plan, Plan, PlannedCell, PlannedExperiment};

@@ -16,6 +16,7 @@
 
 use std::path::{Path, PathBuf};
 
+use crate::console::STDOUT;
 use crate::error::CampaignError;
 use crate::fsio::write_atomic;
 use crate::orchestrator::{dedup_cells, ensure_cells};
@@ -131,29 +132,29 @@ pub fn run_sweep(spec_path: &Path, opts: &SweepOptions) -> Result<SweepOutcome, 
     let unique = dedup_cells(all_cells.iter().copied());
 
     if !opts.quiet {
-        println!(
+        STDOUT.println(format_args!(
             "campaign: {} experiment(s), {} planned cell(s), {} unique",
             selected.len(),
             planned_cells,
             unique.len()
-        );
+        ));
     }
 
     if opts.dry_run {
         let cached = unique.iter().filter(|c| store.contains(&c.key)).count();
         if !opts.quiet {
             for exp in &selected {
-                println!(
+                STDOUT.println(format_args!(
                     "  {}: {} cell(s) -> report `{}`",
                     exp.name,
                     exp.cells.len(),
                     exp.report
-                );
+                ));
             }
-            println!(
+            STDOUT.println(format_args!(
                 "sweep: {} unique cells, {cached} cached, 0 simulated (dry run)",
                 unique.len()
-            );
+            ));
         }
         return Ok(SweepOutcome {
             figures: Vec::new(),
@@ -175,7 +176,7 @@ pub fn run_sweep(spec_path: &Path, opts: &SweepOptions) -> Result<SweepOutcome, 
         &|done, total, cell| {
             if !quiet {
                 let what = cell.config.summary().unwrap_or_else(|_| cell.key.clone());
-                println!("  [{done}/{total}] {} ({what})", cell.key);
+                STDOUT.println(format_args!("  [{done}/{total}] {} ({what})", cell.key));
             }
         },
     )?;
@@ -192,9 +193,9 @@ pub fn run_sweep(spec_path: &Path, opts: &SweepOptions) -> Result<SweepOutcome, 
                 let path = out_dir.join(format!("{}.json", figure.name));
                 write_atomic(&path, &body).map_err(|e| CampaignError::io(&path, e))?;
                 if !opts.quiet {
-                    print!("{}", figure.text);
-                    println!("[wrote {}]", path.display());
-                    println!();
+                    STDOUT.print(format_args!("{}", figure.text));
+                    STDOUT.println(format_args!("[wrote {}]", path.display()));
+                    STDOUT.println(format_args!(""));
                 }
                 figures.push(figure);
             }
@@ -203,15 +204,15 @@ pub fn run_sweep(spec_path: &Path, opts: &SweepOptions) -> Result<SweepOutcome, 
     }
     if !opts.quiet {
         if !skipped.is_empty() {
-            println!(
+            STDOUT.println(format_args!(
                 "incomplete (cells still missing, re-run to finish): {}",
                 skipped.join(", ")
-            );
+            ));
         }
-        println!(
+        STDOUT.println(format_args!(
             "sweep: {} unique cells, {} cached, {} simulated",
             stats.unique, stats.cached, stats.simulated
-        );
+        ));
     }
     Ok(SweepOutcome {
         figures,

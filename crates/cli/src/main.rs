@@ -26,7 +26,7 @@ use std::time::Duration;
 
 use vsched_analyze::AnalyzeOpts;
 use vsched_campaign::fsio::{read_file, write_atomic};
-use vsched_campaign::{run_sweep, EngineSpec, SweepOptions};
+use vsched_campaign::{run_sweep, EngineSpec, SweepOptions, STDOUT};
 use vsched_check::{run_fuzz, FuzzOpts};
 use vsched_cli::args::Args;
 use vsched_cli::output::{render_report, report_to_json};
@@ -352,7 +352,7 @@ fn main() -> ExitCode {
 /// mid-write cannot leave a truncated file behind) and says so.
 fn write_out(path: &Path, body: &str) -> Result<(), Box<dyn Error>> {
     write_atomic(path, body).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-    println!("[wrote {}]", path.display());
+    STDOUT.println(format_args!("[wrote {}]", path.display()));
     Ok(())
 }
 
@@ -934,7 +934,7 @@ fn tournament(args: &[String]) -> CmdResult {
     a.finish()?;
 
     let report = vsched_cli::run_tournament(&opts)?;
-    print!("{}", report.render_text());
+    STDOUT.print(format_args!("{}", report.render_text()));
     if let Some(out) = &out_path {
         write_out(out, &serde_json::to_string_pretty(&report.to_json())?)?;
     }

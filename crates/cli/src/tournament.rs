@@ -32,7 +32,7 @@ use vsched_campaign::fsio::read_file;
 use vsched_campaign::orchestrator::ensure_cells;
 use vsched_campaign::{
     cell_key, CellConfig, DistSpec, EngineSpec, PlannedCell, PolicySpec, ReplicationSpec,
-    ResultStore, SyncMechanismSpec,
+    ResultStore, SyncMechanismSpec, STDOUT,
 };
 use vsched_check::gen::CaseGen;
 use vsched_check::{case::LoadSpec, FuzzCase};
@@ -489,7 +489,10 @@ pub fn run_tournament(
     let quiet = opts.quiet;
     let stats = ensure_cells(&store, &refs, jobs, None, &move |done, total, cell| {
         if !quiet {
-            println!("  sim [{done}/{total}] {}", cell.labels.join(" / "));
+            STDOUT.println(format_args!(
+                "  sim [{done}/{total}] {}",
+                cell.labels.join(" / ")
+            ));
         }
     })?;
 
@@ -568,8 +571,11 @@ pub fn run_tournament(
             if !opts.quiet {
                 let name = display.as_deref().unwrap_or(command);
                 match &scores.last().unwrap().fault {
-                    Some(f) => println!("  agent [{name}] {}: forfeit ({f})", scenario.name),
-                    None => println!("  agent [{name}] {}: ok", scenario.name),
+                    Some(f) => STDOUT.println(format_args!(
+                        "  agent [{name}] {}: forfeit ({f})",
+                        scenario.name
+                    )),
+                    None => STDOUT.println(format_args!("  agent [{name}] {}: ok", scenario.name)),
                 }
             }
         }

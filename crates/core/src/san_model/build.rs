@@ -158,8 +158,7 @@ pub(crate) fn build_model(
         let mut clock_act = mb
             .activity("Clock")?
             .timed(Dist::Deterministic { value: 1.0 })
-            .guard("not_halted", move |m| m.tokens(halt) == 0)
-            .reads([halt])
+            .inhibitor_arc(halt, 1)
             .output_arc(clock, 1)
             .output_arc(tick_expire, 1)
             .output_arc(tick_sched, 1);
@@ -292,8 +291,7 @@ pub(crate) fn build_model(
         mb.activity("Scheduling_Func")?
             .instantaneous(priority::SCHED)
             .input_arc(tick_sched, 1)
-            .guard("not_halted", move |m| m.tokens(halt) == 0)
-            .reads([halt])
+            .inhibitor_arc(halt, 1)
             .output_gate("schedule", move |m, _| {
                 let mut scratch = scratch.borrow_mut();
                 l.vcpu_views_into(m, &cfg, &mut scratch.vcpus);
@@ -328,30 +326,26 @@ pub(crate) fn build_model(
                     let mut gen = mb
                         .activity("WL_Generate")?
                         .instantaneous(priority::GENERATE)
-                        .guard("can_generate", move |m| {
-                            m.tokens(halt) == 0
-                                && m.tokens(vm.wl_pending) == 0
-                                && m.tokens(vm.blocked) == 0
-                                && m.tokens(vm.ready_count) > 0
-                                && m.tokens(vm.window) > 0
-                        })
-                        .reads([halt, vm.wl_pending, vm.blocked, vm.ready_count, vm.window]);
+                        .inhibitor_arc(halt, 1)
+                        .inhibitor_arc(vm.wl_pending, 1)
+                        .inhibitor_arc(vm.blocked, 1)
+                        .test_arc(vm.ready_count, 1)
+                        .test_arc(vm.window, 1);
                     if let Some(d) = dvm {
                         // Trace frontend: generation is admission-gated and
                         // duty-cycled by the per-mille load level. At the
-                        // identity marking (admitted, level 1000) this
+                        // identity marking (admitted, level 1000) the duty
                         // guard is a tautology for every tick >= 1 — the
                         // only ticks the window token permits — so the
                         // degenerate trace stays bit-identical to the
                         // static model.
                         gen = gen
+                            .test_arc(d.admitted, 1)
                             .guard("trace_duty", move |m| {
-                                m.tokens(d.admitted) == 1 && {
-                                    let t = m.tokens(clock);
-                                    t >= 1 && duty_allows(t as u64, m.tokens(d.load_level) as u32)
-                                }
+                                let t = m.tokens(clock);
+                                t >= 1 && duty_allows(t as u64, m.tokens(d.load_level) as u32)
                             })
-                            .reads([d.admitted, d.load_level, clock]);
+                            .reads([d.load_level, clock]);
                     }
                     gen.output_gate("WL_Output", move |m, rng| {
                         let load = sample_ticks(&load_dist, rng) as i64;
@@ -374,8 +368,7 @@ pub(crate) fn build_model(
                     let mut gen = mb
                         .activity("WL_Generate")?
                         .timed(inter)
-                        .guard("not_halted", move |m| m.tokens(halt) == 0)
-                        .reads([halt]);
+                        .inhibitor_arc(halt, 1);
                     if let Some(d) = dvm {
                         // Trace frontend: interarrival times stretch by
                         // 1000/level. Level 0 drives the multiplier to 0,
@@ -386,8 +379,7 @@ pub(crate) fn build_model(
                         // bit-exact, so the degenerate trace changes
                         // nothing.
                         gen = gen
-                            .guard("admitted", move |m| m.tokens(d.admitted) == 1)
-                            .reads([d.admitted])
+                            .test_arc(d.admitted, 1)
                             .rate_multiplier(move |m| m.tokens(d.load_level) as f64 / 1000.0)
                             .reads([d.load_level]);
                     }
@@ -400,11 +392,7 @@ pub(crate) fn build_model(
             // the buffer or the READY set drains.
             let members = layout.vcpus[config.vm_vcpus(k)].to_vec();
             let members_gate = members.clone();
-            let dispatch_reads: Vec<PlaceId> =
-                [halt, vm.wl_pending, vm.blocked, vm.ready_count, vm.window]
-                    .into_iter()
-                    .chain(members.iter().map(|v| v.status))
-                    .collect();
+            let member_statuses: Vec<PlaceId> = members.iter().map(|v| v.status).collect();
             let load_dist = spec.load.clone();
             let sync_p = spec.sync_probability;
             let sync_every = spec.sync_every;
@@ -426,17 +414,17 @@ pub(crate) fn build_model(
                     .collect();
             mb.activity("Scheduling")?
                 .instantaneous(priority::DISPATCH)
-                .guard("can_dispatch", move |m| {
-                    m.tokens(halt) == 0
-                        && m.tokens(vm.wl_pending) > 0
-                        && m.tokens(vm.blocked) == 0
-                        && m.tokens(vm.ready_count) > 0
-                        && m.tokens(vm.window) > 0
-                        && members_gate
-                            .iter()
-                            .any(|v| m.tokens(v.status) == VcpuStatus::Ready.to_token())
+                .inhibitor_arc(halt, 1)
+                .test_arc(vm.wl_pending, 1)
+                .inhibitor_arc(vm.blocked, 1)
+                .test_arc(vm.ready_count, 1)
+                .test_arc(vm.window, 1)
+                .guard("member_ready", move |m| {
+                    members_gate
+                        .iter()
+                        .any(|v| m.tokens(v.status) == VcpuStatus::Ready.to_token())
                 })
-                .reads(dispatch_reads)
+                .reads(member_statuses)
                 .output_gate("dispatch", move |m, rng| {
                     let Some(v) = members
                         .iter()

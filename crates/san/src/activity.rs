@@ -107,6 +107,12 @@ pub struct ActivitySpec {
     pub(crate) timing: Timing,
     /// Tokens required from (and consumed out of) places.
     pub(crate) input_arcs: Vec<(PlaceId, i64)>,
+    /// Test arcs: the activity is enabled only while each place holds at
+    /// least the given number of tokens. They move no tokens.
+    pub(crate) test_arcs: Vec<(PlaceId, i64)>,
+    /// Inhibitor arcs: the activity is enabled only while each place holds
+    /// fewer than the given number of tokens. They move no tokens.
+    pub(crate) inhibitor_arcs: Vec<(PlaceId, i64)>,
     pub(crate) input_gates: Vec<InputGate>,
     pub(crate) cases: Vec<CaseSpec>,
     pub(crate) case_weights: CaseWeights,
@@ -129,6 +135,8 @@ impl std::fmt::Debug for ActivitySpec {
             .field("name", &self.name)
             .field("timing", &self.timing)
             .field("input_arcs", &self.input_arcs)
+            .field("test_arcs", &self.test_arcs)
+            .field("inhibitor_arcs", &self.inhibitor_arcs)
             .field("input_gates", &self.input_gates)
             .field("cases", &self.cases.len())
             .field("case_weights", &self.case_weights)
@@ -143,14 +151,33 @@ impl ActivitySpec {
         &self.name
     }
 
-    /// Whether the activity is enabled in `marking`: every input arc is
-    /// covered, every input-gate predicate holds, and (for activities with
-    /// a marking-dependent rate) the rate multiplier is positive.
+    /// Whether the activity is enabled in `marking`: every input and test
+    /// arc is covered, every inhibitor arc's place holds fewer tokens than
+    /// its weight, every input-gate predicate holds, and (for activities
+    /// with a marking-dependent rate) the rate multiplier is positive.
     #[must_use]
     pub fn enabled(&self, marking: &Marking) -> bool {
-        self.input_arcs.iter().all(|&(p, w)| marking.has(p, w))
-            && self.input_gates.iter().all(|g| g.holds(marking))
+        self.arc_conditions()
+            .all(|(p, w, inhibitor)| marking.has(p, w) != inhibitor)
+            && self.closures_hold(marking)
+    }
+
+    /// The closure half of [`ActivitySpec::enabled`]: every input-gate
+    /// predicate holds and the rate multiplier, if any, is positive.
+    pub(crate) fn closures_hold(&self, marking: &Marking) -> bool {
+        self.input_gates.iter().all(|g| g.holds(marking))
             && self.rate_fn.as_ref().is_none_or(|f| f(marking) > 0.0)
+    }
+
+    /// The arc half of [`ActivitySpec::enabled`], one threshold condition
+    /// per arc: `(place, weight, inhibitor)` holds while the place has at
+    /// least `weight` tokens, or fewer for an inhibitor arc. Input arcs
+    /// come first, then test arcs, then inhibitor arcs.
+    pub(crate) fn arc_conditions(&self) -> impl Iterator<Item = (PlaceId, i64, bool)> + '_ {
+        let at_least = self.input_arcs.iter().chain(&self.test_arcs);
+        at_least
+            .map(|&(p, w)| (p, w, false))
+            .chain(self.inhibitor_arcs.iter().map(|&(p, w)| (p, w, true)))
     }
 
     /// The rate multiplier in `marking` (1.0 when none is configured).
@@ -169,6 +196,20 @@ impl ActivitySpec {
     #[must_use]
     pub fn input_arcs(&self) -> &[(PlaceId, i64)] {
         &self.input_arcs
+    }
+
+    /// The test arcs: `(place, weight)` pairs the activity needs covered
+    /// to be enabled, without consuming them.
+    #[must_use]
+    pub fn test_arcs(&self) -> &[(PlaceId, i64)] {
+        &self.test_arcs
+    }
+
+    /// The inhibitor arcs: `(place, weight)` pairs that disable the
+    /// activity while the place holds at least `weight` tokens.
+    #[must_use]
+    pub fn inhibitor_arcs(&self) -> &[(PlaceId, i64)] {
+        &self.inhibitor_arcs
     }
 
     /// Number of probabilistic cases.
@@ -227,15 +268,26 @@ impl ActivitySpec {
         }
     }
 
-    /// Every place [`ActivitySpec::enabled`] may read — input-arc places,
-    /// declared guard-predicate reads, and declared rate-multiplier reads —
-    /// sorted and deduplicated. `None` if any enablement closure (a gate
-    /// predicate, or the rate multiplier) left its read-set undeclared: the
-    /// activity is then *conservative* and must be revisited after every
-    /// state change.
+    /// Every place [`ActivitySpec::enabled`] may read — input-, test- and
+    /// inhibitor-arc places, declared guard-predicate reads, and declared
+    /// rate-multiplier reads — sorted and deduplicated. `None` if any
+    /// enablement closure (a gate predicate, or the rate multiplier) left
+    /// its read-set undeclared: the activity is then *conservative* and
+    /// must be revisited after every state change.
     #[must_use]
     pub fn enablement_reads(&self) -> Option<Vec<PlaceId>> {
-        let mut out: Vec<PlaceId> = self.input_arcs.iter().map(|&(p, _)| p).collect();
+        let mut out = self.closure_reads()?;
+        out.extend(self.arc_conditions().map(|(p, _, _)| p));
+        out.sort_unstable();
+        out.dedup();
+        Some(out)
+    }
+
+    /// The places the enabling closures declare they read — guard
+    /// predicates and the rate multiplier — sorted and deduplicated, or
+    /// `None` if any of them left its read-set undeclared.
+    pub(crate) fn closure_reads(&self) -> Option<Vec<PlaceId>> {
+        let mut out: Vec<PlaceId> = Vec::new();
         for gate in &self.input_gates {
             out.extend_from_slice(gate.reads().as_declared()?);
         }
@@ -332,6 +384,8 @@ mod tests {
             name: "a".into(),
             timing: Timing::Instantaneous { priority: 0 },
             input_arcs,
+            test_arcs: Vec::new(),
+            inhibitor_arcs: Vec::new(),
             input_gates: gates,
             cases: vec![CaseSpec::default()],
             case_weights: CaseWeights::Fixed(vec![1.0]),
@@ -346,6 +400,19 @@ mod tests {
         let s = spec(vec![(PlaceId(0), 2)], vec![]);
         assert!(!s.enabled(&marking(&[1])));
         assert!(s.enabled(&marking(&[2])));
+    }
+
+    #[test]
+    fn test_and_inhibitor_arcs_are_thresholds() {
+        let mut s = spec(vec![], vec![]);
+        s.test_arcs = vec![(PlaceId(0), 2)];
+        s.inhibitor_arcs = vec![(PlaceId(1), 1)];
+        assert!(s.enabled(&marking(&[2, 0])));
+        assert!(s.enabled(&marking(&[5, 0])));
+        assert!(!s.enabled(&marking(&[1, 0])), "test arc uncovered");
+        assert!(!s.enabled(&marking(&[2, 1])), "inhibitor place occupied");
+        assert_eq!(s.enablement_reads(), Some(vec![PlaceId(0), PlaceId(1)]));
+        assert_eq!(s.input_arcs(), []);
     }
 
     #[test]

@@ -8,7 +8,6 @@ use vsched_des::{Dist, Xoshiro256StarStar};
 use crate::activity::{ActivityId, ActivitySpec, CaseSpec, CaseWeights, RateFn, Timing, WeightFn};
 use crate::error::SanError;
 use crate::gate::{InputGate, OutputGate};
-use crate::index::DependencyIndex;
 use crate::marking::{Marking, PlaceId, ReadSet};
 use crate::record::RecordRef;
 
@@ -20,11 +19,6 @@ pub struct Model {
     pub(crate) names: Rc<Vec<String>>,
     pub(crate) initial: Vec<i64>,
     pub(crate) activities: Vec<ActivitySpec>,
-    /// Place → activities whose enablement may depend on it, computed from
-    /// input arcs and declared read-sets. The simulator's incremental
-    /// reevaluation visits the dependents of each dirty place, plus every
-    /// conservative activity.
-    pub(crate) enable_index: DependencyIndex,
 }
 
 impl std::fmt::Debug for Model {
@@ -109,24 +103,26 @@ impl Model {
             .map(|(i, a)| (ActivityId(i), a))
     }
 
-    /// Activities whose enablement may depend on `place` (input arc or a
-    /// declared read), in ascending index order. Conservative activities
-    /// (see [`Model::conservative_activities`]) are *not* listed here.
+    /// Activities whose enablement may depend on `place` (an input, test
+    /// or inhibitor arc, or a declared read), in ascending index order.
+    /// Conservative activities (see [`Model::conservative_activities`])
+    /// are *not* listed here.
     pub fn enablement_dependents(&self, place: PlaceId) -> impl Iterator<Item = ActivityId> + '_ {
-        self.enable_index
-            .dependents(place.index())
-            .iter()
-            .map(|&i| ActivityId(i as usize))
+        self.activities()
+            .filter(move |(_, a)| {
+                a.enablement_reads()
+                    .is_some_and(|reads| reads.binary_search(&place).is_ok())
+            })
+            .map(|(id, _)| id)
     }
 
     /// Activities whose enablement read-set is undeclared — the simulator
-    /// falls back to rescanning these after every firing. A fully declared
-    /// model yields an empty iterator.
+    /// re-tests their closures after every firing that leaves their arc
+    /// conditions met. A fully declared model yields an empty iterator.
     pub fn conservative_activities(&self) -> impl Iterator<Item = ActivityId> + '_ {
-        self.enable_index
-            .conservative
-            .iter()
-            .map(|&i| ActivityId(i as usize))
+        self.activities()
+            .filter(|(_, a)| a.closure_reads().is_none())
+            .map(|(id, _)| id)
     }
 }
 
@@ -334,6 +330,8 @@ impl ModelBuilder {
             name: qualified,
             timing: Timing::Instantaneous { priority: 0 },
             input_arcs: Vec::new(),
+            test_arcs: Vec::new(),
+            inhibitor_arcs: Vec::new(),
             input_gates: Vec::new(),
             cases: Vec::new(),
             weights: Vec::new(),
@@ -357,18 +355,10 @@ impl ModelBuilder {
     /// invariants are enforced at declaration time), but returns `Result`
     /// so future validations are non-breaking.
     pub fn build(self) -> Result<Model, SanError> {
-        let reads: Vec<Option<Vec<PlaceId>>> = self
-            .activities
-            .iter()
-            .map(ActivitySpec::enablement_reads)
-            .collect();
-        let enable_index =
-            DependencyIndex::build(self.names.len(), reads.iter().map(Option::as_deref));
         Ok(Model {
             names: Rc::new(self.names),
             initial: self.initial,
             activities: self.activities,
-            enable_index,
         })
     }
 }
@@ -402,6 +392,8 @@ pub struct ActivityBuilder<'a> {
     name: String,
     timing: Timing,
     input_arcs: Vec<(PlaceId, i64)>,
+    test_arcs: Vec<(PlaceId, i64)>,
+    inhibitor_arcs: Vec<(PlaceId, i64)>,
     input_gates: Vec<InputGate>,
     cases: Vec<CaseSpec>,
     weights: Vec<f64>,
@@ -461,6 +453,25 @@ impl<'a> ActivityBuilder<'a> {
         self
     }
 
+    /// Enables the activity only while `place` holds at least `weight`
+    /// tokens, without consuming them (a *test arc*).
+    #[must_use]
+    pub fn test_arc(mut self, place: PlaceId, weight: i64) -> Self {
+        self.test_arcs.push((place, weight));
+        self.set_closure(LastClosure::None);
+        self
+    }
+
+    /// Enables the activity only while `place` holds fewer than `weight`
+    /// tokens (an *inhibitor arc*; weight 1 means "while `place` is
+    /// empty"). It moves no tokens.
+    #[must_use]
+    pub fn inhibitor_arc(mut self, place: PlaceId, weight: i64) -> Self {
+        self.inhibitor_arcs.push((place, weight));
+        self.set_closure(LastClosure::None);
+        self
+    }
+
     /// Adds an input gate with only an enabling predicate.
     #[must_use]
     pub fn guard(mut self, name: &str, predicate: impl Fn(&Marking) -> bool + 'static) -> Self {
@@ -502,11 +513,14 @@ impl<'a> ActivityBuilder<'a> {
     /// ```
     ///
     /// A closure without a declaration conservatively "reads everything":
-    /// still correct, but its activity is rescanned after every firing
-    /// instead of only when a declared place changes. Declarations on
-    /// enablement closures (predicates, rate multipliers) drive the
-    /// incremental simulator; declarations on fire-time closures (gate
-    /// updates, case weights) are checked by analysis tools only.
+    /// still correct, but its activity is re-tested after every firing
+    /// that leaves its arc conditions met, instead of only when a declared
+    /// place changes. Declarations on enablement closures (predicates,
+    /// rate multipliers) drive the incremental simulator; declarations on
+    /// fire-time closures (gate updates, case weights) are checked by
+    /// analysis tools only. A threshold on one place is cheaper still as a
+    /// [`ActivityBuilder::test_arc`] or [`ActivityBuilder::inhibitor_arc`]:
+    /// the simulator counts arc conditions instead of calling a closure.
     ///
     /// Calling `.reads` anywhere else (or twice for one closure) is
     /// reported as [`SanError::MisplacedReads`] by
@@ -656,7 +670,8 @@ impl<'a> ActivityBuilder<'a> {
     ///
     /// # Errors
     ///
-    /// * [`SanError::InvalidArcWeight`] for non-positive arc weights,
+    /// * [`SanError::InvalidArcWeight`] for a non-positive weight on any
+    ///   input, test, inhibitor or output arc,
     /// * [`SanError::InvalidCaseWeight`] for non-positive fixed case weights,
     /// * [`SanError::MisplacedReads`] if a `.reads(...)` call did not
     ///   immediately follow a closure-accepting builder call,
@@ -680,6 +695,8 @@ impl<'a> ActivityBuilder<'a> {
         for &(_, w) in self
             .input_arcs
             .iter()
+            .chain(&self.test_arcs)
+            .chain(&self.inhibitor_arcs)
             .chain(self.cases.iter().flat_map(|c| c.output_arcs.iter()))
         {
             if w <= 0 {
@@ -706,6 +723,8 @@ impl<'a> ActivityBuilder<'a> {
             name: self.name,
             timing: self.timing,
             input_arcs: self.input_arcs,
+            test_arcs: self.test_arcs,
+            inhibitor_arcs: self.inhibitor_arcs,
             input_gates: self.input_gates,
             cases: self.cases,
             case_weights,
@@ -827,6 +846,46 @@ mod tests {
 
         let err = mb.activity("bad2").unwrap().case(0.0).done().unwrap_err();
         assert!(matches!(err, SanError::InvalidCaseWeight { .. }));
+    }
+
+    #[test]
+    fn test_and_inhibitor_arcs_need_a_positive_weight() {
+        let mut mb = ModelBuilder::new();
+        let p = mb.place("p", 0).unwrap();
+        for (name, weight) in [("t0", 0), ("t-1", -1)] {
+            let err = mb
+                .activity(name)
+                .unwrap()
+                .test_arc(p, weight)
+                .done()
+                .unwrap_err();
+            assert_eq!(
+                err,
+                SanError::InvalidArcWeight {
+                    activity: name.into(),
+                    weight
+                }
+            );
+        }
+        let err = mb
+            .activity("i0")
+            .unwrap()
+            .inhibitor_arc(p, 0)
+            .done()
+            .unwrap_err();
+        assert!(matches!(err, SanError::InvalidArcWeight { weight: 0, .. }));
+        let id = mb
+            .activity("ok")
+            .unwrap()
+            .test_arc(p, 1)
+            .inhibitor_arc(p, 3)
+            .done()
+            .unwrap();
+        let model = mb.build().unwrap();
+        let spec = model.activity(id);
+        assert_eq!(spec.test_arcs(), [(p, 1)]);
+        assert_eq!(spec.inhibitor_arcs(), [(p, 3)]);
+        assert_eq!(model.enablement_dependents(p).collect::<Vec<_>>(), [id]);
     }
 
     #[test]

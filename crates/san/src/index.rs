@@ -1,7 +1,138 @@
-//! The two data structures of incremental reevaluation: a place →
-//! dependents index, and the ordered candidate set one pass drains.
+//! The data structures of incremental reevaluation: the counted arc
+//! conditions, a place → dependents index, and the ordered candidate set
+//! one pass drains.
 
-use crate::marking::PlaceId;
+use crate::activity::ActivitySpec;
+use crate::marking::{Marking, PlaceId};
+
+/// One arc condition of one activity: a threshold on one place.
+#[derive(Debug, Clone, Copy)]
+struct Condition {
+    /// Holds while the place has at least this many tokens, or fewer for
+    /// an inhibitor.
+    threshold: i64,
+    activity: u32,
+    inhibitor: bool,
+    /// Truth value at the marking of the last update.
+    holds: bool,
+}
+
+impl Condition {
+    #[inline]
+    fn test(&self, tokens: i64) -> bool {
+        (tokens >= self.threshold) != self.inhibitor
+    }
+}
+
+/// Every input, test and inhibitor arc condition of a model, grouped by
+/// place, with each activity's count of conditions that fail.
+///
+/// An input arc of weight `w` counts as "at least `w`", a test arc of
+/// weight `k` as "at least `k`", an inhibitor arc of weight `k` as "fewer
+/// than `k`". An activity's arcs allow it to be enabled exactly when its
+/// count is 0, so after a state change only the conditions on the changed
+/// places need a look, and only activities whose count reaches or leaves
+/// 0 can change enablement through their arcs.
+#[derive(Debug, Default)]
+pub(crate) struct ConditionTable {
+    /// `offsets[p] .. offsets[p + 1]` indexes `conds` for place `p`.
+    offsets: Vec<u32>,
+    /// The conditions, grouped by place, in activity order within a place.
+    conds: Vec<Condition>,
+    /// Per activity, how many of its conditions are false.
+    unmet: Vec<u32>,
+}
+
+impl ConditionTable {
+    /// The conditions of `activities` over `marking`'s places, with their
+    /// truth values and counts at `marking`. O(places + arcs).
+    pub(crate) fn build(activities: &[ActivitySpec], marking: &Marking) -> Self {
+        let num_places = marking.len();
+        let mut offsets = vec![0u32; num_places + 1];
+        for spec in activities {
+            for (p, _, _) in spec.arc_conditions() {
+                offsets[p.index() + 1] += 1;
+            }
+        }
+        for p in 0..num_places {
+            offsets[p + 1] += offsets[p];
+        }
+        let mut cursor: Vec<u32> = offsets[..num_places].to_vec();
+        let blank = Condition {
+            threshold: 0,
+            activity: 0,
+            inhibitor: false,
+            holds: true,
+        };
+        let mut conds = vec![blank; offsets[num_places] as usize];
+        for (a, spec) in activities.iter().enumerate() {
+            for (p, threshold, inhibitor) in spec.arc_conditions() {
+                let slot = &mut cursor[p.index()];
+                conds[*slot as usize] = Condition {
+                    threshold,
+                    activity: a as u32,
+                    inhibitor,
+                    holds: true,
+                };
+                *slot += 1;
+            }
+        }
+        let mut table = ConditionTable {
+            offsets,
+            conds,
+            unmet: vec![0; activities.len()],
+        };
+        table.refresh(marking);
+        table
+    }
+
+    /// Recomputes every truth value and count from `marking`.
+    pub(crate) fn refresh(&mut self, marking: &Marking) {
+        self.unmet.fill(0);
+        let tokens = marking.as_slice();
+        for (p, &t) in tokens.iter().enumerate() {
+            let range = self.offsets[p] as usize..self.offsets[p + 1] as usize;
+            for c in &mut self.conds[range] {
+                c.holds = c.test(t);
+                self.unmet[c.activity as usize] += u32::from(!c.holds);
+            }
+        }
+    }
+
+    /// How many of activity `a`'s conditions fail.
+    #[inline]
+    pub(crate) fn unmet(&self, a: usize) -> u32 {
+        self.unmet[a]
+    }
+
+    /// Re-tests the conditions on place `p`, which now holds `tokens`,
+    /// and inserts into `moved` every activity whose count reaches or
+    /// leaves 0.
+    #[inline]
+    pub(crate) fn update(&mut self, p: usize, tokens: i64, moved: &mut OrderedSet) {
+        let range = self.offsets[p] as usize..self.offsets[p + 1] as usize;
+        for c in &mut self.conds[range] {
+            let holds = c.test(tokens);
+            if holds == c.holds {
+                continue;
+            }
+            c.holds = holds;
+            let a = c.activity as usize;
+            let unmet = &mut self.unmet[a];
+            if holds {
+                *unmet -= 1;
+                if *unmet == 0 {
+                    moved.insert(a);
+                }
+            } else {
+                if *unmet == 0 {
+                    moved.insert(a);
+                }
+                *unmet += 1;
+            }
+        }
+    }
+}
 
 /// Place → dependents index: for every place, the items (activities, or
 /// rate rewards) whose declared read-set contains it, plus the
@@ -190,6 +321,39 @@ mod tests {
         set.insert(128);
         set.raise_bound(5);
         assert_eq!(drain(&mut set), [9, 128]);
+    }
+
+    #[test]
+    fn condition_counts_follow_the_marking_and_report_zero_crossings() {
+        let mut mb = crate::ModelBuilder::new();
+        let p = mb.place("p", 1).unwrap();
+        let q = mb.place("q", 0).unwrap();
+        // `a`: input arc p >= 1 and inhibitor q < 1, both met at start;
+        // `b`: test arc q >= 2, unmet.
+        let a = mb.activity("a").unwrap().input_arc(p, 1);
+        a.inhibitor_arc(q, 1).done().unwrap();
+        mb.activity("b").unwrap().test_arc(q, 2).done().unwrap();
+        let model = mb.build().unwrap();
+        let mut marking = model.initial_marking();
+        let mut table = ConditionTable::build(&model.activities, &marking);
+        let counts = |t: &ConditionTable| (t.unmet(0), t.unmet(1));
+        assert_eq!(counts(&table), (0, 1));
+        let mut moved = OrderedSet::with_bound(2);
+        // `a` leaves 0; `b` stays at 1.
+        table.update(q.index(), 1, &mut moved);
+        assert_eq!((counts(&table), drain(&mut moved)), ((1, 1), vec![0]));
+        // `b` reaches 0; `a`'s inhibitor stays failed.
+        table.update(q.index(), 2, &mut moved);
+        assert_eq!((counts(&table), drain(&mut moved)), ((1, 0), vec![1]));
+        // `a` goes from 1 to 2 failing conditions: no crossing.
+        table.update(p.index(), 0, &mut moved);
+        assert_eq!((counts(&table), drain(&mut moved)), ((2, 0), vec![]));
+        marking.set(q, 2);
+        marking.set(p, 0);
+        let rebuilt = ConditionTable::build(&model.activities, &marking);
+        assert_eq!(counts(&rebuilt), counts(&table));
+        table.refresh(&marking);
+        assert_eq!(counts(&table), (2, 0));
     }
 
     #[test]

@@ -17,6 +17,11 @@
 //!   random delay drawn from any [`vsched_des::Dist`]; *instantaneous*
 //!   activities complete immediately, ordered by priority. An activity can
 //!   have several probabilistic **cases** modeling alternative outcomes.
+//! * **Arcs**: an *input arc* needs `w` tokens in its place and consumes
+//!   them at completion; an *output arc* produces tokens for the chosen
+//!   case. A *test arc* needs at least `k` tokens and an *inhibitor arc*
+//!   fewer than `k`; neither moves a token ([`ActivityBuilder::test_arc`],
+//!   [`ActivityBuilder::inhibitor_arc`]).
 //! * **Input gates** guard enabling with a predicate and run a state update
 //!   on completion; **output gates** run state updates for the chosen case.
 //! * **Composed models**: Mobius's *Join* (share state variables between
@@ -38,6 +43,13 @@
 //! gate functions, consumes input arcs, selects a case, produces output arcs
 //! and runs the case's output gates. Instantaneous activities preempt timed
 //! ones at the same instant, higher priority first.
+//!
+//! An activity is enabled when every input, test and inhibitor arc
+//! condition holds and every gate predicate (and a rate multiplier, if
+//! any) allows it. The simulator counts each activity's failing arc
+//! conditions and revisits an activity only when that count reaches or
+//! leaves 0, or when a place one of its predicates reads changes — so a
+//! threshold guard is cheaper as an arc than as a closure.
 //!
 //! ## Example — an M/M/1 queue as a SAN
 //!

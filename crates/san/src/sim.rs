@@ -2,11 +2,11 @@
 
 use vsched_des::{RngStreams, SimTime, Xoshiro256StarStar};
 
-use crate::activity::{ActivityId, CaseWeights, Timing};
+use crate::activity::{ActivityId, ActivitySpec, CaseWeights, Timing};
 use crate::builder::Model;
 use crate::calendar::Calendar;
 use crate::error::SanError;
-use crate::index::{DependencyIndex, OrderedSet};
+use crate::index::{ConditionTable, DependencyIndex, OrderedSet};
 use crate::marking::{Marking, PlaceId, ReadSet};
 use crate::reward::{ImpulseReward, RateReward, RewardFn, RewardId, RewardState};
 
@@ -23,10 +23,14 @@ pub struct RunStats {
     pub completions: u64,
     /// Activity activations that were aborted (disabled before completing).
     pub aborts: u64,
-    /// Activities reevaluated after a completion or an external mutation:
-    /// every activity per completion under [`Simulator::set_full_rescan`],
-    /// the dependency index's candidates otherwise. The start-up pass over
-    /// every activity is not counted.
+    /// Activities reevaluated after a completion or an external mutation.
+    /// Under [`Simulator::set_full_rescan`] that is every activity per
+    /// completion. Otherwise an activity is visited only when its
+    /// enablement can change: its count of failing arc conditions fell to
+    /// 0; that count rose from 0 while a completion was pending; the count
+    /// is 0 and a place one of its enabling closures reads changed, or one
+    /// of those closures is undeclared; or it just fired and the count is
+    /// 0. The start-up pass over every activity is not counted.
     pub visits: u64,
 }
 
@@ -54,16 +58,19 @@ pub struct RunStats {
 ///
 /// ## Incremental reevaluation
 ///
-/// By default, after each completion only the activities whose enablement
-/// can depend on a place the completion actually changed are re-examined
-/// (plus the fired activity and any activity with an undeclared enablement
-/// closure — see [`crate::ModelBuilder`] and
-/// [`crate::ActivityBuilder::reads`]). Visits happen in ascending activity
-/// index order, exactly the order of the full rescan with the no-op checks
-/// removed, so the result — every marking, statistic, firing and RNG
-/// draw — is bit-identical to [`Simulator::set_full_rescan`] mode. The
-/// same filtering applies to rate-reward recomputation (reward functions
-/// are pure functions of the marking).
+/// By default the simulator counts, per activity, how many of its input,
+/// test and inhibitor arc conditions fail, and after each completion
+/// re-tests only the conditions on the places the completion changed. An
+/// activity is re-examined only when its enablement can change: its count
+/// reaches or leaves 0, or its count is 0 and one of its enabling
+/// closures reads a changed place (or left its read-set undeclared — see
+/// [`crate::ActivityBuilder::reads`]), or it just fired. Visits happen in
+/// ascending activity index order, exactly the order of the full rescan
+/// with the no-op checks removed, so the result — every marking,
+/// statistic, firing and RNG draw — is bit-identical to
+/// [`Simulator::set_full_rescan`] mode. Rate rewards are recomputed only
+/// when a place they read changed (reward functions are pure functions
+/// of the marking).
 ///
 /// See the crate-level documentation for an end-to-end example.
 pub struct Simulator {
@@ -92,7 +99,7 @@ pub struct Simulator {
     reward_clock: f64,
     /// Place → rate rewards whose declared read-set contains it, and the
     /// rewards with undeclared read-sets, recomputed after every firing
-    /// (the mirror of the model's place → activity index).
+    /// (the mirror of `closure_index`).
     reward_index: DependencyIndex,
     /// Whether a reward registered since `reward_index` was built; the
     /// next reward pass rebuilds it.
@@ -102,8 +109,16 @@ pub struct Simulator {
     max_zero_advance: u64,
     started: bool,
     /// Debug/differential mode: rescan every activity and reward after
-    /// every completion instead of using the dependency index.
+    /// every completion, testing [`crate::activity::ActivitySpec::enabled`]
+    /// in full, instead of using the condition counts.
     full_rescan: bool,
+    /// Every arc condition and each activity's count of failing ones,
+    /// exact at the marking after every incremental pass.
+    conditions: ConditionTable,
+    /// Place → activities whose enabling closures (guards, rate
+    /// multiplier) declare they read it, and the activities with an
+    /// undeclared one.
+    closure_index: DependencyIndex,
     /// Candidate activities of one incremental reevaluation pass.
     eval_set: OrderedSet,
     /// Candidate rate rewards of one incremental recomputation pass.
@@ -133,6 +148,16 @@ impl Simulator {
         let n = model.num_activities();
         let mut marking = model.initial_marking();
         marking.enable_dirty_tracking();
+        let conditions = ConditionTable::build(&model.activities, &marking);
+        let closure_reads: Vec<Option<Vec<PlaceId>>> = model
+            .activities
+            .iter()
+            .map(ActivitySpec::closure_reads)
+            .collect();
+        let closure_index = DependencyIndex::build(
+            model.num_places(),
+            closure_reads.iter().map(Option::as_deref),
+        );
         let priorities: Vec<Option<i32>> = model
             .activities
             .iter()
@@ -159,6 +184,8 @@ impl Simulator {
             max_zero_advance: 1_000_000,
             started: false,
             full_rescan: false,
+            conditions,
+            closure_index,
             eval_set: OrderedSet::with_bound(n),
             reward_set: OrderedSet::default(),
             weight_scratch: Vec::new(),
@@ -170,8 +197,13 @@ impl Simulator {
     /// Switches between incremental reevaluation (default, `false`) and the
     /// full per-completion rescan. The two modes are bit-identical by
     /// construction; the rescan is kept as the debug/differential reference
-    /// that `vsched-check` compares against on every fuzz case.
+    /// that `vsched-check` compares against on every fuzz case. The rescan
+    /// does not keep the condition counts, so switching back to
+    /// incremental mode recomputes them from the marking.
     pub fn set_full_rescan(&mut self, on: bool) {
+        if self.full_rescan && !on {
+            self.conditions.refresh(&self.marking);
+        }
         self.full_rescan = on;
     }
 
@@ -598,16 +630,20 @@ impl Simulator {
     /// exponential delays this is exactly the CTMC race semantics; for
     /// other distributions it is the defined reactivation policy).
     ///
-    /// Incremental mode visits only the activities whose enablement can
-    /// depend on a place the completion changed, plus every conservative
-    /// (undeclared-read-set) activity, plus `fired` itself (its completion
-    /// was just consumed, so it must be re-examined even if no place it
-    /// reads changed). Visits are in ascending activity-index order — a
-    /// subsequence of the full rescan from which only provable no-ops are
-    /// missing (unchanged reads ⇒ unchanged `enabled()` and multiplier ⇒
-    /// no activation, no abort, no RNG draw), so both modes activate the
-    /// same activities in the same order and consume the same random
-    /// numbers.
+    /// Incremental mode re-tests the arc conditions on the places the
+    /// completion changed and collects as candidates every activity whose
+    /// count of failing conditions reached or left 0, every activity with
+    /// an enabling closure that reads a changed place or is undeclared,
+    /// and `fired` itself (its completion was just consumed). A candidate
+    /// is visited if its count is 0 (it may be enabled) or it has a
+    /// pending completion (its count just left 0: it aborts). Visits are
+    /// in ascending activity-index order — a subsequence of the full
+    /// rescan from which only provable no-ops are missing (an unchanged
+    /// count and unchanged closure reads ⇒ unchanged `enabled()` and
+    /// multiplier; a count above 0 without a pending completion ⇒
+    /// disabled before and after ⇒ no activation, no abort, no RNG draw),
+    /// so both modes activate the same activities in the same order and
+    /// consume the same random numbers.
     fn reevaluate(&mut self, fired: Option<usize>) {
         if self.full_rescan {
             for idx in 0..self.model.activities.len() {
@@ -616,27 +652,37 @@ impl Simulator {
             self.stats.visits += self.model.activities.len() as u64;
             return;
         }
-        let index = &self.model.enable_index;
+        let tokens = self.marking.as_slice();
         for &p in self.marking.dirty() {
-            for &idx in index.dependents(p) {
+            self.conditions.update(p, tokens[p], &mut self.eval_set);
+            for &idx in self.closure_index.dependents(p) {
                 self.eval_set.insert(idx as usize);
             }
         }
-        for &idx in &index.conservative {
+        for &idx in &self.closure_index.conservative {
             self.eval_set.insert(idx as usize);
         }
         if let Some(fired) = fired {
             self.eval_set.insert(fired);
         }
         while let Some(idx) = self.eval_set.pop_first() {
-            self.stats.visits += 1;
-            self.reevaluate_one(idx);
+            if self.conditions.unmet(idx) == 0 || self.calendar.is_pending(idx) {
+                self.stats.visits += 1;
+                self.reevaluate_one(idx);
+            }
         }
     }
 
-    /// The per-activity body of [`Simulator::reevaluate`].
+    /// The per-activity body of [`Simulator::reevaluate`]. The full
+    /// rescan tests [`crate::activity::ActivitySpec::enabled`] in full;
+    /// incremental mode reads the arc half off the condition count.
     fn reevaluate_one(&mut self, idx: usize) {
-        let enabled = self.model.activities[idx].enabled(&self.marking);
+        let act = &self.model.activities[idx];
+        let enabled = if self.full_rescan {
+            act.enabled(&self.marking)
+        } else {
+            self.conditions.unmet(idx) == 0 && act.closures_hold(&self.marking)
+        };
         match (enabled, self.calendar.is_pending(idx)) {
             (true, false) => self.activate(idx),
             (false, true) => self.abort(idx),

@@ -92,13 +92,16 @@ proptest! {
     }
 
     /// The headline claim of the incremental reevaluation core: on random
-    /// gated models — mixed declared and undeclared read-sets, rate
-    /// multipliers, dynamic case weights, and timed, zero-delay timed and
-    /// instantaneous activities — the incremental mode's run is
-    /// **bit-identical** to the full-rescan reference mode: same final
-    /// marking, same completion/abort counts, same reward bit patterns.
-    /// So is a run paused at a breakpoint on a drawn activity
-    /// (`run_until_break`) and then resumed to the horizon.
+    /// gated models — mixed declared and undeclared read-sets, test and
+    /// inhibitor arcs, rate multipliers, dynamic case weights, and timed,
+    /// zero-delay timed and instantaneous activities — the incremental
+    /// mode's run is **bit-identical** to the full-rescan reference mode:
+    /// same final marking, same completion/abort counts, same reward bit
+    /// patterns. So is a run paused at a breakpoint on a drawn activity
+    /// (`run_until_break`) and then resumed to the horizon, and one that
+    /// switches to the full rescan at that breakpoint and back to the
+    /// counted conditions later. Every run applies one external mutation
+    /// (`apply_external`) halfway through the horizon.
     ///
     /// The drawn 8-activity block is replicated `blocks` times, each copy
     /// over its own `n` places and feeding the next copy's, with three
@@ -126,6 +129,7 @@ proptest! {
         seed in 0u64..200,
         horizon in 20.0f64..200.0,
         stop in 0usize..128,
+        poke in (0usize..10_000, 0i64..5),
     ) {
         const PRIORITIES: [i32; 5] = [-1_000_001, -1_000_000, -999_999, 0, 7];
         let build = || {
@@ -150,9 +154,13 @@ proptest! {
                             .instantaneous(PRIORITIES[wiring[i] % PRIORITIES.len()])
                             .input_arc(fuel, 1),
                     };
-                    a = a
-                        .input_arc(src, 1)
-                        .guard("below_cap", move |m| m.tokens(gp) <= 2);
+                    a = a.input_arc(src, 1);
+                    a = if (wiring[i] / 5).is_multiple_of(2) {
+                        a.test_arc(wp, 1 + (wiring[i] / 10 % 2) as i64)
+                    } else {
+                        a.inhibitor_arc(wp, 2 + (wiring[i] / 10 % 3) as i64)
+                    };
+                    a = a.guard("below_cap", move |m| m.tokens(gp) <= 2);
                     if declare[i] {
                         a = a.reads([gp]);
                     }
@@ -201,11 +209,17 @@ proptest! {
                 .unwrap();
             mb.build().unwrap()
         };
-        let run = |full: bool, stop: Option<usize>| {
+        // `stop` pauses the run at a breakpoint within the first half;
+        // `toggle` then runs on the full rescan until three quarters of
+        // the horizon, across the external mutation. Every run stops at
+        // half and three quarters of the horizon, so the reward
+        // accumulators integrate over the same intervals.
+        let run = |full: bool, stop: Option<usize>, toggle: bool| {
             let model = build();
             let ps: Vec<PlaceId> = (0..n * blocks)
                 .map(|j| model.place_by_name(&format!("p{j}")).unwrap())
                 .collect();
+            let fuel = model.place_by_name("fuel").unwrap();
             let mut sim = Simulator::new(model, seed);
             let mut rids = Vec::new();
             for (j, &p) in ps.iter().enumerate() {
@@ -221,13 +235,25 @@ proptest! {
                 ));
             }
             sim.set_full_rescan(full);
+            let half = horizon / 2.0;
             if let Some(k) = stop {
                 let name = format!("b{}a{}", k / 8 % blocks, k % 8);
                 let act = sim.model().activity_by_name(&name).unwrap();
-                if sim.run_until_break(horizon, act).unwrap() {
-                    assert!(sim.time().as_f64() <= horizon, "paused inside the window");
+                if sim.run_until_break(half, act).unwrap() {
+                    assert!(sim.time().as_f64() <= half, "paused inside the window");
+                }
+                if toggle {
+                    sim.set_full_rescan(true);
                 }
             }
+            sim.run_until(half).unwrap();
+            let (poked, level) = (ps[poke.0 % ps.len()], poke.1);
+            sim.apply_external(|m| {
+                m.set(poked, level);
+                m.add(fuel, 2);
+            });
+            sim.run_until(half * 1.5).unwrap();
+            sim.set_full_rescan(full);
             sim.run_until(horizon).unwrap();
             let rewards: Vec<u64> = rids
                 .iter()
@@ -242,14 +268,15 @@ proptest! {
                 rewards,
             )
         };
-        let reference = run(false, None);
+        let reference = run(true, None, false);
         let (_, (completions, _), _) = &reference;
         prop_assert!(
             *completions >= 200,
             "only {} completions: the run checks too little", completions
         );
-        prop_assert_eq!(&reference, &run(true, None));
-        prop_assert_eq!(&reference, &run(false, Some(stop)));
+        prop_assert_eq!(&reference, &run(false, None, false));
+        prop_assert_eq!(&reference, &run(false, Some(stop), false));
+        prop_assert_eq!(&reference, &run(false, Some(stop), true));
     }
 
     /// Simulation and numerical solution agree on the two-state chain for

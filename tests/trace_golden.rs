@@ -157,7 +157,7 @@ fn churn_1000vm_prefix_matches_benchmark_references() {
     let stats = s.simulator().stats();
     assert_eq!(
         (stats.completions, stats.aborts, stats.visits),
-        (1_825_892, 176, 5_274_609)
+        (1_825_892, 176, 1_826_693)
     );
 }
 
