@@ -56,8 +56,12 @@ pub use key::{cell_key, ENGINE_VERSION};
 pub use plan::{plan, Plan, PlannedCell, PlannedExperiment};
 pub use render::{render, RenderedFigure};
 pub use spec::{
-    AxisSpec, CellConfig, CreditParams, DistSpec, EngineSpec, ExperimentSpec, PointSpec,
-    PolicySpec, RcsParams, ReplicationSpec, SweepSpec, SyncMechanismSpec,
+    AxisSpec, CellConfig, CreditParams, DistSpec, ExperimentSpec, PointSpec, PolicySpec, RcsParams,
+    ReplicationSpec, SweepSpec, SyncMechanismSpec,
 };
 pub use store::{ResultStore, StoredCell};
 pub use sweep::{run_sweep, SweepOptions, SweepOutcome};
+/// The cell's engine field under its former campaign name, which the
+/// benchmark harness in `perfbench/` still spells; new code names
+/// [`vsched_core::Engine`].
+pub use vsched_core::Engine as EngineSpec;

@@ -200,7 +200,8 @@ pub fn plan(spec: &SweepSpec) -> Result<Plan, CampaignError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{EngineSpec, PolicySpec};
+    use crate::spec::PolicySpec;
+    use vsched_core::Engine;
 
     fn spec(json: &str) -> SweepSpec {
         SweepSpec::from_json(json).unwrap()
@@ -240,7 +241,7 @@ mod tests {
         // The extra cell carries its label and the engine override.
         let extra = &exp.cells[6];
         assert_eq!(extra.labels, vec!["direct check".to_string()]);
-        assert_eq!(extra.config.engine, EngineSpec::Direct);
+        assert_eq!(extra.config.engine, Engine::Direct);
     }
 
     #[test]

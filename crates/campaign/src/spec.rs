@@ -200,37 +200,6 @@ impl PolicySpec {
     }
 }
 
-/// Simulation engine selection.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "lowercase", deny_unknown_fields)]
-pub enum EngineSpec {
-    /// The SAN engine (the paper's Mobius-style implementation; default).
-    #[default]
-    San,
-    /// The independently coded direct time-stepped engine.
-    Direct,
-}
-
-impl EngineSpec {
-    /// The corresponding runner engine.
-    #[must_use]
-    pub fn to_engine(self) -> Engine {
-        match self {
-            EngineSpec::San => Engine::San,
-            EngineSpec::Direct => Engine::Direct,
-        }
-    }
-
-    /// Lower-case name, as written in spec files.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            EngineSpec::San => "san",
-            EngineSpec::Direct => "direct",
-        }
-    }
-}
-
 /// How many replications a cell runs: a bare count (`5`) for an exact
 /// number, or `{"min": 5, "max": 20}` for the paper's sequential stopping
 /// rule (95% level, CI width < 0.1) bracketed by those bounds.
@@ -412,7 +381,7 @@ pub struct CellConfig {
     pub policy: PolicySpec,
     /// `"san"` (default) or `"direct"`.
     #[serde(default)]
-    pub engine: EngineSpec,
+    pub engine: Engine,
     /// Warm-up ticks per replication (default 1000).
     #[serde(default = "default_warmup")]
     pub warmup: u64,
@@ -427,77 +396,44 @@ pub struct CellConfig {
     pub seed: u64,
 }
 
+impl Default for CellConfig {
+    /// The cell an empty JSON object describes: every default above, and
+    /// no topology yet.
+    fn default() -> Self {
+        CellConfig {
+            pcpus: 0,
+            vms: Vec::new(),
+            trace: None,
+            weights: None,
+            sync_ratio: default_sync_ratio(),
+            sync_probability: None,
+            sync_every: None,
+            sync_mechanism: SyncMechanismSpec::default(),
+            timeslice: default_timeslice(),
+            load: default_load(),
+            interarrival: None,
+            vm_workloads: None,
+            policy: default_policy(),
+            engine: Engine::default(),
+            warmup: default_warmup(),
+            horizon: default_horizon(),
+            replications: ReplicationSpec::default(),
+            seed: default_seed(),
+        }
+    }
+}
+
 impl CellConfig {
-    /// Rejects out-of-range parameters up front, before any simulation (or
-    /// store hashing) sees the cell: a zero timeslice, an unsatisfiable
-    /// replication policy, or policy parameters outside their domain
-    /// ([`PolicyKind::validate`]).
+    /// Rejects a cell no run could use, before any simulation (or store
+    /// hashing) sees it: everything [`CellConfig::system`] checks short of
+    /// reading the trace, an unsatisfiable replication policy, and policy
+    /// parameters outside their domain ([`PolicyKind::validate`]).
     ///
     /// # Errors
     ///
     /// [`CoreError::InvalidConfig`] naming the offending parameter.
     pub fn validate(&self) -> Result<(), CoreError> {
-        let invalid = |reason: String| Err(CoreError::InvalidConfig { reason });
-        if self.timeslice == 0 {
-            return invalid("timeslice must be at least 1 tick".into());
-        }
-        if let Some(trace) = &self.trace {
-            // The trace defines the topology; conflicting static fields
-            // are rejected rather than silently ignored.
-            if !self.vms.is_empty() {
-                return invalid("trace cells must omit `vms` (the trace defines the VMs)".into());
-            }
-            if self.weights.is_some() || self.vm_workloads.is_some() {
-                return invalid(
-                    "trace cells must omit `weights`/`vm_workloads` (per-VM shape lives in the trace)"
-                        .into(),
-                );
-            }
-            let is_csv = std::path::Path::new(trace)
-                .extension()
-                .is_some_and(|e| e.eq_ignore_ascii_case("csv"));
-            if is_csv && self.pcpus == 0 {
-                return invalid(format!(
-                    "CSV trace `{trace}` carries no platform: set `pcpus`"
-                ));
-            }
-            if !is_csv && self.pcpus != 0 {
-                return invalid(format!(
-                    "trace `{trace}` carries its own platform: omit `pcpus`"
-                ));
-            }
-        } else if self.pcpus == 0 || self.vms.is_empty() {
-            return invalid("need at least 1 PCPU and 1 VM (or a `trace`)".into());
-        }
-        if let Some(weights) = &self.weights {
-            if weights.len() != self.vms.len() {
-                return invalid(format!(
-                    "weights has {} entries for {} VMs",
-                    weights.len(),
-                    self.vms.len()
-                ));
-            }
-            if weights.contains(&0) {
-                return invalid("VM weights must be at least 1".into());
-            }
-        }
-        if let Some(p) = self.sync_probability {
-            if !(0.0..=1.0).contains(&p) {
-                return invalid(format!("sync_probability {p} outside [0, 1]"));
-            }
-            if self.sync_every.is_some() {
-                return invalid("sync_probability and sync_every are mutually exclusive".into());
-            }
-        }
-        if let Some(overrides) = &self.vm_workloads {
-            if overrides.len() != self.vms.len() {
-                return invalid(format!(
-                    "vm_workloads has {} entries for {} VMs",
-                    overrides.len(),
-                    self.vms.len()
-                ));
-            }
-        }
+        self.own_system()?;
         self.replications.validate()?;
         self.policy.to_kind()?.validate()
     }
@@ -526,15 +462,67 @@ impl CellConfig {
     /// Builds the [`SystemConfig`] this cell describes. For trace cells
     /// this is the trace's **union** topology (every VM that ever
     /// appears) — what lint inspects and what sizes the metric vectors.
+    /// It checks what the system needs and no more: the replication
+    /// policy and the policy are [`CellConfig::validate`]'s.
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidConfig`] for invalid parameters (no VMs, zero
-    /// timeslice, bad sync ratio, …) or an unreadable trace.
+    /// [`CoreError::InvalidConfig`] for a cell that breaks its shape rules
+    /// or core's ranges (no VMs, zero timeslice, bad sync ratio, …), or
+    /// an unreadable trace.
     pub fn system(&self) -> Result<SystemConfig, CoreError> {
-        self.validate()?;
+        let system = self.own_system()?;
         if self.trace.is_some() {
             return Ok(self.schedule()?.config().clone());
+        }
+        Ok(system)
+    }
+
+    /// The cell's shape rules, then the system core's builder makes from
+    /// the cell's own fields, with every range check. A trace cell's VMs
+    /// come from its trace, so its timeslice and shared workload fields
+    /// go through core on one 1-VCPU stand-in VM.
+    fn own_system(&self) -> Result<SystemConfig, CoreError> {
+        let invalid = |reason: String| Err(CoreError::InvalidConfig { reason });
+        let (pcpus, vms) = if let Some(trace) = &self.trace {
+            // The trace defines the topology; conflicting static fields
+            // are rejected rather than silently ignored.
+            if !self.vms.is_empty() {
+                return invalid("trace cells must omit `vms` (the trace defines the VMs)".into());
+            }
+            if self.weights.is_some() || self.vm_workloads.is_some() {
+                return invalid(
+                    "trace cells must omit `weights`/`vm_workloads` (per-VM shape lives in the trace)"
+                        .into(),
+                );
+            }
+            vsched_trace::check_platform(std::path::Path::new(trace), self.pcpus)?;
+            (1, &[1][..])
+        } else if self.pcpus == 0 || self.vms.is_empty() {
+            return invalid("need at least 1 PCPU and 1 VM (or a `trace`)".into());
+        } else {
+            (self.pcpus, &self.vms[..])
+        };
+        if let Some(weights) = &self.weights {
+            if weights.len() != vms.len() {
+                return invalid(format!(
+                    "weights has {} entries for {} VMs",
+                    weights.len(),
+                    vms.len()
+                ));
+            }
+        }
+        if self.sync_probability.is_some() && self.sync_every.is_some() {
+            return invalid("sync_probability and sync_every are mutually exclusive".into());
+        }
+        if let Some(overrides) = &self.vm_workloads {
+            if overrides.len() != vms.len() {
+                return invalid(format!(
+                    "vm_workloads has {} entries for {} VMs",
+                    overrides.len(),
+                    vms.len()
+                ));
+            }
         }
         let mut workload = WorkloadSpec::paper_default();
         workload.load = self.load.to_dist()?;
@@ -552,9 +540,9 @@ impl CellConfig {
             None => None,
         };
         let mut b = SystemConfig::builder()
-            .pcpus(self.pcpus)
+            .pcpus(pcpus)
             .timeslice(self.timeslice);
-        for (i, &vcpus) in self.vms.iter().enumerate() {
+        for (i, &vcpus) in vms.iter().enumerate() {
             let mut vm_workload = workload.clone();
             if let Some(ov) = self.vm_workloads.as_ref().map(|o| &o[i]) {
                 if let Some(load) = &ov.load {
@@ -598,18 +586,18 @@ impl CellConfig {
     ///
     /// # Errors
     ///
-    /// Propagates validation errors from [`CellConfig::system`] and
-    /// [`CellConfig::policy_kind`]; rejects trace cells (which run
-    /// through [`CellConfig::trace_experiment`], not the static builder).
+    /// Propagates validation errors from [`CellConfig::validate`]; rejects
+    /// trace cells (which run through [`CellConfig::run_trace`], not the
+    /// static builder).
     pub fn builder(&self) -> Result<ExperimentBuilder, CoreError> {
         self.validate()?;
         if self.trace.is_some() {
             return Err(CoreError::InvalidConfig {
-                reason: "trace cells have no static builder; use trace_experiment()".into(),
+                reason: "trace cells have no static builder; use run_trace()".into(),
             });
         }
         let b = ExperimentBuilder::new(self.system()?, self.policy_kind()?)
-            .engine(self.engine.to_engine())
+            .engine(self.engine)
             .warmup(self.warmup)
             .horizon(self.horizon)
             .seed(self.seed);
@@ -623,40 +611,45 @@ impl CellConfig {
         })
     }
 
-    /// Builds a ready-to-run [`vsched_trace::TraceExperiment`] over this
-    /// cell's compiled `schedule` ([`CellConfig::schedule`]). There is no
-    /// stopping rule mid-trace: `replications: N` runs N; a rule runs its
-    /// `min`.
+    /// Runs this trace cell over its compiled `schedule`
+    /// ([`CellConfig::schedule`]) on `jobs` replication workers (`0`: one
+    /// per core; results are bit-identical for every count) and returns
+    /// the report and the run fingerprint
+    /// ([`vsched_trace::TraceReport::fingerprint`]). There is no stopping
+    /// rule mid-trace: `replications: N` runs N; a rule runs its `min`.
     ///
     /// # Errors
     ///
-    /// Validation errors and an unknown policy label.
-    pub fn trace_experiment(
+    /// Validation and engine errors.
+    pub fn run_trace(
         &self,
         schedule: vsched_trace::TraceSchedule,
-    ) -> Result<vsched_trace::TraceExperiment, CoreError> {
+        jobs: usize,
+    ) -> Result<(MetricsReport, u64), CoreError> {
         self.validate()?;
         let replications = match self.replications {
             ReplicationSpec::Exact(n) => n,
             ReplicationSpec::Rule { min, .. } => min,
         };
-        Ok(
-            vsched_trace::TraceExperiment::new(schedule, self.policy_kind()?)
-                .engine(self.engine.to_engine())
-                .warmup(self.warmup)
-                .horizon(self.horizon)
-                .seed(self.seed)
-                .replications(replications),
-        )
+        let (vcpus, pcpus) = (schedule.config().total_vcpus(), schedule.config().pcpus());
+        let result = vsched_trace::TraceExperiment::new(schedule, self.policy_kind()?)
+            .engine(self.engine)
+            .warmup(self.warmup)
+            .horizon(self.horizon)
+            .seed(self.seed)
+            .replications(replications)
+            .jobs(jobs)
+            .run()?;
+        let report = result.metrics_report(vcpus, pcpus, StoppingRule::paper_default().level)?;
+        Ok((report, result.fingerprint))
     }
 
     /// Runs the cell to completion — the orchestrator's single entry
     /// point. Static cells go through [`CellConfig::builder`]; trace
-    /// cells compile their schedule and run
-    /// [`CellConfig::trace_experiment`], then aggregate the
-    /// per-replication samples into the same [`MetricsReport`] shape, so
-    /// the result store and every renderer are agnostic to how the cell
-    /// was driven.
+    /// cells compile their schedule and go through
+    /// [`CellConfig::run_trace`], which yields the same [`MetricsReport`]
+    /// shape, so the result store and every renderer are agnostic to how
+    /// the cell was driven.
     ///
     /// Replications run sequentially (`jobs(1)`): campaigns parallelize
     /// across *cells* on the shared `vsched-exec` pool, and replication
@@ -666,14 +659,10 @@ impl CellConfig {
     ///
     /// Validation, trace-loading and engine errors.
     pub fn run_report(&self) -> Result<MetricsReport, CoreError> {
-        self.validate()?;
         if self.trace.is_none() {
             return self.builder()?.jobs(1).run();
         }
-        let schedule = self.schedule()?;
-        let (vcpus, pcpus) = (schedule.config().total_vcpus(), schedule.config().pcpus());
-        let report = self.trace_experiment(schedule)?.jobs(1).run()?;
-        report.metrics_report(vcpus, pcpus, StoppingRule::paper_default().level)
+        Ok(self.run_trace(self.schedule()?, 1)?.0)
     }
 
     /// One-line description for progress reporting, e.g.
@@ -840,7 +829,7 @@ mod tests {
         let cell: CellConfig = serde_json::from_str(r#"{ "pcpus": 4, "vms": [2, 1, 1] }"#).unwrap();
         assert_eq!(cell.sync_ratio, (1, 5));
         assert_eq!(cell.timeslice, 30);
-        assert_eq!(cell.engine, EngineSpec::San);
+        assert_eq!(cell.engine, Engine::San);
         assert_eq!(cell.warmup, 1_000);
         assert_eq!(cell.horizon, 20_000);
         assert_eq!(cell.replications, ReplicationSpec::Rule { min: 5, max: 20 });
@@ -849,6 +838,12 @@ mod tests {
         assert_eq!(system.pcpus(), 4);
         assert_eq!(system.total_vcpus(), 4);
         assert!((system.vms()[0].workload.sync_probability - 0.2).abs() < 1e-12);
+    }
+
+    #[test]
+    fn default_cell_is_the_empty_object() {
+        let parsed: CellConfig = serde_json::from_str("{}").unwrap();
+        assert_eq!(CellConfig::default(), parsed);
     }
 
     #[test]
@@ -1001,7 +996,7 @@ mod tests {
         );
         bad(
             r#"{ "pcpus": 2, "vms": [2], "weights": [0] }"#,
-            "weights must be at least 1",
+            "zero weight",
         );
         bad(
             r#"{ "pcpus": 2, "vms": [2], "sync_probability": 1.5 }"#,

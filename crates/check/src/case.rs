@@ -10,9 +10,8 @@
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 
-use vsched_core::{
-    CoreError, DistSpec, PolicyKind, SyncMechanism, SyncMechanismSpec, SystemConfig, WorkloadSpec,
-};
+use vsched_campaign::CellConfig;
+use vsched_core::{CoreError, DistSpec, PolicyKind, SyncMechanism, SyncMechanismSpec};
 use vsched_trace::{RawEvent, TraceMeta, TraceSchedule, VmShape};
 
 use crate::CheckError;
@@ -164,45 +163,42 @@ impl FuzzCase {
         }
     }
 
-    /// Materializes the case's [`SystemConfig`].
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError`] if the case describes an invalid system (possible
-    /// for hand-edited reproducer files; generated cases always build).
-    pub fn system_config(&self) -> Result<SystemConfig, CoreError> {
-        let load = match self.load {
-            LoadSpec::Deterministic { value } => vsched_des::Dist::deterministic(value),
-            LoadSpec::Uniform { low, high } => vsched_des::Dist::uniform(low, high),
-            LoadSpec::Exponential { mean } => vsched_des::Dist::exponential(mean),
-        }
-        .map_err(CoreError::from)?;
-        let workload = WorkloadSpec {
-            load,
-            sync_probability: self.sync.probability,
-            sync_mechanism: self.sync.mechanism,
+    /// The campaign cell of this case's scenario, and the one place a
+    /// case's topology, workload, synchronization and timeslice become
+    /// cell fields. The run fields keep the cell defaults: a case names
+    /// its own policy (the deadlock fixture's fault-injected one has no
+    /// cell spelling), runs on both engines and may run one replication,
+    /// so callers set what their run needs.
+    #[must_use]
+    pub fn cell(&self) -> CellConfig {
+        let weights: Vec<u32> = self.vms.iter().map(|vm| vm.weight).collect();
+        CellConfig {
+            pcpus: self.pcpus,
+            vms: self.vms.iter().map(|vm| vm.vcpus).collect(),
+            weights: (!weights.iter().all(|&w| w == 1)).then_some(weights),
+            sync_probability: self.sync.every.is_none().then_some(self.sync.probability),
             sync_every: self.sync.every,
-            interarrival: None,
-        };
-        let mut builder = SystemConfig::builder()
-            .pcpus(self.pcpus)
-            .timeslice(self.timeslice);
-        for vm in &self.vms {
-            builder = builder.vm_spec(vsched_core::VmSpec {
-                vcpus: vm.vcpus,
-                workload: workload.clone(),
-                weight: vm.weight,
-            });
+            sync_mechanism: match self.sync.mechanism {
+                SyncMechanism::Barrier => SyncMechanismSpec::Barrier,
+                SyncMechanism::SpinLock => SyncMechanismSpec::Spinlock,
+            },
+            timeslice: self.timeslice,
+            load: match self.load {
+                LoadSpec::Deterministic { value } => DistSpec::Deterministic { value },
+                LoadSpec::Uniform { low, high } => DistSpec::Uniform { low, high },
+                LoadSpec::Exponential { mean } => DistSpec::Exponential { mean },
+            },
+            ..CellConfig::default()
         }
-        builder.build()
     }
 
     /// Compiles the case's churn scenario into an executable
     /// [`TraceSchedule`]: every VM arrives at tick 0 carrying the case's
-    /// shared workload as per-VM shape overrides, then [`FuzzCase::trace`]
-    /// events apply. The resulting union topology resolves to the same
-    /// [`SystemConfig`] as [`FuzzCase::system_config`], so the trace
-    /// verdict exercises exactly the case's system under churn.
+    /// shared workload, as [`FuzzCase::cell`] spells it, as per-VM shape
+    /// overrides, then [`FuzzCase::trace`] events apply. The resulting
+    /// union topology resolves to the same system as the cell's
+    /// [`CellConfig::system`], so the trace verdict exercises exactly the
+    /// case's system under churn.
     ///
     /// # Errors
     ///
@@ -210,23 +206,18 @@ impl FuzzCase {
     /// (possible in hand-edited reproducers: out-of-order times, double
     /// arrivals, departures while absent, bad levels).
     pub fn trace_schedule(&self) -> Result<TraceSchedule, CoreError> {
-        let mut meta = TraceMeta::new(self.pcpus);
-        meta.timeslice = self.timeslice;
-        let shape = |vm: &VmCase| {
-            let mut s = VmShape::new(vm.vcpus);
-            s.weight = vm.weight;
-            s.load = Some(match self.load {
-                LoadSpec::Deterministic { value } => DistSpec::Deterministic { value },
-                LoadSpec::Uniform { low, high } => DistSpec::Uniform { low, high },
-                LoadSpec::Exponential { mean } => DistSpec::Exponential { mean },
-            });
-            s.sync_probability = Some(self.sync.probability);
-            s.sync_every = self.sync.every;
-            s.sync_mechanism = Some(match self.sync.mechanism {
-                SyncMechanism::Barrier => SyncMechanismSpec::Barrier,
-                SyncMechanism::SpinLock => SyncMechanismSpec::Spinlock,
-            });
-            s
+        let cell = self.cell();
+        let mut meta = TraceMeta::new(cell.pcpus);
+        meta.timeslice = cell.timeslice;
+        let shape = |vm: &VmCase| VmShape {
+            weight: vm.weight,
+            load: Some(cell.load.clone()),
+            // A shape's probability would default to the paper's 0.2;
+            // the cell's `sync_every` stands for probability 0.
+            sync_probability: Some(cell.sync_probability.unwrap_or(0.0)),
+            sync_every: cell.sync_every,
+            sync_mechanism: Some(cell.sync_mechanism),
+            ..VmShape::new(vm.vcpus)
         };
         let mut events: Vec<RawEvent> = self
             .vms
@@ -356,7 +347,7 @@ mod tests {
 
     #[test]
     fn case_builds_a_valid_system_config() {
-        let config = sample_case().system_config().unwrap();
+        let config = sample_case().cell().system().unwrap();
         assert_eq!(config.pcpus(), 2);
         assert_eq!(config.total_vcpus(), 3);
         assert_eq!(config.timeslice(), 5);
@@ -364,10 +355,47 @@ mod tests {
     }
 
     #[test]
+    fn every_case_lowers_to_a_valid_cell_carrying_its_system() {
+        // Generated cases, the verifier's scenario (one replication) and
+        // the deadlock fixture (a fault-injected policy, which has no
+        // cell spelling) all lower to a cell that validates.
+        let generator = crate::gen::CaseGen::new(42);
+        let cases = (0..200).map(|i| generator.case(i)).chain([
+            FuzzCase::verify_scenario(2, 2, 2, 5, PolicyKind::RoundRobin, 16),
+            crate::verify::deadlock_fixture_case(),
+        ]);
+        for case in cases {
+            let at = format!("case {} ({:?})", case.case_index, case.policy);
+            let cell = case.cell();
+            cell.validate().unwrap_or_else(|e| panic!("{at}: {e}"));
+            let system = cell.system().unwrap_or_else(|e| panic!("{at}: {e}"));
+            assert_eq!(system.pcpus(), case.pcpus, "{at}");
+            assert_eq!(system.timeslice(), case.timeslice, "{at}");
+            assert_eq!(system.vms().len(), case.vms.len(), "{at}");
+            let load = match case.load {
+                LoadSpec::Deterministic { value } => vsched_des::Dist::deterministic(value),
+                LoadSpec::Uniform { low, high } => vsched_des::Dist::uniform(low, high),
+                LoadSpec::Exponential { mean } => vsched_des::Dist::exponential(mean),
+            }
+            .unwrap();
+            for (vm, spec) in case.vms.iter().zip(system.vms()) {
+                assert_eq!(spec.vcpus, vm.vcpus, "{at}");
+                assert_eq!(spec.weight, vm.weight, "{at}");
+                let w = &spec.workload;
+                assert_eq!(w.load, load, "{at}");
+                assert_eq!(w.sync_probability, case.sync.probability, "{at}");
+                assert_eq!(w.sync_every, case.sync.every, "{at}");
+                assert_eq!(w.sync_mechanism, case.sync.mechanism, "{at}");
+                assert!(w.interarrival.is_none(), "{at}");
+            }
+        }
+    }
+
+    #[test]
     fn invalid_case_surfaces_a_core_error() {
         let mut case = sample_case();
         case.pcpus = 0;
-        assert!(case.system_config().is_err());
+        assert!(case.cell().system().is_err());
     }
 
     #[test]
@@ -392,7 +420,7 @@ mod tests {
         ];
         let schedule = case.trace_schedule().unwrap();
         // The union topology IS the case's static topology.
-        let static_config = case.system_config().unwrap();
+        let static_config = case.cell().system().unwrap();
         assert_eq!(schedule.config(), &static_config);
         assert!(schedule.initially_present().iter().all(|&p| p));
         assert_eq!(schedule.events().len(), 3);

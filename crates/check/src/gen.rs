@@ -228,7 +228,7 @@ mod tests {
             {
                 assert!(skew_resume < skew_threshold, "case {i}: RCS params");
             }
-            let config = case.system_config().unwrap();
+            let config = case.cell().system().unwrap();
             assert_eq!(config.pcpus(), case.pcpus);
         }
     }
@@ -255,7 +255,7 @@ mod tests {
                 // Every generated scenario compiles to the case's own
                 // static topology as the union.
                 let s = case.trace_schedule().unwrap();
-                assert_eq!(s.config(), &case.system_config().unwrap());
+                assert_eq!(s.config(), &case.cell().system().unwrap());
             }
         }
         assert!(

@@ -202,7 +202,7 @@ impl Default for OracleOpts {
 #[must_use]
 pub fn run_case(case: &FuzzCase, opts: &OracleOpts) -> CaseOutcome {
     let mut failures = Vec::new();
-    let config = match case.system_config() {
+    let config = match case.cell().system() {
         Ok(c) => c,
         Err(e) => {
             return CaseOutcome {
@@ -861,7 +861,7 @@ fn rotation_check(
     }
     let mut rotated_case = case.clone();
     rotated_case.vms.rotate_left(1);
-    let rotated_config = match rotated_case.system_config() {
+    let rotated_config = match rotated_case.cell().system() {
         Ok(c) => c,
         Err(e) => {
             return vec![Failure {
@@ -975,7 +975,8 @@ fn scaling_check(case: &FuzzCase, opts: &OracleOpts) -> Vec<Failure> {
     scaled.policy = scale_policy(&base.policy);
 
     let run = |c: &FuzzCase| {
-        c.system_config()
+        c.cell()
+            .system()
             .and_then(|cfg| report(&cfg, c, Engine::Direct, 1, opts.ci_level))
     };
     let (a, b) = match (run(&base), run(&scaled)) {
@@ -1148,7 +1149,7 @@ mod tests {
     #[test]
     fn compare_reports_flags_divergent_columns() {
         let case = CaseGen::new(3).case(1);
-        let config = case.system_config().unwrap();
+        let config = case.cell().system().unwrap();
         let a = super::report(&config, &case, Engine::Direct, 1, 0.95).unwrap();
         let mut b = a.clone();
         b.vcpu_availability[0].mean += 0.5;

@@ -193,7 +193,7 @@ mod tests {
                 assert!(c.pcpus >= 1);
                 let widest = c.vms.iter().map(|vm| vm.vcpus).max().unwrap();
                 assert!(widest <= c.pcpus, "case {i}: gang wider than machine");
-                assert!(c.system_config().is_ok(), "case {i}: candidate must build");
+                assert!(c.cell().system().is_ok(), "case {i}: candidate must build");
                 // VM-index remapping must keep trace events in range.
                 assert!(
                     c.trace.iter().all(|e| e.vm < c.vms.len()),

@@ -359,7 +359,7 @@ pub fn deadlock_fixture_case() -> FuzzCase {
 /// [`CoreError`] if the fixture model cannot be built.
 pub fn verify_fixture(opts: &VerifyOpts) -> Result<(Reproducer, VerifyRun), CoreError> {
     let case = deadlock_fixture_case();
-    let config = case.system_config()?;
+    let config = case.cell().system()?;
     let run = verify_config("fixture:deadlock", &config, &case.policy, opts)?;
     let failures = run
         .report
@@ -430,7 +430,8 @@ pub fn replay_verify_counterexample(rep: &Reproducer) -> Result<VerifyReplay, St
         .ok_or_else(|| "reproducer carries no verify counterexample".to_string())?;
     let config = rep
         .case
-        .system_config()
+        .cell()
+        .system()
         .map_err(|e| format!("invalid case: {e}"))?;
     let analysis = build_analysis_model(&config, rep.case.policy.create())
         .map_err(|e| format!("model build failed: {e}"))?;
@@ -472,7 +473,8 @@ mod tests {
     /// deterministic (RNG-free) workload.
     fn paper_2x2x2() -> SystemConfig {
         FuzzCase::verify_scenario(2, 2, 2, 5, PolicyKind::RoundRobin, 0)
-            .system_config()
+            .cell()
+            .system()
             .expect("valid config")
     }
 

@@ -21,8 +21,8 @@
 //! depend on it.
 
 use serde::{Deserialize, Serialize};
-use vsched_campaign::{CellConfig, EngineSpec, ReplicationSpec, SyncMechanismSpec};
-use vsched_core::CoreError;
+use vsched_campaign::{CellConfig, ReplicationSpec};
+use vsched_core::{CoreError, Engine};
 
 pub use vsched_campaign::spec::{CreditParams, DistSpec, PolicySpec, RcsParams, VmWorkloadSpec};
 
@@ -96,7 +96,7 @@ pub struct ExperimentConfig {
     pub policies: Vec<PolicySpec>,
     /// `"san"` (default) or `"direct"`.
     #[serde(default)]
-    pub engine: EngineSpec,
+    pub engine: Engine,
     /// Warm-up ticks per replication (default 1000).
     #[serde(default = "default_warmup")]
     pub warmup: u64,
@@ -161,28 +161,20 @@ impl ExperimentConfig {
             (None, Some(_)) => ReplicationSpec::Exact(3),
             (None, None) => ReplicationSpec::Rule { min: 5, max: 40 },
         };
+        let defaults = CellConfig::default();
         let base = CellConfig {
             pcpus: self.pcpus,
             vms: self.vms.iter().map(|vm| vm.vcpus).collect(),
             trace: self.trace.clone(),
             weights: (!weights.iter().all(|&w| w == 1)).then_some(weights),
-            sync_ratio: (1, 5),
-            sync_probability: None,
-            sync_every: None,
-            sync_mechanism: SyncMechanismSpec::Barrier,
-            timeslice: self.timeslice.unwrap_or(30),
-            load: DistSpec::Uniform {
-                low: 5.0,
-                high: 15.0,
-            },
-            interarrival: None,
+            timeslice: self.timeslice.unwrap_or(defaults.timeslice),
             vm_workloads: (!overrides.iter().all(VmWorkloadSpec::is_noop)).then_some(overrides),
-            policy: PolicySpec::Label("rrs".into()),
             engine: self.engine,
             warmup: self.warmup,
             horizon: self.horizon,
             replications,
-            seed: self.seed.unwrap_or(0x5eed),
+            seed: self.seed.unwrap_or(defaults.seed),
+            ..defaults
         };
         Ok(self
             .policies
@@ -227,7 +219,7 @@ pub fn env_scenario(cell: &CellConfig) -> Result<vsched_env::Scenario, CoreError
         });
     }
     Ok(vsched_env::Scenario::new(cell.system()?)
-        .engine(cell.engine.to_engine())
+        .engine(cell.engine)
         .warmup(cell.warmup)
         .horizon(cell.horizon))
 }
@@ -236,7 +228,7 @@ pub fn env_scenario(cell: &CellConfig) -> Result<vsched_env::Scenario, CoreError
 mod tests {
     use super::*;
     use vsched_campaign::cell_key;
-    use vsched_core::{Engine, PolicyKind, SyncMechanism};
+    use vsched_core::{PolicyKind, SyncMechanism};
 
     const FULL: &str = r#"{
         "pcpus": 4,
@@ -296,7 +288,7 @@ mod tests {
                 skew_resume: 3
             }
         );
-        assert_eq!(cells[1].engine.to_engine(), Engine::Direct);
+        assert_eq!(cells[1].engine, Engine::Direct);
         assert_eq!(cells[1].replications, ReplicationSpec::Exact(3));
         assert_eq!(cells[1].seed, 42);
     }
@@ -307,7 +299,7 @@ mod tests {
             ExperimentConfig::from_json(r#"{ "pcpus": 2, "vms": [{ "vcpus": 1 }] }"#).unwrap();
         let cells = cfg.cells().unwrap();
         assert_eq!(cells.len(), 3, "paper trio default");
-        assert_eq!(cells[0].engine.to_engine(), Engine::San);
+        assert_eq!(cells[0].engine, Engine::San);
         assert_eq!(cfg.warmup, 1_000);
         assert_eq!(cfg.horizon, 20_000);
         assert!(cfg.replications.is_none());

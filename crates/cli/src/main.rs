@@ -26,11 +26,12 @@ use std::time::Duration;
 
 use vsched_analyze::AnalyzeOpts;
 use vsched_campaign::fsio::{read_file, write_atomic};
-use vsched_campaign::{run_sweep, EngineSpec, SweepOptions, STDOUT};
+use vsched_campaign::{run_sweep, SweepOptions, STDOUT};
 use vsched_check::{run_fuzz, FuzzOpts};
 use vsched_cli::args::Args;
 use vsched_cli::output::{render_report, report_to_json};
 use vsched_cli::{env_scenario, is_sweep_spec, ExperimentConfig, PolicySpec};
+use vsched_core::Engine;
 
 /// A subcommand's outcome: its exit code, or an error `main` reports.
 type CmdResult = Result<ExitCode, Box<dyn Error>>;
@@ -169,7 +170,7 @@ OPTIONS (trace):
                        event time + 1000).
     --seed <S>         (run) Base seed; replication r uses S + r
                        (default 0x5eed).
-    --replications <N> (run) Replications (default 3).
+    --replications <N> (run) Replications (default 3, at least 2).
     --jobs <N>         (run) Replication worker threads (default: one per
                        core). Results are bit-identical for every N.
     --out <path>       (run) Also write the report as JSON.
@@ -390,14 +391,10 @@ fn run(args: &[String]) -> CmdResult {
         let policy = cell.policy_kind()?;
         let mut fingerprint = None;
         let report = if let Some(schedule) = &schedule {
-            let result = cell.trace_experiment(schedule.clone())?.jobs(jobs).run()?;
-            println!(
-                "fingerprint {:016x}  ({})",
-                result.fingerprint,
-                policy.label()
-            );
-            fingerprint = Some(format!("{:016x}", result.fingerprint));
-            result.metrics_report(system.total_vcpus(), system.pcpus(), 0.95)?
+            let (report, fp) = cell.run_trace(schedule.clone(), jobs)?;
+            println!("fingerprint {fp:016x}  ({})", policy.label());
+            fingerprint = Some(format!("{fp:016x}"));
+            report
         } else {
             cell.builder()?.jobs(jobs).run()?
         };
@@ -436,8 +433,8 @@ fn trace_cmd(args: &[String]) -> CmdResult {
         events: a.positive("--events")?.unwrap_or(10),
         policy: a.value("--policy").unwrap_or_else(|| "rrs".into()),
         engine: match a.choice("--engine", &["direct", "san"])? {
-            Some("san") => EngineSpec::San,
-            _ => EngineSpec::Direct,
+            Some("san") => Engine::San,
+            _ => Engine::Direct,
         },
         warmup: a.number("--warmup")?.unwrap_or(0),
         horizon: a.positive("--horizon")?,
@@ -458,7 +455,7 @@ struct TraceOpts {
     pcpus: usize,
     events: usize,
     policy: String,
-    engine: EngineSpec,
+    engine: Engine,
     warmup: u64,
     horizon: Option<u64>,
     seed: u64,
@@ -481,39 +478,15 @@ struct TraceRunJson {
     /// FNV-1a 64 over every observation bit; equal strings mean
     /// bit-identical runs.
     fingerprint: String,
-    /// Confidence-interval report (absent with a single replication).
-    #[serde(skip_serializing_if = "Option::is_none")]
-    report: Option<vsched_core::MetricsReport>,
-}
-
-fn is_csv_trace(path: &Path) -> bool {
-    path.extension()
-        .is_some_and(|e| e.eq_ignore_ascii_case("csv"))
-}
-
-/// Enforces the `--pcpus` contract of the `trace` subcommand: required
-/// by CSV datasets, rejected by self-describing standard traces.
-fn check_pcpus_flag(path: &Path, pcpus: usize) -> Result<(), Box<dyn Error>> {
-    match (is_csv_trace(path), pcpus) {
-        (true, 0) => Err(format!(
-            "CSV trace `{}` carries no platform: pass --pcpus",
-            path.display()
-        )
-        .into()),
-        (false, 1..) => Err(format!(
-            "trace `{}` carries its own platform: drop --pcpus",
-            path.display()
-        )
-        .into()),
-        _ => Ok(()),
-    }
+    /// Confidence-interval report.
+    report: vsched_core::MetricsReport,
 }
 
 fn load_trace_arg(
     path: &Path,
     opts: &TraceOpts,
 ) -> Result<vsched_trace::TraceSchedule, Box<dyn Error>> {
-    check_pcpus_flag(path, opts.pcpus)?;
+    vsched_trace::check_platform(path, opts.pcpus)?;
     let csv_meta = vsched_trace::TraceMeta::new(opts.pcpus);
     Ok(vsched_trace::load_trace(path, &csv_meta)?)
 }
@@ -550,8 +523,8 @@ fn run_trace_verb(verb: &str, path: &Path, opts: &TraceOpts) -> Result<(), Box<d
             Ok(())
         }
         "head" => {
-            check_pcpus_flag(path, opts.pcpus)?;
-            let (meta, events) = if is_csv_trace(path) {
+            vsched_trace::check_platform(path, opts.pcpus)?;
+            let (meta, events) = if vsched_trace::is_csv(path) {
                 (
                     vsched_trace::TraceMeta::new(opts.pcpus),
                     vsched_trace::read_azure_csv(path)?,
@@ -576,54 +549,57 @@ fn run_trace_verb(verb: &str, path: &Path, opts: &TraceOpts) -> Result<(), Box<d
     }
 }
 
+/// Runs a trace cell: the flags lower to a one-policy run config and go
+/// through the same [`ExperimentConfig::cells`] and validation as a
+/// config file, so the policy label, the replication floor and the
+/// platform rule are checked before the trace is read.
 fn run_trace_experiment(path: &Path, opts: &TraceOpts) -> Result<(), Box<dyn Error>> {
-    let schedule = load_trace_arg(path, opts)?;
+    let trace = path.display().to_string();
+    let config = ExperimentConfig {
+        pcpus: opts.pcpus,
+        vms: Vec::new(),
+        trace: Some(trace.clone()),
+        timeslice: None,
+        policies: vec![PolicySpec::Label(opts.policy.clone())],
+        engine: opts.engine,
+        warmup: opts.warmup,
+        // Without `--horizon`, set below once the trace is read.
+        horizon: opts.horizon.unwrap_or(0),
+        replications: Some(opts.replications),
+        seed: Some(opts.seed),
+        jobs: None,
+    };
+    let mut cell = config.cells()?.swap_remove(0);
+    cell.validate()?;
+    let schedule = cell.schedule()?;
+    // The default horizon reaches 1 000 ticks past the trace's last event.
+    cell.horizon = opts.horizon.unwrap_or(schedule.end_time() + 1_000);
     let system = schedule.config().clone();
-    let horizon = opts.horizon.unwrap_or(schedule.end_time() + 1_000);
-    let policy = PolicySpec::Label(opts.policy.clone()).to_kind()?;
+    let policy = cell.policy_kind()?;
     println!("trace: {}", schedule.describe());
     println!(
-        "policy {}   engine {}   warmup {} / horizon {horizon} ticks   \
+        "policy {}   engine {}   warmup {} / horizon {} ticks   \
          seed {:#x}   replications {}",
         policy.label(),
-        opts.engine.label(),
-        opts.warmup,
-        opts.seed,
+        cell.engine.label(),
+        cell.warmup,
+        cell.horizon,
+        cell.seed,
         opts.replications
     );
-    let result = vsched_trace::TraceExperiment::new(schedule, policy.clone())
-        .engine(opts.engine.to_engine())
-        .warmup(opts.warmup)
-        .horizon(horizon)
-        .seed(opts.seed)
-        .replications(opts.replications)
-        .jobs(opts.jobs)
-        .run()?;
-    println!("fingerprint {:016x}", result.fingerprint);
-    let report = if opts.replications >= 2 {
-        let report = result.metrics_report(system.total_vcpus(), system.pcpus(), 0.95)?;
-        print!("{}", render_report(&system, &policy, &report));
-        Some(report)
-    } else {
-        let sample = &result.samples[0];
-        println!(
-            "  vcpu_availability {:.4}   vcpu_utilization {:.4}   pcpu_utilization {:.4}",
-            sample.avg_vcpu_availability(),
-            sample.avg_vcpu_utilization(),
-            sample.avg_pcpu_utilization()
-        );
-        None
-    };
+    let (report, fingerprint) = cell.run_trace(schedule, opts.jobs)?;
+    println!("fingerprint {fingerprint:016x}");
+    print!("{}", render_report(&system, &policy, &report));
     if let Some(out) = &opts.out {
         let body = TraceRunJson {
-            trace: path.display().to_string(),
+            trace,
             policy: policy.label().to_string(),
-            engine: opts.engine.label().to_string(),
-            warmup: opts.warmup,
-            horizon,
-            seed: opts.seed,
+            engine: cell.engine.label().to_string(),
+            warmup: cell.warmup,
+            horizon: cell.horizon,
+            seed: cell.seed,
             replications: opts.replications,
-            fingerprint: format!("{:016x}", result.fingerprint),
+            fingerprint: format!("{fingerprint:016x}"),
             report,
         };
         write_out(out, &serde_json::to_string_pretty(&body)?)?;
@@ -825,7 +801,7 @@ fn verify_cmd(args: &[String]) -> CmdResult {
             policy.clone(),
             opts.horizon,
         );
-        let config = case.system_config()?;
+        let config = case.cell().system()?;
         let target = format!("{vms}x{vcpus}x{pcpus} {}", policy.label());
         let run = vsched_check::verify_config(&target, &config, policy, &opts)?;
         if json {

@@ -31,12 +31,10 @@ use vsched_analyze::AnalyzeOpts;
 use vsched_campaign::fsio::read_file;
 use vsched_campaign::orchestrator::ensure_cells;
 use vsched_campaign::{
-    cell_key, CellConfig, DistSpec, EngineSpec, PlannedCell, PolicySpec, ReplicationSpec,
-    ResultStore, SyncMechanismSpec, STDOUT,
+    cell_key, CellConfig, PlannedCell, PolicySpec, ReplicationSpec, ResultStore, STDOUT,
 };
 use vsched_check::gen::CaseGen;
-use vsched_check::{case::LoadSpec, FuzzCase};
-use vsched_core::{MetricsReport, PolicyKind, SyncMechanism};
+use vsched_core::{Engine, MetricsReport, PolicyKind};
 use vsched_env::{run_remote_episode, Env, EpisodeError, RemotePolicy};
 
 use crate::config::{env_scenario, is_sweep_spec, ExperimentConfig};
@@ -263,53 +261,6 @@ fn spec_label(kind: &PolicyKind) -> String {
     }
 }
 
-/// Converts a fuzz case into a tournament cell. Topology, workload,
-/// synchronization, and timeslice come from the generator; run lengths
-/// and seed are normalized like every other scenario. Engines alternate
-/// by case index so both implementations stay in the corpus.
-fn cell_from_case(case: &FuzzCase, opts: &TournamentOpts) -> CellConfig {
-    let weights: Vec<u32> = case.vms.iter().map(|vm| vm.weight).collect();
-    CellConfig {
-        pcpus: case.pcpus,
-        vms: case.vms.iter().map(|vm| vm.vcpus).collect(),
-        trace: None,
-        weights: if weights.iter().all(|&w| w == 1) {
-            None
-        } else {
-            Some(weights)
-        },
-        sync_ratio: (1, 5),
-        sync_probability: if case.sync.every.is_some() {
-            None
-        } else {
-            Some(case.sync.probability)
-        },
-        sync_every: case.sync.every,
-        sync_mechanism: match case.sync.mechanism {
-            SyncMechanism::Barrier => SyncMechanismSpec::Barrier,
-            SyncMechanism::SpinLock => SyncMechanismSpec::Spinlock,
-        },
-        timeslice: case.timeslice,
-        load: match case.load {
-            LoadSpec::Deterministic { value } => DistSpec::Deterministic { value },
-            LoadSpec::Uniform { low, high } => DistSpec::Uniform { low, high },
-            LoadSpec::Exponential { mean } => DistSpec::Exponential { mean },
-        },
-        interarrival: None,
-        vm_workloads: None,
-        policy: PolicySpec::Label("rrs".into()),
-        engine: if case.case_index.is_multiple_of(2) {
-            EngineSpec::San
-        } else {
-            EngineSpec::Direct
-        },
-        warmup: opts.warmup,
-        horizon: opts.horizon,
-        replications: ReplicationSpec::Exact(opts.replications),
-        seed: opts.seed,
-    }
-}
-
 /// Builds the scenario corpus: run configs from the config directory
 /// (sweep specs skipped, sorted by file name), then fuzz scenarios.
 /// Scenarios that fail the static lint gate are dropped with a note.
@@ -350,27 +301,38 @@ pub fn build_corpus(
         if cell.trace.is_some() {
             continue;
         }
-        // The config's own policies, run lengths and seed give way to the
-        // tournament's, so ranks are comparable; the policy is a
-        // placeholder, replaced per contestant.
+        scenarios.push(TournamentScenario { name, cell });
+    }
+    // Fuzz scenarios alternate engines by case index, so both
+    // implementations stay in the corpus.
+    let generator = CaseGen::new(opts.fuzz_seed);
+    for i in 0..opts.fuzz_scenarios {
+        let case = generator.case(i);
+        let engine = if case.case_index.is_multiple_of(2) {
+            Engine::San
+        } else {
+            Engine::Direct
+        };
         scenarios.push(TournamentScenario {
-            name,
+            name: format!("fuzz-{i}"),
             cell: CellConfig {
-                policy: PolicySpec::Label("rrs".into()),
-                warmup: opts.warmup,
-                horizon: opts.horizon,
-                replications: ReplicationSpec::Exact(opts.replications),
-                seed: opts.seed,
-                ..cell
+                engine,
+                ..case.cell()
             },
         });
     }
-    let generator = CaseGen::new(opts.fuzz_seed);
-    for i in 0..opts.fuzz_scenarios {
-        scenarios.push(TournamentScenario {
-            name: format!("fuzz-{i}"),
-            cell: cell_from_case(&generator.case(i), opts),
-        });
+    // Each scenario's own policies, run lengths and seed give way to the
+    // tournament's, so ranks are comparable; the policy is a placeholder,
+    // replaced per contestant.
+    for scenario in &mut scenarios {
+        scenario.cell = CellConfig {
+            policy: PolicySpec::Label("rrs".into()),
+            warmup: opts.warmup,
+            horizon: opts.horizon,
+            replications: ReplicationSpec::Exact(opts.replications),
+            seed: opts.seed,
+            ..scenario.cell.clone()
+        };
     }
 
     // The lint gate: a scenario whose SAN model has structural errors
@@ -682,6 +644,8 @@ pub fn render_policy_registry() -> String {
 mod tests {
     use super::*;
     use std::path::Path;
+    use vsched_campaign::SyncMechanismSpec;
+    use vsched_core::SyncMechanism;
 
     fn quick_opts(dir: &Path) -> TournamentOpts {
         TournamentOpts {
@@ -732,7 +696,7 @@ mod tests {
         assert_eq!(scenarios[0].name, "hetero");
         let cell = &scenarios[0].cell;
         assert_eq!(cell.weights, Some(vec![3, 1]));
-        assert_eq!(cell.engine, EngineSpec::Direct);
+        assert_eq!(cell.engine, Engine::Direct);
         assert_eq!(cell.timeslice, 12);
         assert_eq!(cell.warmup, opts.warmup);
         assert_eq!(cell.horizon, opts.horizon);

@@ -6,13 +6,15 @@
 //! buildable system). Run configs are checked through the cells they
 //! lower to. The campaign crate's own integration tests cover actually
 //! running sweeps. The binary's command-line surface — `--help` and
-//! unknown flags on every subcommand, and `vsched env` refusing a
-//! trace-driven config — is checked here too.
+//! unknown flags on every subcommand, `vsched env` refusing a
+//! trace-driven config, and `vsched trace` rejecting at load what no
+//! trace cell may run — is checked here too.
 
 use std::fs;
 use std::process::{Command, Output, Stdio};
-use vsched_campaign::{plan, CellConfig, EngineSpec, ReplicationSpec, SweepSpec};
+use vsched_campaign::{plan, CellConfig, ReplicationSpec, SweepSpec};
 use vsched_cli::ExperimentConfig;
+use vsched_core::Engine;
 
 /// Every subcommand with flags of its own.
 const SUBCOMMANDS: [&str; 9] = [
@@ -110,7 +112,7 @@ fn shipped_configs_run_quickly() {
         // Shortened run: first policy only, tiny horizon, direct engine.
         // A trace-driven config runs as a trace.
         let cell = CellConfig {
-            engine: EngineSpec::Direct,
+            engine: Engine::Direct,
             warmup: 200,
             horizon: 2_000,
             replications: ReplicationSpec::Exact(2),
@@ -178,4 +180,45 @@ fn env_refuses_trace_configs() {
         "{}",
         String::from_utf8_lossy(&out.stdout)
     );
+}
+
+#[test]
+fn trace_run_is_a_trace_cell_and_needs_two_replications() {
+    // `trace run` lowers to the cell a run config would, so the same
+    // replication floor rejects it at load, before anything runs.
+    let out = vsched(&[
+        "trace",
+        "run",
+        "configs/traces/churn_small.jsonl",
+        "--replications",
+        "1",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("replications"), "{stderr}");
+    assert!(
+        out.stdout.is_empty(),
+        "{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+}
+
+#[test]
+fn every_trace_verb_applies_the_one_platform_rule() {
+    for verb in ["validate", "describe", "head", "run"] {
+        for (args, needle) in [
+            (vec!["configs/traces/lifetimes.csv"], "set `pcpus`"),
+            (
+                vec!["configs/traces/churn_small.jsonl", "--pcpus", "4"],
+                "omit `pcpus`",
+            ),
+        ] {
+            let mut argv = vec!["trace", verb];
+            argv.extend(args);
+            let out = vsched(&argv);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{argv:?}: {stderr}");
+            assert!(stderr.contains(needle), "{argv:?}: {stderr}");
+        }
+    }
 }

@@ -2,6 +2,7 @@
 //! confidence-interval termination, over either engine, and the one
 //! engine handle ([`Simulation`]) every replication runs through.
 
+use serde::{Deserialize, Serialize};
 use vsched_stats::StoppingRule;
 
 use crate::config::SystemConfig;
@@ -13,15 +14,29 @@ use crate::san_model::SanSystem;
 use crate::sched::{PolicyKind, SchedulingPolicy};
 use crate::types::{PcpuView, VcpuView};
 
-/// Which engine executes the model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Which engine executes the model. Config files spell it `"san"` or
+/// `"direct"`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename_all = "lowercase", deny_unknown_fields)]
 pub enum Engine {
     /// The faithful SAN engine ([`crate::san_model::SanSystem`]) — what the
     /// paper runs on Mobius. Default.
+    #[default]
     San,
     /// The fast time-stepped engine ([`crate::direct::DirectSim`]) with
     /// identical semantics; use for large sweeps.
     Direct,
+}
+
+impl Engine {
+    /// Lower-case name, as written in config files.
+    #[must_use]
+    pub fn label(self) -> &'static str {
+        match self {
+            Engine::San => "san",
+            Engine::Direct => "direct",
+        }
+    }
 }
 
 /// One built engine of either kind, behind the calls its callers make:

@@ -32,7 +32,7 @@ use vsched_core::{
     Simulation, SystemConfig, VcpuView,
 };
 
-use crate::obs::{Observation, RewardWeights, StepInfo};
+use crate::obs::{Observation, StepInfo};
 
 /// Everything that defines an episode except the seed and the agent: the
 /// machine, the engine, and the warm-up/measurement split.
@@ -130,7 +130,7 @@ impl From<CoreError> for EnvError {
 pub struct Step {
     /// The next observation (the terminal state snapshot when `done`).
     pub obs: Observation,
-    /// Scalar reward: the differenced weighted metric scalar.
+    /// Scalar reward: the differenced metric scalar.
     pub reward: f64,
     /// Whether the episode is over. After `done`, call `reset`.
     pub done: bool,
@@ -208,14 +208,14 @@ impl LiveEpisode {
         ))
     }
 
-    /// Differences the weighted metric scalar against the previous step
-    /// (`None` during warm-up, where the scalar is zero).
-    fn settle_reward(
-        prev_scalar: &mut f64,
-        weights: RewardWeights,
-        metrics: Option<&SampleMetrics>,
-    ) -> (f64, StepInfo) {
-        let scalar = metrics.map_or(0.0, |m| weights.scalar(m));
+    /// Differences the metric scalar — the sum of the paper's three
+    /// cumulative post-warm-up metric averages — against the previous
+    /// step (`None` during warm-up, where the scalar is zero), so the
+    /// episode return telescopes to the final scalar.
+    fn settle_reward(prev_scalar: &mut f64, metrics: Option<&SampleMetrics>) -> (f64, StepInfo) {
+        let scalar = metrics.map_or(0.0, |m| {
+            m.avg_vcpu_utilization() + m.avg_vcpu_availability() + m.avg_pcpu_utilization()
+        });
         let reward = scalar - *prev_scalar;
         *prev_scalar = scalar;
         (reward, StepInfo::from_metrics(metrics))
@@ -289,7 +289,6 @@ impl LiveEpisode {
 pub struct Env {
     scenario: Scenario,
     fields: ViewFields,
-    weights: RewardWeights,
     agent_name: String,
     episode: Option<LiveEpisode>,
     last_end: Option<EpisodeEnd>,
@@ -305,14 +304,12 @@ impl std::fmt::Debug for Env {
 }
 
 impl Env {
-    /// An environment over `scenario` with the full observation space and
-    /// equal reward weights.
+    /// An environment over `scenario` with the full observation space.
     #[must_use]
     pub fn new(scenario: Scenario) -> Self {
         Env {
             scenario,
             fields: ViewFields::all(),
-            weights: RewardWeights::default(),
             agent_name: "env-agent".to_string(),
             episode: None,
             last_end: None,
@@ -323,13 +320,6 @@ impl Env {
     #[must_use]
     pub fn fields(mut self, fields: ViewFields) -> Self {
         self.fields = fields;
-        self
-    }
-
-    /// Replaces the reward weights.
-    #[must_use]
-    pub fn reward_weights(mut self, weights: RewardWeights) -> Self {
-        self.weights = weights;
         self
     }
 
@@ -422,11 +412,8 @@ impl Env {
         let timeslice = self.scenario.config.timeslice();
         if episode.ticks == episode.total {
             let end = episode.end();
-            let (reward, info) = LiveEpisode::settle_reward(
-                &mut episode.prev_scalar,
-                self.weights,
-                Some(&end.metrics),
-            );
+            let (reward, info) =
+                LiveEpisode::settle_reward(&mut episode.prev_scalar, Some(&end.metrics));
             // The terminal observation re-shows the last epoch's views at
             // the end-of-episode tick.
             let (vcpus, pcpus) = &episode.views;
@@ -445,7 +432,6 @@ impl Env {
         }
         let (reward, info) = LiveEpisode::settle_reward(
             &mut episode.prev_scalar,
-            self.weights,
             warmed_up.then_some(&episode.metrics),
         );
         let obs = episode.observe_next(self.fields, timeslice)?;

@@ -14,8 +14,8 @@
 //!   caller's thread, paused between calls where the policy would be
 //!   consulted; observations are masked to the agent's declared
 //!   [`vsched_core::sched::ViewFields`];
-//!   rewards are the paper's three metrics as a differenced weighted
-//!   scalar ([`RewardWeights`]); episodes are bit-identically replayable
+//!   rewards are the paper's three metrics as a differenced scalar
+//!   (their sum); episodes are bit-identically replayable
 //!   ([`replay_actions`]) and fingerprinted ([`EpisodeEnd`]).
 //! * [`proto`]: the JSON-lines wire protocol (externally tagged
 //!   messages, one per line, versioned handshake).
@@ -32,7 +32,7 @@ pub mod remote;
 pub use env::{
     drive_policy, replay_actions, Env, EnvError, EpisodeEnd, EpisodeRun, Scenario, Step,
 };
-pub use obs::{mask_view, Observation, RewardWeights, StepInfo};
+pub use obs::{mask_view, Observation, StepInfo};
 pub use proto::{Message, PROTO_VERSION};
 pub use remote::{
     run_remote_episode, serve, EpisodeError, LineTransport, PolicyFault, RemotePolicy, ServeStats,

@@ -49,16 +49,6 @@ impl Observation {
         }
     }
 
-    /// The views exactly as an in-process policy would receive them under
-    /// the same snapshot-view contract. Because masking only touches
-    /// payload fields a contract-honoring policy never reads, feeding
-    /// these to such a policy reproduces its in-process decision trace
-    /// bit-for-bit.
-    #[must_use]
-    pub fn to_views(&self) -> (&[VcpuView], &[PcpuView]) {
-        (&self.vcpus, &self.pcpus)
-    }
-
     /// Order-insensitive-free digest of the observation content, for
     /// replay comparison.
     #[must_use]
@@ -105,43 +95,6 @@ pub fn mask_view(mut v: VcpuView, fields: ViewFields) -> VcpuView {
         v.vm_weight = 1;
     }
     v
-}
-
-/// Weights of the paper's three system-level metrics in the scalar reward.
-///
-/// The reward at each step is the weighted sum over the *cumulative*
-/// post-warm-up metric averages, differenced against the previous step —
-/// so episode return telescopes to the weighted sum of the final averages,
-/// the same quantities `vsched run` reports.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RewardWeights {
-    /// Weight of average VCPU utilization (throughput).
-    pub vcpu_utilization: f64,
-    /// Weight of average VCPU availability (fairness).
-    pub vcpu_availability: f64,
-    /// Weight of average PCPU utilization.
-    pub pcpu_utilization: f64,
-}
-
-impl Default for RewardWeights {
-    /// Equal weights over the paper's three metrics.
-    fn default() -> Self {
-        RewardWeights {
-            vcpu_utilization: 1.0,
-            vcpu_availability: 1.0,
-            pcpu_utilization: 1.0,
-        }
-    }
-}
-
-impl RewardWeights {
-    /// The weighted scalar of a cumulative metrics sample.
-    #[must_use]
-    pub fn scalar(&self, metrics: &SampleMetrics) -> f64 {
-        self.vcpu_utilization * metrics.avg_vcpu_utilization()
-            + self.vcpu_availability * metrics.avg_vcpu_availability()
-            + self.pcpu_utilization * metrics.avg_pcpu_utilization()
-    }
 }
 
 /// Per-step metric breakdown accompanying the scalar reward.
@@ -234,24 +187,17 @@ mod tests {
     }
 
     #[test]
-    fn reward_scalar_weights_the_three_paper_metrics() {
+    fn step_info_breaks_down_the_three_paper_metrics() {
         let m = SampleMetrics {
             vcpu_availability: vec![0.5, 0.7],
             vcpu_utilization: vec![0.4, 0.6],
             pcpu_utilization: vec![0.9],
             vcpu_spin: vec![0.0, 0.0],
         };
-        let w = RewardWeights::default();
-        let expected = 0.5 + 0.6 + 0.9;
-        assert!((w.scalar(&m) - expected).abs() < 1e-12);
-        let only_fairness = RewardWeights {
-            vcpu_utilization: 0.0,
-            vcpu_availability: 2.0,
-            pcpu_utilization: 0.0,
-        };
-        assert!((only_fairness.scalar(&m) - 1.2).abs() < 1e-12);
         let info = StepInfo::from_metrics(Some(&m));
         assert!(info.warmed_up);
+        assert!((info.vcpu_utilization - 0.5).abs() < 1e-12);
+        assert!((info.vcpu_availability - 0.6).abs() < 1e-12);
         assert!((info.pcpu_utilization - 0.9).abs() < 1e-12);
         assert!(!StepInfo::from_metrics(None).warmed_up);
     }

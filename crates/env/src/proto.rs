@@ -48,7 +48,7 @@ pub enum Message {
     /// *previous* action; on the first observation of an episode they are
     /// zero.
     Obs {
-        /// Differenced weighted metric scalar for the previous step.
+        /// Differenced metric scalar for the previous step.
         reward: f64,
         /// Whether the episode ended; the observation is then terminal
         /// and no `act` must follow.

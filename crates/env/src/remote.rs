@@ -178,20 +178,6 @@ impl LineTransport {
         Ok(transport)
     }
 
-    /// Connects to a Unix socket at `path`.
-    ///
-    /// # Errors
-    ///
-    /// [`PolicyFault::Io`] if the connection fails.
-    pub fn connect_unix(path: &std::path::Path, timeout: Duration) -> Result<Self, PolicyFault> {
-        let stream = std::os::unix::net::UnixStream::connect(path)
-            .map_err(|e| PolicyFault::Io(format!("connect {}: {e}", path.display())))?;
-        let reader = stream
-            .try_clone()
-            .map_err(|e| PolicyFault::Io(e.to_string()))?;
-        Ok(LineTransport::new(reader, stream, Some(timeout)))
-    }
-
     /// Wraps an accepted Unix stream (server side).
     ///
     /// # Errors

@@ -51,12 +51,6 @@ impl std::fmt::Debug for Timing {
 }
 
 impl Timing {
-    /// Whether the activity completes instantaneously.
-    #[must_use]
-    pub fn is_instantaneous(&self) -> bool {
-        matches!(self, Timing::Instantaneous { .. })
-    }
-
     /// Completion priority of an instantaneous activity (`None` for timed).
     #[must_use]
     pub fn priority(&self) -> Option<i32> {
@@ -228,22 +222,6 @@ impl ActivitySpec {
         &self.cases[case].output_arcs
     }
 
-    /// Names of the output gates of case `case`, in execution order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `case >= self.num_cases()`.
-    pub fn case_output_gate_names(&self, case: usize) -> impl Iterator<Item = &str> {
-        self.cases[case].output_gates.iter().map(|g| g.name())
-    }
-
-    /// Input gates as `(name, has_completion_function)` pairs.
-    pub fn input_gate_info(&self) -> impl Iterator<Item = (&str, bool)> {
-        self.input_gates
-            .iter()
-            .map(|g| (g.name(), g.function.is_some()))
-    }
-
     /// Whether any gate function (input-gate completion update or output
     /// gate) runs at completion — i.e. the marking change is not fully
     /// described by the arcs.
@@ -311,11 +289,6 @@ impl ActivitySpec {
         &self.weight_reads
     }
 
-    /// The input gates' declared read-sets, as `(gate name, reads)` pairs.
-    pub fn input_gate_reads(&self) -> impl Iterator<Item = (&str, &ReadSet)> {
-        self.input_gates.iter().map(|g| (g.name(), g.reads()))
-    }
-
     /// Every place a completion of this activity may write — input-arc and
     /// output-arc places plus the declared write-sets of every gate
     /// function — sorted and deduplicated. `None` if any gate function
@@ -336,32 +309,6 @@ impl ActivitySpec {
             if gate.function.is_some() {
                 out.extend_from_slice(gate.writes().as_declared()?);
             }
-        }
-        out.sort_unstable();
-        out.dedup();
-        Some(out)
-    }
-
-    /// Every place the *completion* of this activity may read beyond its
-    /// enablement reads — gate-function reads (input gates with a
-    /// completion update, output gates) and dynamic case-weight reads —
-    /// sorted and deduplicated. `None` if any of those closures left its
-    /// read-set undeclared.
-    #[must_use]
-    pub fn fire_reads(&self) -> Option<Vec<PlaceId>> {
-        let mut out: Vec<PlaceId> = Vec::new();
-        for gate in &self.input_gates {
-            if gate.function.is_some() {
-                out.extend_from_slice(gate.reads().as_declared()?);
-            }
-        }
-        for case in &self.cases {
-            for gate in &case.output_gates {
-                out.extend_from_slice(gate.reads().as_declared()?);
-            }
-        }
-        if matches!(self.case_weights, CaseWeights::Dynamic(_)) {
-            out.extend_from_slice(self.weight_reads.as_declared()?);
         }
         out.sort_unstable();
         out.dedup();

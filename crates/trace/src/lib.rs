@@ -41,8 +41,8 @@ pub use error::TraceError;
 pub use event::{RawEvent, TraceMeta, VmShape};
 pub use load::{LoadModel, LoadStep, FULL_LEVEL};
 pub use reader::{
-    load_standard, load_trace, read_azure_csv, read_azure_csv_str, read_standard,
-    read_standard_str, write_standard,
+    check_platform, is_csv, load_standard, load_trace, read_azure_csv, read_azure_csv_str,
+    read_standard, read_standard_str, write_standard,
 };
 pub use runner::{replay, TraceExperiment, TraceReport};
 pub use schedule::{CompiledEvent, TraceAction, TraceSchedule};

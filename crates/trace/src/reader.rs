@@ -17,6 +17,8 @@
 use std::fs;
 use std::path::Path;
 
+use vsched_core::CoreError;
+
 use crate::error::TraceError;
 use crate::event::{RawEvent, TraceMeta, VmShape};
 use crate::schedule::TraceSchedule;
@@ -222,6 +224,34 @@ pub fn read_azure_csv(path: &Path) -> Result<Vec<(usize, RawEvent)>, TraceError>
     read_azure_csv_str(&text, &label)
 }
 
+/// Whether `path` names an Azure-style CSV dataset (by its extension)
+/// rather than a standard trace.
+#[must_use]
+pub fn is_csv(path: &Path) -> bool {
+    path.extension()
+        .is_some_and(|e| e.eq_ignore_ascii_case("csv"))
+}
+
+/// The platform rule of every trace front door (cells, run configs and
+/// the `vsched trace` verbs): a CSV dataset carries no platform, so
+/// `pcpus` must be set; a standard trace carries its own, so `pcpus` must
+/// be omitted (`0`).
+///
+/// # Errors
+///
+/// [`CoreError::InvalidConfig`] naming the trace and the fix.
+pub fn check_platform(path: &Path, pcpus: usize) -> Result<(), CoreError> {
+    let (csv, path) = (is_csv(path), path.display());
+    let reason = match (csv, pcpus) {
+        (true, 0) => format!("CSV trace `{path}` carries no platform: set `pcpus` (`--pcpus`)"),
+        (false, 1..) => {
+            format!("trace `{path}` carries its own platform: omit `pcpus` (`--pcpus`)")
+        }
+        _ => return Ok(()),
+    };
+    Err(CoreError::InvalidConfig { reason })
+}
+
 /// Loads a trace file by extension — `.csv` as Azure CSV (with the
 /// supplied `meta`), anything else as the standard format (whose header
 /// overrides `meta` entirely).
@@ -231,10 +261,7 @@ pub fn read_azure_csv(path: &Path) -> Result<Vec<(usize, RawEvent)>, TraceError>
 /// Reader and compiler errors as above.
 pub fn load_trace(path: &Path, csv_meta: &TraceMeta) -> Result<TraceSchedule, TraceError> {
     let label = path.display().to_string();
-    if path
-        .extension()
-        .is_some_and(|e| e.eq_ignore_ascii_case("csv"))
-    {
+    if is_csv(path) {
         let events = read_azure_csv(path)?;
         TraceSchedule::compile(csv_meta, &events, &label)
     } else {

@@ -7,7 +7,7 @@
 //!   divergence in draws would change both);
 //! * replaying the recorded actions reproduces the observation, reward,
 //!   and fingerprint streams;
-//! * rewards telescope to the weighted final metric scalar;
+//! * rewards telescope to the final metric scalar;
 //! * an illegal action fails the episode as a typed engine error on
 //!   either engine and the environment resets cleanly afterwards; an
 //!   overflowing scenario is a typed error; a reset mid-episode and one
@@ -120,7 +120,7 @@ fn rewards_telescope_to_the_final_metric_scalar() {
     let scalar = m.avg_vcpu_utilization() + m.avg_vcpu_availability() + m.avg_pcpu_utilization();
     assert!(
         (total - scalar).abs() < 1e-9,
-        "episode return {total} != final weighted scalar {scalar}"
+        "episode return {total} != final metric scalar {scalar}"
     );
 }
 
