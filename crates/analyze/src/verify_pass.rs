@@ -700,8 +700,7 @@ pub fn replay_trace(model: &Model, trace: &[TraceStep]) -> Result<Vec<i64>, Stri
                 step.name
             ));
         }
-        let mut rng = Xoshiro256StarStar::seed_from(step.seed);
-        let Some(weights) = model.probe_cases(act, &mut m, &mut rng) else {
+        let Some(weights) = model.probe_cases(act, &mut m) else {
             return Err(format!(
                 "step {i}: `{}` has invalid case weights",
                 step.name
@@ -713,6 +712,7 @@ pub fn replay_trace(model: &Model, trace: &[TraceStep]) -> Result<Vec<i64>, Stri
                 step.case, step.name
             ));
         }
+        let mut rng = Xoshiro256StarStar::seed_from(step.seed);
         model.probe_complete_case(act, step.case, &mut m, &mut rng);
     }
     Ok(m.as_slice().to_vec())
@@ -790,8 +790,7 @@ fn fire_cases(
 ) -> Result<Vec<(Marking, Option<PolicyState>, usize)>, Abort> {
     load_policy(hooks, pol)?;
     let mut probe = m.clone();
-    let mut rng = Xoshiro256StarStar::seed_from(seed);
-    let Some(weights) = model.probe_cases(act, &mut probe, &mut rng) else {
+    let Some(weights) = model.probe_cases(act, &mut probe) else {
         return Err(Abort(format!(
             "`{}` produced invalid case weights on a reachable marking",
             model.activity(act).name()
@@ -803,9 +802,8 @@ fn fire_cases(
             continue;
         }
         load_policy(hooks, pol)?;
-        let mut m2 = m.clone();
+        let mut m2 = probe.clone();
         let mut rng = Xoshiro256StarStar::seed_from(seed);
-        let _ = model.probe_cases(act, &mut m2, &mut rng);
         model.probe_complete_case(act, case, &mut m2, &mut rng);
         let pol2 = save_policy(hooks)?;
         out.push((m2, pol2, case));

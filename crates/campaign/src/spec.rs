@@ -438,14 +438,17 @@ impl CellConfig {
         self.policy.to_kind()?.validate()
     }
 
-    /// Loads and compiles this cell's trace schedule.
+    /// Checks the cell's shape rules, then loads and compiles its trace
+    /// schedule. The schedule's config is the cell's system.
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidConfig`] when the cell has no `trace`, or with
-    /// the trace reader/compiler's `path:line`-annotated message when the
-    /// file is missing or malformed.
+    /// [`CoreError::InvalidConfig`] for a cell that breaks its shape
+    /// rules or has no `trace`, or with the trace reader/compiler's
+    /// `path:line`-annotated message when the file is missing or
+    /// malformed.
     pub fn schedule(&self) -> Result<vsched_trace::TraceSchedule, CoreError> {
+        self.own_system()?;
         let Some(trace) = &self.trace else {
             return Err(CoreError::InvalidConfig {
                 reason: "cell has no `trace` field".into(),
@@ -471,11 +474,10 @@ impl CellConfig {
     /// or core's ranges (no VMs, zero timeslice, bad sync ratio, …), or
     /// an unreadable trace.
     pub fn system(&self) -> Result<SystemConfig, CoreError> {
-        let system = self.own_system()?;
         if self.trace.is_some() {
             return Ok(self.schedule()?.config().clone());
         }
-        Ok(system)
+        self.own_system()
     }
 
     /// The cell's shape rules, then the system core's builder makes from

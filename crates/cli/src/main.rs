@@ -368,7 +368,18 @@ fn run(args: &[String]) -> CmdResult {
     // Command line beats config file; both default (0) to one worker per
     // core.
     let jobs = jobs.or(config.jobs).unwrap_or(0);
-    let system = cells[0].system()?;
+    // A trace-driven config replays its trace under each policy and adds
+    // the run fingerprint to the static comparison. Its system is the
+    // trace's union topology, so the trace is read and compiled once.
+    let schedule = config
+        .trace
+        .as_ref()
+        .map(|_| cells[0].schedule())
+        .transpose()?;
+    let system = match &schedule {
+        Some(schedule) => schedule.config().clone(),
+        None => cells[0].system()?,
+    };
     println!(
         "system: {}   engine: {}   warmup {} / horizon {} ticks",
         system.describe(),
@@ -376,13 +387,6 @@ fn run(args: &[String]) -> CmdResult {
         config.warmup,
         config.horizon
     );
-    // A trace-driven config replays its trace under each policy and adds
-    // the run fingerprint to the static comparison.
-    let schedule = config
-        .trace
-        .as_ref()
-        .map(|_| cells[0].schedule())
-        .transpose()?;
     if let Some(schedule) = &schedule {
         println!("trace: {}", schedule.describe());
     }

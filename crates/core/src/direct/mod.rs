@@ -32,10 +32,6 @@
 //! tick *t + 1*, and a VCPU scheduled in at tick *t* keeps its PCPU for
 //! exactly `timeslice` ticks.
 
-pub mod trace;
-
-pub use trace::{Trace, TraceEvent};
-
 use vsched_des::{RngStreams, Xoshiro256StarStar};
 
 use crate::config::{SyncMechanism, SystemConfig};
@@ -113,7 +109,6 @@ pub struct DirectSim {
     vm_rngs: Vec<Xoshiro256StarStar>,
     pcpu_ticks: Vec<u64>,
     observed_ticks: u64,
-    trace: Option<Trace>,
     observer: Option<Box<dyn TickObserver>>,
     /// The views the policy and the observer receive, refilled every tick.
     scratch: PolicyScratch,
@@ -176,7 +171,6 @@ impl DirectSim {
             vm_rngs,
             tick: 0,
             observed_ticks: 0,
-            trace: None,
             observer: None,
             scratch: PolicyScratch::default(),
             policy,
@@ -194,30 +188,6 @@ impl DirectSim {
     /// Removes and returns the attached observer, if any.
     pub fn detach_observer(&mut self) -> Option<Box<dyn TickObserver>> {
         self.observer.take()
-    }
-
-    /// Starts recording up to `capacity` [`TraceEvent`]s. Subsequent calls
-    /// replace the recording.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(Trace::new(capacity));
-    }
-
-    /// The trace recorded so far, if tracing is enabled.
-    #[must_use]
-    pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_ref()
-    }
-
-    /// Stops tracing and returns the recording.
-    pub fn take_trace(&mut self) -> Option<Trace> {
-        self.trace.take()
-    }
-
-    #[inline]
-    fn emit(&mut self, event: TraceEvent) {
-        if let Some(t) = &mut self.trace {
-            t.push(event);
-        }
     }
 
     /// Current tick count.
@@ -416,8 +386,6 @@ impl DirectSim {
                 match self.vms[vm].lock {
                     None => {
                         self.vms[vm].lock = Some(g); // acquire, then run
-                        let tick = self.tick;
-                        self.emit(TraceEvent::LockAcquired { tick, vcpu: g });
                     }
                     Some(holder) if holder == g => {} // already holding
                     Some(_) => {
@@ -432,15 +400,9 @@ impl DirectSim {
             if v.remaining_load == 0 {
                 v.status = VcpuStatus::Ready;
                 v.sync_point = false;
-                let released = v.needs_lock;
                 if v.needs_lock {
                     v.needs_lock = false;
                     self.vms[v.id.vm].lock = None; // release at section end
-                }
-                let tick = self.tick;
-                self.emit(TraceEvent::JobComplete { tick, vcpu: g });
-                if released {
-                    self.emit(TraceEvent::LockReleased { tick, vcpu: g });
                 }
             }
         }
@@ -454,8 +416,6 @@ impl DirectSim {
                     .any(|g| self.vcpus[g].remaining_load > 0);
                 if !outstanding {
                     self.vms[vm].blocked = false;
-                    let tick = self.tick;
-                    self.emit(TraceEvent::Unblocked { tick, vm });
                 }
             }
         }
@@ -506,13 +466,6 @@ impl DirectSim {
                 VcpuStatus::Ready
             };
             self.pcpus[a.pcpu] = Some(a.vcpu);
-            let tick = self.tick;
-            self.emit(TraceEvent::ScheduleIn {
-                tick,
-                vcpu: a.vcpu,
-                pcpu: a.pcpu,
-                timeslice: a.timeslice,
-            });
         }
 
         // Phase 5: workload generation and dispatch.
@@ -628,8 +581,6 @@ impl DirectSim {
         }
         v.status = VcpuStatus::Inactive;
         v.timeslice = 0;
-        let tick = self.tick;
-        self.emit(TraceEvent::ScheduleOut { tick, vcpu: g });
     }
 
     /// Phase-5 workload generation for one VM.
@@ -698,25 +649,11 @@ impl DirectSim {
             v.remaining_load = load;
             v.sync_point = sync;
             v.status = VcpuStatus::Busy;
-            let mut barrier_set = false;
             if sync {
                 match sync_mechanism {
-                    SyncMechanism::Barrier => {
-                        self.vms[vm].blocked = true;
-                        barrier_set = true;
-                    }
+                    SyncMechanism::Barrier => self.vms[vm].blocked = true,
                     SyncMechanism::SpinLock => v.needs_lock = true,
                 }
-            }
-            let tick = self.tick;
-            self.emit(TraceEvent::Dispatch {
-                tick,
-                vcpu: g,
-                load,
-                sync,
-            });
-            if barrier_set {
-                self.emit(TraceEvent::Blocked { tick, vm });
             }
         }
     }

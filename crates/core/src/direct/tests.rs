@@ -1,7 +1,12 @@
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use vsched_des::Dist;
 
 use crate::config::{SystemConfig, VmSpec, WorkloadSpec};
 use crate::direct::DirectSim;
+use crate::error::CoreError;
+use crate::observe::{TickObserver, Timeline};
 use crate::sched::{PolicyKind, RoundRobin, ScheduleDecision, SchedulingPolicy};
 use crate::types::{PcpuView, VcpuStatus, VcpuView};
 
@@ -361,40 +366,42 @@ fn conservation_invariants_hold_throughout() {
     }
 }
 
+/// Records every end-of-tick VCPU snapshot.
+#[derive(Default)]
+struct Snapshots(Vec<Vec<VcpuView>>);
+
+impl TickObserver for Snapshots {
+    fn on_tick(&mut self, _: u64, vcpus: &[VcpuView], _: &[PcpuView]) -> Result<(), CoreError> {
+        self.0.push(vcpus.to_vec());
+        Ok(())
+    }
+}
+
+/// Runs `sim` for `ticks` ticks and returns its end-of-tick VCPU
+/// snapshots, one per tick.
+fn snapshots(sim: &mut DirectSim, ticks: u64) -> Vec<Vec<VcpuView>> {
+    let recorded = Rc::new(RefCell::new(Snapshots::default()));
+    sim.attach_observer(Box::new(Rc::clone(&recorded)));
+    sim.run(ticks).unwrap();
+    sim.detach_observer();
+    recorded.take().0
+}
+
 #[test]
 fn trace_records_scheduling_lifecycle() {
-    use crate::direct::TraceEvent;
     let cfg = config_with_workload(1, &[1], det_workload(3.0));
     let mut sim = DirectSim::new(cfg, Box::new(RoundRobin::new()), 21);
-    sim.enable_trace(1000);
-    sim.run(10).unwrap();
-    let trace = sim.trace().expect("tracing enabled");
-    let events = trace.events();
-    assert!(matches!(
-        events[0],
-        TraceEvent::ScheduleIn {
-            tick: 1,
-            vcpu: 0,
-            pcpu: 0,
-            ..
-        }
-    ));
-    assert!(matches!(
-        events[1],
-        TraceEvent::Dispatch {
-            tick: 1,
-            vcpu: 0,
-            load: 3,
-            sync: false
-        }
-    ));
-    assert!(
-        events
-            .iter()
-            .any(|e| matches!(e, TraceEvent::JobComplete { tick: 4, vcpu: 0 })),
-        "3-tick job dispatched at t=1 completes at t=4: {events:?}"
-    );
-    assert_eq!(trace.dropped(), 0);
+    let ticks = snapshots(&mut sim, 7);
+    // Tick 1 schedules the VCPU in and dispatches a 3-tick job to it.
+    let first = ticks[0][0];
+    assert_eq!(first.status, VcpuStatus::Busy);
+    assert_eq!(first.assigned_pcpu, Some(0));
+    assert_eq!(first.last_scheduled_in, Some(1));
+    assert!(!first.sync_point);
+    // It runs in ticks 2-4 and completes at tick 4, which dispatches the
+    // next job.
+    let loads: Vec<u64> = ticks.iter().map(|t| t[0].remaining_load).collect();
+    assert_eq!(loads, [3, 2, 1, 3, 2, 1, 3]);
 }
 
 #[test]
@@ -412,39 +419,18 @@ fn trace_gantt_shows_rotation() {
         b.build().unwrap()
     };
     let mut sim = DirectSim::new(cfg, Box::new(RoundRobin::new()), 22);
-    sim.enable_trace(1000);
+    let timeline = Rc::new(RefCell::new(Timeline::new(1, 17)));
+    sim.attach_observer(Box::new(Rc::clone(&timeline)));
     sim.run(16).unwrap();
-    let gantt = sim.trace().unwrap().render_gantt(2, 0, 17);
     // Alternating 4-tick slices on one PCPU.
-    assert!(gantt.contains("vcpu0"), "{gantt}");
-    let lanes: Vec<&str> = gantt.lines().collect();
-    assert_eq!(lanes.len(), 2);
-    // At any column, exactly one lane is scheduled (busy '#') after t=1.
-    let l0: Vec<char> = lanes[0].chars().collect();
-    let l1: Vec<char> = lanes[1].chars().collect();
-    let offset = lanes[0].find('|').unwrap() + 1;
-    for col in offset + 2..offset + 16 {
-        let active = usize::from(l0[col] == '#') + usize::from(l1[col] == '#');
-        assert_eq!(active, 1, "column {col} of\n{gantt}");
-    }
-}
-
-#[test]
-fn trace_disabled_by_default_and_take() {
-    let cfg = config(1, &[1]);
-    let mut sim = DirectSim::new(cfg, Box::new(RoundRobin::new()), 23);
-    sim.run(10).unwrap();
-    assert!(sim.trace().is_none());
-    sim.enable_trace(10);
-    sim.run(50).unwrap();
-    let t = sim.take_trace().unwrap();
-    assert!(!t.events().is_empty());
-    assert!(sim.trace().is_none(), "take_trace stops recording");
+    assert_eq!(
+        timeline.borrow().render(),
+        "vcpu0  |####....####....|\nvcpu1  |....####....####|\n"
+    );
 }
 
 #[test]
 fn trace_records_barrier_blocking() {
-    use crate::direct::TraceEvent;
     let w = WorkloadSpec {
         load: Dist::deterministic(5.0).unwrap(),
         sync_probability: 1.0,
@@ -454,20 +440,23 @@ fn trace_records_barrier_blocking() {
     };
     let cfg = config_with_workload(2, &[2], w);
     let mut sim = DirectSim::new(cfg, Box::new(RoundRobin::new()), 24);
-    sim.enable_trace(1000);
-    sim.run(20).unwrap();
-    let events = sim.trace().unwrap().events();
-    assert!(events
-        .iter()
-        .any(|e| matches!(e, TraceEvent::Blocked { vm: 0, .. })));
-    assert!(events
-        .iter()
-        .any(|e| matches!(e, TraceEvent::Unblocked { vm: 0, .. })));
+    // Every job is a sync point: the VM blocks at each dispatch, and the
+    // barrier clears in phase 2 of the tick its 5-tick job completes, just
+    // before phase 5 dispatches (and blocks on) the next one.
+    let (mut at_decision, mut at_end) = (Vec::new(), Vec::new());
+    for _ in 0..11 {
+        sim.begin_tick();
+        at_decision.push(sim.vm_blocked(0));
+        sim.finish_tick().unwrap();
+        at_end.push(sim.vm_blocked(0));
+    }
+    let cleared: Vec<usize> = (1..=11).filter(|&t| !at_decision[t - 1]).collect();
+    assert_eq!(cleared, [1, 6, 11]);
+    assert!(at_end.iter().all(|&blocked| blocked));
 }
 
 #[test]
 fn deterministic_sync_pattern_is_exact() {
-    use crate::direct::TraceEvent;
     // Every 4th workload is a sync point, exactly.
     let w = WorkloadSpec {
         load: Dist::deterministic(3.0).unwrap(),
@@ -480,16 +469,12 @@ fn deterministic_sync_pattern_is_exact() {
     .unwrap();
     let cfg = config_with_workload(1, &[1], w);
     let mut sim = DirectSim::new(cfg, Box::new(RoundRobin::new()), 31);
-    sim.enable_trace(100_000);
-    sim.run(2_000).unwrap();
-    let events = sim.take_trace().unwrap();
-    let syncs: Vec<bool> = events
-        .events()
+    // A dispatch shows as a fresh 3-tick job at the end of its tick.
+    let syncs: Vec<bool> = snapshots(&mut sim, 2_000)
         .iter()
-        .filter_map(|e| match e {
-            TraceEvent::Dispatch { sync, .. } => Some(*sync),
-            _ => None,
-        })
+        .map(|t| t[0])
+        .filter(|v| v.remaining_load == 3)
+        .map(|v| v.sync_point)
         .collect();
     assert!(syncs.len() > 100);
     for (i, &sync) in syncs.iter().enumerate() {

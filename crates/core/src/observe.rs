@@ -15,13 +15,14 @@
 //! The primary consumer is the `vsched-check` crate's `InvariantChecker`,
 //! which asserts clock monotonicity, exclusive PCPU assignment, legal
 //! VCPU state transitions, SCS gang atomicity, the RCS cumulative-skew
-//! bound, and reward-accounting closure over these snapshots.
+//! bound, and reward-accounting closure over these snapshots. A
+//! [`Timeline`] draws the same snapshots as per-VCPU Gantt lanes.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use crate::error::CoreError;
-use crate::types::{PcpuView, VcpuView};
+use crate::types::{PcpuView, VcpuStatus, VcpuView};
 
 /// Receives an end-of-tick snapshot of the simulated system.
 ///
@@ -81,6 +82,76 @@ impl<T: TickObserver> TickObserver for Rc<RefCell<T>> {
         pcpus: &[PcpuView],
     ) -> Result<(), CoreError> {
         self.borrow_mut().on_tick(tick, vcpus, pcpus)
+    }
+}
+
+/// A Gantt-style timeline over the tick window `[from, to)`: one lane per
+/// VCPU, one column per tick, drawn from the end-of-tick snapshots. Both
+/// engines present identical snapshots for identical canonical states, so
+/// one timeline renders either engine's run.
+///
+/// Legend: `.` descheduled, `r` READY (scheduled, no work), `#` BUSY,
+/// `S` BUSY on a synchronization-point job.
+///
+/// ```
+/// use std::cell::RefCell;
+/// use std::rc::Rc;
+/// use vsched_core::observe::Timeline;
+/// use vsched_core::{direct::DirectSim, PolicyKind, SystemConfig};
+///
+/// let config = SystemConfig::builder().pcpus(1).vm(1).vm(1).build()?;
+/// let timeline = Rc::new(RefCell::new(Timeline::new(1, 41)));
+/// let mut sim = DirectSim::new(config, PolicyKind::RoundRobin.create(), 1);
+/// sim.attach_observer(Box::new(Rc::clone(&timeline)));
+/// sim.run(40)?;
+/// let lanes = timeline.borrow().render();
+/// assert_eq!(lanes.lines().count(), 2);
+/// assert!(lanes.starts_with("vcpu0  |"));
+/// # Ok::<(), vsched_core::CoreError>(())
+/// ```
+#[derive(Debug, Clone)]
+pub struct Timeline {
+    from: u64,
+    to: u64,
+    lanes: Vec<String>,
+}
+
+impl Timeline {
+    /// An empty timeline over the ticks `from..to`.
+    #[must_use]
+    pub fn new(from: u64, to: u64) -> Self {
+        Timeline {
+            from,
+            to,
+            lanes: Vec::new(),
+        }
+    }
+
+    /// The lanes drawn so far, one `vcpuN |…|` line per VCPU.
+    #[must_use]
+    pub fn render(&self) -> String {
+        self.lanes
+            .iter()
+            .enumerate()
+            .map(|(g, lane)| format!("vcpu{g:<2} |{lane}|\n"))
+            .collect()
+    }
+}
+
+impl TickObserver for Timeline {
+    fn on_tick(&mut self, tick: u64, vcpus: &[VcpuView], _: &[PcpuView]) -> Result<(), CoreError> {
+        if (self.from..self.to).contains(&tick) {
+            self.lanes.resize(vcpus.len(), String::new());
+            for (lane, v) in self.lanes.iter_mut().zip(vcpus) {
+                lane.push(match v.status {
+                    VcpuStatus::Inactive => '.',
+                    VcpuStatus::Ready => 'r',
+                    VcpuStatus::Busy if v.sync_point => 'S',
+                    VcpuStatus::Busy => '#',
+                });
+            }
+        }
+        Ok(())
     }
 }
 

@@ -68,11 +68,6 @@ pub enum Dist {
         /// Inclusive upper bound.
         high: u64,
     },
-    /// Empirical distribution over weighted points.
-    Empirical {
-        /// `(value, weight)` pairs; weights need not be normalized.
-        points: Vec<(f64, f64)>,
-    },
 }
 
 impl Dist {
@@ -164,26 +159,6 @@ impl Dist {
         Ok(Dist::DiscreteUniform { low, high })
     }
 
-    /// Empirical distribution over weighted `(value, weight)` points.
-    ///
-    /// # Errors
-    ///
-    /// Fails if no point has positive weight, or any value/weight is
-    /// negative or non-finite.
-    pub fn empirical(points: Vec<(f64, f64)>) -> Result<Dist, DesError> {
-        let total: f64 = points.iter().map(|&(_, w)| w).sum();
-        let well_formed = points
-            .iter()
-            .all(|&(v, w)| v.is_finite() && v >= 0.0 && w.is_finite() && w >= 0.0);
-        if points.is_empty() || !well_formed || total <= 0.0 {
-            return Err(invalid(
-                "empirical",
-                "requires finite non-negative points with positive total weight",
-            ));
-        }
-        Ok(Dist::Empirical { points })
-    }
-
     /// Draws one sample. The result is always finite and non-negative.
     pub fn sample(&self, rng: &mut Xoshiro256StarStar) -> f64 {
         match self {
@@ -214,18 +189,6 @@ impl Dist {
                 (u.ln() / (1.0 - p).ln()).ceil().max(1.0)
             }
             Dist::DiscreteUniform { low, high } => (low + rng.next_below(high - low + 1)) as f64,
-            Dist::Empirical { points } => {
-                let total: f64 = points.iter().map(|&(_, w)| w).sum();
-                let mut target = rng.next_f64() * total;
-                for &(v, w) in points {
-                    if target < w {
-                        return v;
-                    }
-                    target -= w;
-                }
-                // Floating-point slack: fall back to the last point.
-                points.last().map(|&(v, _)| v).unwrap_or(0.0)
-            }
         }
     }
 
@@ -241,10 +204,6 @@ impl Dist {
             Dist::Normal { mean, .. } => *mean,
             Dist::Geometric { p } => 1.0 / p,
             Dist::DiscreteUniform { low, high } => (*low as f64 + *high as f64) / 2.0,
-            Dist::Empirical { points } => {
-                let total: f64 = points.iter().map(|&(_, w)| w).sum();
-                points.iter().map(|&(v, w)| v * w).sum::<f64>() / total
-            }
         }
     }
 }
@@ -369,17 +328,6 @@ mod tests {
     }
 
     #[test]
-    fn empirical_respects_weights() {
-        let d = Dist::empirical(vec![(1.0, 3.0), (10.0, 1.0)]).unwrap();
-        let mut r = rng();
-        let n = 100_000;
-        let ones = (0..n).filter(|_| d.sample(&mut r) == 1.0).count();
-        let frac = ones as f64 / n as f64;
-        assert!((frac - 0.75).abs() < 0.01, "frac {frac}");
-        assert!((d.mean() - 3.25).abs() < 1e-12);
-    }
-
-    #[test]
     fn constructors_validate() {
         assert!(Dist::deterministic(-1.0).is_err());
         assert!(Dist::deterministic(f64::NAN).is_err());
@@ -393,9 +341,6 @@ mod tests {
         assert!(Dist::geometric(0.0).is_err());
         assert!(Dist::geometric(1.5).is_err());
         assert!(Dist::discrete_uniform(5, 3).is_err());
-        assert!(Dist::empirical(vec![]).is_err());
-        assert!(Dist::empirical(vec![(1.0, 0.0)]).is_err());
-        assert!(Dist::empirical(vec![(-1.0, 1.0)]).is_err());
     }
 
     #[test]
@@ -408,7 +353,6 @@ mod tests {
             Dist::erlang(3, 6.0).unwrap(),
             Dist::geometric(0.5).unwrap(),
             Dist::discrete_uniform(0, 9).unwrap(),
-            Dist::empirical(vec![(2.0, 1.0), (4.0, 1.0)]).unwrap(),
         ];
         let mut r = rng();
         for d in &dists {

@@ -117,12 +117,6 @@ impl<T> EventQueue<T> {
         self.monotonicity_check = true;
     }
 
-    /// Whether the monotonicity check is enabled.
-    #[must_use]
-    pub fn monotonicity_check_enabled(&self) -> bool {
-        self.monotonicity_check
-    }
-
     /// Schedules `payload` to fire at `time` with the given `priority`
     /// (higher fires first at equal times). Returns a cancellation handle.
     pub fn schedule(&mut self, time: SimTime, priority: i32, payload: T) -> EventId {
@@ -163,13 +157,6 @@ impl<T> EventQueue<T> {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.pending.is_empty()
-    }
-
-    /// Time of the next pending event, if any.
-    #[must_use]
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.prune();
-        self.heap.peek().map(|e| e.time)
     }
 
     /// The next pending event as `(time, priority, &payload)`, without
@@ -298,7 +285,7 @@ mod tests {
         let a = q.schedule(t(1.0), 0, ());
         q.schedule(t(2.0), 0, ());
         q.cancel(a);
-        assert_eq!(q.peek_time(), Some(t(2.0)));
+        assert_eq!(q.peek().map(|(time, _, _)| time), Some(t(2.0)));
     }
 
     #[test]
@@ -315,7 +302,6 @@ mod tests {
     fn monotonicity_check_accepts_ordered_pops() {
         let mut q = EventQueue::new();
         q.enable_monotonicity_check();
-        assert!(q.monotonicity_check_enabled());
         q.schedule(t(2.0), 0, 'b');
         q.schedule(t(1.0), 0, 'a');
         assert_eq!(q.pop().unwrap().2, 'a');

@@ -1,6 +1,6 @@
 //! Activities: the transitions of a SAN.
 
-use vsched_des::Dist;
+use vsched_des::{Dist, Xoshiro256StarStar};
 
 use crate::gate::{InputGate, OutputGate};
 use crate::marking::{Marking, PlaceId, ReadSet};
@@ -222,13 +222,11 @@ impl ActivitySpec {
         &self.cases[case].output_arcs
     }
 
-    /// Whether any gate function (input-gate completion update or output
-    /// gate) runs at completion — i.e. the marking change is not fully
-    /// described by the arcs.
+    /// Whether any output gate runs at completion — i.e. the marking
+    /// change is not fully described by the arcs.
     #[must_use]
     pub fn has_gate_functions(&self) -> bool {
-        self.input_gates.iter().any(|g| g.function.is_some())
-            || self.cases.iter().any(|c| !c.output_gates.is_empty())
+        self.cases.iter().any(|c| !c.output_gates.is_empty())
     }
 
     /// Whether case weights are marking-dependent.
@@ -290,12 +288,11 @@ impl ActivitySpec {
     }
 
     /// Every place a completion of this activity may write — input-arc and
-    /// output-arc places plus the declared write-sets of every gate
-    /// function — sorted and deduplicated. `None` if any gate function
-    /// (input-gate completion update or output gate) left its write-set
-    /// undeclared: the activity's write footprint is then unknown. The
-    /// `stale-write-set` lint checks declared footprints against observed
-    /// firings.
+    /// output-arc places plus the declared write-sets of every output
+    /// gate — sorted and deduplicated. `None` if any output gate left its
+    /// write-set undeclared: the activity's write footprint is then
+    /// unknown. The `stale-write-set` lint checks declared footprints
+    /// against observed firings.
     #[must_use]
     pub fn declared_writes(&self) -> Option<Vec<PlaceId>> {
         let mut out: Vec<PlaceId> = self.input_arcs.iter().map(|&(p, _)| p).collect();
@@ -305,14 +302,86 @@ impl ActivitySpec {
                 out.extend_from_slice(gate.writes().as_declared()?);
             }
         }
-        for gate in &self.input_gates {
-            if gate.function.is_some() {
-                out.extend_from_slice(gate.writes().as_declared()?);
-            }
-        }
         out.sort_unstable();
         out.dedup();
         Some(out)
+    }
+
+    /// The first half of the SAN completion rule: consumes the input
+    /// arcs, then evaluates the case weights on the marking that results.
+    /// Fixed weights come back as declared; a dynamic weight function
+    /// fills `scratch` (cleared first). `None` if it produced a weight
+    /// count other than the case count.
+    ///
+    /// The simulator, the probes and the CTMC explorer all complete an
+    /// activity with this half, a case choice, and
+    /// [`ActivitySpec::produce_outputs`], so they agree on the order.
+    #[inline]
+    pub(crate) fn consume_inputs<'a>(
+        &'a self,
+        marking: &mut Marking,
+        scratch: &'a mut Vec<f64>,
+    ) -> Option<&'a [f64]> {
+        for &(p, w) in &self.input_arcs {
+            marking.add(p, -w);
+        }
+        match &self.case_weights {
+            CaseWeights::Fixed(w) => Some(w),
+            CaseWeights::Dynamic(f) => {
+                scratch.clear();
+                f(marking, scratch);
+                (scratch.len() == self.cases.len()).then_some(scratch)
+            }
+        }
+    }
+
+    /// Picks a case from the `weights` [`ActivitySpec::consume_inputs`]
+    /// returned: a lone fixed case without a draw, otherwise one weighted
+    /// draw from `rng`. `None` if the weights' total is not positive and
+    /// finite.
+    #[inline]
+    pub(crate) fn choose_case(
+        &self,
+        weights: &[f64],
+        rng: &mut Xoshiro256StarStar,
+    ) -> Option<usize> {
+        if matches!(&self.case_weights, CaseWeights::Fixed(w) if w.len() == 1) {
+            return Some(0);
+        }
+        let total: f64 = weights.iter().sum();
+        if !(total > 0.0 && total.is_finite()) {
+            return None;
+        }
+        let mut target = rng.next_f64() * total;
+        for (i, &w) in weights.iter().enumerate() {
+            if target < w {
+                return Some(i);
+            }
+            target -= w;
+        }
+        Some(weights.len() - 1)
+    }
+
+    /// The second half of the SAN completion rule: produces case `case`'s
+    /// output arcs, then runs its output gates in order with `rng`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `case` is out of range.
+    #[inline]
+    pub(crate) fn produce_outputs(
+        &self,
+        case: usize,
+        marking: &mut Marking,
+        rng: &mut Xoshiro256StarStar,
+    ) {
+        let case = &self.cases[case];
+        for &(p, w) in &case.output_arcs {
+            marking.add(p, w);
+        }
+        for gate in &case.output_gates {
+            gate.run(marking, rng);
+        }
     }
 }
 
@@ -401,10 +470,9 @@ mod tests {
         assert_eq!(s.enablement_reads(), None);
 
         // Declared guard: union of arcs and guard reads, sorted + deduped.
-        let s = spec(
-            vec![(PlaceId(2), 1)],
-            vec![InputGate::guard("g", |_| true).with_reads([PlaceId(1), PlaceId(2)])],
-        );
+        let mut guard = InputGate::guard("g", |_| true);
+        guard.set_reads(ReadSet::Declared(vec![PlaceId(1), PlaceId(2)]));
+        let s = spec(vec![(PlaceId(2), 1)], vec![guard]);
         assert_eq!(s.enablement_reads(), Some(vec![PlaceId(1), PlaceId(2)]));
 
         // Undeclared rate multiplier: conservative.

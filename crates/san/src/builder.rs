@@ -1,4 +1,4 @@
-//! Model construction: places, activities, and Mobius-style composition.
+//! Model construction: places, activities, and scoped submodels.
 
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -9,7 +9,6 @@ use crate::activity::{ActivityId, ActivitySpec, CaseSpec, CaseWeights, RateFn, T
 use crate::error::SanError;
 use crate::gate::{InputGate, OutputGate};
 use crate::marking::{Marking, PlaceId, ReadSet};
-use crate::record::RecordRef;
 
 /// A complete, validated SAN model ready for simulation.
 ///
@@ -128,19 +127,16 @@ impl Model {
 
 /// Incremental builder for SAN models.
 ///
-/// Composition follows Mobius: a *submodel* is any function that adds places
-/// and activities to the builder. [`ModelBuilder::scope`] namespaces the
-/// submodel's local names (`vm1/Workload`), while
-/// [`ModelBuilder::shared_place`] implements **Join**: the first declaration
-/// creates the place, later declarations under the same fully qualified name
-/// resolve to it — exactly the "join places" of the paper's Tables 1–2.
-/// **Replicate** is a loop over scopes.
+/// A *submodel* is any function that adds places and activities to the
+/// builder; [`ModelBuilder::scope`] namespaces the submodel's local names
+/// (`vm1/Workload`). Submodels share state by taking place ids from their
+/// caller: `vsched-core` declares the join places of the paper's Tables
+/// 1–2 once at the parent scope and passes them in.
 ///
 /// See the crate-level example for basic usage.
 pub struct ModelBuilder {
     names: Vec<String>,
     by_name: HashMap<String, PlaceId>,
-    shared: Vec<bool>,
     initial: Vec<i64>,
     activities: Vec<ActivitySpec>,
     activity_names: HashMap<String, ActivityId>,
@@ -160,7 +156,6 @@ impl ModelBuilder {
         ModelBuilder {
             names: Vec::new(),
             by_name: HashMap::new(),
-            shared: Vec::new(),
             initial: Vec::new(),
             activities: Vec::new(),
             activity_names: HashMap::new(),
@@ -191,88 +186,8 @@ impl ModelBuilder {
         let id = next_place_id(self.names.len(), &qualified)?;
         self.names.push(qualified.clone());
         self.by_name.insert(qualified, id);
-        self.shared.push(false);
         self.initial.push(initial);
         Ok(id)
-    }
-
-    /// Declares a **join place**: creates it on first declaration, returns
-    /// the existing id on later declarations of the same qualified name.
-    ///
-    /// Note the name is qualified against the *current* scope; to share
-    /// across sibling scopes, declare the shared place at the parent scope
-    /// and pass the id into the submodels (the idiom `vsched-core` uses), or
-    /// declare it with an absolute name via [`ModelBuilder::shared_place_abs`].
-    ///
-    /// # Errors
-    ///
-    /// [`SanError::SharedPlaceConflict`] if re-declared with a different
-    /// initial marking, [`SanError::DuplicatePlace`] if the name exists
-    /// as a non-shared place, or [`SanError::TooManyPlaces`] as for
-    /// [`ModelBuilder::place`].
-    pub fn shared_place(&mut self, name: &str, initial: i64) -> Result<PlaceId, SanError> {
-        let qualified = self.qualify(name);
-        self.shared_place_qualified(qualified, initial)
-    }
-
-    /// [`ModelBuilder::shared_place`] with an absolute (scope-independent)
-    /// name.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ModelBuilder::shared_place`].
-    pub fn shared_place_abs(&mut self, name: &str, initial: i64) -> Result<PlaceId, SanError> {
-        self.shared_place_qualified(name.to_string(), initial)
-    }
-
-    fn shared_place_qualified(
-        &mut self,
-        qualified: String,
-        initial: i64,
-    ) -> Result<PlaceId, SanError> {
-        if let Some(&id) = self.by_name.get(&qualified) {
-            if !self.shared[id.index()] {
-                return Err(SanError::DuplicatePlace { name: qualified });
-            }
-            if self.initial[id.index()] != initial {
-                return Err(SanError::SharedPlaceConflict {
-                    name: qualified,
-                    existing: self.initial[id.index()],
-                    requested: initial,
-                });
-            }
-            return Ok(id);
-        }
-        let id = next_place_id(self.names.len(), &qualified)?;
-        self.names.push(qualified.clone());
-        self.by_name.insert(qualified, id);
-        self.shared.push(true);
-        self.initial.push(initial);
-        Ok(id)
-    }
-
-    /// Adds a record (Mobius *extended place*): one field place per name,
-    /// grouped behind a [`RecordRef`].
-    ///
-    /// # Errors
-    ///
-    /// [`SanError::DuplicatePlace`] if any field name collides.
-    pub fn record(&mut self, name: &str, fields: &[&str]) -> Result<RecordRef, SanError> {
-        let mut ids = Vec::with_capacity(fields.len());
-        for field in fields {
-            ids.push(self.place(&format!("{name}.{field}"), 0)?);
-        }
-        Ok(RecordRef::new(name.to_string(), ids))
-    }
-
-    /// Looks up a place by name, resolved against the current scope first
-    /// and then as an absolute name.
-    #[must_use]
-    pub fn find_place(&self, name: &str) -> Option<PlaceId> {
-        self.by_name
-            .get(&self.qualify(name))
-            .or_else(|| self.by_name.get(name))
-            .copied()
     }
 
     /// Runs `f` with names prefixed by `name/` — the submodel idiom.
@@ -280,8 +195,8 @@ impl ModelBuilder {
     /// ```
     /// use vsched_san::ModelBuilder;
     /// let mut mb = ModelBuilder::new();
-    /// let ids = mb.scope("vm1", |mb| mb.place("Workload", 0))?;
-    /// assert_eq!(mb.find_place("vm1/Workload"), Some(ids));
+    /// let id = mb.scope("vm1", |mb| mb.place("Workload", 0))?;
+    /// assert_eq!(mb.build()?.place_by_name("vm1/Workload"), Some(id));
     /// # Ok::<(), vsched_san::SanError>(())
     /// ```
     pub fn scope<T>(
@@ -293,26 +208,6 @@ impl ModelBuilder {
         let result = f(self);
         self.scope.pop();
         result
-    }
-
-    /// Mobius **Replicate**: instantiates the submodel template `f` once per
-    /// scope `name_i` for `i` in `0..n`, collecting the results.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first error from the template.
-    pub fn replicate<T>(
-        &mut self,
-        name: &str,
-        n: usize,
-        mut f: impl FnMut(&mut ModelBuilder, usize) -> Result<T, SanError>,
-    ) -> Result<Vec<T>, SanError> {
-        (0..n)
-            .map(|i| {
-                let scope_name = format!("{name}_{i}");
-                self.scope(&scope_name, |mb| f(mb, i))
-            })
-            .collect()
     }
 
     /// Starts defining an activity. Finish with [`ActivityBuilder::done`].
@@ -378,7 +273,7 @@ fn next_place_id(count: usize, name: &str) -> Result<PlaceId, SanError> {
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum LastClosure {
     None,
-    /// The most recently added input gate (guard or full gate).
+    /// The most recently added guard.
     Gate,
     /// The most recently added output gate of the current case.
     OutputGate,
@@ -472,7 +367,7 @@ impl<'a> ActivityBuilder<'a> {
         self
     }
 
-    /// Adds an input gate with only an enabling predicate.
+    /// Adds an input gate: an enabling predicate.
     #[must_use]
     pub fn guard(mut self, name: &str, predicate: impl Fn(&Marking) -> bool + 'static) -> Self {
         self.input_gates.push(InputGate::guard(name, predicate));
@@ -480,23 +375,9 @@ impl<'a> ActivityBuilder<'a> {
         self
     }
 
-    /// Adds a full input gate (predicate + completion function).
-    #[must_use]
-    pub fn input_gate(
-        mut self,
-        name: &str,
-        predicate: impl Fn(&Marking) -> bool + 'static,
-        function: impl Fn(&mut Marking, &mut Xoshiro256StarStar) + 'static,
-    ) -> Self {
-        self.input_gates
-            .push(InputGate::new(name, predicate, function));
-        self.set_closure(LastClosure::Gate);
-        self
-    }
-
     /// Declares the places the **immediately preceding** closure reads — a
-    /// guard or input gate's predicate, an output gate's update, a rate
-    /// multiplier, or a dynamic case-weight function:
+    /// guard's predicate, an output gate's update, a rate multiplier, or a
+    /// dynamic case-weight function:
     ///
     /// ```
     /// # use vsched_san::ModelBuilder;
@@ -557,15 +438,15 @@ impl<'a> ActivityBuilder<'a> {
         self
     }
 
-    /// Declares the places the **immediately preceding** gate function may
-    /// write — an input gate's completion function or an output gate's
-    /// update. Purely documentation of the gate's write footprint (see
-    /// [`crate::activity::ActivitySpec::declared_writes`]): the simulator
-    /// never consults it, and the `vsched-analyze` `stale-write-set` lint
-    /// reports a gate observed writing outside its declared set.
+    /// Declares the places the **immediately preceding** output gate's
+    /// update may write. Purely documentation of the gate's write
+    /// footprint (see [`crate::activity::ActivitySpec::declared_writes`]):
+    /// the simulator never consults it, and the `vsched-analyze`
+    /// `stale-write-set` lint reports a gate observed writing outside its
+    /// declared set.
     ///
-    /// Calling `.writes` after anything that is not a gate *function* — a
-    /// plain guard, a rate multiplier, a case-weight function, a non-gate
+    /// Calling `.writes` after anything that is not an output gate — a
+    /// guard, a rate multiplier, a case-weight function, a non-gate
     /// builder call — or twice for one gate is reported as
     /// [`SanError::MisplacedWrites`] by [`ActivityBuilder::done`].
     #[must_use]
@@ -576,14 +457,6 @@ impl<'a> ActivityBuilder<'a> {
         }
         let set: Vec<PlaceId> = places.into_iter().collect();
         match self.last_closure {
-            LastClosure::Gate => {
-                match self.input_gates.last_mut() {
-                    // A guard without a completion function writes nothing;
-                    // declaring a write-set for it is a modeling error.
-                    Some(g) if g.function.is_some() => g.set_writes(ReadSet::Declared(set)),
-                    _ => self.misplaced_writes = true,
-                }
-            }
             LastClosure::OutputGate => {
                 if let Some(g) = self
                     .cases
@@ -593,7 +466,9 @@ impl<'a> ActivityBuilder<'a> {
                     g.set_writes(ReadSet::Declared(set));
                 }
             }
-            LastClosure::Rate | LastClosure::Weights | LastClosure::None => {
+            // A guard writes nothing; declaring a write-set for it is a
+            // modeling error.
+            LastClosure::Gate | LastClosure::Rate | LastClosure::Weights | LastClosure::None => {
                 self.misplaced_writes = true;
             }
         }
@@ -676,7 +551,7 @@ impl<'a> ActivityBuilder<'a> {
     /// * [`SanError::MisplacedReads`] if a `.reads(...)` call did not
     ///   immediately follow a closure-accepting builder call,
     /// * [`SanError::MisplacedWrites`] if a `.writes(...)` call did not
-    ///   immediately follow a gate function.
+    ///   immediately follow an output gate.
     pub fn done(mut self) -> Result<ActivityId, SanError> {
         if self.misplaced_reads {
             return Err(SanError::MisplacedReads {
@@ -772,64 +647,6 @@ mod tests {
             .unwrap();
         let model = mb.build().unwrap();
         assert_eq!(model.place_by_name("sys/vm1/y"), Some(p));
-    }
-
-    #[test]
-    fn shared_place_joins() {
-        let mut mb = ModelBuilder::new();
-        let a = mb.shared_place("Blocked", 0).unwrap();
-        let b = mb.shared_place("Blocked", 0).unwrap();
-        assert_eq!(a, b);
-        assert!(matches!(
-            mb.shared_place("Blocked", 5),
-            Err(SanError::SharedPlaceConflict { .. })
-        ));
-    }
-
-    #[test]
-    fn shared_place_cannot_shadow_normal_place() {
-        let mut mb = ModelBuilder::new();
-        mb.place("p", 0).unwrap();
-        assert!(matches!(
-            mb.shared_place("p", 0),
-            Err(SanError::DuplicatePlace { .. })
-        ));
-    }
-
-    #[test]
-    fn shared_place_abs_ignores_scope() {
-        let mut mb = ModelBuilder::new();
-        let outer = mb.shared_place_abs("global", 0).unwrap();
-        let inner = mb
-            .scope("vm1", |mb| mb.shared_place_abs("global", 0))
-            .unwrap();
-        assert_eq!(outer, inner);
-    }
-
-    #[test]
-    fn replicate_stamps_submodels() {
-        let mut mb = ModelBuilder::new();
-        let ids = mb
-            .replicate("vcpu", 3, |mb, i| mb.place("slot", i as i64))
-            .unwrap();
-        assert_eq!(ids.len(), 3);
-        let model = mb.build().unwrap();
-        for (i, id) in ids.iter().enumerate() {
-            assert_eq!(model.place_by_name(&format!("vcpu_{i}/slot")), Some(*id));
-            assert_eq!(model.initial_marking().tokens(*id), i as i64);
-        }
-    }
-
-    #[test]
-    fn record_creates_field_places() {
-        let mut mb = ModelBuilder::new();
-        let rec = mb
-            .record("VCPU1_slot", &["remaining_load", "sync_point", "status"])
-            .unwrap();
-        assert_eq!(rec.arity(), 3);
-        let model = mb.build().unwrap();
-        assert!(model.place_by_name("VCPU1_slot.remaining_load").is_some());
-        assert!(model.place_by_name("VCPU1_slot.status").is_some());
     }
 
     #[test]
@@ -1012,19 +829,5 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("vm/p"), "{err}");
-    }
-
-    #[test]
-    fn find_place_resolves_scoped_then_absolute() {
-        let mut mb = ModelBuilder::new();
-        let root = mb.place("x", 0).unwrap();
-        mb.scope("vm", |mb| {
-            let local = mb.place("x", 0)?;
-            assert_eq!(mb.find_place("x"), Some(local), "scoped wins");
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(mb.find_place("x"), Some(root));
-        assert!(mb.find_place("vm/x").is_some());
     }
 }

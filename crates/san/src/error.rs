@@ -28,7 +28,10 @@ pub enum SanError {
         /// The offending weight.
         weight: i64,
     },
-    /// A case was declared with a non-positive probability weight.
+    /// An activity's case weights are invalid: a fixed weight that is not
+    /// positive and finite, or, met by the CTMC solver on a reachable
+    /// marking, dynamic weights of the wrong count or without a positive
+    /// finite total.
     InvalidCaseWeight {
         /// Activity the case belongs to.
         activity: String,
@@ -47,15 +50,6 @@ pub enum SanError {
         /// The place that did not fit.
         name: String,
     },
-    /// A shared place was re-declared with a conflicting initial marking.
-    SharedPlaceConflict {
-        /// The place name.
-        name: String,
-        /// Initial marking from the first declaration.
-        existing: i64,
-        /// Initial marking from the conflicting declaration.
-        requested: i64,
-    },
     /// A distribution parameter error bubbled up from the DES kernel.
     Distribution(vsched_des::DesError),
     /// Numerical solution requires every timed activity to be exponential.
@@ -69,15 +63,14 @@ pub enum SanError {
         limit: usize,
     },
     /// `.reads(...)` was called where no immediately preceding closure
-    /// (guard, input/output gate, rate multiplier, or dynamic case weights)
-    /// can accept a read-set declaration.
+    /// (guard, output gate, rate multiplier, or dynamic case weights) can
+    /// accept a read-set declaration.
     MisplacedReads {
         /// Activity being built when the misplaced declaration occurred.
         activity: String,
     },
-    /// `.writes(...)` was called where no immediately preceding gate
-    /// function (input gate with update, or output gate) can accept a
-    /// write-set declaration.
+    /// `.writes(...)` was called where no immediately preceding output
+    /// gate can accept a write-set declaration.
     MisplacedWrites {
         /// Activity being built when the misplaced declaration occurred.
         activity: String,
@@ -96,7 +89,7 @@ impl fmt::Display for SanError {
                 write!(f, "activity `{activity}` has arc with invalid weight {weight}")
             }
             SanError::InvalidCaseWeight { activity } => {
-                write!(f, "activity `{activity}` has a case with non-positive weight")
+                write!(f, "activity `{activity}` has invalid case weights")
             }
             SanError::InstantaneousLoop { at_time, limit } => write!(
                 f,
@@ -105,14 +98,6 @@ impl fmt::Display for SanError {
             SanError::TooManyPlaces { name } => write!(
                 f,
                 "place `{name}` does not fit: a model holds at most 2^32 places"
-            ),
-            SanError::SharedPlaceConflict {
-                name,
-                existing,
-                requested,
-            } => write!(
-                f,
-                "shared place `{name}` re-declared with initial marking {requested}, but it was created with {existing}"
             ),
             SanError::Distribution(e) => write!(f, "distribution error: {e}"),
             SanError::NotMarkovian { activity } => write!(
@@ -125,12 +110,12 @@ impl fmt::Display for SanError {
             SanError::MisplacedReads { activity } => write!(
                 f,
                 "activity `{activity}`: .reads(...) must immediately follow the closure it describes \
-                 (guard, input/output gate, rate multiplier, or dynamic case weights)"
+                 (guard, output gate, rate multiplier, or dynamic case weights)"
             ),
             SanError::MisplacedWrites { activity } => write!(
                 f,
-                "activity `{activity}`: .writes(...) must immediately follow the gate function it \
-                 describes (input gate with update, or output gate)"
+                "activity `{activity}`: .writes(...) must immediately follow the output gate it \
+                 describes"
             ),
         }
     }

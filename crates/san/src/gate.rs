@@ -1,26 +1,22 @@
 //! Input and output gates.
 //!
 //! Gates are where a SAN gains expressiveness over plain Petri nets: an
-//! *input gate* adds an arbitrary enabling predicate and a completion-time
-//! state update; an *output gate* runs an arbitrary state update for the
-//! case it is attached to. In Mobius these are C++ snippets; here they are
-//! Rust closures over the [`Marking`].
+//! *input gate* adds an arbitrary enabling predicate; an *output gate*
+//! runs an arbitrary state update for the case it is attached to. In
+//! Mobius these are C++ snippets; here they are Rust closures over the
+//! [`Marking`].
+//!
+//! An output gate's update receives the marking and a dedicated RNG
+//! stream, so it can perform stochastic updates (the paper's `WL_Output`
+//! gate samples the workload `load` and `sync_point` fields). Gate
+//! closures, predicates included, are `Fn`: a model runs on one thread,
+//! and gates needing private mutable state (the user-defined scheduling
+//! function of the VCPU scheduler keeps its round-robin cursor this way)
+//! capture it behind `Rc<RefCell<..>>`.
 
 use vsched_des::Xoshiro256StarStar;
 
-use crate::marking::{Marking, PlaceId, ReadSet};
-
-/// State-update function of a gate.
-///
-/// Receives the marking and a dedicated RNG stream so gates can perform
-/// stochastic updates (the paper's `WL_Output` gate samples the workload
-/// `load` and `sync_point` fields).
-///
-/// Gate closures, predicates included, are `Fn`: a model runs on one
-/// thread, and gates needing private mutable state (the user-defined
-/// scheduling function of the VCPU scheduler keeps its round-robin cursor
-/// this way) capture it behind `Rc<RefCell<..>>`.
-pub type GateFn = Box<dyn Fn(&mut Marking, &mut Xoshiro256StarStar)>;
+use crate::marking::{Marking, ReadSet};
 
 /// A gate's name and declared footprint. Analysis tools and diagnostics
 /// read it; the simulator's hot path never does.
@@ -28,16 +24,16 @@ pub type GateFn = Box<dyn Fn(&mut Marking, &mut Xoshiro256StarStar)>;
 struct GateMeta {
     name: String,
     /// Places the gate declares it reads. On an input gate this covers
-    /// the predicate *and* the completion-time update function, and it
-    /// drives the simulator's dependency index (an undeclared read-set
-    /// makes the activity's enablement conservative, revisited after
-    /// every firing). On an output gate it documents what the update
-    /// function depends on and does not enter the index (output gates run
-    /// at completion, not at enablement).
+    /// the predicate, and it drives the simulator's dependency index (an
+    /// undeclared read-set makes the activity's enablement conservative,
+    /// revisited after every firing). On an output gate it documents what
+    /// the update function depends on and does not enter the index
+    /// (output gates run at completion, not at enablement).
     reads: ReadSet,
-    /// Places the update function declares it writes. Documentation only:
-    /// the simulator never consults it, and the `stale-write-set` lint
-    /// checks it against observed firings.
+    /// Places an output gate's update function declares it writes.
+    /// Documentation only: the simulator never consults it, and the
+    /// `stale-write-set` lint checks it against observed firings. An
+    /// input gate writes nothing and leaves it undeclared.
     writes: ReadSet,
 }
 
@@ -102,18 +98,16 @@ fn with_meta<F>(name: String, f: F) -> WithMeta<F> {
     }
 }
 
-/// An input gate: a guard plus a completion-time update.
+/// An input gate: a guard over the marking. It moves no tokens.
 pub struct InputGate {
-    /// The predicate, boxed with the gate's name and declared sets.
+    /// The predicate, boxed with the gate's name and declared reads.
     predicate: Box<dyn GuardFn>,
-    pub(crate) function: Option<GateFn>,
 }
 
 impl std::fmt::Debug for InputGate {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("InputGate")
             .field("name", &self.name())
-            .field("has_function", &self.function.is_some())
             .finish()
     }
 }
@@ -133,23 +127,10 @@ impl std::fmt::Debug for OutputGate {
 }
 
 impl InputGate {
-    /// Creates an input gate with a predicate only (no completion update).
+    /// Creates an input gate from its enabling predicate.
     pub fn guard(name: impl Into<String>, predicate: impl Fn(&Marking) -> bool + 'static) -> Self {
         InputGate {
             predicate: Box::new(with_meta(name.into(), predicate)),
-            function: None,
-        }
-    }
-
-    /// Creates an input gate with a predicate and a completion function.
-    pub fn new(
-        name: impl Into<String>,
-        predicate: impl Fn(&Marking) -> bool + 'static,
-        function: impl Fn(&mut Marking, &mut Xoshiro256StarStar) + 'static,
-    ) -> Self {
-        InputGate {
-            predicate: Box::new(with_meta(name.into(), predicate)),
-            function: Some(Box::new(function)),
         }
     }
 
@@ -159,39 +140,14 @@ impl InputGate {
         self.predicate.holds(marking)
     }
 
-    /// Declares the places the gate reads — predicate and update function
-    /// together (builder form).
-    #[must_use]
-    pub fn with_reads(mut self, places: impl IntoIterator<Item = PlaceId>) -> Self {
-        self.set_reads(ReadSet::Declared(places.into_iter().collect()));
-        self
-    }
-
-    /// Declares the places the update function writes (builder form).
-    #[must_use]
-    pub fn with_writes(mut self, places: impl IntoIterator<Item = PlaceId>) -> Self {
-        self.set_writes(ReadSet::Declared(places.into_iter().collect()));
-        self
-    }
-
     pub(crate) fn set_reads(&mut self, reads: ReadSet) {
         self.predicate.meta_mut().reads = reads;
     }
 
-    pub(crate) fn set_writes(&mut self, writes: ReadSet) {
-        self.predicate.meta_mut().writes = writes;
-    }
-
-    /// The gate's declared read-set.
+    /// The predicate's declared read-set.
     #[must_use]
     pub fn reads(&self) -> &ReadSet {
         &self.predicate.meta().reads
-    }
-
-    /// The update function's declared write-set.
-    #[must_use]
-    pub fn writes(&self) -> &ReadSet {
-        &self.predicate.meta().writes
     }
 
     /// Gate name (for diagnostics).
@@ -216,20 +172,6 @@ impl OutputGate {
     #[inline]
     pub(crate) fn run(&self, marking: &mut Marking, rng: &mut Xoshiro256StarStar) {
         self.function.run(marking, rng);
-    }
-
-    /// Declares the places the update function reads (builder form).
-    #[must_use]
-    pub fn with_reads(mut self, places: impl IntoIterator<Item = PlaceId>) -> Self {
-        self.set_reads(ReadSet::Declared(places.into_iter().collect()));
-        self
-    }
-
-    /// Declares the places the update function writes (builder form).
-    #[must_use]
-    pub fn with_writes(mut self, places: impl IntoIterator<Item = PlaceId>) -> Self {
-        self.set_writes(ReadSet::Declared(places.into_iter().collect()));
-        self
     }
 
     pub(crate) fn set_reads(&mut self, reads: ReadSet) {
@@ -272,9 +214,9 @@ mod tests {
     #[test]
     fn guard_has_no_function() {
         let g = InputGate::guard("g", |m| m.tokens(crate::PlaceId(0)) > 0);
-        assert!(g.function.is_none());
         assert!(g.holds(&marking()));
         assert_eq!(g.name(), "g");
+        assert!(!g.reads().is_declared());
     }
 
     #[test]
@@ -306,16 +248,15 @@ mod tests {
     #[test]
     fn gates_hold_only_closure_pointers_inline() {
         let word = std::mem::size_of::<usize>();
-        assert_eq!(std::mem::size_of::<InputGate>(), 4 * word);
+        assert_eq!(std::mem::size_of::<InputGate>(), 2 * word);
         assert_eq!(std::mem::size_of::<OutputGate>(), 2 * word);
         let p = crate::PlaceId(0);
-        let g = InputGate::new("ig", |_| true, |_, _| {})
-            .with_reads([p])
-            .with_writes([]);
+        let mut g = InputGate::guard("ig", |_| true);
+        g.set_reads(ReadSet::Declared(vec![p]));
         assert_eq!(g.name(), "ig");
         assert_eq!(g.reads().as_declared(), Some(&[p][..]));
-        assert_eq!(g.writes().as_declared(), Some(&[][..]));
-        let og = OutputGate::new("og", |_, _| {}).with_writes([p]);
+        let mut og = OutputGate::new("og", |_, _| {});
+        og.set_writes(ReadSet::Declared(vec![p]));
         assert_eq!(og.name(), "og");
         assert!(!og.reads().is_declared());
         assert_eq!(og.writes().as_declared(), Some(&[p][..]));

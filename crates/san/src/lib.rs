@@ -10,9 +10,9 @@
 //! A SAN consists of:
 //!
 //! * **Places** hold a natural number of tokens and encode state
-//!   ([`Marking`]). *Extended places* (structured state such as the paper's
-//!   `VCPU_slot` with `remaining_load` / `sync_point` / `status` fields) are
-//!   modeled as [`record::RecordRef`] groups of field places.
+//!   ([`Marking`]). Structured state such as the paper's `VCPU_slot`
+//!   extended place (`remaining_load` / `sync_point` / `status` fields) is
+//!   one plain place per field.
 //! * **Activities** are transitions. *Timed* activities complete after a
 //!   random delay drawn from any [`vsched_des::Dist`]; *instantaneous*
 //!   activities complete immediately, ordered by priority. An activity can
@@ -22,27 +22,28 @@
 //!   case. A *test arc* needs at least `k` tokens and an *inhibitor arc*
 //!   fewer than `k`; neither moves a token ([`ActivityBuilder::test_arc`],
 //!   [`ActivityBuilder::inhibitor_arc`]).
-//! * **Input gates** guard enabling with a predicate and run a state update
-//!   on completion; **output gates** run state updates for the chosen case.
-//! * **Composed models**: Mobius's *Join* (share state variables between
-//!   submodels) and *Replicate* (stamp out identical submodels) are provided
-//!   by [`ModelBuilder::scope`]d submodel templates and
-//!   [`ModelBuilder::shared_place`] — the flattened result is exactly the
-//!   composed model Mobius would produce (the paper's Tables 1–2 list the
-//!   join places; `vsched-core` reproduces them verbatim).
-//! * **Reward variables**: rate rewards (functions of the marking integrated
-//!   over time) and impulse rewards (earned at activity completions) —
-//!   [`reward`].
+//! * **Input gates** guard enabling with a predicate; **output gates** run
+//!   state updates for the chosen case.
+//! * **Composed models**: a submodel is a function over the builder,
+//!   namespaced by [`ModelBuilder::scope`]; submodels share state through
+//!   place ids their caller passes in, so the flattened result is the
+//!   composed model Mobius's *Join* would produce (the paper's Tables 1–2
+//!   list the join places; `vsched-core` reproduces them verbatim).
+//! * **Reward variables**: rate rewards, functions of the marking
+//!   integrated over time ([`reward`]).
 //!
 //! ## Execution semantics
 //!
 //! The simulator ([`Simulator`]) implements the standard SAN policy: when an
 //! activity becomes enabled its completion is scheduled after a sampled
 //! delay; if a state change disables it before completion it **aborts**
-//! (the sample is discarded); completing an activity atomically runs input
-//! gate functions, consumes input arcs, selects a case, produces output arcs
-//! and runs the case's output gates. Instantaneous activities preempt timed
-//! ones at the same instant, higher priority first.
+//! (the sample is discarded). Completing an activity atomically consumes
+//! its input arcs, evaluates the case weights on the marking that results
+//! and selects a case, then produces the case's output arcs and runs its
+//! output gates. The simulator, the analyzer's probes and the CTMC
+//! explorer ([`numerical`]) share this one completion rule. Instantaneous
+//! activities preempt timed ones at the same instant, higher priority
+//! first.
 //!
 //! An activity is enabled when every input, test and inhibitor arc
 //! condition holds and every gate predicate (and a rate multiplier, if
@@ -87,16 +88,13 @@ pub mod gate;
 mod index;
 pub mod marking;
 pub mod numerical;
-pub mod record;
 pub mod reward;
 pub mod sim;
 
 pub use activity::{ActivityId, Timing};
 pub use builder::{ActivityBuilder, Model, ModelBuilder};
 pub use error::SanError;
-pub use gate::GateFn;
 pub use marking::{Marking, PlaceId, ReadSet};
 pub use numerical::{solve_steady_state, solve_transient, CtmcOptions, CtmcSolution};
-pub use record::RecordRef;
 pub use reward::RewardId;
 pub use sim::{RunStats, Simulator};

@@ -10,11 +10,13 @@
 //! Pipeline:
 //!
 //! 1. **State-space generation** — breadth-first exploration of reachable
-//!    markings. *Vanishing* markings (where an instantaneous activity is
+//!    markings. Each firing follows the simulator's completion rule:
+//!    input arcs are consumed, the case weights are evaluated on the
+//!    marking that results, and every case of positive weight is one
+//!    branch. *Vanishing* markings (where an instantaneous activity is
 //!    enabled) are eliminated on the fly: the highest-priority enabled
-//!    instantaneous activity fires immediately, its probabilistic cases
-//!    splitting the probability mass, until a *tangible* marking is
-//!    reached.
+//!    instantaneous activity fires immediately, its cases splitting the
+//!    probability mass, until a *tangible* marking is reached.
 //! 2. **Steady state** — the CTMC generator is uniformized and solved by
 //!    power iteration (`π P = π`, `P = I + Q/Λ`), which converges for
 //!    ergodic chains.
@@ -23,7 +25,7 @@
 //!
 //! # Determinism requirement
 //!
-//! Gate functions receive an RNG stream for simulation; for numerical
+//! Output gates receive an RNG stream for simulation; for numerical
 //! solution they **must not use it** — each firing must be a deterministic
 //! function of the marking. The solver passes a fixed-seed stream, so a
 //! stochastic gate silently degrades the result; keep gates deterministic
@@ -33,7 +35,7 @@ use std::collections::HashMap;
 
 use vsched_des::{Dist, Xoshiro256StarStar};
 
-use crate::activity::{CaseWeights, Timing};
+use crate::activity::Timing;
 use crate::builder::Model;
 use crate::error::SanError;
 use crate::marking::Marking;
@@ -128,7 +130,7 @@ struct Chain {
 }
 
 /// Generates the tangible state space and rate matrix of a Markovian SAN.
-fn build_chain(model: &mut Model, options: CtmcOptions) -> Result<Chain, SanError> {
+fn build_chain(model: &Model, options: CtmcOptions) -> Result<Chain, SanError> {
     // Validate: every timed activity exponential; collect rates.
     let mut rates = vec![0.0f64; model.activities.len()];
     for (i, act) in model.activities.iter().enumerate() {
@@ -191,15 +193,11 @@ fn build_chain(model: &mut Model, options: CtmcOptions) -> Result<Chain, SanErro
 
     while let Some(s) = frontier.pop() {
         let marking = states[s].clone();
-        // Index loop: the body needs `&mut explorer` to fire cases.
-        #[allow(clippy::needless_range_loop)]
-        for act_idx in 0..explorer.model.activities.len() {
-            let is_timed = matches!(explorer.model.activities[act_idx].timing, Timing::Timed(_));
-            if !is_timed || !explorer.model.activities[act_idx].enabled(&marking) {
+        for (act_idx, act) in model.activities.iter().enumerate() {
+            if !matches!(act.timing, Timing::Timed(_)) || !act.enabled(&marking) {
                 continue;
             }
-            let rate =
-                rates[act_idx] * explorer.model.activities[act_idx].rate_multiplier(&marking);
+            let rate = rates[act_idx] * act.rate_multiplier(&marking);
             for (succ, prob) in explorer.fire_all_cases(&marking, act_idx)? {
                 let tangibles = explorer.resolve_vanishing(succ, 0)?;
                 for (t_marking, t_prob) in tangibles {
@@ -253,18 +251,15 @@ impl Chain {
 
 /// Solves the steady state of a Markovian SAN. See the module docs.
 ///
-/// Takes `&mut Model` because gate functions are `FnMut`.
-///
 /// # Errors
 ///
 /// * [`SanError::NotMarkovian`] if any timed activity is non-exponential;
 /// * [`SanError::StateSpaceExceeded`] past `options.max_states`;
 /// * [`SanError::InstantaneousLoop`] if vanishing markings chain beyond
-///   `options.max_vanishing_depth`.
-pub fn solve_steady_state(
-    model: &mut Model,
-    options: CtmcOptions,
-) -> Result<CtmcSolution, SanError> {
+///   `options.max_vanishing_depth`;
+/// * [`SanError::InvalidCaseWeight`] if dynamic case weights on a
+///   reachable marking have the wrong count or no positive finite total.
+pub fn solve_steady_state(model: &Model, options: CtmcOptions) -> Result<CtmcSolution, SanError> {
     let chain = build_chain(model, options)?;
     let Chain {
         states,
@@ -304,16 +299,14 @@ pub fn solve_steady_state(
 
 /// Transient solution: the state distribution at virtual time `t`, by
 /// uniformization — `π(t) = Σ_k Poisson(Λt; k) · π(0) Pᵏ`, truncated when
-/// the remaining Poisson mass falls below the tolerance.
+/// the remaining Poisson mass falls below the tolerance. A `t` of zero or
+/// less (or NaN) gives the initial distribution.
 ///
 /// # Errors
 ///
-/// Same conditions as [`solve_steady_state`]; additionally rejects a
-/// negative or non-finite `t` via
-/// [`SanError::NotMarkovian`]-unrelated panic-free validation (returns the
-/// distribution at `t = 0` for `t <= 0`).
+/// The same as [`solve_steady_state`]; `t` itself is never an error.
 pub fn solve_transient(
-    model: &mut Model,
+    model: &Model,
     t: f64,
     options: CtmcOptions,
 ) -> Result<CtmcSolution, SanError> {
@@ -364,64 +357,45 @@ pub fn solve_transient(
 }
 
 struct Explorer<'a> {
-    model: &'a mut Model,
+    model: &'a Model,
     options: CtmcOptions,
-    /// Fixed-seed stream handed to gate functions (which must ignore it).
+    /// Fixed-seed stream handed to output gates (which must ignore it).
     rng: Xoshiro256StarStar,
 }
 
 impl Explorer<'_> {
-    /// Fires activity `act_idx` in `marking`, once per case, returning the
-    /// successor markings with their case probabilities.
+    /// Fires activity `act_idx` in `marking` once per case of positive
+    /// weight, returning the successor markings with their case
+    /// probabilities.
     fn fire_all_cases(
         &mut self,
         marking: &Marking,
         act_idx: usize,
     ) -> Result<Vec<(Marking, f64)>, SanError> {
-        let num_cases = self.model.activities[act_idx].cases.len();
-        let weights: Vec<f64> = match &self.model.activities[act_idx].case_weights {
-            CaseWeights::Fixed(w) => w.clone(),
-            CaseWeights::Dynamic(f) => {
-                // Dynamic weights are evaluated *before* the firing, on the
-                // pre-state (the simulator evaluates them after the input
-                // side; for gate-free models these agree — dynamic-weight
-                // models with input-gate functions should be simulated).
-                let mut w = Vec::new();
-                f(marking, &mut w);
-                w
-            }
+        let act = &self.model.activities[act_idx];
+        let invalid = || SanError::InvalidCaseWeight {
+            activity: act.name().to_string(),
         };
+        let mut consumed = marking.clone();
+        let mut scratch = Vec::new();
+        let weights = act
+            .consume_inputs(&mut consumed, &mut scratch)
+            .ok_or_else(invalid)?;
         let total: f64 = weights.iter().sum();
-        let mut result = Vec::with_capacity(num_cases);
-        for (case, weight) in weights.iter().enumerate().take(num_cases) {
+        if !(total > 0.0 && total.is_finite()) {
+            return Err(invalid());
+        }
+        let mut result = Vec::with_capacity(weights.len());
+        for (case, weight) in weights.iter().enumerate() {
             let prob = weight / total;
             if prob <= 0.0 {
                 continue;
             }
-            let succ = self.fire_case(marking, act_idx, case);
+            let mut succ = consumed.clone();
+            act.produce_outputs(case, &mut succ, &mut self.rng);
             result.push((succ, prob));
         }
         Ok(result)
-    }
-
-    fn fire_case(&mut self, marking: &Marking, act_idx: usize, case: usize) -> Marking {
-        let mut m = marking.clone();
-        let act = &mut self.model.activities[act_idx];
-        for gate in &mut act.input_gates {
-            if let Some(f) = gate.function.as_mut() {
-                f(&mut m, &mut self.rng);
-            }
-        }
-        for &(p, w) in &act.input_arcs {
-            m.add(p, -w);
-        }
-        for &(p, w) in &act.cases[case].output_arcs {
-            m.add(p, w);
-        }
-        for gate in &act.cases[case].output_gates {
-            gate.run(&mut m, &mut self.rng);
-        }
-        m
     }
 
     /// Eliminates vanishing markings: returns the tangible markings
@@ -495,9 +469,9 @@ mod tests {
     #[test]
     fn mm1k_matches_closed_form() {
         // λ=1, μ=2, K=5: π_i ∝ ρ^i with ρ = 0.5.
-        let mut model = mm1k(1.0, 2.0, 5);
+        let model = mm1k(1.0, 2.0, 5);
         let queue = model.place_by_name("queue").unwrap();
-        let sol = solve_steady_state(&mut model, CtmcOptions::default()).unwrap();
+        let sol = solve_steady_state(&model, CtmcOptions::default()).unwrap();
         assert!(sol.converged());
         assert_eq!(sol.num_states(), 6);
         let rho: f64 = 0.5;
@@ -537,9 +511,9 @@ mod tests {
             .output_arc(up, 1)
             .done()
             .unwrap();
-        let mut model = mb.build().unwrap();
+        let model = mb.build().unwrap();
         let up_place = model.place_by_name("up").unwrap();
-        let sol = solve_steady_state(&mut model, CtmcOptions::default()).unwrap();
+        let sol = solve_steady_state(&model, CtmcOptions::default()).unwrap();
         let avail = sol.probability_where(|m| m.tokens(up_place) == 1);
         assert!((avail - 10.0 / 12.0).abs() < 1e-9, "availability {avail}");
     }
@@ -586,8 +560,8 @@ mod tests {
             .output_arc(idle, 1)
             .done()
             .unwrap();
-        let mut model = mb.build().unwrap();
-        let sol = solve_steady_state(&mut model, CtmcOptions::default()).unwrap();
+        let model = mb.build().unwrap();
+        let sol = solve_steady_state(&model, CtmcOptions::default()).unwrap();
         assert!(sol.converged());
         assert_eq!(sol.num_states(), 3, "pending is always vanishing");
         for m in sol.states() {
@@ -611,8 +585,8 @@ mod tests {
             .input_arc(p, 1)
             .done()
             .unwrap();
-        let mut model = mb.build().unwrap();
-        let err = solve_steady_state(&mut model, CtmcOptions::default()).unwrap_err();
+        let model = mb.build().unwrap();
+        let err = solve_steady_state(&model, CtmcOptions::default()).unwrap_err();
         assert!(matches!(err, SanError::NotMarkovian { .. }));
     }
 
@@ -627,9 +601,9 @@ mod tests {
             .output_arc(p, 1)
             .done()
             .unwrap();
-        let mut model = mb.build().unwrap();
+        let model = mb.build().unwrap();
         let err = solve_steady_state(
-            &mut model,
+            &model,
             CtmcOptions {
                 max_states: 50,
                 ..CtmcOptions::default()
@@ -658,17 +632,17 @@ mod tests {
             .output_arc(p, 1)
             .done()
             .unwrap();
-        let mut model = mb.build().unwrap();
-        let err = solve_steady_state(&mut model, CtmcOptions::default()).unwrap_err();
+        let model = mb.build().unwrap();
+        let err = solve_steady_state(&model, CtmcOptions::default()).unwrap_err();
         assert!(matches!(err, SanError::InstantaneousLoop { .. }));
     }
 
     #[test]
     fn simulation_agrees_with_numerical() {
         // Cross-validation: the same M/M/1/K model, solved both ways.
-        let mut model = mm1k(1.0, 1.5, 4);
+        let model = mm1k(1.0, 1.5, 4);
         let queue = model.place_by_name("queue").unwrap();
-        let sol = solve_steady_state(&mut model, CtmcOptions::default()).unwrap();
+        let sol = solve_steady_state(&model, CtmcOptions::default()).unwrap();
         let numerical_l = sol.expected_reward(|m| m.tokens(queue) as f64);
 
         let mut sim = Simulator::new(mm1k(1.0, 1.5, 4), 99);
@@ -709,9 +683,9 @@ mod tests {
         };
         let (a, b) = (0.1, 0.5);
         for &t in &[0.0, 0.5, 2.0, 5.0, 20.0] {
-            let mut model = build();
+            let model = build();
             let up = model.place_by_name("up").unwrap();
-            let sol = solve_transient(&mut model, t, CtmcOptions::default()).unwrap();
+            let sol = solve_transient(&model, t, CtmcOptions::default()).unwrap();
             let p_up = sol.probability_where(|m| m.tokens(up) == 1);
             let expected = b / (a + b) + a / (a + b) * (-(a + b) * t).exp();
             assert!(
@@ -723,19 +697,19 @@ mod tests {
 
     #[test]
     fn transient_at_zero_is_initial_distribution() {
-        let mut model = mm1k(1.0, 2.0, 5);
+        let model = mm1k(1.0, 2.0, 5);
         let queue = model.place_by_name("queue").unwrap();
-        let sol = solve_transient(&mut model, 0.0, CtmcOptions::default()).unwrap();
+        let sol = solve_transient(&model, 0.0, CtmcOptions::default()).unwrap();
         assert!((sol.probability_where(|m| m.tokens(queue) == 0) - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn transient_converges_to_steady_state() {
-        let mut model = mm1k(1.0, 2.0, 5);
+        let model = mm1k(1.0, 2.0, 5);
         let queue = model.place_by_name("queue").unwrap();
-        let steady = solve_steady_state(&mut model, CtmcOptions::default()).unwrap();
-        let mut model2 = mm1k(1.0, 2.0, 5);
-        let late = solve_transient(&mut model2, 200.0, CtmcOptions::default()).unwrap();
+        let steady = solve_steady_state(&model, CtmcOptions::default()).unwrap();
+        let model2 = mm1k(1.0, 2.0, 5);
+        let late = solve_transient(&model2, 200.0, CtmcOptions::default()).unwrap();
         let l_steady = steady.expected_reward(|m| m.tokens(queue) as f64);
         let l_late = late.expected_reward(|m| m.tokens(queue) as f64);
         assert!(
@@ -785,9 +759,9 @@ mod tests {
             .collect();
         let norm: f64 = unnorm.iter().sum();
 
-        let mut model = mmck(lambda, mu, c, k);
+        let model = mmck(lambda, mu, c, k);
         let queue = model.place_by_name("queue").unwrap();
-        let sol = solve_steady_state(&mut model, CtmcOptions::default()).unwrap();
+        let sol = solve_steady_state(&model, CtmcOptions::default()).unwrap();
         for (m, &p) in sol.states().iter().zip(sol.probabilities()) {
             let n = m.tokens(queue) as usize;
             let expected = unnorm[n] / norm;
@@ -800,9 +774,9 @@ mod tests {
 
     #[test]
     fn mmck_simulation_agrees_with_numerical() {
-        let mut model = mmck(1.5, 1.0, 2, 6);
+        let model = mmck(1.5, 1.0, 2, 6);
         let queue = model.place_by_name("queue").unwrap();
-        let sol = solve_steady_state(&mut model, CtmcOptions::default()).unwrap();
+        let sol = solve_steady_state(&model, CtmcOptions::default()).unwrap();
         let exact_l = sol.expected_reward(|m| m.tokens(queue) as f64);
 
         let mut sim = Simulator::new(mmck(1.5, 1.0, 2, 6), 31);
@@ -837,10 +811,95 @@ mod tests {
         assert_eq!(sim.marking().tokens(q), 5, "gated activity never fired");
     }
 
+    /// Three places, one token: `go` moves it out of `p` into `a` or `b`
+    /// with dynamic weights `[p + 1, 1]`, and `ra`/`rb` move it back. Every
+    /// activity is exponential with mean 1. The weights read `p`, which
+    /// `go`'s own input arc consumes.
+    fn weights_read_a_consumed_place() -> Model {
+        let mut mb = ModelBuilder::new();
+        let p = mb.place("p", 1).unwrap();
+        let a = mb.place("a", 0).unwrap();
+        let b = mb.place("b", 0).unwrap();
+        let exp1 = || Dist::exponential(1.0).unwrap();
+        mb.activity("go")
+            .unwrap()
+            .timed(exp1())
+            .input_arc(p, 1)
+            .case(1.0)
+            .output_arc(a, 1)
+            .case(1.0)
+            .output_arc(b, 1)
+            .dynamic_case_weights(move |m| vec![m.tokens(p) as f64 + 1.0, 1.0])
+            .reads([p])
+            .done()
+            .unwrap();
+        for (name, from) in [("ra", a), ("rb", b)] {
+            mb.activity(name)
+                .unwrap()
+                .timed(exp1())
+                .input_arc(from, 1)
+                .output_arc(p, 1)
+                .done()
+                .unwrap();
+        }
+        mb.build().unwrap()
+    }
+
+    #[test]
+    fn ctmc_reads_case_weights_after_the_input_arcs_like_the_simulator() {
+        // After `go` consumes the token, p = 0 and the weights are [1, 1]:
+        // π(p) = 1/2 and π(a) = π(b) = 1/4. Weights read before the input
+        // arc would be [2, 1] and give π(a) = 1/3.
+        let model = weights_read_a_consumed_place();
+        let a = model.place_by_name("a").unwrap();
+        let sol = solve_steady_state(&model, CtmcOptions::default()).unwrap();
+        let exact = sol.probability_where(|m| m.tokens(a) == 1);
+        assert!((exact - 0.25).abs() < 1e-9, "CTMC π(a) = {exact}");
+
+        let mut sim = Simulator::new(weights_read_a_consumed_place(), 7);
+        let r = sim.add_rate_reward_with_reads("a", [a], move |m| m.tokens(a) as f64);
+        sim.run_until(200_000.0).unwrap();
+        let simulated = sim.rate_reward_average(r);
+        assert!(
+            (simulated - exact).abs() < 0.01,
+            "simulated π(a) = {simulated}, CTMC {exact}"
+        );
+    }
+
+    #[test]
+    fn invalid_dynamic_weights_are_a_typed_error() {
+        let build = |weights: Vec<f64>| {
+            let mut mb = ModelBuilder::new();
+            let p = mb.place("p", 1).unwrap();
+            mb.activity("split")
+                .unwrap()
+                .timed(Dist::exponential(1.0).unwrap())
+                .input_arc(p, 1)
+                .case(1.0)
+                .output_arc(p, 1)
+                .case(1.0)
+                .output_arc(p, 1)
+                .dynamic_case_weights(move |_| weights.clone())
+                .done()
+                .unwrap();
+            mb.build().unwrap()
+        };
+        for weights in [vec![0.0, 0.0], vec![1.0], vec![1.0, f64::INFINITY]] {
+            let err = solve_steady_state(&build(weights.clone()), CtmcOptions::default());
+            assert_eq!(
+                err.unwrap_err(),
+                SanError::InvalidCaseWeight {
+                    activity: "split".into()
+                },
+                "{weights:?}"
+            );
+        }
+    }
+
     #[test]
     fn solution_accessors() {
-        let mut model = mm1k(1.0, 2.0, 2);
-        let sol = solve_steady_state(&mut model, CtmcOptions::default()).unwrap();
+        let model = mm1k(1.0, 2.0, 2);
+        let sol = solve_steady_state(&model, CtmcOptions::default()).unwrap();
         assert_eq!(sol.states().len(), sol.probabilities().len());
         assert!(sol.iterations() > 0);
         let total: f64 = sol.probabilities().iter().sum();

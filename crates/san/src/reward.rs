@@ -2,20 +2,15 @@
 //!
 //! Mobius attaches *reward variables* to a model; the paper uses rate
 //! rewards that "monitor the state transition of each VCPU" to compute
-//! availability and utilization. Two kinds are supported:
-//!
-//! * **Rate rewards** accumulate `∫ f(marking(t)) dt`; their time average
-//!   over the observation window is the reported metric (e.g. the fraction
-//!   of time a VCPU is ACTIVE).
-//! * **Impulse rewards** earn `f(marking)` each time a designated activity
-//!   completes (e.g. counting dispatched workloads).
+//! availability and utilization. A rate reward accumulates
+//! `∫ f(marking(t)) dt`; its time average over the observation window is
+//! the reported metric (e.g. the fraction of time a VCPU is ACTIVE).
 
 use vsched_stats::TimeWeighted;
 
-use crate::activity::ActivityId;
 use crate::marking::{Marking, ReadSet};
 
-/// Handle to a reward variable registered with a [`crate::Simulator`].
+/// Handle to a rate reward registered with a [`crate::Simulator`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RewardId(pub(crate) usize);
 
@@ -42,29 +37,11 @@ pub(crate) struct RewardState {
     pub(crate) current: f64,
 }
 
-pub(crate) struct ImpulseReward {
-    pub(crate) name: String,
-    pub(crate) activity: ActivityId,
-    pub(crate) f: RewardFn,
-    pub(crate) total: f64,
-    pub(crate) count: u64,
-}
-
 impl std::fmt::Debug for RateReward {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RateReward")
             .field("name", &self.name)
             .field("reads", &self.reads)
-            .finish()
-    }
-}
-
-impl std::fmt::Debug for ImpulseReward {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ImpulseReward")
-            .field("name", &self.name)
-            .field("total", &self.total)
-            .field("count", &self.count)
             .finish()
     }
 }

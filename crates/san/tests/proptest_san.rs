@@ -44,9 +44,9 @@ proptest! {
     ) {
         let births: Vec<f64> = rates[..k].to_vec();
         let deaths: Vec<f64> = rates[6..6 + k].to_vec();
-        let mut model = birth_death(k, &births, &deaths);
+        let model = birth_death(k, &births, &deaths);
         let level = model.place_by_name("level").unwrap();
-        let sol = solve_steady_state(&mut model, CtmcOptions::default()).unwrap();
+        let sol = solve_steady_state(&model, CtmcOptions::default()).unwrap();
         prop_assert!(sol.converged());
         prop_assert_eq!(sol.num_states(), k + 1);
         let total: f64 = sol.probabilities().iter().sum();
@@ -309,9 +309,9 @@ proptest! {
                 .unwrap();
             mb.build().unwrap()
         };
-        let mut model = build();
+        let model = build();
         let up = model.place_by_name("up").unwrap();
-        let sol = solve_steady_state(&mut model, CtmcOptions::default()).unwrap();
+        let sol = solve_steady_state(&model, CtmcOptions::default()).unwrap();
         let exact = sol.probability_where(|m| m.tokens(up) == 1);
 
         let mut sim = Simulator::new(build(), seed);

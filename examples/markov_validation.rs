@@ -46,9 +46,9 @@ fn main() {
     let closed_p_full = rho.powi(k as i32) / norm;
 
     // Numerical: CTMC steady state by uniformized power iteration.
-    let mut model = mm1k(lambda, mu, k);
+    let model = mm1k(lambda, mu, k);
     let queue = model.place_by_name("queue").expect("place exists");
-    let sol = solve_steady_state(&mut model, CtmcOptions::default()).expect("Markovian model");
+    let sol = solve_steady_state(&model, CtmcOptions::default()).expect("Markovian model");
     let numerical_l = sol.expected_reward(|m| m.tokens(queue) as f64);
     let numerical_p_full = sol.probability_where(|m| m.tokens(queue) == k);
 
@@ -85,8 +85,8 @@ fn main() {
     // Transient: approach to steady state.
     println!("\ntransient E[N(t)] by uniformization:");
     for &t in &[1.0, 5.0, 20.0, 100.0] {
-        let mut m = mm1k(lambda, mu, k);
-        let tr = solve_transient(&mut m, t, CtmcOptions::default()).expect("Markovian model");
+        let m = mm1k(lambda, mu, k);
+        let tr = solve_transient(&m, t, CtmcOptions::default()).expect("Markovian model");
         println!(
             "  t = {t:>5}: {:.5}",
             tr.expected_reward(|mk| mk.tokens(queue) as f64)

@@ -1,9 +1,9 @@
 //! Tick-level timelines: *watching* each scheduling algorithm work.
 //!
 //! Aggregate metrics say who wins; the Gantt view shows why. This example
-//! traces 60 ticks of the oversubscribed Figure 10 setup (2+4 VCPUs on 4
+//! observes 60 ticks of the oversubscribed Figure 10 setup (2+4 VCPUs on 4
 //! PCPUs, sync 1:3) under each of the paper's algorithms and renders the
-//! per-VCPU lanes.
+//! per-VCPU lanes from the end-of-tick snapshots.
 //!
 //! Legend: `.` descheduled · `r` READY (scheduled, idle — the wasted time
 //! Figure 10 measures) · `#` BUSY · `S` BUSY on a synchronization job.
@@ -12,7 +12,10 @@
 //! cargo run --release --example timeline
 //! ```
 
-use vsched_core::{direct::DirectSim, PolicyKind, SystemConfig};
+use std::cell::RefCell;
+use std::rc::Rc;
+
+use vsched_core::{direct::DirectSim, observe::Timeline, PolicyKind, SystemConfig};
 
 fn main() {
     let cfg = || {
@@ -29,14 +32,13 @@ fn main() {
     println!("legend: . descheduled   r ready/idle   # busy   S busy on sync job\n");
     for kind in PolicyKind::paper_trio() {
         let mut sim = DirectSim::new(cfg(), kind.create(), 404);
-        // Trace from the start so the Gantt replay has complete state
-        // history, then render only the steady-state window.
-        sim.enable_trace(100_000);
-        sim.run(260).expect("traced run");
-        let trace = sim.take_trace().expect("trace enabled");
+        // Draw only the steady-state window.
+        let timeline = Rc::new(RefCell::new(Timeline::new(200, 260)));
+        sim.attach_observer(Box::new(Rc::clone(&timeline)));
+        sim.run(260).expect("observed run");
         println!("--- {} ---", kind.label());
         // VCPUs 0-1 form the 2-VCPU VM; 2-5 the 4-VCPU VM.
-        print!("{}", trace.render_gantt(6, 200, 260));
+        print!("{}", timeline.borrow().render());
         let m = sim.metrics();
         println!(
             "(window metrics: VCPU util {:.3}, PCPU util {:.3})\n",

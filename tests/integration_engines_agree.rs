@@ -175,3 +175,58 @@ fn engines_agree_exactly_without_randomness() {
         );
     }
 }
+
+/// One observation seam on both engines: a timeline drawn from the
+/// end-of-tick snapshots of a run without randomness is the same on SAN
+/// and on DirectSim, and it tells the paper's three policies apart.
+#[test]
+fn engines_draw_identical_timelines() {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+    use vsched_core::{observe::Timeline, Simulation, VmSpec, WorkloadSpec};
+    use vsched_des::Dist;
+
+    let w = WorkloadSpec {
+        load: Dist::deterministic(5.0).unwrap(),
+        sync_probability: 0.0,
+        sync_mechanism: Default::default(),
+        sync_every: None,
+        interarrival: None,
+    }
+    .with_sync_every(3)
+    .unwrap();
+    let vm = |vcpus| VmSpec {
+        vcpus,
+        workload: w.clone(),
+        weight: 1,
+    };
+    let cfg = SystemConfig::builder()
+        .pcpus(4)
+        .vm_spec(vm(2))
+        .vm_spec(vm(4))
+        .timeslice(12)
+        .build()
+        .unwrap();
+    let draw = |engine, kind: &PolicyKind| {
+        let timeline = Rc::new(RefCell::new(Timeline::new(100, 160)));
+        let mut sim = Simulation::new(engine, cfg.clone(), kind.create(), 404).unwrap();
+        sim.attach_observer(Box::new(Rc::clone(&timeline)));
+        sim.run(160).unwrap();
+        let lanes = timeline.borrow().render();
+        lanes
+    };
+    let drawn: Vec<String> = PolicyKind::paper_trio()
+        .iter()
+        .map(|kind| {
+            let direct = draw(Engine::Direct, kind);
+            assert_eq!(draw(Engine::San, kind), direct, "{kind}");
+            assert_eq!(direct.lines().count(), 6, "{direct}");
+            direct
+        })
+        .collect();
+    for (i, a) in drawn.iter().enumerate() {
+        for b in &drawn[i + 1..] {
+            assert_ne!(a, b, "two policies drew the same lanes");
+        }
+    }
+}
